@@ -68,7 +68,7 @@ class ScanProcessor:
         self.network = network
         rng = np.random.default_rng(seed)
         self.road_pivots = road_pivots or select_pivots_road(
-            network.road, num_road_pivots, rng
+            network.distances.engine, num_road_pivots, rng
         )
         self.social_pivots = social_pivots or select_pivots_social(
             network.social, num_social_pivots, rng

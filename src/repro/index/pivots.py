@@ -23,16 +23,19 @@ and strengthens the distance pruning (Lemmas 4, 7, 9). Because
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError, UnknownEntityError
+from ..roadnet.engines import DistanceEngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
-from ..roadnet.shortest_path import dijkstra, position_distance_from_map
+from ..roadnet.shortest_path import position_distance_from_map
 from ..socialnet.graph import SocialNetwork
 
-DistanceMap = Dict[int, float]
+#: ``vertex_id -> distance``: a dict on the plain engine, a
+#: :class:`~repro.roadnet.csr.DenseDistanceView` on the CSR-backed ones.
+DistanceMap = Mapping[int, float]
 
 
 def pivot_lower_bound(
@@ -141,20 +144,26 @@ def select_pivots(
 class RoadPivotIndex:
     """Pre-computed road-network pivot distances (``dist_RN(·, rp_k)``).
 
-    One full Dijkstra per pivot vertex; distances to arbitrary
-    :class:`NetworkPosition` values are derived from the two edge
-    endpoints, so a single map serves every user and POI.
+    One full SSSP per pivot vertex, run on the network's distance
+    engine; distances to arbitrary :class:`NetworkPosition` values are
+    derived from the two edge endpoints, so a single map serves every
+    user and POI.
     """
 
-    def __init__(self, road: RoadNetwork, pivot_vertices: Sequence[int]) -> None:
+    def __init__(
+        self, engine: DistanceEngine, pivot_vertices: Sequence[int]
+    ) -> None:
         if not pivot_vertices:
             raise InvalidParameterError("need at least one road pivot")
+        road = engine.road
         for v in pivot_vertices:
             if not road.has_vertex(v):
                 raise UnknownEntityError(f"pivot references unknown vertex {v}")
         self.road = road
         self.pivots: List[int] = list(pivot_vertices)
-        self._maps: List[DistanceMap] = [dijkstra(road, p) for p in self.pivots]
+        self._maps: List[DistanceMap] = [
+            engine.sssp([(p, 0.0)]) for p in self.pivots
+        ]
 
     @classmethod
     def from_maps(
@@ -271,15 +280,20 @@ class SocialPivotIndex:
 
 
 def select_pivots_road(
-    road: RoadNetwork,
+    engine: DistanceEngine,
     num_pivots: int,
     rng: np.random.Generator,
     num_sample_pairs: int = 30,
     global_iter: int = 3,
     swap_iter: int = 15,
 ) -> RoadPivotIndex:
-    """Choose ``h`` road pivot vertices with Algorithm 1 and index them."""
-    vertices = list(road.vertices())
+    """Choose ``h`` road pivot vertices with Algorithm 1 and index them.
+
+    Every candidate-side SSSP runs on ``engine`` (the network's selected
+    ``dist_RN`` engine), so the CSR-backed engines answer each one with
+    a single C Dijkstra and a dense row instead of a per-vertex dict.
+    """
+    vertices = list(engine.road.vertices())
     if not vertices:
         raise InvalidParameterError("road network is empty")
     sample_count = min(num_sample_pairs, max(1, len(vertices) // 2))
@@ -296,14 +310,14 @@ def select_pivots_road(
 
     def vertex_distance(a: int, b: int) -> float:
         if a not in sssp_cache:
-            sssp_cache[a] = dijkstra(road, a)
+            sssp_cache[a] = engine.sssp([(a, 0.0)])
         return sssp_cache[a].get(b, math.inf)
 
     chosen = select_pivots(
         pool, num_pivots, vertex_distance, pairs, rng,
         global_iter=global_iter, swap_iter=swap_iter,
     )
-    return RoadPivotIndex(road, chosen)
+    return RoadPivotIndex(engine, chosen)
 
 
 def select_pivots_social(

@@ -19,9 +19,9 @@ the pre-computed material the pruning lemmas need:
 * lower/upper pivot-distance bounds (Eqs. 7-8);
 * a few sample POIs for the ``lb_Match_Score`` of Eq. 18.
 
-The structure is frozen after construction; the R\\*-tree is only the
-construction scaffold, and the traversal operates on the immutable
-:class:`RoadIndexNode` mirror.
+The R\\*-tree is STR-packed at construction and kept as the scaffold
+for POI insert/delete; the traversal operates on the immutable
+:class:`RoadIndexNode` mirror derived from it.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ class RoadIndex:
             )
 
         tree = RStarTree(max_entries=max_entries)
-        for poi in pois:
-            tree.insert(
-                MBR.from_point((poi.location.x, poi.location.y)), poi.poi_id
-            )
+        tree.bulk_load([
+            (MBR.from_point((poi.location.x, poi.location.y)), poi.poi_id)
+            for poi in pois
+        ])
         tree.check_invariants()
         self._tree = tree
         return self._freeze(tree.root)

@@ -9,7 +9,9 @@ This module implements the classic structure in full:
   farthest from the node's center, once per level per insertion;
 * **Split** — the R\\* topological split: choose the axis with the
   smallest margin sum over candidate distributions, then the
-  distribution with the smallest overlap (ties by area).
+  distribution with the smallest overlap (ties by area);
+* **Bulk load** — Sort-Tile-Recursive packing of the initial entry set;
+  the three dynamic operations above then maintain it under edits.
 
 Entries are ``(mbr, payload)`` pairs; payloads are opaque to the tree.
 """
@@ -70,6 +72,41 @@ class RStarNode:
 REINSERT_FRACTION = 0.3
 
 
+def _even_sizes(total: int, parts: int) -> List[int]:
+    """``parts`` sizes summing to ``total`` that differ by at most one."""
+    q, r = divmod(total, parts)
+    return [q + 1] * r + [q] * (parts - r)
+
+
+def _str_tile(
+    members: List[Any], count: int, axis: int, dims: int
+) -> List[List[Any]]:
+    """Cut ``members`` into ``count`` near-equal STR groups from ``axis`` on.
+
+    Sorts by box centre along ``axis`` and cuts the run into
+    ``ceil(count ** (1 / remaining_axes))`` slabs, each holding a
+    near-equal share of the groups; every slab is tiled along the next
+    axis. On the last axis each slab is one group.
+    """
+    if axis == dims:
+        return [members]
+    members = sorted(members, key=lambda m: m.mbr.center[axis])
+    slabs = 1
+    while slabs ** (dims - axis) < count:
+        slabs += 1
+    sizes = _even_sizes(len(members), count)
+    groups: List[List[Any]] = []
+    start = first = 0
+    for share in _even_sizes(count, slabs):
+        length = sum(sizes[first:first + share])
+        groups.extend(
+            _str_tile(members[start:start + length], share, axis + 1, dims)
+        )
+        start += length
+        first += share
+    return groups
+
+
 class RStarTree:
     """An in-memory R\\*-tree over ``(MBR, payload)`` entries."""
 
@@ -102,10 +139,51 @@ class RStarTree:
         self.size += 1
 
     def bulk_load(self, items: Sequence[Tuple[MBR, Any]]) -> None:
-        """Insert many entries (insertion order randomization is the
-        caller's concern; R\\* is robust to sorted input regardless)."""
-        for mbr, payload in items:
-            self.insert(mbr, payload)
+        """Pack ``items`` into this empty tree by Sort-Tile-Recursive.
+
+        STR (Leutenegger et al., ICDE 1997) builds the tree bottom-up:
+        each level's members are sorted by box centre along the first
+        axis, cut into slabs, each slab sorted along the next axis and
+        cut into nodes, and the nodes become the members of the level
+        above. Sorts are stable, so equal centres keep input order and
+        the layout is a pure function of ``items``. Every level is cut
+        into ``ceil(n / max_entries)`` groups of near-equal size, so no
+        non-root node falls below ``min_entries``. Later edits go
+        through the R\\* :meth:`insert` / :meth:`delete` paths.
+
+        Raises:
+            IndexStateError: the tree already holds entries.
+        """
+        if self.size:
+            raise IndexStateError("bulk_load needs an empty tree")
+        if not items:
+            return
+        level: List[RStarNode] = []
+        for group in self._str_groups([RStarEntry(m, p) for m, p in items]):
+            leaf = RStarNode(is_leaf=True)
+            leaf.entries = group
+            leaf.recompute_mbr()
+            level.append(leaf)
+        height = 1
+        while len(level) > 1:
+            parents: List[RStarNode] = []
+            for group in self._str_groups(level):
+                node = RStarNode(is_leaf=False)
+                node.children = group
+                for child in group:
+                    child.parent = node
+                node.recompute_mbr()
+                parents.append(node)
+            level = parents
+            height += 1
+        self.root = level[0]
+        self.size = len(items)
+        self._height = height
+
+    def _str_groups(self, members: List[Any]) -> List[List[Any]]:
+        """Tile ``members`` (entries or nodes) into STR node groups."""
+        count = -(-len(members) // self.max_entries)
+        return _str_tile(members, count, 0, members[0].mbr.dimensions)
 
     def search(self, query: MBR) -> List[Any]:
         """Payloads of all entries whose MBR intersects ``query``."""

@@ -125,7 +125,9 @@ def processor_from_document(
     road_snapshot = document["road_index"]
     social_snapshot = document["social_index"]
     if road_pivots is None:
-        road_pivots = RoadPivotIndex(network.road, road_snapshot["pivots"])
+        road_pivots = RoadPivotIndex(
+            network.distances.engine, road_snapshot["pivots"]
+        )
     social_pivots = SocialPivotIndex(
         network.social, social_snapshot["social_pivots"]
     )

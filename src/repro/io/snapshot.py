@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import mmap
 import os
 import struct
@@ -76,7 +75,7 @@ from ..geometry import Point
 from ..network import SpatialSocialNetwork
 from ..obs import Recorder
 from ..roadnet.ch import ContractionHierarchy
-from ..roadnet.csr import CSRGraph
+from ..roadnet.csr import CSRGraph, DenseDistanceView, SortedIdIndex
 from ..roadnet.engines import CHEngine, CSREngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.poi import POI
@@ -101,44 +100,6 @@ def _align_up(value: int, align: int = ALIGN) -> int:
 def _le(arr: np.ndarray, dtype: str) -> np.ndarray:
     """A C-contiguous little-endian copy/view of ``arr``."""
     return np.ascontiguousarray(arr, dtype=np.dtype(dtype))
-
-
-# ---------------------------------------------------------------------------
-# dense pivot distance maps
-# ---------------------------------------------------------------------------
-
-
-class _DenseDistanceMap:
-    """A per-pivot distance row masquerading as the Dijkstra dict.
-
-    :class:`~repro.index.pivots.RoadPivotIndex` consumers only call
-    ``.get(vertex_id, default)`` (via ``position_distance_from_map``);
-    this answers that by binary search over the sorted id array, with
-    ``inf`` entries reading as "absent" exactly like the dict kernel's
-    unreached vertices.
-    """
-
-    __slots__ = ("_ids", "_row")
-
-    def __init__(self, ids: np.ndarray, row: np.ndarray) -> None:
-        self._ids = ids
-        self._row = row
-
-    def get(self, vid: int, default=None):
-        pos = int(np.searchsorted(self._ids, vid))
-        if pos >= len(self._ids) or int(self._ids[pos]) != vid:
-            return default
-        value = float(self._row[pos])
-        return default if math.isinf(value) else value
-
-    def __getitem__(self, vid: int) -> float:
-        value = self.get(vid)
-        if value is None:
-            raise KeyError(vid)
-        return value
-
-    def __contains__(self, vid: int) -> bool:
-        return self.get(vid) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +396,16 @@ def freeze(
     # -- road pivot distance rows -------------------------------------------
     document = None
     if processor is not None:
-        index_of = {int(vid): i for i, vid in enumerate(ids.tolist())}
         pivots = [int(p) for p in processor.road_pivots.pivots]
         rows = np.full((len(pivots), n), np.inf, dtype="<f8")
         for k, dist_map in enumerate(processor.road_pivots._maps):
-            if isinstance(dist_map, _DenseDistanceMap):
-                rows[k] = np.asarray(dist_map._row)
+            if isinstance(dist_map, DenseDistanceView):
+                vids, dists = dist_map.ids, dist_map.row
             else:
-                row = rows[k]
-                for vid, d in dist_map.items():
-                    row[index_of[int(vid)]] = d
+                vids, dists = list(dist_map), list(dist_map.values())
+            # One vectorized remap from the engine's vertex order onto
+            # the sorted canonical ids.
+            rows[k, np.searchsorted(ids, np.asarray(vids, dtype=np.int64))] = dists
         sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
         sections["pivot/rows"] = rows
         document = processor_to_document(processor)
@@ -806,10 +767,14 @@ class FrozenSnapshot:
         ids = self.sections["road/ids"]
         pivot_ids = [int(p) for p in self.sections["pivot/vertices"]]
         rows = self.sections["pivot/rows"]
+        index = SortedIdIndex(ids)
         road_pivots = RoadPivotIndex.from_maps(
             network.road,
             pivot_ids,
-            [_DenseDistanceMap(ids, rows[k]) for k in range(len(pivot_ids))],
+            [
+                DenseDistanceView(ids, index, rows[k])
+                for k in range(len(pivot_ids))
+            ],
         )
         processor = processor_from_document(
             document,

@@ -44,7 +44,7 @@ except ImportError:  # pragma: no cover - CI always has scipy
 SCIPY_MIN_VERTICES = 256
 
 
-class _SortedIdIndex:
+class SortedIdIndex:
     """Dict-like ``vertex_id -> internal_index`` over a sorted id array.
 
     Borrowed (memmapped) graphs keep their ids as a strictly ascending
@@ -89,14 +89,15 @@ class DenseDistanceView(Mapping):
     matching the dict the Dijkstra kernels return. Iteration walks the
     reachable vertices only, so bounded searches stay proportional to
     the searched neighbourhood. ``row`` exposes the dense array for
-    vectorized consumers (internal-index order, ``inf`` = unreached).
+    vectorized consumers (internal-index order, ``inf`` = unreached)
+    and ``ids`` the vertex id at each row position.
     """
 
-    __slots__ = ("row", "_ids", "_index")
+    __slots__ = ("row", "ids", "_index")
 
     def __init__(self, ids, index, row: np.ndarray) -> None:
         self.row = row
-        self._ids = ids
+        self.ids = ids
         self._index = index
 
     def __getitem__(self, vid: int) -> float:
@@ -125,12 +126,12 @@ class DenseDistanceView(Mapping):
         return int(self._finite().size)
 
     def __iter__(self):
-        ids = self._ids
+        ids = self.ids
         for i in self._finite().tolist():
             yield int(ids[i])
 
     def items(self):
-        ids, row = self._ids, self.row
+        ids, row = self.ids, self.row
         return (
             (int(ids[i]), float(row[i])) for i in self._finite().tolist()
         )
@@ -221,7 +222,7 @@ class CSRGraph:
         if self._index_of is None:
             arr = np.asarray(self.ids, dtype=np.int64)
             if arr.size > 1 and bool(np.all(arr[1:] > arr[:-1])):
-                self._index_of = _SortedIdIndex(arr)
+                self._index_of = SortedIdIndex(arr)
             else:
                 self._index_of = {
                     int(vid): i for i, vid in enumerate(self.ids)

@@ -37,7 +37,7 @@ class TestAPI:
         )
 
         rng = np.random.default_rng(0)
-        rp = select_pivots_road(small_uni.road, 2, rng)
+        rp = select_pivots_road(small_uni.distances.engine, 2, rng)
         sp = select_pivots_social(small_uni.social, 2, rng)
         processor = GPSSNQueryProcessor(
             small_uni, road_pivots=rp, social_pivots=sp, seed=0

@@ -32,7 +32,7 @@ from repro.index.social_index import SocialIndex
 @pytest.fixture(scope="module")
 def indexed(small_uni):
     rng = np.random.default_rng(5)
-    road_pivots = select_pivots_road(small_uni.road, 3, rng)
+    road_pivots = select_pivots_road(small_uni.distances.engine, 3, rng)
     social_pivots = select_pivots_social(small_uni.social, 3, rng)
     road_index = RoadIndex(small_uni, road_pivots, r_min=0.5, r_max=4.0)
     social_index = SocialIndex(

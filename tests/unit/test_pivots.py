@@ -15,6 +15,7 @@ from repro.index.pivots import (
     select_pivots_road,
     select_pivots_social,
 )
+from repro.roadnet.engines import PlainEngine
 from repro.roadnet.shortest_path import DistanceOracle
 
 
@@ -39,7 +40,7 @@ class TestPivotLowerBound:
         road = generate_road_network(40, rng)
         vertices = list(road.vertices())
         pivots = [int(v) for v in rng.choice(vertices, size=3, replace=False)]
-        index = RoadPivotIndex(road, pivots)
+        index = RoadPivotIndex(PlainEngine(road), pivots)
         from repro.roadnet.graph import NetworkPosition
 
         edges = list(road.edges())
@@ -98,7 +99,7 @@ class TestSelectPivots:
 class TestRoadPivotIndex:
     def test_distances_shape(self, small_uni):
         rng = np.random.default_rng(2)
-        index = select_pivots_road(small_uni.road, 4, rng)
+        index = select_pivots_road(small_uni.distances.engine, 4, rng)
         assert index.num_pivots == 4
         home = small_uni.social.user(0).home
         dists = index.distances(home)
@@ -109,7 +110,7 @@ class TestRoadPivotIndex:
         from repro.roadnet.graph import NetworkPosition
 
         rng = np.random.default_rng(2)
-        index = select_pivots_road(small_uni.road, 3, rng)
+        index = select_pivots_road(small_uni.distances.engine, 3, rng)
         pivot = index.pivots[0]
         nbrs = small_uni.road.neighbors(pivot)
         other = next(iter(nbrs))
@@ -118,11 +119,11 @@ class TestRoadPivotIndex:
 
     def test_unknown_pivot_vertex_rejected(self, small_uni):
         with pytest.raises(UnknownEntityError):
-            RoadPivotIndex(small_uni.road, [999999])
+            RoadPivotIndex(small_uni.distances.engine, [999999])
 
     def test_empty_pivot_list_rejected(self, small_uni):
         with pytest.raises(InvalidParameterError):
-            RoadPivotIndex(small_uni.road, [])
+            RoadPivotIndex(small_uni.distances.engine, [])
 
 
 class TestSocialPivotIndex:

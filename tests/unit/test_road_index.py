@@ -11,14 +11,14 @@ from repro.index.road_index import RoadIndex
 @pytest.fixture(scope="module")
 def road_index(small_uni):
     rng = np.random.default_rng(3)
-    pivots = select_pivots_road(small_uni.road, 3, rng)
+    pivots = select_pivots_road(small_uni.distances.engine, 3, rng)
     return RoadIndex(small_uni, pivots, r_min=0.5, r_max=4.0)
 
 
 class TestConstruction:
     def test_bad_radii_rejected(self, small_uni):
         rng = np.random.default_rng(3)
-        pivots = select_pivots_road(small_uni.road, 2, rng)
+        pivots = select_pivots_road(small_uni.distances.engine, 2, rng)
         with pytest.raises(InvalidParameterError):
             RoadIndex(small_uni, pivots, r_min=0.0, r_max=4.0)
         with pytest.raises(InvalidParameterError):

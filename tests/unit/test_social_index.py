@@ -11,7 +11,7 @@ from repro.index.social_index import SocialIndex
 @pytest.fixture(scope="module")
 def social_index(small_uni):
     rng = np.random.default_rng(3)
-    road_pivots = select_pivots_road(small_uni.road, 3, rng)
+    road_pivots = select_pivots_road(small_uni.distances.engine, 3, rng)
     social_pivots = select_pivots_social(small_uni.social, 3, rng)
     return SocialIndex(small_uni, social_pivots, road_pivots, leaf_size=8)
 
@@ -19,7 +19,7 @@ def social_index(small_uni):
 class TestConstruction:
     def test_bad_parameters_rejected(self, small_uni):
         rng = np.random.default_rng(3)
-        rp = select_pivots_road(small_uni.road, 2, rng)
+        rp = select_pivots_road(small_uni.distances.engine, 2, rng)
         sp = select_pivots_social(small_uni.social, 2, rng)
         with pytest.raises(InvalidParameterError):
             SocialIndex(small_uni, sp, rp, leaf_size=0)
@@ -129,7 +129,7 @@ class TestAccess:
         from repro import SocialNetwork, SpatialSocialNetwork
 
         rng = np.random.default_rng(3)
-        rp = select_pivots_road(small_uni.road, 2, rng)
+        rp = select_pivots_road(small_uni.distances.engine, 2, rng)
         sp = select_pivots_social(small_uni.social, 2, rng)
         empty = SpatialSocialNetwork(
             small_uni.road, SocialNetwork(), small_uni.pois(), 5
