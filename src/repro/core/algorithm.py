@@ -27,6 +27,7 @@ import heapq
 import math
 import time
 from bisect import insort
+from itertools import islice
 from math import comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -61,6 +62,8 @@ from .index_pruning import (
 from .pruning import matching_score_prunable, social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
 from .refinement import (
+    GROUP_BLOCK,
+    BlockGates,
     PairKernel,
     best_region_for_seed,
     enumerate_connected_groups,
@@ -1101,8 +1104,11 @@ class GPSSNQueryProcessor:
                 counters = stats.pruning
                 # Every seed's ball is built once per query (and cached
                 # across queries under (seed, radius)); the stacked
-                # full-cover matrix drives the per-group ball gate as a
-                # single matmul over all seeds.
+                # full-cover matrix drives the ball gate as one matmul
+                # per newly seen member. Groups are gated in blocks: one
+                # gather reduces every group's seed gates and Lemma-5
+                # bounds, and a group whose best viable bound cannot beat
+                # kth skips the pair loop (and its GroupState) entirely.
                 balls = [
                     kernel.ball(s, region(s, radius), cache_key=(s, radius))
                     for s in seeds
@@ -1111,72 +1117,92 @@ class GPSSNQueryProcessor:
                     (b.seed_dense for b in balls),
                     dtype=np.int64, count=n_seeds,
                 )
-                full_cover = (
-                    np.stack([b.full_cover_f8 for b in balls])
-                    if balls else None
-                )
-                for group in groups:
-                    stats.groups_refined += 1
-                    state = kernel.group_state(group, theta)
-                    frozen_group = state.frozen
-                    if ex is not None:
-                        ex.visit("refine.pairs", n_seeds)
-                    if not n_seeds:
-                        continue
-                    # Per-group, all seeds at once: the seed-alone gate
-                    # and the exact pair value lower bound (the seed is
-                    # always in its region, so no region of seed o can
-                    # score below max_{u in S} dist_RN(u, o)), plus the
-                    # full-ball feasibility gate as one matmul.
-                    seed_ok = state.seed_feasible[seed_dense_arr].tolist()
-                    seed_lb = state.gmax[seed_dense_arr].tolist()
-                    ball_ok = (
-                        (full_cover @ state.interests.T).min(axis=1)
-                        >= theta
-                    ).tolist()
-                    # Lemma 5 / Eq. 6 against the sorted seed-distance
-                    # array: seeds past `limit` all fail dist < kth, so
-                    # the scalar loop's break point is one searchsorted.
-                    i = 0
-                    limit = int(
-                        np.searchsorted(seed_dist_arr, kth, side="left")
+                gates = (
+                    BlockGates(
+                        kernel, seed_dense_arr,
+                        np.stack([b.full_cover_f8 for b in balls]), theta,
                     )
-                    while i < limit:
+                    if n_seeds else None
+                )
+                # Lemma 5 / Eq. 6 against the sorted seed-distance array:
+                # seeds past `limit` all fail dist < kth, so the scalar
+                # loop's break point is one searchsorted, redone whenever
+                # an accept moves kth.
+                limit = int(np.searchsorted(seed_dist_arr, kth, side="left"))
+                while True:
+                    block = list(islice(groups, GROUP_BLOCK))
+                    if not block:
+                        break
+                    if gates is not None:
+                        lb_block, ok_block, ball_block, g_min = (
+                            gates.reduce(block)
+                        )
+                        g_min = g_min.tolist()
+                    for j, group in enumerate(block):
+                        stats.groups_refined += 1
                         if ex is not None:
-                            ex.survive("refine.pairs")
-                        counters.candidate_pairs_examined += 1
-                        idx = i
-                        i += 1
-                        lb = seed_lb[idx]
-                        if seed_ok[idx]:
-                            # Seed alone suffices: R = {o}, value known.
-                            if lb >= kth:
-                                continue
-                            pois = frozenset((seeds[idx],))
-                            value = lb
-                        else:
-                            # Infeasible ball, or value provably >= kth:
-                            # the scan cannot produce a top-k entrant.
-                            if not ball_ok[idx] or lb >= kth:
-                                continue
-                            result = kernel.best_region(
-                                balls[idx], state, skip_gates=True
-                            )
-                            if result is None:
-                                continue
-                            pois, value = result
-                        if (frozen_group, pois) in seen_pairs or value >= kth:
+                            ex.visit("refine.pairs", n_seeds)
+                        if not n_seeds:
                             continue
-                        accept(value, frozen_group, pois)
-                        limit = int(
-                            np.searchsorted(seed_dist_arr, kth, side="left")
-                        )
-                    if ex is not None and i < n_seeds:
-                        ex.prune(
-                            "refine.pairs", "pair.distance",
-                            n_seeds - i,
-                            float(seed_dist_arr[i]) - kth,
-                        )
+                        if g_min[j] >= kth:
+                            # No viable seed's bound beats kth: the pair
+                            # loop below would examine the first `limit`
+                            # pairs and accept none of them.
+                            counters.candidate_pairs_examined += limit
+                            if ex is not None:
+                                ex.survive("refine.pairs", limit)
+                                if limit < n_seeds:
+                                    ex.prune(
+                                        "refine.pairs", "pair.distance",
+                                        n_seeds - limit,
+                                        float(seed_dist_arr[limit]) - kth,
+                                    )
+                            continue
+                        # Per seed: the seed-alone gate, the exact pair
+                        # value lower bound and the full-ball gate.
+                        seed_ok = ok_block[j].tolist()
+                        seed_lb = lb_block[j].tolist()
+                        ball_ok = ball_block[j].tolist()
+                        state = None
+                        i = 0
+                        while i < limit:
+                            if ex is not None:
+                                ex.survive("refine.pairs")
+                            counters.candidate_pairs_examined += 1
+                            idx = i
+                            i += 1
+                            lb = seed_lb[idx]
+                            if seed_ok[idx]:
+                                # Seed alone suffices: R = {o}, value known.
+                                if lb >= kth:
+                                    continue
+                                pois = frozenset((seeds[idx],))
+                                value = lb
+                            else:
+                                # Infeasible ball, or value provably >= kth:
+                                # the scan cannot produce a top-k entrant.
+                                if not ball_ok[idx] or lb >= kth:
+                                    continue
+                                if state is None:
+                                    state = kernel.group_state(group, theta)
+                                result = kernel.best_region(
+                                    balls[idx], state, skip_gates=True
+                                )
+                                if result is None:
+                                    continue
+                                pois, value = result
+                            if (group, pois) in seen_pairs or value >= kth:
+                                continue
+                            accept(value, group, pois)
+                            limit = int(
+                                np.searchsorted(seed_dist_arr, kth, side="left")
+                            )
+                        if ex is not None and i < n_seeds:
+                            ex.prune(
+                                "refine.pairs", "pair.distance",
+                                n_seeds - i,
+                                float(seed_dist_arr[i]) - kth,
+                            )
             else:
                 for group in groups:
                     stats.groups_refined += 1

@@ -30,7 +30,6 @@ POIs ordered by ``max_{u in S} dist_RN(u, o)``.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -105,20 +104,43 @@ def enumerate_connected_groups(
         return allowed is None or uid in allowed or uid == query_user
 
     interests = {query_user: social.user(query_user).interests}
+    # Exact memos, shared by every branch of this enumeration: each
+    # unordered pair's interest check is scored once (every supported
+    # score is symmetric bit for bit), and each user's permitted
+    # neighbours are sorted once. Sorted order keeps enumeration
+    # content-deterministic: set iteration order depends on insertion
+    # and deletion history, which differs between a freshly loaded
+    # network and one mutated in place, and a `limit` cap makes the
+    # yielded set order-sensitive.
+    pair_ok: Dict[Tuple[int, int], bool] = {}
+    neighbours: Dict[int, List[int]] = {}
 
     def compatible(uid: int, group: Tuple[int, ...]) -> bool:
-        if uid not in interests:
-            interests[uid] = social.user(uid).interests
-        w = interests[uid]
-        return all(
-            score_fn(w, interests[member]) >= gamma for member in group
-        )
+        w = interests.get(uid)
+        if w is None:
+            w = interests[uid] = social.user(uid).interests
+        for member in group:
+            key = (uid, member) if uid < member else (member, uid)
+            ok = pair_ok.get(key)
+            if ok is None:
+                ok = pair_ok[key] = score_fn(w, interests[member]) >= gamma
+            if not ok:
+                return False
+        return True
+
+    def permitted_neighbours(uid: int) -> List[int]:
+        nbrs = neighbours.get(uid)
+        if nbrs is None:
+            nbrs = neighbours[uid] = [
+                nbr for nbr in sorted(social.friends(uid)) if permitted(nbr)
+            ]
+        return nbrs
 
     # Connected-subgraph enumeration with a canonical extension order:
     # each group is generated once by only ever adding neighbours whose
     # id is allowed to extend the current frontier set ("extension set"
     # technique). `banned` carries vertices already considered at an
-    # ancestor, preventing duplicates.
+    # ancestor, preventing duplicates; it always contains the group.
     yielded = 0
 
     def extend(
@@ -127,12 +149,6 @@ def enumerate_connected_groups(
         banned: Set[int],
     ) -> Iterator[FrozenSet[int]]:
         nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
-        if len(group) == tau:
-            yielded += 1
-            yield frozenset(group)
-            return
         local_banned = set(banned)
         for idx, candidate in enumerate(frontier):
             if limit is not None and yielded >= limit:
@@ -149,27 +165,25 @@ def enumerate_connected_groups(
             if explain is not None:
                 explain.survive("refine.groups")
             new_group = group + (candidate,)
-            new_banned = local_banned | {candidate}
-            new_frontier = [c for c in frontier[idx + 1:] if c not in new_banned]
-            # Sorted neighbour order keeps enumeration content-deterministic:
-            # set iteration order depends on insertion/deletion history, which
-            # differs between a freshly loaded network and one mutated in
-            # place, and a `limit` cap makes the yielded set order-sensitive.
-            for nbr in sorted(social.friends(candidate)):
-                if (
-                    nbr not in new_banned
-                    and nbr not in new_group
-                    and permitted(nbr)
-                    and nbr not in new_frontier
-                ):
-                    new_frontier.append(nbr)
-            yield from extend(new_group, new_frontier, new_banned)
+            if len(new_group) == tau:
+                yielded += 1
+                yield frozenset(new_group)
+            else:
+                new_banned = local_banned | {candidate}
+                new_frontier = [
+                    c for c in frontier[idx + 1:] if c not in new_banned
+                ]
+                in_frontier = set(new_frontier)
+                for nbr in permitted_neighbours(candidate):
+                    if nbr not in new_banned and nbr not in in_frontier:
+                        new_frontier.append(nbr)
+                        in_frontier.add(nbr)
+                yield from extend(new_group, new_frontier, new_banned)
             local_banned.add(candidate)
 
-    initial_frontier = [
-        nbr for nbr in sorted(social.friends(query_user)) if permitted(nbr)
-    ]
-    yield from extend((query_user,), initial_frontier, {query_user})
+    yield from extend(
+        (query_user,), permitted_neighbours(query_user), {query_user}
+    )
 
 
 def group_distance_maps(
@@ -330,8 +344,9 @@ class BallArrays:
 class GroupState:
     """Per-(group, query) arrays shared across every seed evaluation.
 
-    Computed once per enumerated group and reused for all of its
-    (group, seed) pairs in the top-k loop:
+    Built at most once per group — in the refinement loop only for a
+    group with a pair that reaches the prefix scan (:class:`BlockGates`
+    decides the rest) — and reused for all of its (group, seed) pairs:
 
     * ``gmax`` — ``max_{u in S} dist_RN(u, o)`` for *every* POI (the
       batched form of :func:`max_group_distance_to_poi`), a max-reduce
@@ -341,7 +356,7 @@ class GroupState:
       such pairs resolve in O(1) without any prefix scan.
     """
 
-    __slots__ = ("frozen", "interests", "gmax", "seed_feasible", "theta")
+    __slots__ = ("interests", "gmax", "seed_feasible", "theta")
 
     def __init__(
         self,
@@ -350,7 +365,6 @@ class GroupState:
         theta: float,
     ) -> None:
         members = sorted(group)
-        self.frozen = frozenset(members)
         self.theta = theta
         self.interests = np.stack(
             [kernel.interest_vector(uid) for uid in members]
@@ -367,6 +381,94 @@ class GroupState:
         self.seed_feasible = feas
 
 
+#: Groups pulled from the enumerator per gate reduction in the vector
+#: refinement loop. Fixed: big enough to amortize the numpy calls of a
+#: reduction, small enough that an uncapped enumeration streams lazily
+#: with bounded memory.
+GROUP_BLOCK = 256
+
+
+class BlockGates:
+    """Seed-axis gates of one query, reduced per block of groups.
+
+    Every (group, seed) pair of the refinement loop is decided first by
+    three per-seed quantities, each a reduction over the group's
+    members of a per-member row over the query's candidate seeds:
+
+    * ``lb`` — ``max_{u in S} dist_RN(u, o)``, the pair-value lower
+      bound of Lemma 5 (the seed always belongs to its region);
+    * ``seed_ok`` — the seed alone theta-matches every member (``all``
+      over :meth:`PairKernel.user_poi_feasible` rows);
+    * ``ball_ok`` — the seed's full ball theta-matches every member.
+
+    These are exactly :class:`GroupState`'s reductions restricted to the
+    seeds. Member rows are computed once per query, for the users that
+    actually occur in an enumerated group, and a whole block of groups
+    is reduced by one ``(block, tau)`` gather per quantity. ``g_min`` is
+    each group's smallest bound over its viable seeds (``seed_ok`` or
+    ``ball_ok``): when it is not below the running k-th value, no pair
+    of the group can enter the top-k.
+    """
+
+    __slots__ = (
+        "kernel", "seed_dense", "full_cover", "theta",
+        "_lb", "_seed_ok", "_ball_ok",
+    )
+
+    def __init__(
+        self,
+        kernel: "PairKernel",
+        seed_dense: np.ndarray,
+        full_cover: np.ndarray,
+        theta: float,
+    ) -> None:
+        self.kernel = kernel
+        self.seed_dense = seed_dense
+        self.full_cover = full_cover
+        self.theta = theta
+        self._lb: Dict[int, np.ndarray] = {}
+        self._seed_ok: Dict[int, np.ndarray] = {}
+        self._ball_ok: Dict[int, np.ndarray] = {}
+
+    def _add_members(self, uids: List[int]) -> None:
+        kernel = self.kernel
+        seed_dense = self.seed_dense
+        theta = self.theta
+        for uid in uids:
+            self._lb[uid] = kernel.member_row(uid)[seed_dense]
+            self._seed_ok[uid] = (
+                kernel.user_poi_feasible(uid, theta)[seed_dense]
+            )
+        interests = np.stack([kernel.interest_vector(uid) for uid in uids])
+        ball_ok = ((self.full_cover @ interests.T) >= theta).T
+        for uid, row in zip(uids, ball_ok):
+            self._ball_ok[uid] = row
+
+    def reduce(
+        self, groups: Sequence[FrozenSet[int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(lb, seed_ok, ball_ok, g_min)`` for a block of groups.
+
+        The first three are ``(len(groups), n_seeds)`` arrays, ``g_min``
+        has one entry per group (``inf`` when no seed is viable).
+        """
+        members = sorted(set().union(*groups))
+        fresh = [uid for uid in members if uid not in self._lb]
+        if fresh:
+            self._add_members(fresh)
+        slot = {uid: i for i, uid in enumerate(members)}
+        index = np.array([[slot[uid] for uid in group] for group in groups])
+        lb = np.stack([self._lb[uid] for uid in members])[index].max(axis=1)
+        seed_ok = np.stack(
+            [self._seed_ok[uid] for uid in members]
+        )[index].all(axis=1)
+        ball_ok = np.stack(
+            [self._ball_ok[uid] for uid in members]
+        )[index].all(axis=1)
+        g_min = np.where(seed_ok | ball_ok, lb, np.inf).min(axis=1)
+        return lb, seed_ok, ball_ok, g_min
+
+
 class PairKernel:
     """Vectorized evaluation of (group, seed) pairs (Lemma 5 / Eqs. 5-6).
 
@@ -377,7 +479,10 @@ class PairKernel:
     * one cached float64 distance row per *member* covering **all**
       POIs (a gather over the member's dense SSSP vector from
       :meth:`~repro.roadnet.shortest_path.DistanceOracle.dense_distances_from`);
-    * one max-reduce per *group* (:class:`GroupState`);
+    * one gather-and-reduce per *block* of groups over the candidate
+      seeds (:class:`BlockGates`), and one max-reduce over all POIs for
+      a group only when some pair needs the prefix scan
+      (:class:`GroupState`);
     * per (group, seed) pair only O(1) gates plus — when the seed alone
       is not enough — a stable argsort of the ball's gathered distances
       and a cumulative-coverage matmul for the feasible-prefix scan.
@@ -408,16 +513,33 @@ class PairKernel:
                 keywords[i, f] = True
         self.keywords = keywords
         self.keywords_f8 = keywords.astype(np.float64)
-        # Per-member distance rows, LRU-capped with the same budget as
-        # the oracle's map cache (a row is ~n_poi floats, far smaller
-        # than the SSSP map it derives from).
+        # Per-member distance rows, per-(user, theta) seed feasibility
+        # and per-(seed, radius) balls share one LRU policy, capped with
+        # the same budget as the oracle's map cache (a row is ~n_poi
+        # floats, far smaller than the SSSP map it derives from). theta
+        # and radius are client-supplied floats, so an unbounded cache
+        # would grow with every distinct value a long-running service
+        # is asked for.
+        self._cache_cap = network.distances.cache_size
         self._member_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._member_rows_cap = network.distances.cache_size
-        self._balls: Dict[Hashable, BallArrays] = {}
+        self._balls: "OrderedDict[Hashable, BallArrays]" = OrderedDict()
+        self._user_feasible: (
+            "OrderedDict[Tuple[int, float], np.ndarray]"
+        ) = OrderedDict()
         self._user_positions: Optional[PositionArrays] = None
         self._user_index: Optional[Dict[int, int]] = None
         self._interest_vectors: Dict[int, np.ndarray] = {}
-        self._user_feasible: Dict[Tuple[int, float], np.ndarray] = {}
+
+    def _lru_get(self, cache: OrderedDict, key: Hashable):
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+        return value
+
+    def _lru_put(self, cache: OrderedDict, key: Hashable, value) -> None:
+        cache[key] = value
+        if len(cache) > self._cache_cap:
+            cache.popitem(last=False)
 
     # -- cached per-entity arrays -------------------------------------
 
@@ -428,8 +550,7 @@ class PairKernel:
         calls over the user's oracle map (same gather + IEEE min, same
         same-edge correction), evaluated once for all POIs.
         """
-        rows = self._member_rows
-        row = rows.get(uid)
+        row = self._lru_get(self._member_rows, uid)
         if row is None:
             network = self.network
             user = network.social.user(uid)
@@ -440,11 +561,7 @@ class PairKernel:
                 network.road, dense, user.home
             )
             row.flags.writeable = False
-            rows[uid] = row
-            if len(rows) > self._member_rows_cap:
-                rows.popitem(last=False)
-        else:
-            rows.move_to_end(uid)
+            self._lru_put(self._member_rows, uid, row)
         return row
 
     def interest_vector(self, uid: int) -> np.ndarray:
@@ -465,11 +582,11 @@ class PairKernel:
         group-level seed feasibility is the AND of its members' arrays.
         """
         key = (uid, theta)
-        arr = self._user_feasible.get(key)
+        arr = self._lru_get(self._user_feasible, key)
         if arr is None:
             arr = (self.keywords_f8 @ self.interest_vector(uid)) >= theta
             arr.flags.writeable = False
-            self._user_feasible[key] = arr
+            self._lru_put(self._user_feasible, key, arr)
         return arr
 
     def user_positions(self) -> Tuple[PositionArrays, Dict[int, int]]:
@@ -492,12 +609,12 @@ class PairKernel:
     ) -> BallArrays:
         """Ball arrays for a seed's region, cached under ``cache_key``."""
         if cache_key is not None:
-            cached = self._balls.get(cache_key)
+            cached = self._lru_get(self._balls, cache_key)
             if cached is not None:
                 return cached
         arrays = BallArrays(self, seed_poi, region_poi_ids)
         if cache_key is not None:
-            self._balls[cache_key] = arrays
+            self._lru_put(self._balls, cache_key, arrays)
         return arrays
 
     def group_state(
@@ -520,8 +637,9 @@ class PairKernel:
         the full ball cannot satisfy some member (one matvec); otherwise
         the exact minimal feasible prefix via stable argsort +
         cumulative coverage. The refinement loop batch-evaluates the
-        first two gates for a whole seed array per group and passes
-        ``skip_gates=True`` so only the prefix scan runs here.
+        first two gates for every seed of a block of groups
+        (:class:`BlockGates`) and passes ``skip_gates=True`` so only
+        the prefix scan runs here.
         """
         theta = state.theta
         if not skip_gates:

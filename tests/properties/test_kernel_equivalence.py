@@ -5,9 +5,13 @@ promises *byte-identical* outcomes to the scalar reference, including
 the EXPLAIN funnel: same answers, same ``candidate_pairs_examined``,
 same per-rule prune counts (``pair.distance`` above all — it is the
 dominant rule the vectorization reorganizes). Hypothesis sweeps query
-parameters over random networks and all three distance engines.
+parameters over random networks and all three distance engines, with
+EXPLAIN on and off: the vector loop skips whole blocks of groups whose
+Lemma-5 bounds cannot beat the running k-th value, and that skip must
+keep every ``PruningCounters`` field exact either way.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GPSSNQueryProcessor, uni_dataset
 from repro.core.query import GPSSNQuery
+from repro.core.refinement import GROUP_BLOCK
 from repro.obs import Recorder
 from repro.obs.funnel import ExplainRecorder
 
@@ -34,15 +39,17 @@ def _network(engine):
     return _NETWORKS[engine]
 
 
-def _processor(engine, kernel):
-    key = (engine, kernel)
+def _processor(engine, kernel, explain=True):
+    key = (engine, kernel, explain)
     if key not in _PROCESSORS:
         _PROCESSORS[key] = GPSSNQueryProcessor(
             _network(engine),
             num_road_pivots=3,
             num_social_pivots=3,
             seed=11,
-            recorder=Recorder(explain=ExplainRecorder()),
+            recorder=(
+                Recorder(explain=ExplainRecorder()) if explain else Recorder()
+            ),
             refinement_kernel=kernel,
         )
     return _PROCESSORS[key]
@@ -184,3 +191,88 @@ def test_infeasible_query_parity(tiny_network):
     _assert_identical(query, scalar_run, vector_run)
     assert not scalar_run[0].found
     assert math.isinf(scalar_run[0].max_distance)
+
+
+def _assert_counters_identical(query, scalar, vector, max_groups=None):
+    """Answers, top-3 answers and every counter agree without EXPLAIN."""
+    a_s, st_s = scalar.answer(query, max_groups=max_groups)
+    a_v, st_v = vector.answer(query, max_groups=max_groups)
+    assert (a_v.users, a_v.pois) == (a_s.users, a_s.pois), query
+    assert repr(a_v.max_distance) == repr(a_s.max_distance), query
+    assert st_v.groups_refined == st_s.groups_refined, query
+    assert dataclasses.asdict(st_v.pruning) == dataclasses.asdict(
+        st_s.pruning
+    ), query
+    top_s, tst_s = scalar.answer_topk(query, k=3, max_groups=max_groups)
+    top_v, tst_v = vector.answer_topk(query, k=3, max_groups=max_groups)
+    assert [
+        (a.users, a.pois, repr(a.max_distance)) for a in top_v
+    ] == [(a.users, a.pois, repr(a.max_distance)) for a in top_s], query
+    assert tst_v.groups_refined == tst_s.groups_refined, query
+    assert dataclasses.asdict(tst_v.pruning) == dataclasses.asdict(
+        tst_s.pruning
+    ), query
+    return st_v
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    engine=st.sampled_from(ENGINES),
+    uid=st.integers(0, 39),
+    tau=st.integers(2, 4),
+    gamma=st.sampled_from([0.0, 0.2, 0.4]),
+    theta=st.sampled_from([0.2, 0.4, 0.6]),
+    radius=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_vector_matches_scalar_explain_off(
+    engine, uid, tau, gamma, theta, radius
+):
+    query = GPSSNQuery(
+        query_user=uid, tau=tau, gamma=gamma, theta=theta, radius=radius
+    )
+    _assert_counters_identical(
+        query,
+        _processor(engine, "scalar", explain=False),
+        _processor(engine, "vector", explain=False),
+    )
+
+
+@pytest.mark.parametrize("explain", [True, False])
+@pytest.mark.parametrize("uid", [9, 4])
+def test_uncapped_enumeration_crosses_block_boundary(uid, explain):
+    query = GPSSNQuery(
+        query_user=uid, tau=4, gamma=0.0, theta=0.4, radius=2.0
+    )
+    if explain:
+        scalar_run = _run(_processor("plain", "scalar"), query)
+        vector_run = _run(_processor("plain", "vector"), query)
+        _assert_identical(query, scalar_run, vector_run)
+        assert vector_run[1].groups_refined > GROUP_BLOCK
+    else:
+        stats = _assert_counters_identical(
+            query,
+            _processor("plain", "scalar", explain=False),
+            _processor("plain", "vector", explain=False),
+        )
+        assert stats.groups_refined > GROUP_BLOCK
+
+
+@pytest.mark.parametrize("explain", [True, False])
+def test_cap_at_exact_block_multiple(explain):
+    max_groups = 2 * GROUP_BLOCK
+    query = GPSSNQuery(
+        query_user=1, tau=5, gamma=0.0, theta=0.4, radius=2.0
+    )
+    if explain:
+        scalar_run = _run(_processor("plain", "scalar"), query, max_groups)
+        vector_run = _run(_processor("plain", "vector"), query, max_groups)
+        _assert_identical(query, scalar_run, vector_run)
+        assert vector_run[1].groups_refined == max_groups
+    else:
+        stats = _assert_counters_identical(
+            query,
+            _processor("plain", "scalar", explain=False),
+            _processor("plain", "vector", explain=False),
+            max_groups=max_groups,
+        )
+        assert stats.groups_refined == max_groups

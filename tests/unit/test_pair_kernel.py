@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from repro import GPSSNQueryProcessor, uni_dataset
+from repro.core.query import GPSSNQuery
 from repro.core.refinement import (
     BallArrays,
+    BlockGates,
     PairKernel,
     best_region_for_seed,
     enumerate_connected_groups,
@@ -262,3 +265,104 @@ class TestPairKernel:
                     ) == expected
                 checked += 1
         assert checked > 0
+
+
+class TestKernelCacheBounds:
+    """theta and radius are client-supplied floats: the per-(user, theta)
+    and per-(seed, radius) caches must stay within the kernel budget."""
+
+    CAP = 6
+
+    def _capped_network(self):
+        network = uni_dataset(
+            num_road_vertices=60, num_pois=20, num_users=30, seed=5
+        )
+        network.distances.cache_size = self.CAP
+        return network
+
+    def test_user_feasible_cache_is_lru_capped(self):
+        network = self._capped_network()
+        capped = PairKernel(network)
+        uncapped = PairKernel(network)
+        uncapped._cache_cap = math.inf
+        thetas = [0.05 * (i + 1) for i in range(3 * self.CAP)]
+        for theta in thetas:
+            for uid in (0, 7):
+                got = capped.user_poi_feasible(uid, theta)
+                assert len(capped._user_feasible) <= self.CAP
+                assert np.array_equal(
+                    got, uncapped.user_poi_feasible(uid, theta)
+                )
+        assert len(uncapped._user_feasible) == 2 * len(thetas)
+        # LRU, not FIFO: a hit refreshes the entry.
+        capped.user_poi_feasible(0, thetas[-1])
+        assert next(reversed(capped._user_feasible)) == (0, thetas[-1])
+
+    def test_ball_cache_is_lru_capped(self):
+        network = self._capped_network()
+        kernel = PairKernel(network)
+        seed = network.poi_ids()[0]
+        for i in range(3 * self.CAP):
+            radius = 1.0 + 0.5 * i
+            region = network.pois_within(seed, radius)
+            ball = kernel.ball(seed, region, cache_key=(seed, radius))
+            assert len(kernel._balls) <= self.CAP
+            assert ball.poi_ids == BallArrays(kernel, seed, region).poi_ids
+
+    def test_answers_match_uncapped_kernel(self):
+        capped_network = self._capped_network()
+        reference = uni_dataset(
+            num_road_vertices=60, num_pois=20, num_users=30, seed=5
+        )
+        capped = GPSSNQueryProcessor(capped_network, seed=3)
+        uncapped = GPSSNQueryProcessor(reference, seed=3)
+        uncapped._pair_kernel()._cache_cap = math.inf
+        for i in range(3 * self.CAP):
+            query = GPSSNQuery(
+                query_user=i % 5, tau=3, gamma=0.1,
+                theta=0.1 + 0.03 * i, radius=1.5 + 0.25 * (i % 4),
+            )
+            a, _ = capped.answer(query)
+            b, _ = uncapped.answer(query)
+            assert (a.users, a.pois) == (b.users, b.pois), query
+            assert repr(a.max_distance) == repr(b.max_distance), query
+        kernel = capped._pair_kernel()
+        assert len(kernel._user_feasible) <= self.CAP
+        assert len(kernel._balls) <= self.CAP
+        assert len(kernel._member_rows) <= self.CAP
+
+
+class TestBlockGates:
+    def test_reduce_matches_group_state(self, small_uni):
+        kernel = PairKernel(small_uni)
+        theta = 0.45
+        radius = 20.0
+        seeds = small_uni.poi_ids()[:12]
+        balls = [
+            kernel.ball(s, small_uni.pois_within(s, radius)) for s in seeds
+        ]
+        seed_dense = np.array([b.seed_dense for b in balls])
+        full_cover = np.stack([b.full_cover_f8 for b in balls])
+        gates = BlockGates(kernel, seed_dense, full_cover, theta)
+        groups = list(
+            enumerate_connected_groups(small_uni, 0, 3, 0.0, limit=40)
+        )
+        assert len(groups) > 2
+        # Two blocks: the second reuses the member rows of the first.
+        for block in (groups[:15], groups[15:]):
+            lb, seed_ok, ball_ok, g_min = gates.reduce(block)
+            for j, group in enumerate(block):
+                state = kernel.group_state(group, theta)
+                assert np.array_equal(lb[j], state.gmax[seed_dense])
+                assert np.array_equal(
+                    seed_ok[j], state.seed_feasible[seed_dense]
+                )
+                expected_ball = (
+                    (full_cover @ state.interests.T).min(axis=1) >= theta
+                )
+                assert np.array_equal(ball_ok[j], expected_ball)
+                viable = [
+                    float(lb[j][i]) for i in range(len(seeds))
+                    if seed_ok[j][i] or ball_ok[j][i]
+                ]
+                assert g_min[j] == (min(viable) if viable else math.inf)

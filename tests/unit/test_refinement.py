@@ -112,6 +112,59 @@ class TestEnumeration:
         assert ours == expected
 
 
+class TestEnumerationMemos:
+    """The pair-check and neighbour memos leave the yield order exact."""
+
+    @staticmethod
+    def _networks(small_uni):
+        return [
+            small_uni,
+            uni_dataset(
+                num_road_vertices=40, num_pois=10, num_users=30, seed=23
+            ),
+        ]
+
+    def test_score_fn_called_once_per_unordered_pair(self, small_uni):
+        for network in self._networks(small_uni):
+            social = network.social
+            owner = {
+                id(social.user(uid).interests): uid
+                for uid in social.user_ids()
+            }
+            for tau in (3, 4):
+                calls = []
+
+                def counting(w_a, w_b):
+                    calls.append(frozenset((owner[id(w_a)], owner[id(w_b)])))
+                    return interest_score(w_a, w_b)
+
+                groups = list(
+                    enumerate_connected_groups(
+                        network, 0, tau, 0.2, score_fn=counting
+                    )
+                )
+                assert groups
+                assert len(calls) == len(set(calls)), tau
+                assert set(groups) == brute_force_groups(
+                    network, 0, tau, 0.2
+                )
+
+    def test_limit_yields_prefix_of_uncapped_order(self, small_uni):
+        for network in self._networks(small_uni):
+            for query_user in (0, 3):
+                full = list(
+                    enumerate_connected_groups(network, query_user, 3, 0.0)
+                )
+                assert full
+                for k in (1, 2, len(full) // 2, len(full), len(full) + 5):
+                    capped = list(
+                        enumerate_connected_groups(
+                            network, query_user, 3, 0.0, limit=k
+                        )
+                    )
+                    assert capped == full[:k], (query_user, k)
+
+
 class TestDistanceMaps:
     def test_max_group_distance(self, tiny_network):
         maps = group_distance_maps(tiny_network, [0, 1])
