@@ -7,7 +7,8 @@ Thirteen subcommands cover the everyday workflow:
 * ``gpssn stats`` — print Table-2-style statistics of a bundle;
 * ``gpssn freeze`` — compile a bundle (network + built indexes) into a
   zero-copy frozen snapshot that ``query``/``batch``/``serve`` memmap
-  via ``--snapshot`` instead of rebuilding state per worker;
+  via ``--snapshot`` (with ``--input``, ``batch``/``serve`` freeze the
+  bundle to a temporary arena first);
 * ``gpssn query`` — answer a GP-SSN query (optionally top-k or sampled)
   against a bundle;
 * ``gpssn batch`` — answer a JSONL file of queries concurrently through
@@ -53,7 +54,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .config import DISTANCE_ENGINES
+from .config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from .core.algorithm import GPSSNQueryProcessor
 from .core.metrics import InterestMetric
 from .core.query import GPSSNQuery
@@ -163,10 +164,11 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
         "--metric", choices=[m.value for m in InterestMetric], default="dot"
     )
     parser.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
-        help="dist_RN engine: plain Dijkstra, the CSR array kernel, or "
-        "the contraction hierarchy (offline preprocessing, fastest "
-        "point-to-point queries)",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
+        help="dist_RN engine: the CSR array kernel, or the contraction "
+        "hierarchy (offline preprocessing, fastest point-to-point "
+        "queries)",
     )
     parser.add_argument("--topk", type=int, default=1)
     parser.add_argument("--max-groups", type=int, default=None)
@@ -217,16 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, help="snapshot path (.gpssnap)"
     )
     frz.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
         help="dist_RN engine baked into the snapshot (ch also freezes "
         "the preprocessed hierarchy)",
     )
     frz.add_argument("--seed", type=int, default=7)
-    frz.add_argument(
-        "--no-index", action="store_true",
-        help="freeze the network arrays only; workers rebuild pivot "
-        "tables and R*-trees on attach",
-    )
 
     query = sub.add_parser("query", help="answer a GP-SSN query")
     _add_query_args(query)
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--snapshot", default=None, metavar="PATH",
         help="attach workers to a frozen snapshot (gpssn freeze) "
-        "instead of rebuilding per worker",
+        "instead of freezing --input to a temporary one",
     )
     batch.add_argument(
         "--queries", required=True,
@@ -271,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and timeouts are never retried)",
     )
     batch.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     batch.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--input", default=None, help="bundle path (.json)")
     serve.add_argument(
         "--snapshot", default=None, metavar="PATH",
-        help="serve a frozen snapshot (gpssn freeze); workers memmap "
-        "the shared arena instead of rebuilding",
+        help="serve a frozen snapshot (gpssn freeze) instead of freezing "
+        "--input to a temporary one; dynamic endpoints need --input",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profiler; collapsed/flamegraph/json formats)",
     )
     serve.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     serve.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gpssn batch diff)",
     )
     rep.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     rep.add_argument("--max-groups", type=int, default=None,
                      help="default refinement cap for lines without one")
@@ -611,7 +612,6 @@ def cmd_freeze(args: argparse.Namespace) -> int:
         build_args={
             "seed": args.seed, "distance_engine": args.distance_engine,
         },
-        include_indexes=not args.no_index,
     )
     import os
 
@@ -620,8 +620,7 @@ def cmd_freeze(args: argparse.Namespace) -> int:
     print(
         f"froze {args.input} -> {args.output}: {size} bytes, "
         f"{counts['vertices']} vertices, {counts['pois']} POIs, "
-        f"{counts['users']} users, engine={meta['distance_engine']}, "
-        f"indexes={'yes' if meta.get('index') else 'no'}"
+        f"{counts['users']} users, engine={meta['distance_engine']}"
     )
     return 0
 

@@ -43,9 +43,12 @@ PIVOT_VALUES: Tuple[int, ...] = (2, 3, 5, 7, 10)
 DATA_SPACE_SIZE: float = 100.0
 
 #: Selectable ``dist_RN`` engines (see :mod:`repro.roadnet.engines`):
-#: the plain dict-walking Dijkstra, the CSR array kernel, the
-#: contraction hierarchy, and its lazily invalidated dynamic variant.
-DISTANCE_ENGINES: Tuple[str, ...] = ("plain", "csr", "ch", "lazy-ch")
+#: the CSR array kernel, the contraction hierarchy, and its lazily
+#: invalidated dynamic variant.
+DISTANCE_ENGINES: Tuple[str, ...] = ("csr", "ch", "lazy-ch")
+
+#: The engine used when none is named.
+DEFAULT_DISTANCE_ENGINE: str = "csr"
 
 #: Default LRU capacity (source maps) of a standalone
 #: :class:`~repro.roadnet.shortest_path.DistanceOracle`.
@@ -81,7 +84,7 @@ class ExperimentConfig:
     seed: int = 7
     #: which dist_RN engine the experiment runs on (Table-3 results are
     #: engine-invariant; only the measured cost changes)
-    distance_engine: str = "plain"
+    distance_engine: str = DEFAULT_DISTANCE_ENGINE
     #: LRU capacity of the shared distance oracle
     distance_cache_size: int = NETWORK_DISTANCE_CACHE_SIZE
 

@@ -118,8 +118,8 @@ def make_processor(
 ) -> GPSSNQueryProcessor:
     """Build the indexed processor with the Table-3 default pivot counts.
 
-    ``distance_engine`` selects the ``dist_RN`` kernel (``plain`` |
-    ``csr`` | ``ch``); ``None`` keeps the network's current engine.
+    ``distance_engine`` selects the ``dist_RN`` kernel (``csr`` |
+    ``ch`` | ``lazy-ch``); ``None`` keeps the network's current engine.
     """
     return GPSSNQueryProcessor(
         network,

@@ -10,21 +10,15 @@ the *real* data when it is available:
 * :mod:`~repro.io.bundle` — a self-contained JSON bundle format that
   round-trips a full :class:`~repro.network.SpatialSocialNetwork`
   (road + POIs + users + friendships) for reproducible experiments;
-* :mod:`~repro.io.index_store` — persistence for built processors
-  (pivot tables, R*-trees, CH preprocessing) as JSON documents;
 * :mod:`~repro.io.snapshot` — the zero-copy frozen arena: one
-  page-aligned binary file that :func:`~repro.io.snapshot.freeze`
-  writes and :class:`~repro.io.snapshot.FrozenSnapshot` memmap-attaches
-  in O(1), shared read-only across worker processes.
+  page-aligned binary file holding the network and its built indexes
+  (pivot tables, R*-trees, CH preprocessing), which
+  :func:`~repro.io.snapshot.freeze` writes and
+  :class:`~repro.io.snapshot.FrozenSnapshot` memmap-attaches in O(1),
+  shared read-only across worker processes.
 """
 
 from .bundle import load_network, save_network
-from .index_store import (
-    load_processor,
-    processor_from_document,
-    processor_to_document,
-    save_processor,
-)
 from .formats import (
     load_checkins,
     load_dimacs_road,
@@ -38,10 +32,6 @@ from .snapshot import FrozenRoadNetwork, FrozenSnapshot, freeze
 __all__ = [
     "save_network",
     "load_network",
-    "save_processor",
-    "load_processor",
-    "processor_to_document",
-    "processor_from_document",
     "freeze",
     "FrozenSnapshot",
     "FrozenRoadNetwork",

@@ -20,7 +20,7 @@ section                   dtype    contents
 ``ch/up_indptr``          int64    upward-graph row pointers (n+1)
 ``ch/up_indices``         int64    upward-graph targets
 ``ch/up_weights``         float64  upward-graph weights (original + shortcuts)
-``pivot/vertices``        int64    road pivot vertex ids (h) — with indexes only
+``pivot/vertices``        int64    road pivot vertex ids (h)
 ``pivot/rows``            float64  dense pivot distance rows (h, n); inf = unreachable
 ``poi/ids``               int64    sorted POI ids (p)
 ``poi/edges``             int64    POI edge endpoints (p, 2)
@@ -39,11 +39,12 @@ The file layout is ``MAGIC (8 bytes) | header length (uint64 LE) |
 header JSON | zero padding | sections``. The header carries the section
 table (dtype/shape/offset/crc32 per section) plus a ``meta`` document:
 entity counts, engine name, build arguments, version counters, CH
-metadata, and the embedded index-store document (minus the CH payload,
-which lives in the binary sections). Every section is little-endian,
-C-contiguous, and aligned to ``mmap.ALLOCATIONGRANULARITY``; nothing in
-the file depends on wall-clock time, so ``freeze → open → attach →
-freeze`` reproduces the file byte for byte.
+metadata, and the embedded index document (R*-tree images and radii;
+the CH payload and pivot rows live in the binary sections). Every
+section is little-endian, C-contiguous, and aligned to
+``mmap.ALLOCATIONGRANULARITY``; nothing in the file depends on
+wall-clock time, so ``freeze → open → attach → freeze`` reproduces the
+file byte for byte.
 
 Attach is O(1) in the road size: :class:`FrozenRoadNetwork` answers the
 ``RoadNetwork`` API straight off the memmapped arrays (binary search in
@@ -66,6 +67,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from ..exceptions import (
     GraphConstructionError,
     SnapshotFormatError,
@@ -80,7 +82,6 @@ from ..roadnet.engines import CHEngine, CSREngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.poi import POI
 from ..socialnet.graph import SocialNetwork, User
-from .index_store import processor_from_document, processor_to_document
 
 PathLike = Union[str, Path]
 
@@ -112,7 +113,7 @@ class FrozenRoadNetwork(RoadNetwork):
 
     No per-vertex Python structures are built up front: id lookups
     binary-search the sorted id array, and the dict-of-dicts adjacency
-    the plain Dijkstra wants is materialized lazily one vertex at a
+    the reference Dijkstra wants is materialized lazily one vertex at a
     time. The base class's ``_coords``/``_adj`` dicts are deliberately
     *not* created, so a base method this class failed to override fails
     loudly (AttributeError) instead of silently answering from empty
@@ -317,38 +318,28 @@ def freeze(
     path: PathLike,
     processor=None,
     build_args: Optional[dict] = None,
-    include_indexes: bool = True,
 ) -> dict:
-    """Write ``network`` (and its built indexes) as a frozen arena file.
+    """Write ``network`` and its built indexes as a frozen arena file.
 
     Args:
         network: the network to freeze.
         path: destination file.
         processor: an already-built
             :class:`~repro.core.algorithm.GPSSNQueryProcessor` to embed;
-            built here (with ``build_args``) when ``None`` and
-            ``include_indexes`` is true.
+            built here (with ``build_args``) when ``None``.
         build_args: processor build arguments (``seed``,
-            ``distance_engine``, ...) used when building and recorded in
-            the file for worker-side fallbacks.
-        include_indexes: set false to freeze only the network arrays
-            (workers then rebuild indexes on attach).
+            ``distance_engine``, ...) used when building here; the file
+            records the embedded processor's own build arguments.
 
     Returns:
         The ``meta`` document written into the header.
     """
-    if processor is None and include_indexes:
+    if processor is None:
         from ..core.algorithm import GPSSNQueryProcessor
 
         processor = GPSSNQueryProcessor(
             network, recorder=Recorder(), **(build_args or {})
         )
-    if processor is not None:
-        build_args = dict(processor._build_args)
-    elif build_args and build_args.get("distance_engine"):
-        # Index-less freeze still honors the requested engine so the
-        # arena carries (and ch-freezes) the right dist_RN strategy.
-        network.use_distance_engine(build_args["distance_engine"])
 
     ids, xy, indptr, indices, weights = _canonical_road_arrays(network.road)
     n = len(ids)
@@ -394,24 +385,18 @@ def freeze(
         }
 
     # -- road pivot distance rows -------------------------------------------
-    document = None
-    if processor is not None:
-        pivots = [int(p) for p in processor.road_pivots.pivots]
-        rows = np.full((len(pivots), n), np.inf, dtype="<f8")
-        for k, dist_map in enumerate(processor.road_pivots._maps):
-            if isinstance(dist_map, DenseDistanceView):
-                vids, dists = dist_map.ids, dist_map.row
-            else:
-                vids, dists = list(dist_map), list(dist_map.values())
-            # One vectorized remap from the engine's vertex order onto
-            # the sorted canonical ids.
-            rows[k, np.searchsorted(ids, np.asarray(vids, dtype=np.int64))] = dists
-        sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
-        sections["pivot/rows"] = rows
-        document = processor_to_document(processor)
-        # The hierarchy lives in the binary sections; shipping a second
-        # JSON copy would bloat the header by orders of magnitude.
-        document.get("distance_engine", {}).pop("ch", None)
+    pivots = [int(p) for p in processor.road_pivots.pivots]
+    rows = np.full((len(pivots), n), np.inf, dtype="<f8")
+    for k, dist_map in enumerate(processor.road_pivots._maps):
+        if isinstance(dist_map, DenseDistanceView):
+            vids, dists = dist_map.ids, dist_map.row
+        else:
+            vids, dists = list(dist_map), list(dist_map.values())
+        # One vectorized remap from the engine's vertex order onto the
+        # sorted canonical ids.
+        rows[k, np.searchsorted(ids, np.asarray(vids, dtype=np.int64))] = dists
+    sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
+    sections["pivot/rows"] = rows
 
     # -- POIs ---------------------------------------------------------------
     pois = sorted(network.pois(), key=lambda p: p.poi_id)
@@ -481,11 +466,16 @@ def freeze(
         },
         "num_keywords": d,
         "distance_engine": engine_name,
-        "build_args": build_args,
+        "build_args": dict(processor._build_args),
         "road_version": int(network.road.version),
         "network_version": int(network.version),
         "ch": ch_meta,
-        "index": document,
+        "index": {
+            "r_min": processor.r_min,
+            "r_max": processor.r_max,
+            "road_index": processor.road_index.snapshot(),
+            "social_index": processor.social_index.snapshot(),
+        },
     }
     _write_arena(path, meta, sections)
     return meta
@@ -634,6 +624,24 @@ class FrozenSnapshot:
             bytes_mapped=int(size),
         )
 
+    @property
+    def distance_engine(self) -> str:
+        """The engine the arena attaches on. Arenas frozen on the retired
+        ``plain`` engine (or with no engine recorded) attach on the
+        default engine — answers are engine-invariant."""
+        name = self.meta.get("distance_engine")
+        return name if name in DISTANCE_ENGINES else DEFAULT_DISTANCE_ENGINE
+
+    @property
+    def build_args(self) -> dict:
+        """The embedded processor's build arguments, with a recorded
+        engine name resolved the way :attr:`distance_engine` resolves
+        it (a ``None`` engine means "keep the network's" and stays)."""
+        args = dict(self.meta.get("build_args") or {})
+        if args.get("distance_engine") is not None:
+            args["distance_engine"] = self.distance_engine
+        return args
+
     def verify(self) -> None:
         """Checksum every section; raise :class:`SnapshotFormatError` on
         the first mismatch (this faults the whole file in — not O(1))."""
@@ -716,7 +724,7 @@ class FrozenSnapshot:
         network = SpatialSocialNetwork(
             road, social, pois,
             num_keywords=int(meta["num_keywords"]),
-            distance_engine=meta.get("distance_engine") or "plain",
+            distance_engine=self.distance_engine,
             validate=False,
         )
         # Reproduce the frozen-time version arithmetic exactly: the road
@@ -751,19 +759,27 @@ class FrozenSnapshot:
         return network
 
     def attach(self, toggles=None):
-        """Attach the full engine: ``(network, processor-or-None)``.
+        """Attach the full engine: ``(network, processor)``.
 
         The processor revives from the embedded index document with the
         stored pivot distance rows standing in for the per-pivot
-        Dijkstras; ``None`` when the snapshot was frozen without
-        indexes.
-        """
-        from ..index.pivots import RoadPivotIndex
+        Dijkstras.
 
-        network = self.attach_network()
+        Raises:
+            SnapshotFormatError: the arena carries no indexes.
+        """
+        from ..core.algorithm import GPSSNQueryProcessor, PruningToggles
+        from ..index.pivots import RoadPivotIndex, SocialPivotIndex
+        from ..index.road_index import RoadIndex
+        from ..index.social_index import SocialIndex
+
         document = self.meta.get("index")
         if not document:
-            return network, None
+            raise SnapshotFormatError(
+                f"{self.path}: frozen without indexes; refreeze it with "
+                "gpssn freeze"
+            )
+        network = self.attach_network()
         ids = self.sections["road/ids"]
         pivot_ids = [int(p) for p in self.sections["pivot/vertices"]]
         rows = self.sections["pivot/rows"]
@@ -776,12 +792,31 @@ class FrozenSnapshot:
                 for k in range(len(pivot_ids))
             ],
         )
-        processor = processor_from_document(
-            document,
-            network,
-            toggles=toggles,
-            source=self.path,
-            road_pivots=road_pivots,
-            build_args=self.meta.get("build_args"),
+        road_doc = document["road_index"]
+        social_doc = document["social_index"]
+        social_pivots = SocialPivotIndex(
+            network.social, social_doc["social_pivots"]
         )
+
+        processor = GPSSNQueryProcessor.__new__(GPSSNQueryProcessor)
+        processor.toggles = toggles or PruningToggles()
+        processor.network = network
+        processor.recorder = Recorder()
+        processor.road_pivots = road_pivots
+        processor.social_pivots = social_pivots
+        processor.road_index = RoadIndex.from_snapshot(
+            network, road_pivots, road_doc
+        )
+        processor.social_index = SocialIndex.from_snapshot(
+            network, social_pivots, road_pivots, social_doc
+        )
+        processor.r_min = float(document["r_min"])
+        processor.r_max = float(document["r_max"])
+        processor._built_version = network.version
+        # Kernel selection is runtime strategy, not persisted index
+        # state: attached processors get the default vectorized path
+        # (and build the PairKernel lazily like a fresh one).
+        processor.refinement_kernel = "vector"
+        processor._kernel = None
+        processor._build_args = self.build_args
         return network, processor

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import NETWORK_DISTANCE_CACHE_SIZE
+from .config import DEFAULT_DISTANCE_ENGINE, NETWORK_DISTANCE_CACHE_SIZE
 from .exceptions import GraphConstructionError, UnknownEntityError
 from .roadnet.engines import DistanceEngine, make_engine
 from .roadnet.graph import RoadNetwork
@@ -34,7 +34,7 @@ class SpatialSocialNetwork:
         pois: Sequence[POI],
         num_keywords: int,
         distance_cache_size: int = NETWORK_DISTANCE_CACHE_SIZE,
-        distance_engine: str = "plain",
+        distance_engine: str = DEFAULT_DISTANCE_ENGINE,
         validate: bool = True,
     ) -> None:
         self.road = road

@@ -10,8 +10,8 @@ Public surface:
 * :class:`~repro.roadnet.shortest_path.DistanceOracle` — cached
   ``dist_RN`` distances between network positions;
 * the pluggable distance engines (:mod:`repro.roadnet.engines`): the
-  plain Dijkstra, the :class:`~repro.roadnet.csr.CSRGraph` array kernel,
-  and the :class:`~repro.roadnet.ch.ContractionHierarchy`.
+  :class:`~repro.roadnet.csr.CSRGraph` array kernel and the
+  :class:`~repro.roadnet.ch.ContractionHierarchy`.
 """
 
 from .ch import ContractionHierarchy
@@ -21,7 +21,6 @@ from .engines import (
     CSREngine,
     DistanceEngine,
     ENGINE_NAMES,
-    PlainEngine,
     make_engine,
 )
 from .graph import NetworkPosition, RoadNetwork
@@ -38,7 +37,6 @@ __all__ = [
     "CSRGraph",
     "ContractionHierarchy",
     "DistanceEngine",
-    "PlainEngine",
     "CSREngine",
     "CHEngine",
     "make_engine",

@@ -34,15 +34,6 @@ from .csr import CSRGraph
 DEFAULT_WITNESS_SETTLE_CAP = 120
 
 
-def _as_list(x) -> list:
-    """Plain-Python list from a list or a (possibly memmapped) array.
-
-    ``.tolist()`` also unboxes numpy scalars, which matters for the
-    JSON snapshot path (``np.int64`` is not JSON-serializable).
-    """
-    return list(x) if isinstance(x, list) else x.tolist()
-
-
 class ContractionHierarchy:
     """A built hierarchy: vertex ranks plus the upward search graph.
 
@@ -83,10 +74,9 @@ class ContractionHierarchy:
 
     def _upward_lists(self) -> Tuple[list, list, list]:
         if self._up_cache is None:
-            self._up_cache = (
-                _as_list(self.up_indptr),
-                _as_list(self.up_indices),
-                _as_list(self.up_weights),
+            self._up_cache = tuple(
+                arr if isinstance(arr, list) else arr.tolist()
+                for arr in (self.up_indptr, self.up_indices, self.up_weights)
             )
         return self._up_cache
 
@@ -292,34 +282,6 @@ class ContractionHierarchy:
             return math.inf
         _, best = self._upward(seeds_a, other=backward)
         return float(best)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-serializable image of the built hierarchy."""
-        return {
-            "n": int(self.n),
-            "rank": _as_list(self.rank),
-            "up_indptr": _as_list(self.up_indptr),
-            "up_indices": _as_list(self.up_indices),
-            "up_weights": _as_list(self.up_weights),
-            "shortcuts_added": int(self.shortcuts_added),
-            "preprocess_seconds": float(self.preprocess_seconds),
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "ContractionHierarchy":
-        return cls(
-            n=int(data["n"]),
-            rank=[int(r) for r in data["rank"]],
-            up_indptr=[int(i) for i in data["up_indptr"]],
-            up_indices=[int(i) for i in data["up_indices"]],
-            up_weights=[float(w) for w in data["up_weights"]],
-            shortcuts_added=int(data["shortcuts_added"]),
-            preprocess_seconds=float(data["preprocess_seconds"]),
-        )
 
     def __repr__(self) -> str:
         return (

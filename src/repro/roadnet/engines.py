@@ -4,11 +4,7 @@ Every GP-SSN phase bottoms out in road-network distances: region
 materialization ``⊙(o_i, r)`` / ``⊙(o_i, 2r)``, the ``maxdist_RN(S, R)``
 objective, and the traversal/refinement distance pruning. A
 :class:`DistanceEngine` is the strategy object that answers those
-requests; three implementations trade preprocessing for query speed:
-
-``plain``
-    The seed behavior: binary-heap Dijkstra over the dict-of-dicts
-    adjacency. No preprocessing, no staleness to manage.
+requests; the implementations trade preprocessing for query speed:
 
 ``csr``
     A :class:`~repro.roadnet.csr.CSRGraph` snapshot. Full and bounded
@@ -37,16 +33,11 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import DISTANCE_ENGINES
-from ..exceptions import IndexStateError, InvalidParameterError
+from ..exceptions import InvalidParameterError
 from .ch import ContractionHierarchy
 from .csr import CSRGraph
 from .graph import NetworkPosition, RoadNetwork
-from .shortest_path import (
-    direct_edge_distance,
-    multi_source_dijkstra,
-    position_distance_from_map,
-    position_seeds,
-)
+from .shortest_path import direct_edge_distance
 
 #: The selectable engine names (single source of truth lives in
 #: :data:`repro.config.DISTANCE_ENGINES`), in ascending preprocessing cost.
@@ -105,29 +96,6 @@ class DistanceEngine:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class PlainEngine(DistanceEngine):
-    """The seed dict-walking Dijkstra, unchanged (the correctness oracle)."""
-
-    name = "plain"
-
-    def sssp(
-        self,
-        seeds: Iterable[Tuple[int, float]],
-        max_distance: float = math.inf,
-    ) -> Dict[int, float]:
-        return multi_source_dijkstra(self.road, seeds, max_distance)
-
-    def point_to_point(
-        self, pos_a: NetworkPosition, pos_b: NetworkPosition
-    ) -> float:
-        # Exactly the oracle's cache-miss path: one full seeded Dijkstra
-        # from pos_a, then endpoint lookups for pos_b.
-        dist_map = multi_source_dijkstra(
-            self.road, position_seeds(self.road, pos_a)
-        )
-        return position_distance_from_map(self.road, dist_map, pos_b, pos_a)
 
 
 class CSREngine(DistanceEngine):
@@ -212,7 +180,7 @@ class CSREngine(DistanceEngine):
 class CHEngine(CSREngine):
     """Contraction-hierarchy point-to-point on top of the CSR snapshot.
 
-    The hierarchy is built (or restored from a persisted snapshot) on
+    The hierarchy is built (or adopted from a frozen arena) on
     first use and rebuilt when the road network mutates. SSSP maps and
     bounded region sweeps go to the CSR kernel — the paper's ``2r``
     sweeps are truncated searches the hierarchy cannot shortcut.
@@ -258,39 +226,6 @@ class CHEngine(CSREngine):
                 upward_settles=float(self._ch.query_settles),
             )
         return out
-
-    # -- persistence (wired through repro.io.index_store) -------------------
-
-    def snapshot(self) -> dict:
-        """Serializable image of the preprocessed hierarchy."""
-        graph = self.graph()
-        ch = self.hierarchy()
-        return {
-            "road_version": int(graph.road_version),
-            "ids": [int(i) for i in graph.ids],
-            "hierarchy": ch.snapshot(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, road: RoadNetwork, data: dict) -> "CHEngine":
-        """Revive a persisted hierarchy without re-running preprocessing.
-
-        Raises :class:`IndexStateError` when the snapshot was built
-        against a different road network (version or vertex remap
-        mismatch) — rebuild instead of loading in that case.
-        """
-        engine = cls(road)
-        graph = engine.graph()
-        if (
-            int(data["road_version"]) != graph.road_version
-            or [int(i) for i in data["ids"]] != [int(i) for i in graph.ids]
-        ):
-            raise IndexStateError(
-                "contraction-hierarchy snapshot does not match the current "
-                "road network; rebuild the engine instead of loading it"
-            )
-        engine._ch = ContractionHierarchy.from_snapshot(data["hierarchy"])
-        return engine
 
 
 class LazyCHEngine(CHEngine):
@@ -345,12 +280,6 @@ class LazyCHEngine(CHEngine):
         super().adopt(graph, ch)
         self._ch_version = self.road.version
 
-    @classmethod
-    def from_snapshot(cls, road: RoadNetwork, data: dict) -> "LazyCHEngine":
-        engine = super().from_snapshot(road, data)
-        engine._ch_version = road.version
-        return engine
-
     def mark_dirty(self, *vertices: int) -> None:
         """Record road vertices touched by a mutation (edge endpoints)."""
         self.dirty_vertices.update(int(v) for v in vertices)
@@ -397,8 +326,6 @@ class LazyCHEngine(CHEngine):
 
 def make_engine(name: str, road: RoadNetwork) -> DistanceEngine:
     """Construct a distance engine by name (see :data:`ENGINE_NAMES`)."""
-    if name == "plain":
-        return PlainEngine(road)
     if name == "csr":
         return CSREngine(road)
     if name == "ch":

@@ -15,7 +15,7 @@ adjacency; edge weights are road segment lengths. Faster engines (a CSR
 array kernel, a contraction hierarchy) live in
 :mod:`repro.roadnet.engines` and plug into :class:`DistanceOracle` via
 its ``engine`` parameter — the functions in this module stay the
-reference ("plain") implementation every engine is validated against.
+reference implementation every engine is validated against.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ class DistanceOracle:
     :data:`repro.config.DEFAULT_DISTANCE_CACHE_SIZE`).
 
     The search itself is delegated to a
-    :class:`~repro.roadnet.engines.DistanceEngine` (default: the plain
-    dict-walking Dijkstra); :meth:`point_to_point` additionally exposes
+    :class:`~repro.roadnet.engines.DistanceEngine` (default: the CSR
+    array kernel); :meth:`point_to_point` additionally exposes
     the engine's one-shot distance path for callers that will not reuse
     a source map.
     """
@@ -300,9 +300,9 @@ class DistanceOracle:
             DEFAULT_DISTANCE_CACHE_SIZE if cache_size is None else cache_size
         )
         if engine is None:
-            from .engines import PlainEngine  # deferred: engines imports us
+            from .engines import CSREngine  # deferred: engines imports us
 
-            engine = PlainEngine(road)
+            engine = CSREngine(road)
         self.engine = engine
         self._cache: "OrderedDict[Hashable, Dict[int, float]]" = OrderedDict()
         # Dense companions to cached maps, for the vectorized kernels:

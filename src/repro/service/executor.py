@@ -10,17 +10,22 @@ into a batch service. Three backends share one outcome contract:
 
 ``thread``
     A thread pool. Each worker thread owns its *own* warm
-    :class:`WorkerState` (network restored from the snapshot, processor
-    with built indexes, distance-oracle cache), so threads never share
+    :class:`WorkerState` (network and indexes attached from the frozen
+    arena, distance-oracle cache), so threads never share
     mutable query state; useful for low worker counts and for testing
     scheduling independence without process overhead.
 
 ``process``
     A process pool (``fork`` where available). The picklable
-    :class:`NetworkSnapshot` travels to each worker once, at pool
-    warm-up; after that a worker answers every query of its shard
-    against its warm state — the engine build, the index build, and the
-    distance-oracle cache all amortize across the shard.
+    :class:`NetworkSnapshot` (arena path + header hash) travels to each
+    worker once, at pool warm-up; after that a worker answers every
+    query of its shard against its warm state — the attach and the
+    distance-oracle cache amortize across the shard.
+
+Every worker starts the same way: it memmap-attaches a frozen, indexed
+arena (:mod:`repro.io.snapshot`). An executor made from a live network
+freezes it to a temporary arena at :meth:`BatchQueryExecutor.warm` and
+removes the file at :meth:`BatchQueryExecutor.close`.
 
 Batches are planned before dispatch (:mod:`repro.service.batch`):
 identical queries are answered once and fanned back out, and the unique
@@ -32,9 +37,9 @@ per-query timeout/retry envelope of :mod:`repro.service.limits`, so one
 pathological query degrades to a ``timeout`` outcome instead of
 stalling the batch.
 
-Answers are deterministic in (snapshot, build args, query): all
-backends restore workers from the *same* snapshot, so worker count and
-scheduling order never change outcomes.
+Answers are deterministic in (arena, query): all backends attach
+workers to the *same* arena, so worker count and scheduling order never
+change outcomes.
 
 Worker telemetry is not lost to process boundaries: every shard comes
 back as a :class:`ShardResult` whose
@@ -52,6 +57,7 @@ import concurrent.futures
 import logging
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +65,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import GPSSNQueryProcessor
 from ..core.query import GPSSNQuery
-from ..exceptions import IndexStateError, InvalidParameterError
-from ..io.bundle import network_from_document, network_to_document
+from ..exceptions import InvalidParameterError
+from ..io import snapshot as snapshot_io
 from ..network import SpatialSocialNetwork
 from ..obs import (
     ExplainRecorder,
@@ -70,7 +76,6 @@ from ..obs import (
     Tracer,
 )
 from ..obs.exporters import spans_to_jsonl
-from ..roadnet.engines import CHEngine
 from .batch import BatchPlan, PlanItem, plan_batch, query_request_id
 from .limits import (
     STATUS_ERROR,
@@ -88,144 +93,84 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class NetworkSnapshot:
-    """A picklable, restore-exact image of a network + processor recipe.
+    """A picklable handle on a frozen arena: every worker's one way to start.
 
-    Two modes share one worker-building contract
-    (:meth:`build_worker`):
-
-    *document mode* (``capture``) — ``document`` is the gpssn-bundle
-    document (plain data, pickle- and JSON-safe); ``build_args`` is the
-    processor construction recipe; ``engine_state`` optionally carries a
-    preprocessed contraction-hierarchy image so workers skip CH
-    preprocessing when the snapshot matches. Every worker rebuilds the
-    network and indexes from the document.
-
-    *frozen mode* (``from_frozen``) — ``snapshot_path`` points at a
-    :func:`repro.io.snapshot.freeze` arena on disk and ``header_hash``
-    pins the exact file that was opened at capture time. Pickling ships
-    only the path + hash; each worker ``np.memmap``-attaches the shared
-    pages instead of rebuilding, so warm-up is O(1) in network size and
-    the page cache is shared across the pool.
+    ``snapshot_path`` points at a :func:`repro.io.snapshot.freeze` arena
+    on disk and ``header_hash`` pins the exact file that was opened when
+    the handle was made. Pickling ships only the path + hash; each worker
+    ``np.memmap``-attaches the shared pages instead of rebuilding, so
+    warm-up is O(1) in network size and the page cache is shared across
+    the pool. ``build_args`` is the embedded processor's build recipe.
     """
 
-    document: Optional[dict] = None
+    snapshot_path: str
+    header_hash: str
     build_args: Dict[str, object] = field(default_factory=dict)
-    distance_engine: str = "plain"
-    engine_state: Optional[dict] = None
-    snapshot_path: Optional[str] = None
-    header_hash: Optional[str] = None
-
-    @classmethod
-    def capture(
-        cls,
-        network: SpatialSocialNetwork,
-        build_args: Optional[Dict[str, object]] = None,
-    ) -> "NetworkSnapshot":
-        """Snapshot ``network`` plus the processor recipe to replay on it."""
-        build_args = dict(build_args or {})
-        engine_name = build_args.pop("distance_engine", None)
-        if engine_name is None:
-            engine_name = network.distances.engine.name
-        engine_state = None
-        engine = network.distances.engine
-        if isinstance(engine, CHEngine) and engine.name == engine_name:
-            engine_state = engine.snapshot()
-        return cls(
-            document=network_to_document(network),
-            build_args=build_args,
-            distance_engine=engine_name,
-            engine_state=engine_state,
-        )
 
     @classmethod
     def from_frozen(cls, path: Union[str, Path]) -> "NetworkSnapshot":
-        """A snapshot that attaches to a frozen arena instead of rebuilding.
+        """A handle on the arena at ``path``.
 
         Opens the file once to validate the format and record its header
-        hash; workers re-open (O(1)) and verify they see the same file.
+        hash; workers re-open (O(1)) and check they see the same file.
         """
-        from ..io.snapshot import FrozenSnapshot
-
-        frozen = FrozenSnapshot.open(path)
-        meta = frozen.meta
+        frozen = snapshot_io.FrozenSnapshot.open(path)
         return cls(
-            build_args=dict(meta.get("build_args") or {}),
-            distance_engine=meta.get("distance_engine") or "plain",
             snapshot_path=str(path),
             header_hash=frozen.header_hash,
+            build_args=frozen.build_args,
         )
 
-    def restore(
-        self, recorder: Optional[Recorder] = None
-    ) -> SpatialSocialNetwork:
-        """A fresh network, structurally identical on every restore."""
-        if self.document is None:
-            from ..io.snapshot import FrozenSnapshot
-
-            return FrozenSnapshot.open(self.snapshot_path).attach_network()
-        network = network_from_document(self.document, source="<snapshot>")
-        engine = network.use_distance_engine(self.distance_engine)
-        if self.engine_state is not None and isinstance(engine, CHEngine):
-            try:
-                restored = CHEngine.from_snapshot(
-                    network.road, self.engine_state
-                )
-                network.distances.engine = restored
-            except IndexStateError as exc:
-                # Version drift: the lazy rebuild path is correct but the
-                # worker silently re-pays CH preprocessing — surface it.
-                logger.warning(
-                    "snapshot engine state does not match the restored "
-                    "network; rebuilding the hierarchy lazily (%s)", exc
-                )
-                if recorder is not None:
-                    recorder.metrics.inc("snapshot.rebuild_fallback")
-        return network
+    @classmethod
+    def freeze_temporary(
+        cls,
+        network: SpatialSocialNetwork,
+        build_args: Optional[Dict[str, object]] = None,
+        processor: Optional[GPSSNQueryProcessor] = None,
+    ) -> "NetworkSnapshot":
+        """Freeze a live network (and ``processor``, or one built from
+        ``build_args``) to a fresh temporary arena; the caller unlinks
+        ``snapshot_path`` when done."""
+        fd, path = tempfile.mkstemp(prefix="gpssn-", suffix=".gpsnap")
+        os.close(fd)
+        try:
+            snapshot_io.freeze(
+                network, path, processor=processor, build_args=build_args
+            )
+            return cls.from_frozen(path)
+        except BaseException:
+            os.unlink(path)
+            raise
 
     def build_worker(
         self, recorder: Optional[Recorder] = None
     ) -> Tuple[SpatialSocialNetwork, GPSSNQueryProcessor]:
         """One worker's warm ``(network, processor)`` pair.
 
-        Frozen mode memmap-attaches the arena (timed into the
+        Memmap-attaches the arena, timed into the
         ``snapshot.attach_seconds`` / ``snapshot.bytes_mapped`` gauges on
-        ``recorder``); document mode rebuilds from the bundle document.
+        ``recorder``. A file whose header changed since the handle was
+        made is attached anyway and counted in
+        ``snapshot.header_mismatch``.
         """
         recorder = recorder or Recorder()
-        if self.snapshot_path is not None:
-            from ..io.snapshot import FrozenSnapshot
-
-            started = time.perf_counter()
-            frozen = FrozenSnapshot.open(self.snapshot_path)
-            if (
-                self.header_hash is not None
-                and frozen.header_hash != self.header_hash
-            ):
-                logger.warning(
-                    "frozen snapshot %s changed since it was captured "
-                    "(header %s, expected %s); attaching the current file",
-                    self.snapshot_path,
-                    frozen.header_hash[:12], self.header_hash[:12],
-                )
-                recorder.metrics.inc("snapshot.rebuild_fallback")
-            network, processor = frozen.attach()
-            if processor is None:
-                # The arena was frozen without indexes: replay the recipe.
-                processor = GPSSNQueryProcessor(
-                    network, recorder=recorder, **self.build_args
-                )
-            else:
-                processor.recorder = recorder
-            recorder.metrics.set_gauge(
-                "snapshot.attach_seconds", time.perf_counter() - started
+        started = time.perf_counter()
+        frozen = snapshot_io.FrozenSnapshot.open(self.snapshot_path)
+        if frozen.header_hash != self.header_hash:
+            logger.warning(
+                "frozen snapshot %s changed since it was opened "
+                "(header %s, expected %s); attaching the current file",
+                self.snapshot_path,
+                frozen.header_hash[:12], self.header_hash[:12],
             )
-            recorder.metrics.set_gauge(
-                "snapshot.bytes_mapped", float(frozen.bytes_mapped)
-            )
-            return network, processor
-        network = self.restore(recorder=recorder)
-        processor = GPSSNQueryProcessor(
-            network, recorder=recorder, **self.build_args
+            recorder.metrics.inc("snapshot.header_mismatch")
+        network, processor = frozen.attach()
+        processor.recorder = recorder
+        recorder.metrics.set_gauge(
+            "snapshot.attach_seconds", time.perf_counter() - started
+        )
+        recorder.metrics.set_gauge(
+            "snapshot.bytes_mapped", float(frozen.bytes_mapped)
         )
         return network, processor
 
@@ -233,10 +178,10 @@ class NetworkSnapshot:
 class WorkerState:
     """Everything one worker keeps warm across the queries it handles.
 
-    Built once per worker from the shared snapshot: the restored
-    network (own distance engine + oracle cache) and the processor with
-    both indexes built. Every query the worker answers afterwards reuses
-    all of it.
+    Built once per worker from the shared arena: the attached network
+    (own distance engine + oracle cache) and the processor with both
+    indexes. Every query the worker answers afterwards reuses all of
+    it.
     """
 
     def __init__(
@@ -270,19 +215,13 @@ class WorkerState:
         cache warm-up: answers are unaffected, so failures (e.g. an
         unknown issuer, rejected later by the query itself) are ignored.
         """
-        processor = self.processor
+        kernel = self.processor._pair_kernel()
         social = self.network.social
         for uid in issuers:
             if not social.has_user(uid):
                 continue
             try:
-                if processor.refinement_kernel == "vector":
-                    processor._pair_kernel().member_row(uid)
-                else:
-                    user = social.user(uid)
-                    self.network.distances.distances_from(
-                        ("user", uid), user.home
-                    )
+                kernel.member_row(uid)
             except Exception:  # pragma: no cover - warm-up must not fail
                 continue
 
@@ -548,14 +487,17 @@ class BatchQueryExecutor:
         # worker-labelled series). False = the pre-delta behavior, kept
         # for the telemetry-overhead benchmark baseline.
         self.telemetry = telemetry
-        if snapshot is not None:
-            self.snapshot = snapshot
-        elif network is not None:
-            self.snapshot = NetworkSnapshot.capture(network, build_args)
-        else:
+        if snapshot is None and network is None:
             raise InvalidParameterError(
                 "BatchQueryExecutor needs a network or a prepared snapshot"
             )
+        #: The arena every worker attaches; a live ``network`` is frozen
+        #: to a temporary one at :meth:`warm` (removed by :meth:`close`).
+        self.snapshot = snapshot
+        self._network = network
+        self._build_args = build_args
+        self._processor: Optional[GPSSNQueryProcessor] = None
+        self._temp_arena: Optional[str] = None
         self._serial_state: Optional[WorkerState] = None
         self._thread_states: List[WorkerState] = []
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
@@ -569,15 +511,17 @@ class BatchQueryExecutor:
         limits: Optional[ExecutionLimits] = None,
         recorder: Optional[Recorder] = None,
     ) -> "BatchQueryExecutor":
-        """An executor replaying ``processor``'s exact build recipe."""
-        return cls(
+        """An executor whose workers attach ``processor`` itself, frozen
+        at :meth:`warm` — its indexes are not rebuilt."""
+        executor = cls(
             processor.network,
             workers=workers,
             backend=backend,
             limits=limits,
-            build_args=dict(processor._build_args),
             recorder=recorder,
         )
+        executor._processor = processor
+        return executor
 
     @classmethod
     def from_frozen(
@@ -590,11 +534,7 @@ class BatchQueryExecutor:
         worker_tracing: bool = False,
         worker_explain: bool = False,
     ) -> "BatchQueryExecutor":
-        """An executor whose workers memmap-attach a frozen arena.
-
-        Workers skip the per-worker network/index rebuild entirely; the
-        pickled snapshot carries only the file path + header hash.
-        """
+        """An executor whose workers memmap-attach the arena at ``path``."""
         return cls(
             None,
             workers=workers,
@@ -613,11 +553,13 @@ class BatchQueryExecutor:
 
         A long-running service pays this once at startup; benchmarks
         call it explicitly so measured runs see steady-state throughput.
+        An executor made from a live network freezes it first.
         """
+        snapshot = self._ensure_snapshot()
         if self.backend == "serial":
             if self._serial_state is None:
                 self._serial_state = WorkerState(
-                    self.snapshot,
+                    snapshot,
                     recorder=_worker_recorder(
                         self.worker_tracing, self.worker_explain
                     ),
@@ -625,7 +567,7 @@ class BatchQueryExecutor:
         elif self.backend == "thread":
             while len(self._thread_states) < self.workers:
                 self._thread_states.append(WorkerState(
-                    self.snapshot,
+                    snapshot,
                     recorder=_worker_recorder(
                         self.worker_tracing, self.worker_explain
                     ),
@@ -636,9 +578,25 @@ class BatchQueryExecutor:
         return self
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        try:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+        finally:
+            if self._temp_arena is not None:
+                os.unlink(self._temp_arena)
+                self._temp_arena = None
+                self.snapshot = None
+
+    def _ensure_snapshot(self) -> NetworkSnapshot:
+        """The arena workers attach, freezing the live network on first
+        use."""
+        if self.snapshot is None:
+            self.snapshot = NetworkSnapshot.freeze_temporary(
+                self._network, self._build_args, processor=self._processor
+            )
+            self._temp_arena = self.snapshot.snapshot_path
+        return self.snapshot
 
     def __enter__(self) -> "BatchQueryExecutor":
         return self.warm()
@@ -653,7 +611,8 @@ class BatchQueryExecutor:
                 mp_context=_fork_or_default_context(),
                 initializer=_process_initializer,
                 initargs=(
-                    self.snapshot, self.worker_tracing, self.worker_explain,
+                    self._ensure_snapshot(), self.worker_tracing,
+                    self.worker_explain,
                 ),
             )
         return self._pool

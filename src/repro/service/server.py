@@ -22,8 +22,8 @@ HTTP front end with the operational surface a long-lived service needs:
     ``--explain`` — per-rule pruning funnel counters.
 
 ``GET /healthz`` / ``GET /readyz``
-    Liveness (the process answers) vs readiness (the snapshot is
-    restored and every worker is warm). Readiness flips to 503 again
+    Liveness (the process answers) vs readiness (the frozen arena is
+    attached and every worker is warm). Readiness flips to 503 again
     during shutdown so load balancers drain before the port closes.
 
 ``GET /status``
@@ -54,6 +54,7 @@ Stdlib only (``http.server`` threading front end); no new hard deps.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import threading
 import time
@@ -265,6 +266,10 @@ class GPSSNService:
         build_args: Optional[Dict[str, object]] = None,
         snapshot: Optional[NetworkSnapshot] = None,
     ) -> None:
+        if network is None and snapshot is None:
+            raise InvalidParameterError(
+                "GPSSNService needs a network or a prepared snapshot"
+            )
         self.config = config or ServerConfig()
         cfg = self.config
         self.limits = ExecutionLimits(
@@ -278,34 +283,24 @@ class GPSSNService:
         self._explain = _LockedExplain() if cfg.explain else None
 
         # The dynamic plane (POST /update, /subscribe) mutates this live
-        # network through its own serial processor; worker states rebuild
-        # private copies from the snapshot, so the static /query plane
-        # keeps serving the capture-time network unchanged.
+        # network through its own serial processor. The static /query
+        # plane serves a frozen arena of it taken at warm-up, so updates
+        # never change /query answers.
         self.network = network
+        self.build_args = dict(build_args or {})
         self._dynamic_lock = threading.Lock()
         self._dynamic = None
 
-        if snapshot is not None:
-            self.snapshot = snapshot
-        else:
-            self.snapshot = NetworkSnapshot.capture(network, build_args)
+        #: The arena every worker attaches; a live ``network`` is frozen
+        #: to a temporary one at :meth:`warm` (removed by :meth:`close`).
+        self.snapshot = snapshot
+        self._temp_arena: Optional[str] = None
         # In-process worker pool (serial/thread) vs the process-pool
-        # executor; exactly one of the two is populated.
+        # executor (made at warm-up); exactly one of the two is used.
         self._worker_pool: "queue.Queue[Tuple[int, WorkerState]]" = (
             queue.Queue()
         )
         self._executor: Optional[BatchQueryExecutor] = None
-        if cfg.backend == "process":
-            self._executor = BatchQueryExecutor(
-                network,
-                workers=cfg.workers,
-                backend="process",
-                limits=self.limits,
-                build_args=build_args,
-                worker_tracing=cfg.phase_timing,
-                worker_explain=cfg.explain,
-                snapshot=self.snapshot,
-            )
         # In-process worker tracers, registered at warm-up so the
         # sampling profiler can attribute CPU samples to active spans.
         self._worker_tracers: List[object] = []
@@ -343,7 +338,7 @@ class GPSSNService:
         """Copy a worker's snapshot-attach telemetry onto the service
         registry so ``/metrics`` and ``/status`` can surface it before
         the first shard delta arrives. ``counters=False`` skips the
-        rebuild-fallback counter for pooled workers — their first delta
+        header-mismatch counter for pooled workers — their first delta
         ships the same count and would double it; the warm-probe
         recorder (which never ships a delta) keeps ``counters=True``."""
         for name in ("snapshot.attach_seconds", "snapshot.bytes_mapped"):
@@ -352,9 +347,9 @@ class GPSSNService:
                 self.registry.set_gauge(name, value)
         if not counters:
             return
-        fallback = recorder.metrics.counters.get("snapshot.rebuild_fallback")
-        if fallback:
-            self.registry.inc("snapshot.rebuild_fallback", fallback)
+        mismatch = recorder.metrics.counters.get("snapshot.header_mismatch")
+        if mismatch:
+            self.registry.inc("snapshot.header_mismatch", mismatch)
 
     def _worker_state(self) -> WorkerState:
         recorder = _worker_recorder(self.config.phase_timing, self.config.explain)
@@ -365,18 +360,38 @@ class GPSSNService:
         return state
 
     def warm(self) -> "GPSSNService":
-        """Build every worker's warm state (idempotent, blocking)."""
+        """Build every worker's warm state (idempotent, blocking).
+
+        A service made from a live network freezes it first, holding the
+        dynamic-plane lock so no ``/update`` lands mid-freeze.
+        """
         if self._ready.is_set():
             return self
-        if self._executor is not None:
+        if self.snapshot is None:
+            with self._dynamic_lock:
+                self.snapshot = NetworkSnapshot.freeze_temporary(
+                    self.network, self.build_args
+                )
+            self._temp_arena = self.snapshot.snapshot_path
+        cfg = self.config
+        if cfg.backend == "process":
+            if self._executor is None:
+                self._executor = BatchQueryExecutor(
+                    None,
+                    workers=cfg.workers,
+                    backend="process",
+                    limits=self.limits,
+                    worker_tracing=cfg.phase_timing,
+                    worker_explain=cfg.explain,
+                    snapshot=self.snapshot,
+                )
             self._executor.warm()
-            if self.snapshot.snapshot_path is not None:
-                # Pool workers attach in their own processes where we
-                # cannot scrape; one local attach (cheap by design) makes
-                # the gauges visible on the service registry too.
-                probe = Recorder()
-                self.snapshot.build_worker(probe)
-                self._adopt_snapshot_gauges(probe)
+            # Pool workers attach in their own processes where we cannot
+            # scrape; one local attach (cheap by design) makes the
+            # gauges visible on the service registry too.
+            probe = Recorder()
+            self.snapshot.build_worker(probe)
+            self._adopt_snapshot_gauges(probe)
         else:
             while self._worker_pool.qsize() < self.workers:
                 self._worker_pool.put(
@@ -407,8 +422,13 @@ class GPSSNService:
 
     def close(self) -> None:
         self.drain()
-        if self._executor is not None:
-            self._executor.close()
+        try:
+            if self._executor is not None:
+                self._executor.close()
+        finally:
+            if self._temp_arena is not None:
+                os.unlink(self._temp_arena)
+                self._temp_arena = None
         if self._access_fp is not None:
             with self._access_lock:
                 self._access_fp.close()
@@ -699,7 +719,7 @@ class GPSSNService:
     def _dynamic_registry(self):
         """The lazily built continuous-query engine (caller holds the lock).
 
-        Built over the *live* network with the snapshot's processor
+        Built over the *live* network with the service's processor
         recipe and the service registry as its metrics sink, so
         ``dynamic.*`` counters and the ``dynamic.bound_slack`` gauge
         surface on ``/metrics`` alongside the static plane's.
@@ -718,7 +738,7 @@ class GPSSNService:
 
             recorder = Recorder(metrics=self.registry, explain=self._explain)
             processor = GPSSNQueryProcessor(
-                self.network, recorder=recorder, **self.snapshot.build_args
+                self.network, recorder=recorder, **self.build_args
             )
             self._dynamic = ContinuousQueryRegistry(
                 DynamicIndexMaintainer(processor), limits=self.limits
@@ -1198,8 +1218,8 @@ def create_server(
 ) -> GPSSNHTTPServer:
     """Bind the daemon (without serving); ``server.server_address`` holds
     the resolved port when ``config.port`` is 0 (tests). Pass a
-    frozen-mode ``snapshot`` (``NetworkSnapshot.from_frozen``) to serve a
-    memmapped arena without an in-memory network."""
+    ``snapshot`` (``NetworkSnapshot.from_frozen``) to serve an existing
+    arena without an in-memory network."""
     config = config or ServerConfig()
     service = GPSSNService(network, config, build_args, snapshot=snapshot)
     return GPSSNHTTPServer((config.host, config.port), service)

@@ -20,6 +20,11 @@ from repro import (
     uni_dataset,
     zipf_dataset,
 )
+from repro.roadnet.shortest_path import (
+    multi_source_dijkstra,
+    position_distance_from_map,
+    position_seeds,
+)
 
 
 def build_grid_road(side: int = 4, spacing: float = 10.0) -> RoadNetwork:
@@ -36,6 +41,16 @@ def build_grid_road(side: int = 4, spacing: float = 10.0) -> RoadNetwork:
             if r + 1 < side:
                 road.add_edge(vid, vid + side)
     return road
+
+
+def reference_point_to_point(
+    road: RoadNetwork, pos_a: NetworkPosition, pos_b: NetworkPosition
+) -> float:
+    """The reference ``dist_RN`` every engine is checked against: one
+    seeded dict-walking Dijkstra from ``pos_a``, endpoint lookups for
+    ``pos_b``."""
+    dist_map = multi_source_dijkstra(road, position_seeds(road, pos_a))
+    return position_distance_from_map(road, dist_map, pos_b, pos_a)
 
 
 def build_tiny_network(num_keywords: int = 3) -> SpatialSocialNetwork:

@@ -1,11 +1,13 @@
 """Integration tests for the batch executor and network snapshots."""
 
+import os
 import pickle
 
 import pytest
 
 from repro.core.query import GPSSNQuery
 from repro.exceptions import InvalidParameterError
+from repro.io.snapshot import freeze
 from repro.obs import Recorder
 from repro.service import (
     BatchQueryExecutor,
@@ -28,37 +30,47 @@ def _queries(issuers):
     ]
 
 
+@pytest.fixture
+def engine_arena(small_uni):
+    """Freeze the shared network on a given engine; yields the handle
+    and restores the default engine afterwards."""
+    made = []
+
+    def freeze_on(engine):
+        small_uni.use_distance_engine(engine)
+        made.append(NetworkSnapshot.freeze_temporary(small_uni, {"seed": 1}))
+        return made[-1]
+
+    yield freeze_on
+    small_uni.use_distance_engine("csr")
+    for snapshot in made:
+        os.unlink(snapshot.snapshot_path)
+
+
 class TestNetworkSnapshot:
     def test_pickle_round_trip_preserves_answers(
-        self, small_processor, issuers
+        self, small_processor, issuers, tmp_path
     ):
-        snapshot = NetworkSnapshot.capture(
-            small_processor.network, dict(small_processor._build_args)
-        )
+        path = tmp_path / "net.gpsnap"
+        freeze(small_processor.network, path, processor=small_processor)
+        snapshot = NetworkSnapshot.from_frozen(path)
         restored = pickle.loads(pickle.dumps(snapshot))
+        assert restored == snapshot
         query = _queries(issuers)[0]
         a = WorkerState(snapshot).processor.answer(query, max_groups=150)[0]
         b = WorkerState(restored).processor.answer(query, max_groups=150)[0]
         assert a == b
+        assert a == small_processor.answer(query, max_groups=150)[0]
 
-    @pytest.mark.parametrize("engine", ["plain", "csr", "ch"])
-    def test_engine_choice_survives_restore(self, small_uni, engine):
-        small_uni.use_distance_engine(engine)
-        try:
-            snapshot = NetworkSnapshot.capture(small_uni, {"seed": 1})
-            network = snapshot.restore()
-            assert network.distances.engine.name == engine
-        finally:
-            small_uni.use_distance_engine("plain")
+    @pytest.mark.parametrize("engine", ["csr", "ch", "lazy-ch"])
+    def test_engine_choice_survives_restore(self, engine_arena, engine):
+        network, _processor = engine_arena(engine).build_worker()
+        assert network.distances.engine.name == engine
 
-    def test_ch_preprocessing_rides_in_snapshot(self, small_uni):
-        engine = small_uni.use_distance_engine("ch")
-        engine.hierarchy()  # force preprocessing so capture can reuse it
-        try:
-            snapshot = NetworkSnapshot.capture(small_uni, {"seed": 1})
-            assert snapshot.engine_state is not None
-        finally:
-            small_uni.use_distance_engine("plain")
+    def test_ch_preprocessing_rides_in_snapshot(self, engine_arena):
+        network, _processor = engine_arena("ch").build_worker()
+        # The hierarchy is adopted from the arena, not preprocessed again.
+        assert network.distances.engine._ch is not None
 
 
 class TestBatchQueryExecutor:

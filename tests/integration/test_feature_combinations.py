@@ -71,13 +71,13 @@ class TestMetricSampling:
 class TestStoreWithToggles:
     def test_revived_processor_honours_toggles(self, setup, tmp_path):
         from repro import PruningToggles
-        from repro.io import load_processor, save_processor
+        from repro.io import FrozenSnapshot, freeze
 
         network, processor, _ = setup
-        path = tmp_path / "store.json"
-        save_processor(path, processor)
-        revived = load_processor(
-            path, network, toggles=PruningToggles(interest=False)
+        path = tmp_path / "net.gpsnap"
+        freeze(network, path, processor=processor)
+        _net, revived = FrozenSnapshot.open(path).attach(
+            toggles=PruningToggles(interest=False)
         )
         query = GPSSNQuery(query_user=1, tau=2, gamma=0.4, theta=0.2)
         a, stats_on = processor.answer(query)

@@ -1,12 +1,13 @@
-"""Index persistence: saved and reloaded processors answer identically."""
+"""Index persistence: processors attached from a frozen arena answer
+identically to the processors they were frozen from."""
 
 import numpy as np
 import pytest
 
 from repro import GPSSNQuery, GPSSNQueryProcessor, uni_dataset
 from repro.core.metrics import InterestMetric
-from repro.exceptions import IndexStateError, InvalidParameterError
-from repro.io.index_store import load_processor, save_processor
+from repro.exceptions import IndexStateError, SnapshotFormatError
+from repro.io.snapshot import FrozenSnapshot, _write_arena, freeze
 
 
 @pytest.fixture(scope="module")
@@ -17,15 +18,19 @@ def setup(tmp_path_factory):
     processor = GPSSNQueryProcessor(
         network, num_road_pivots=3, num_social_pivots=3, seed=27
     )
-    path = tmp_path_factory.mktemp("store") / "indexes.json"
-    save_processor(path, processor)
+    path = tmp_path_factory.mktemp("store") / "net.gpsnap"
+    freeze(network, path, processor=processor)
     return network, processor, path
+
+
+def attach(path):
+    return FrozenSnapshot.open(path).attach()
 
 
 class TestRoundTrip:
     def test_answers_identical(self, setup):
         network, original, path = setup
-        revived = load_processor(path, network)
+        _net, revived = attach(path)
         rng = np.random.default_rng(0)
         for _ in range(5):
             uq = int(rng.integers(network.social.num_users))
@@ -43,17 +48,18 @@ class TestRoundTrip:
             assert sa.page_accesses == sb.page_accesses
 
     def test_structure_matches(self, setup):
-        network, original, path = setup
-        revived = load_processor(path, network)
+        _network, original, path = setup
+        _net, revived = attach(path)
         assert revived.road_index.height == original.road_index.height
         assert revived.road_index.num_pages == original.road_index.num_pages
         assert revived.social_index.num_pages == original.social_index.num_pages
         assert revived.road_pivots.pivots == original.road_pivots.pivots
         assert revived.social_pivots.pivots == original.social_pivots.pivots
+        assert revived._build_args == original._build_args
 
     def test_augmented_data_survives(self, setup):
         network, original, path = setup
-        revived = load_processor(path, network)
+        _net, revived = attach(path)
         for pid in network.poi_ids():
             a = original.road_index.augmented(pid)
             b = revived.road_index.augmented(pid)
@@ -62,8 +68,8 @@ class TestRoundTrip:
             assert a.pivot_dists == pytest.approx(b.pivot_dists)
 
     def test_topk_and_metrics_work_on_revived(self, setup):
-        network, _, path = setup
-        revived = load_processor(path, network)
+        _network, _, path = setup
+        _net, revived = attach(path)
         query = GPSSNQuery(
             query_user=0, tau=2, gamma=0.5, theta=0.2,
             metric=InterestMetric.COSINE,
@@ -83,21 +89,15 @@ class TestDistanceEnginePersistence:
             network, num_road_pivots=3, num_social_pivots=3, seed=27,
             distance_engine="ch",
         )
-        path = tmp_path / "ch-store.json"
-        save_processor(path, processor)
-        built = network.distances.engine
-        assert isinstance(built, CHEngine)
-        shortcuts = built.hierarchy().shortcuts_added
+        path = tmp_path / "ch.gpsnap"
+        freeze(network, path, processor=processor)
+        shortcuts = FrozenSnapshot.open(path).meta["ch"]["shortcuts_added"]
 
-        # Load into an identically constructed network (as a fresh
-        # process would) — the hierarchy must revive, not rebuild.
-        fresh = uni_dataset(
-            num_road_vertices=90, num_pois=30, num_users=60, seed=27
-        )
-        revived = load_processor(path, fresh)
-        engine = fresh.distances.engine
+        # The hierarchy must revive from the arena, not rebuild.
+        attached, revived = attach(path)
+        engine = attached.distances.engine
         assert isinstance(engine, CHEngine)
-        assert engine._ch is not None  # restored, no lazy build pending
+        assert engine._ch is not None  # adopted, no lazy build pending
         assert engine._ch.shortcuts_added == shortcuts
 
         query = GPSSNQuery(
@@ -110,35 +110,40 @@ class TestDistanceEnginePersistence:
             assert a.max_distance == pytest.approx(b.max_distance)
             assert a.users == b.users and a.pois == b.pois
 
-    def test_plain_store_keeps_plain_engine(self, setup, tmp_path):
-        network, processor, path = setup
-        revived = load_processor(path, network)
-        assert network.distances.engine.name == "plain"
-        assert revived._build_args["distance_engine"] == "plain"
+    def test_plain_arena_attaches_on_csr(self, setup, tmp_path):
+        """Arenas frozen on the retired ``plain`` engine still attach."""
+        _network, original, path = setup
+        frozen = FrozenSnapshot.open(path)
+        meta = dict(frozen.meta, distance_engine="plain")
+        meta["build_args"] = dict(meta["build_args"], distance_engine="plain")
+        old = tmp_path / "plain.gpsnap"
+        _write_arena(old, meta, dict(frozen.sections))
+        attached, revived = attach(old)
+        assert attached.distances.engine.name == "csr"
+        assert revived._build_args["distance_engine"] == "csr"
+        query = GPSSNQuery(query_user=0, tau=3, gamma=0.3, theta=0.3)
+        assert revived.answer(query)[0] == original.answer(query)[0]
 
 
 class TestValidation:
-    def test_mutated_network_rejected(self, setup, tmp_path):
-        network, processor, _ = setup
-        path = tmp_path / "store.json"
-        save_processor(path, processor)
+    def test_mutated_network_rejected(self, setup):
+        _network, _processor, path = setup
+        attached, revived = attach(path)
         from repro import NetworkPosition, POI
 
-        u, v, length = next(iter(network.road.edges()))
+        u, v, _length = next(iter(attached.road.edges()))
         position = NetworkPosition(u, v, 0.0)
-        network.add_poi(POI(
-            9000, network.road.position_coords(position), position,
+        attached.add_poi(POI(
+            9000, attached.road.position_coords(position), position,
             frozenset({0}),
         ))
-        try:
-            with pytest.raises(IndexStateError, match="network version"):
-                load_processor(path, network)
-        finally:
-            network.remove_poi(9000)
+        with pytest.raises(IndexStateError, match="network changed"):
+            revived.answer(GPSSNQuery(query_user=0, tau=3))
 
-    def test_wrong_format_rejected(self, setup, tmp_path):
-        network, _, _ = setup
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(InvalidParameterError):
-            load_processor(path, network)
+    def test_wrong_format_rejected(self, tmp_path):
+        """A JSON index store (the retired persistence format) is not an
+        arena and fails with the typed arena error."""
+        path = tmp_path / "indexes.json"
+        path.write_text('{"format": "gpssn-index-store", "version": 1}')
+        with pytest.raises(SnapshotFormatError, match="bad magic"):
+            FrozenSnapshot.open(path)

@@ -215,12 +215,15 @@ class TestHeadSampling:
 
 
 class TestSpanBudget:
-    def test_span_cap_drops_are_counted(self, network, entries):
+    def test_span_cap_drops_are_counted(self, network, entries, tmp_path):
+        from repro.io import freeze
         from repro.service import ExecutionLimits, NetworkSnapshot
         from repro.service.executor import WorkerState, _worker_recorder
 
+        path = tmp_path / "net.gpsnap"
+        freeze(network, path, build_args={"seed": SEED})
         state = WorkerState(
-            NetworkSnapshot.capture(network, {"seed": SEED}),
+            NetworkSnapshot.from_frozen(path),
             recorder=_worker_recorder(traced=True),
         )
         plan = plan_batch(entries, 1)

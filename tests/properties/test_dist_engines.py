@@ -1,7 +1,8 @@
-"""Property tests: every distance engine agrees with plain Dijkstra.
+"""Property tests: every distance engine agrees with the reference Dijkstra.
 
-The plain dict-walking Dijkstra is the correctness oracle; the CSR
-kernel and the contraction hierarchy must reproduce it to within
+The dict-walking Dijkstra functions of ``repro.roadnet.shortest_path``
+are the correctness oracle; the CSR kernel and the contraction
+hierarchies must reproduce them to within
 floating-point noise (1e-9) on arbitrary road networks, arbitrary
 on-edge positions, truncation bounds, and disconnected pairs.
 """
@@ -15,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.roadnet.csr import CSRGraph
-from repro.roadnet.engines import make_engine
+from repro.roadnet.engines import ENGINE_NAMES, make_engine
 from repro.roadnet.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
     multi_source_dijkstra,
 )
+from tests.conftest import reference_point_to_point
 
 ATOL = 1e-9
 
@@ -65,13 +67,15 @@ class TestEngineAgreement:
     def test_point_to_point_all_engines(self, seed):
         rng = np.random.default_rng(seed)
         road = generate_road_network(50, rng)
-        engines = [make_engine(name, road) for name in ("plain", "csr", "ch")]
+        engines = [make_engine(name, road) for name in ENGINE_NAMES]
         for a, b in zip(
             random_positions(road, rng, 8), random_positions(road, rng, 8)
         ):
-            got = [engine.point_to_point(a, b) for engine in engines]
-            for other in got[1:]:
-                assert other == pytest.approx(got[0], abs=ATOL)
+            want = reference_point_to_point(road, a, b)
+            for engine in engines:
+                assert engine.point_to_point(a, b) == pytest.approx(
+                    want, abs=ATOL
+                )
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 500))
@@ -82,7 +86,8 @@ class TestEngineAgreement:
         b = a
         while (b.u < 12) == (a.u < 12):  # resample until components differ
             b = random_positions(road, rng, 1)[0]
-        for name in ("plain", "csr", "ch"):
+        assert math.isinf(reference_point_to_point(road, a, b))
+        for name in ENGINE_NAMES:
             assert math.isinf(make_engine(name, road).point_to_point(a, b))
 
     @settings(max_examples=12, deadline=None)

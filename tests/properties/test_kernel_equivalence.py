@@ -23,7 +23,7 @@ from repro.core.refinement import GROUP_BLOCK
 from repro.obs import Recorder
 from repro.obs.funnel import ExplainRecorder
 
-ENGINES = ("plain", "csr", "ch")
+ENGINES = ("csr", "ch")
 
 _NETWORKS = {}
 _PROCESSORS = {}
@@ -118,8 +118,8 @@ def test_vector_matches_scalar_capped_refinement(uid, tau, max_groups):
     query = GPSSNQuery(
         query_user=uid, tau=tau, gamma=0.2, theta=0.4, radius=2.0
     )
-    scalar_run = _run(_processor("plain", "scalar"), query, max_groups)
-    vector_run = _run(_processor("plain", "vector"), query, max_groups)
+    scalar_run = _run(_processor("csr", "scalar"), query, max_groups)
+    vector_run = _run(_processor("csr", "vector"), query, max_groups)
     _assert_identical(query, scalar_run, vector_run)
 
 
@@ -244,15 +244,15 @@ def test_uncapped_enumeration_crosses_block_boundary(uid, explain):
         query_user=uid, tau=4, gamma=0.0, theta=0.4, radius=2.0
     )
     if explain:
-        scalar_run = _run(_processor("plain", "scalar"), query)
-        vector_run = _run(_processor("plain", "vector"), query)
+        scalar_run = _run(_processor("csr", "scalar"), query)
+        vector_run = _run(_processor("csr", "vector"), query)
         _assert_identical(query, scalar_run, vector_run)
         assert vector_run[1].groups_refined > GROUP_BLOCK
     else:
         stats = _assert_counters_identical(
             query,
-            _processor("plain", "scalar", explain=False),
-            _processor("plain", "vector", explain=False),
+            _processor("csr", "scalar", explain=False),
+            _processor("csr", "vector", explain=False),
         )
         assert stats.groups_refined > GROUP_BLOCK
 
@@ -264,15 +264,15 @@ def test_cap_at_exact_block_multiple(explain):
         query_user=1, tau=5, gamma=0.0, theta=0.4, radius=2.0
     )
     if explain:
-        scalar_run = _run(_processor("plain", "scalar"), query, max_groups)
-        vector_run = _run(_processor("plain", "vector"), query, max_groups)
+        scalar_run = _run(_processor("csr", "scalar"), query, max_groups)
+        vector_run = _run(_processor("csr", "vector"), query, max_groups)
         _assert_identical(query, scalar_run, vector_run)
         assert vector_run[1].groups_refined == max_groups
     else:
         stats = _assert_counters_identical(
             query,
-            _processor("plain", "scalar", explain=False),
-            _processor("plain", "vector", explain=False),
+            _processor("csr", "scalar", explain=False),
+            _processor("csr", "vector", explain=False),
             max_groups=max_groups,
         )
         assert stats.groups_refined == max_groups

@@ -18,19 +18,20 @@ import dataclasses
 import pytest
 
 from repro.core.query import GPSSNQuery
+from repro.exceptions import SnapshotFormatError
 from repro.experiments.harness import (
     ExperimentScale,
     build_dataset,
     make_processor,
     sample_query_users,
 )
-from repro.io.snapshot import FrozenSnapshot, freeze
+from repro.io.snapshot import FrozenSnapshot, _write_arena, freeze
 
 SCALE = ExperimentScale(
     road_vertices=80, num_pois=25, num_users=60, max_groups=300
 )
 SEED = 5
-ENGINES = ["plain", "csr", "ch"]
+ENGINES = ["csr", "ch", "lazy-ch"]
 
 
 def _observable(answer, stats):
@@ -61,7 +62,6 @@ class TestRefreezeByteIdentical:
         engine, _network, _processor, path = frozen_setup
         original = path.read_bytes()
         attached_net, attached_proc = FrozenSnapshot.open(path).attach()
-        assert attached_proc is not None
         again = tmp_path / "again.gpsnap"
         freeze(attached_net, again, processor=attached_proc)
         assert again.read_bytes() == original, (
@@ -116,15 +116,15 @@ class TestAttachedEquivalence:
 
 
 class TestIndexlessFreeze:
-    def test_attach_without_indexes_rebuilds(self, tmp_path):
-        network = build_dataset("UNI", SCALE, seed=SEED)
-        path = tmp_path / "lean.gpsnap"
-        freeze(
-            network, path, build_args={"seed": SEED}, include_indexes=False
-        )
+    def test_attach_without_indexes_fails(self, tmp_path):
+        path = tmp_path / "net.gpsnap"
+        freeze(build_dataset("UNI", SCALE, seed=SEED), path)
         frozen = FrozenSnapshot.open(path)
-        assert frozen.meta["index"] is None
-        assert "pivot/rows" not in frozen.sections
-        attached_net, attached_proc = frozen.attach()
-        assert attached_proc is None  # caller replays the recipe
-        assert attached_net.road.num_vertices == SCALE.road_vertices
+        sections = {
+            name: arr for name, arr in frozen.sections.items()
+            if not name.startswith("pivot/")
+        }
+        lean = tmp_path / "lean.gpsnap"
+        _write_arena(lean, dict(frozen.meta, index=None), sections)
+        with pytest.raises(SnapshotFormatError, match="without indexes"):
+            FrozenSnapshot.open(lean).attach()

@@ -71,7 +71,7 @@ class TestGenerateGridNetwork:
 
 
 class TestPoiDistancesWithin:
-    @pytest.fixture(scope="class", params=["plain", "csr"])
+    @pytest.fixture(scope="class", params=["csr", "ch"])
     def network(self, request):
         # 300 vertices crosses SCIPY_MIN_VERTICES, so the csr variant
         # exercises the dense-row scipy path, not the dict kernel.

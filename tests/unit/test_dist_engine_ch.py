@@ -7,16 +7,15 @@ import pytest
 
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
-from repro.exceptions import IndexStateError
 from repro.roadnet.ch import ContractionHierarchy
 from repro.roadnet.csr import CSRGraph
-from repro.roadnet.engines import CHEngine, PlainEngine
+from repro.roadnet.engines import CHEngine
 from repro.roadnet.shortest_path import dijkstra
-from tests.conftest import build_grid_road
+from tests.conftest import build_grid_road, reference_point_to_point
 
 
 def assert_all_pairs_exact(road, ch, csr):
-    """Every vertex pair: CH query == plain Dijkstra, including inf."""
+    """Every vertex pair: CH query == reference Dijkstra, including inf."""
     ids = list(road.vertices())
     for source in ids:
         reference = dijkstra(road, source)
@@ -81,30 +80,33 @@ class TestHierarchyExactness:
         assert math.isinf(ch.query([(0, 0.0)], []))
 
 
+def revive_from_arrays(ch):
+    """The hierarchy rebuilt from its flat arrays, the form a frozen
+    arena stores and hands back on attach."""
+    return ContractionHierarchy(
+        n=ch.n,
+        rank=np.asarray(ch.rank, dtype=np.int64),
+        up_indptr=np.asarray(ch.up_indptr, dtype=np.int64),
+        up_indices=np.asarray(ch.up_indices, dtype=np.int64),
+        up_weights=np.asarray(ch.up_weights, dtype=np.float64),
+        shortcuts_added=ch.shortcuts_added,
+        preprocess_seconds=ch.preprocess_seconds,
+    )
+
+
 class TestHierarchySnapshot:
     def test_roundtrip_identical(self, grid_road):
         csr = CSRGraph(grid_road)
         ch = ContractionHierarchy.build(csr)
-        revived = ContractionHierarchy.from_snapshot(ch.snapshot())
-        assert revived.rank == ch.rank
-        assert revived.up_indptr == ch.up_indptr
-        assert revived.up_indices == ch.up_indices
-        assert revived.up_weights == pytest.approx(ch.up_weights)
+        revived = revive_from_arrays(ch)
         assert revived.shortcuts_added == ch.shortcuts_added
         assert_all_pairs_exact(grid_road, revived, csr)
-
-    def test_snapshot_is_json_serializable(self, grid_road):
-        import json
-
-        ch = ContractionHierarchy.build(CSRGraph(grid_road))
-        assert json.loads(json.dumps(ch.snapshot())) == ch.snapshot()
 
 
 class TestCHEngine:
     def test_point_to_point_matches_plain(self):
         road = generate_road_network(60, np.random.default_rng(5))
         engine = CHEngine(road)
-        plain = PlainEngine(road)
         rng = np.random.default_rng(13)
         edges = list(road.edges())
         for _ in range(40):
@@ -113,7 +115,7 @@ class TestCHEngine:
             a = NetworkPosition(u1, v1, float(rng.random() * l1))
             b = NetworkPosition(u2, v2, float(rng.random() * l2))
             assert engine.point_to_point(a, b) == pytest.approx(
-                plain.point_to_point(a, b), abs=1e-9
+                reference_point_to_point(road, a, b), abs=1e-9
             )
 
     def test_same_edge_reversed_orientation(self, grid_road):
@@ -147,19 +149,15 @@ class TestCHEngine:
 
     def test_engine_snapshot_roundtrip(self, grid_road):
         engine = CHEngine(grid_road)
-        snap = engine.snapshot()
-        revived = CHEngine.from_snapshot(grid_road, snap)
-        # Revival must not re-run preprocessing.
-        assert revived._ch is not None
-        assert revived._ch.shortcuts_added == engine._ch.shortcuts_added
+        revived = CHEngine(grid_road)
+        revived.adopt(
+            CSRGraph(grid_road), revive_from_arrays(engine.hierarchy())
+        )
+        # Adoption must not re-run preprocessing.
+        adopted = revived._ch
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(10, 11, 8.0)
         assert revived.point_to_point(a, b) == pytest.approx(
             engine.point_to_point(a, b), abs=1e-9
         )
-
-    def test_engine_snapshot_rejects_other_road(self, grid_road):
-        snap = CHEngine(grid_road).snapshot()
-        other = build_grid_road(side=5)
-        with pytest.raises(IndexStateError):
-            CHEngine.from_snapshot(other, snap)
+        assert revived._ch is adopted

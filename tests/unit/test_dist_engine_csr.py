@@ -13,7 +13,6 @@ from repro.roadnet.engines import (
     CSREngine,
     DistanceEngine,
     ENGINE_NAMES,
-    PlainEngine,
     make_engine,
 )
 from repro.roadnet.shortest_path import (
@@ -21,7 +20,7 @@ from repro.roadnet.shortest_path import (
     multi_source_dijkstra,
     position_seeds,
 )
-from tests.conftest import build_grid_road
+from tests.conftest import build_grid_road, reference_point_to_point
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +135,6 @@ class TestKernelEquivalence:
 class TestCSREngine:
     def test_point_to_point_matches_plain(self, random_road):
         engine = CSREngine(random_road)
-        plain = PlainEngine(random_road)
         rng = np.random.default_rng(11)
         edges = list(random_road.edges())
         for _ in range(30):
@@ -145,7 +143,7 @@ class TestCSREngine:
             a = NetworkPosition(u1, v1, float(rng.random() * l1))
             b = NetworkPosition(u2, v2, float(rng.random() * l2))
             assert engine.point_to_point(a, b) == pytest.approx(
-                plain.point_to_point(a, b), abs=1e-9
+                reference_point_to_point(random_road, a, b), abs=1e-9
             )
 
     def test_rebuild_on_mutation(self):

@@ -15,8 +15,8 @@ from repro.index.pivots import (
     select_pivots_road,
     select_pivots_social,
 )
-from repro.roadnet.engines import PlainEngine
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.engines import CSREngine
+from tests.conftest import reference_point_to_point
 
 
 class TestPivotLowerBound:
@@ -40,7 +40,7 @@ class TestPivotLowerBound:
         road = generate_road_network(40, rng)
         vertices = list(road.vertices())
         pivots = [int(v) for v in rng.choice(vertices, size=3, replace=False)]
-        index = RoadPivotIndex(PlainEngine(road), pivots)
+        index = RoadPivotIndex(CSREngine(road), pivots)
         from repro.roadnet.graph import NetworkPosition
 
         edges = list(road.edges())
@@ -49,7 +49,7 @@ class TestPivotLowerBound:
         a = NetworkPosition(u1, v1, float(rng.random() * l1))
         b = NetworkPosition(u2, v2, float(rng.random() * l2))
         lb = pivot_lower_bound(index.distances(a), index.distances(b))
-        true = DistanceOracle(road).distance("a", a, b)
+        true = reference_point_to_point(road, a, b)
         assert lb <= true + 1e-9
 
 
