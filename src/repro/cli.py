@@ -573,7 +573,9 @@ def _emit_recorder_outputs(
         print(f"wrote {count} spans to {args.trace}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            fp.write(prometheus_text(recorder.metrics, recorder.explain))
+            fp.write(prometheus_text(
+                recorder.metrics.snapshot(), recorder.explain
+            ))
         print(f"wrote metrics to {args.metrics_out}")
 
 

@@ -8,8 +8,9 @@ place they flow through:
   context-manager API (:class:`Tracer`) and a zero-overhead
   :class:`NullTracer` default, so the hot path pays nothing unless a
   caller opts in;
-* :mod:`repro.obs.registry` — named counters, gauges, and timing
-  histograms (:class:`MetricsRegistry`), bundled with a tracer behind
+* :mod:`repro.obs.registry` — named counters, gauges, timing
+  histograms and rolling windows (:class:`MetricsRegistry`), all on one
+  mergeable log-bucket :class:`Histogram`, bundled with a tracer behind
   one :class:`Recorder` object that the query processor threads through
   its phases;
 * :mod:`repro.obs.exporters` — JSON-lines trace dumps, Prometheus-style
@@ -21,8 +22,8 @@ place they flow through:
   report renderer;
 * :mod:`repro.obs.delta` / :mod:`repro.obs.context` — the cross-process
   telemetry plane: capture-and-reset :class:`MetricsDelta` envelopes
-  workers ship back with their results (counters, gauges, histogram
-  sketches, funnel deltas, sampled span forests) and the picklable
+  workers ship back with their results (counters, gauges, mergeable
+  histograms, funnel deltas, sampled span forests) and the picklable
   :class:`TraceContext` that carries head-sampled trace decisions
   across the pool boundary;
 * :mod:`repro.obs.profiler` — a stdlib-only sampling profiler
@@ -39,7 +40,6 @@ from .registry import (
     Recorder,
     process_rss_bytes,
 )
-from .rolling import RollingHistogram, WindowStats
 from .tracer import NullTracer, Span, Tracer, aggregate_spans
 from .exporters import (
     explain_to_json,
@@ -52,12 +52,11 @@ from .exporters import (
 from .funnel import NULL_EXPLAIN, ExplainRecorder, NullExplain, PhaseFunnel
 from .explain import RULES, explain_report, rule_info
 from .context import TraceContext, head_sample
-from .delta import HistogramSketch, MetricsDelta, split_worker_metric
+from .delta import MetricsDelta, split_worker_metric
 from .profiler import ProfileReport, SamplingProfiler
 
 __all__ = [
     "ExplainRecorder",
-    "HistogramSketch",
     "MetricsDelta",
     "ProfileReport",
     "SamplingProfiler",
@@ -74,9 +73,7 @@ __all__ = [
     "PhaseFunnel",
     "RULES",
     "Recorder",
-    "RollingHistogram",
     "Span",
-    "WindowStats",
     "Tracer",
     "aggregate_spans",
     "explain_report",

@@ -14,23 +14,19 @@ exactly the counts a serial run would have recorded directly.
 
 Shapes:
 
-* :class:`HistogramSketch` — the wire form of a
-  :class:`~repro.obs.registry.Histogram`: exact ``count``/``sum``/
-  ``max`` plus a capped sample list for percentile estimation. Merge
-  keeps the exact fields exact; samples concatenate and are
-  deterministically thinned above the cap (merge is associative in the
-  exact fields always, and in the samples whenever the cap is not hit).
+* ``histograms`` — the worker's :class:`~repro.obs.registry.Histogram`
+  objects themselves. A histogram pickles without its lock and merges
+  by bucket addition, so the parent's quantiles equal a serial run's.
 * ``funnel`` — one dict per explain phase carrying
   ``visited``/``survived`` and per-rule prune tallies with margin
-  sketch fields, absorbable by
+  histograms, absorbable by
   :meth:`~repro.obs.funnel.ExplainRecorder.absorb`.
 * ``trace`` — at most one sampled span forest (JSONL lines, bounded by
   :data:`MAX_TRACE_SPANS`) keyed by the originating request id, for the
   daemon's end-to-end ``/trace/<id>`` merge.
 
-Everything here is plain data (dataclasses of dicts/lists/floats), so a
-delta pickles across the process-pool boundary and could equally ship
-as JSON.
+Everything here is plain data (dataclasses of dicts, lists, floats and
+histograms), so a delta pickles across the process-pool boundary.
 
 Application is two-fold: every counter/gauge/histogram lands once under
 its own name (the aggregate the funnel dashboards and regression gates
@@ -43,24 +39,17 @@ families).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .funnel import ExplainRecorder
 from .registry import Histogram, MetricsRegistry, Recorder
 
 __all__ = [
-    "DEFAULT_SKETCH_SAMPLES",
-    "HistogramSketch",
     "MAX_TRACE_SPANS",
     "MetricsDelta",
     "WORKER_PREFIX",
     "split_worker_metric",
 ]
-
-#: Per-sketch sample cap on the wire. Smaller than the registry's
-#: reservoir (4096): a delta describes one chunk of work, and its
-#: samples only refine percentiles, never the exact count/sum/max.
-DEFAULT_SKETCH_SAMPLES = 256
 
 #: Hard ceiling on span-forest lines one delta may carry. ``spans_to_
 #: jsonl`` emits parents before children, so a prefix is still a valid
@@ -85,71 +74,6 @@ def split_worker_metric(name: str) -> Optional[tuple]:
     return metric, label
 
 
-def _thin(samples: List[float], cap: int) -> List[float]:
-    """Deterministic even-stride downsample to at most ``cap`` values."""
-    n = len(samples)
-    if n <= cap:
-        return list(samples)
-    if cap == 1:
-        return [samples[0]]
-    step = (n - 1) / (cap - 1)
-    return [samples[round(i * step)] for i in range(cap)]
-
-
-@dataclass
-class HistogramSketch:
-    """The wire form of one histogram: exact moments + capped samples."""
-
-    count: int = 0
-    sum: float = 0.0
-    max: float = 0.0
-    samples: List[float] = field(default_factory=list)
-
-    @classmethod
-    def from_histogram(
-        cls, hist: Histogram, cap: int = DEFAULT_SKETCH_SAMPLES
-    ) -> "HistogramSketch":
-        return cls(
-            count=hist.count,
-            sum=hist.sum,
-            max=hist.max,
-            samples=_thin(hist.values, cap),
-        )
-
-    def merge(self, other: "HistogramSketch") -> "HistogramSketch":
-        """A new sketch describing the union of both observation sets."""
-        if not other.count:
-            return HistogramSketch(
-                self.count, self.sum, self.max, list(self.samples)
-            )
-        if not self.count:
-            return HistogramSketch(
-                other.count, other.sum, other.max, list(other.samples)
-            )
-        return HistogramSketch(
-            count=self.count + other.count,
-            sum=self.sum + other.sum,
-            max=max(self.max, other.max),
-            samples=_thin(
-                self.samples + other.samples, DEFAULT_SKETCH_SAMPLES
-            ),
-        )
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the retained samples."""
-        import math
-
-        ordered = sorted(self.samples)
-        if not ordered:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-
 def _funnel_doc(explain) -> Dict[str, dict]:
     """Plain-data image of an explain recorder's phase funnels."""
     doc: Dict[str, dict] = {}
@@ -157,14 +81,8 @@ def _funnel_doc(explain) -> Dict[str, dict]:
         rules: Dict[str, dict] = {}
         for rule, stats in funnel.rules.items():
             entry: Dict[str, object] = {"pruned": stats.pruned}
-            margins = stats.margins
-            if margins.count:
-                entry["margin_count"] = margins.count
-                entry["margin_sum"] = margins.sum
-                entry["margin_max"] = margins.max
-                entry["margins"] = _thin(
-                    margins.values, DEFAULT_SKETCH_SAMPLES
-                )
+            if stats.margins.count:
+                entry["margins"] = stats.margins
             rules[rule] = entry
         doc[funnel.name] = {
             "visited": funnel.visited,
@@ -181,8 +99,8 @@ class MetricsDelta:
     worker: Optional[str] = None
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, HistogramSketch] = field(default_factory=dict)
-    #: phase -> {visited, survived, rules: {rule: {pruned, margin_*}}}
+    histograms: Dict[str, Histogram] = field(default_factory=dict)
+    #: phase -> {visited, survived, rules: {rule: {pruned, margins}}}
     funnel: Dict[str, dict] = field(default_factory=dict)
     #: At most one sampled trace: {"request_id", "spans", "funnel",
     #: "rule_counts", "shard_sec"} (see executor._run_traced_items).
@@ -212,10 +130,7 @@ class MetricsDelta:
             worker=worker,
             counters=counters,
             gauges=gauges,
-            histograms={
-                name: HistogramSketch.from_histogram(hist)
-                for name, hist in histograms.items()
-            },
+            histograms=histograms,
             funnel=funnel,
             trace=trace,
         )
@@ -231,20 +146,20 @@ class MetricsDelta:
         """A new delta equal to both inputs' work combined.
 
         Counter merge is addition, gauge merge is last-writer-wins
-        (``other``), histogram merge is :meth:`HistogramSketch.merge`,
-        funnel merge sums tallies; at most one trace survives (the
-        first — traces are head-sampled, not aggregated). Associative
-        except for gauge ordering and sample thinning past the cap.
+        (``other``), histogram merge adds buckets, funnel merge sums
+        tallies; at most one trace survives (the first — traces are
+        head-sampled, not aggregated). Associative except for gauge
+        ordering. Neither input is modified.
         """
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0.0) + value
         gauges = dict(self.gauges)
         gauges.update(other.gauges)
-        histograms = dict(self.histograms)
-        for name, sketch in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = sketch if mine is None else mine.merge(sketch)
+        histograms: Dict[str, Histogram] = {}
+        for source in (self.histograms, other.histograms):
+            for name, hist in source.items():
+                histograms.setdefault(name, Histogram()).merge(hist)
         funnel = _merge_funnels(self.funnel, other.funnel)
         return MetricsDelta(
             worker=self.worker if self.worker == other.worker else None,
@@ -279,11 +194,11 @@ class MetricsDelta:
             registry.set_gauge(name, value)
             if label is not None:
                 registry.set_gauge(f"{WORKER_PREFIX}{label}.{name}", value)
-        for name, sketch in self.histograms.items():
-            registry.absorb_histogram(name, sketch)
+        for name, hist in self.histograms.items():
+            registry.absorb_histogram(name, hist)
             if label is not None:
                 registry.absorb_histogram(
-                    f"{WORKER_PREFIX}{label}.{name}", sketch
+                    f"{WORKER_PREFIX}{label}.{name}", hist
                 )
         if explain is not None and self.funnel:
             explain.absorb(self.funnel)
@@ -319,19 +234,11 @@ def _merge_funnels(
             entry: Dict[str, object] = {
                 "pruned": ra["pruned"] + rb["pruned"]
             }
-            count = ra.get("margin_count", 0) + rb.get("margin_count", 0)
-            if count:
-                entry["margin_count"] = count
-                entry["margin_sum"] = (
-                    ra.get("margin_sum", 0.0) + rb.get("margin_sum", 0.0)
-                )
-                entry["margin_max"] = max(
-                    ra.get("margin_max", 0.0), rb.get("margin_max", 0.0)
-                )
-                entry["margins"] = _thin(
-                    list(ra.get("margins", ())) + list(rb.get("margins", ())),
-                    DEFAULT_SKETCH_SAMPLES,
-                )
+            if "margins" in ra or "margins" in rb:
+                margins = entry["margins"] = Histogram()
+                for side in (ra, rb):
+                    if "margins" in side:
+                        margins.merge(side["margins"])
             rules[rule] = entry
         merged[phase] = {
             "visited": pa["visited"] + pb["visited"],

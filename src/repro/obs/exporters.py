@@ -6,7 +6,8 @@ Three output shapes cover the consumers we have:
   per span (id/parent links encode the tree), for offline analysis and
   the ``gpssn query --trace`` flag;
 * :func:`prometheus_text` — the Prometheus text exposition format for a
-  :class:`~repro.obs.registry.MetricsRegistry` (``--metrics-out``);
+  :class:`~repro.obs.registry.MetricsSnapshot` (``/metrics`` and
+  ``--metrics-out``);
 * :func:`phase_table` — a human-readable per-phase timing table, shared
   by the CLI and the experiment harness.
 
@@ -22,7 +23,7 @@ import re
 from typing import IO, Dict, List, Optional, Sequence, Union
 
 from .delta import split_worker_metric
-from .registry import MetricsRegistry
+from .registry import MetricsSnapshot
 from .tracer import Span, aggregate_spans
 
 __all__ = [
@@ -147,23 +148,22 @@ def _prom_help(name: str) -> str:
 
 
 def prometheus_text(
-    registry: MetricsRegistry, explain=None, uptime_sec: Optional[float] = None
+    snapshot: MetricsSnapshot, explain=None, uptime_sec: Optional[float] = None
 ) -> str:
-    """Prometheus text exposition of a registry (or registry snapshot).
+    """Prometheus text exposition of a registry snapshot.
 
     Counters and gauges map 1:1; each histogram becomes ``_count`` /
     ``_sum`` plus ``quantile`` gauges for p50/p95/p99 and a ``_max``
-    gauge. Rolling-window histograms export their quantiles over the
-    window while ``_count``/``_sum`` stay lifetime-monotone (the shape a
-    scraper's delta math needs). Every family gets ``# HELP`` and
-    ``# TYPE`` headers. Passing an active
+    gauge. Rolling windows export their quantiles over the window while
+    ``_count``/``_sum`` come from the window's lifetime totals and stay
+    monotone (the shape a scraper's delta math needs). Every family gets
+    ``# HELP`` and ``# TYPE`` headers. Passing an active
     :class:`~repro.obs.funnel.ExplainRecorder` appends the per-rule
     prune counters with ``phase``/``rule`` labels; ``uptime_sec`` adds
     the conventional ``process_uptime_seconds`` gauge.
 
-    ``registry`` may be a live :class:`MetricsRegistry` or the frozen
-    :class:`~repro.obs.registry.MetricsSnapshot` a daemon takes per
-    scrape — long-lived services should pass the snapshot so one
+    ``snapshot`` is the frozen :class:`MetricsSnapshot` taken by
+    :meth:`~repro.obs.registry.MetricsRegistry.snapshot`, so one
     exposition never mixes two moments in time.
     """
     out: List[str] = []
@@ -202,33 +202,33 @@ def prometheus_text(
         )
         out.append("# TYPE process_uptime_seconds gauge")
         out.append(f"process_uptime_seconds {float(uptime_sec):g}")
-    plain_counters, worker_counters = split_labelled(registry.counters)
+    plain_counters, worker_counters = split_labelled(snapshot.counters)
     for name in plain_counters:
         prom = _prom_name(name)
         header(prom, name, "counter")
-        out.append(f"{prom} {registry.counters[name]:g}")
+        out.append(f"{prom} {snapshot.counters[name]:g}")
     for metric in sorted(worker_counters):
         prom = worker_header(metric, "counter")
         for label, name in worker_counters[metric]:
             out.append(
                 f'{prom}{{worker="{_prom_label_value(label)}"}} '
-                f"{registry.counters[name]:g}"
+                f"{snapshot.counters[name]:g}"
             )
-    plain_gauges, worker_gauges = split_labelled(registry.gauges)
+    plain_gauges, worker_gauges = split_labelled(snapshot.gauges)
     for name in plain_gauges:
         prom = _prom_name(name)
         header(prom, name, "gauge")
-        out.append(f"{prom} {registry.gauges[name]:g}")
+        out.append(f"{prom} {snapshot.gauges[name]:g}")
     for metric in sorted(worker_gauges):
         prom = worker_header(metric, "gauge")
         for label, name in worker_gauges[metric]:
             out.append(
                 f'{prom}{{worker="{_prom_label_value(label)}"}} '
-                f"{registry.gauges[name]:g}"
+                f"{snapshot.gauges[name]:g}"
             )
-    plain_hists, worker_hists = split_labelled(registry.histograms)
+    plain_hists, worker_hists = split_labelled(snapshot.histograms)
     for name in plain_hists:
-        hist = registry.histograms[name]
+        hist = snapshot.histograms[name]
         prom = _prom_name(name)
         header(prom, name, "summary")
         out.append(f'{prom}{{quantile="0.5"}} {hist.p50:g}')
@@ -241,25 +241,25 @@ def prometheus_text(
     for metric in sorted(worker_hists):
         prom = worker_header(metric, "summary")
         for label, name in worker_hists[metric]:
-            hist = registry.histograms[name]
+            hist = snapshot.histograms[name]
             worker = f'worker="{_prom_label_value(label)}"'
             out.append(f'{prom}{{{worker},quantile="0.5"}} {hist.p50:g}')
             out.append(f'{prom}{{{worker},quantile="0.95"}} {hist.p95:g}')
             out.append(f'{prom}{{{worker},quantile="0.99"}} {hist.p99:g}')
             out.append(f"{prom}_count{{{worker}}} {hist.count}")
             out.append(f"{prom}_sum{{{worker}}} {hist.sum:g}")
-    for name in sorted(getattr(registry, "windows", {})):
-        window = registry.windows[name]
-        stats = window.snapshot() if hasattr(window, "snapshot") else window
+    for name in sorted(snapshot.windows):
+        window = snapshot.windows[name]
+        total = snapshot.window_totals[name]
         prom = _prom_name(name)
         header(prom, name, "summary")
-        out.append(f'{prom}{{quantile="0.5"}} {stats.p50:g}')
-        out.append(f'{prom}{{quantile="0.95"}} {stats.p95:g}')
-        out.append(f'{prom}{{quantile="0.99"}} {stats.p99:g}')
-        out.append(f"{prom}_count {stats.total_count}")
-        out.append(f"{prom}_sum {stats.total_sum:g}")
+        out.append(f'{prom}{{quantile="0.5"}} {window.p50:g}')
+        out.append(f'{prom}{{quantile="0.95"}} {window.p95:g}')
+        out.append(f'{prom}{{quantile="0.99"}} {window.p99:g}')
+        out.append(f"{prom}_count {total.count}")
+        out.append(f"{prom}_sum {total.sum:g}")
         header(f"{prom}_window_seconds", name, "gauge")
-        out.append(f"{prom}_window_seconds {stats.window_sec:g}")
+        out.append(f"{prom}_window_seconds {snapshot.window_sec:g}")
     if explain is not None and getattr(explain, "active", False):
         prom = "gpssn_explain_pruned_total"
         out.append(f"# HELP {prom} Candidates pruned per explain rule")

@@ -22,9 +22,9 @@ Two recorder implementations share the interface, mirroring
 ``Tracer`` / ``NullTracer``:
 
 * :class:`ExplainRecorder` — accumulates :class:`PhaseFunnel` /
-  :class:`RuleStats` objects (margin samples are reservoir-capped via
+  :class:`RuleStats` objects (margins go into a log-bucket
   :class:`~repro.obs.registry.Histogram`, so a million prune events
-  cost O(cap) memory);
+  cost a few hundred buckets and worker funnels merge exactly);
 * :class:`NullExplain` — the zero-overhead default on every
   :class:`~repro.obs.registry.Recorder`: each hook is a no-op method
   call, nothing is allocated, the hot path stays hot.
@@ -45,20 +45,15 @@ __all__ = [
     "RuleStats",
 ]
 
-#: Default reservoir cap for per-rule margin samples. Small: margins
-#: feed percentile summaries, not exact distributions.
-DEFAULT_MARGIN_SAMPLES = 256
-
-
 class RuleStats:
-    """Prune tally + bound-tightness samples for one rule in one phase."""
+    """Prune tally + bound-tightness histogram for one rule in one phase."""
 
     __slots__ = ("rule", "pruned", "margins")
 
-    def __init__(self, rule: str, max_margin_samples: int) -> None:
+    def __init__(self, rule: str) -> None:
         self.rule = rule
         self.pruned = 0
-        self.margins = Histogram(max_samples=max_margin_samples)
+        self.margins = Histogram()
 
     def as_dict(self) -> Dict[str, object]:
         entry: Dict[str, object] = {"pruned": self.pruned}
@@ -128,15 +123,8 @@ class ExplainRecorder:
 
     active = True
 
-    def __init__(
-        self, max_margin_samples: int = DEFAULT_MARGIN_SAMPLES
-    ) -> None:
-        if max_margin_samples < 1:
-            raise ValueError(
-                f"max_margin_samples must be >= 1, got {max_margin_samples}"
-            )
+    def __init__(self) -> None:
         self.phases: Dict[str, PhaseFunnel] = {}
-        self._max_margin_samples = max_margin_samples
 
     def phase(self, name: str) -> PhaseFunnel:
         """The funnel for ``name``, created on first use (insertion order
@@ -145,6 +133,13 @@ class ExplainRecorder:
         if funnel is None:
             funnel = self.phases[name] = PhaseFunnel(name)
         return funnel
+
+    @staticmethod
+    def _rule(funnel: PhaseFunnel, rule: str) -> RuleStats:
+        stats = funnel.rules.get(rule)
+        if stats is None:
+            stats = funnel.rules[rule] = RuleStats(rule)
+        return stats
 
     def visit(self, phase: str, count: int = 1) -> None:
         self.phase(phase).visited += count
@@ -167,12 +162,7 @@ class ExplainRecorder:
         :mod:`repro.core.pruning`). Non-finite margins (infinite hop
         bounds) are counted but not sampled.
         """
-        funnel = self.phase(phase)
-        stats = funnel.rules.get(rule)
-        if stats is None:
-            stats = funnel.rules[rule] = RuleStats(
-                rule, self._max_margin_samples
-            )
+        stats = self._rule(self.phase(phase), rule)
         stats.pruned += count
         if margin is not None and math.isfinite(margin):
             stats.margins.observe(margin)
@@ -183,18 +173,13 @@ class ExplainRecorder:
         The vectorized pruning kernels decide a whole batch at once;
         this folds the batch into the same state N individual
         :meth:`prune` calls would produce — the count grows by
-        ``len(margins)`` and each finite margin is observed in order, so
-        the reservoir ends up identical to the scalar event stream.
+        ``len(margins)`` and each finite margin is observed, so the
+        margin histogram ends up identical to the scalar event stream.
         """
         n = len(margins)
         if not n:
             return
-        funnel = self.phase(phase)
-        stats = funnel.rules.get(rule)
-        if stats is None:
-            stats = funnel.rules[rule] = RuleStats(
-                rule, self._max_margin_samples
-            )
+        stats = self._rule(self.phase(phase), rule)
         stats.pruned += n
         observe = stats.margins.observe
         for margin in margins:
@@ -215,31 +200,20 @@ class ExplainRecorder:
 
         ``phases_doc`` is the shape :func:`repro.obs.delta._funnel_doc`
         captures: per phase ``visited``/``survived`` and per rule the
-        exact ``pruned``/``margin_count``/``margin_sum``/``margin_max``
-        tallies plus capped margin samples. Tallies add exactly — the
+        ``pruned`` tally plus, when margins were sampled, their
+        :class:`~repro.obs.registry.Histogram`. Tallies add exactly — the
         funnel invariant (visited == survived + pruned) is preserved by
-        construction — and margin samples refresh the reservoir via
-        :meth:`~repro.obs.registry.Histogram.absorb`.
+        construction — and margin histograms merge by bucket addition.
         """
         for phase, doc in phases_doc.items():
             funnel = self.phase(phase)
             funnel.visited += int(doc.get("visited", 0))
             funnel.survived += int(doc.get("survived", 0))
             for rule, entry in (doc.get("rules") or {}).items():
-                stats = funnel.rules.get(rule)
-                if stats is None:
-                    stats = funnel.rules[rule] = RuleStats(
-                        rule, self._max_margin_samples
-                    )
+                stats = self._rule(funnel, rule)
                 stats.pruned += int(entry.get("pruned", 0))
-                count = int(entry.get("margin_count", 0))
-                if count:
-                    stats.margins.absorb(
-                        count,
-                        float(entry.get("margin_sum", 0.0)),
-                        float(entry.get("margin_max", 0.0)),
-                        entry.get("margins", ()),
-                    )
+                if "margins" in entry:
+                    stats.margins.merge(entry["margins"])
 
     def iter_phases(self) -> Iterator[PhaseFunnel]:
         return iter(self.phases.values())

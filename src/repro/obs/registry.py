@@ -1,7 +1,7 @@
 """Named counters, gauges, and timing histograms behind one registry.
 
 The :class:`MetricsRegistry` is deliberately minimal — dictionaries of
-floats plus value-list histograms — because every number the paper
+floats plus mergeable log-bucket histograms — because every number the paper
 reports is either a monotone tally (pruned objects, page accesses) or a
 per-query distribution (CPU time). The :class:`Recorder` bundles a
 registry with a tracer and is the single object the query processor
@@ -15,22 +15,25 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
-from .rolling import RollingHistogram, WindowStats
 from .tracer import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.query import QueryStatistics
 
 __all__ = [
+    "ALPHA",
     "Histogram",
     "HistogramStats",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Recorder",
+    "WINDOW_SLOTS",
     "process_rss_bytes",
 ]
 
@@ -61,6 +64,19 @@ def process_rss_bytes() -> float:
         return 0.0
 
 
+#: Relative accuracy of every reported quantile (DDSketch's alpha;
+#: Masson et al., VLDB 2019): the nearest-rank quantile ``x`` of the
+#: observed values is reported as some ``x'`` with ``|x' - x| <= ALPHA * x``.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+
+#: Slots in a rolling window's ring. A window turns over one slot
+#: (``window_sec / WINDOW_SLOTS`` seconds) at a time, so a scrape sees
+#: between 90% and 100% of the last ``window_sec`` seconds.
+WINDOW_SLOTS = 10
+
+
 @dataclasses.dataclass(frozen=True)
 class HistogramStats:
     """A consistent point-in-time summary of one :class:`Histogram`."""
@@ -77,55 +93,115 @@ class HistogramStats:
         return self.sum / self.count if self.count else 0.0
 
 
+def _nearest_rank(
+    items: List[Tuple[int, int]],
+    zeros: int,
+    count: int,
+    low: float,
+    high: float,
+    percentiles: Sequence[float],
+) -> List[float]:
+    """Nearest-rank quantiles (``percentiles`` ascending) in one walk
+    over the sorted ``(key, count)`` buckets, clamped to ``[low, high]``."""
+    if not count:
+        return [0.0] * len(percentiles)
+    out: List[float] = []
+    buckets = iter(items)
+    seen, value = zeros, 0.0
+    for p in percentiles:
+        rank = max(1, math.ceil(p / 100.0 * count))
+        while seen < rank:
+            key, n = next(buckets)
+            seen += n
+            value = 2.0 * _GAMMA ** key / (_GAMMA + 1.0)
+        out.append(min(max(value, low), high))
+    return out
+
+
 class Histogram:
-    """A value histogram reporting count/sum/mean and p50/p95/p99/max.
+    """A mergeable value histogram: exact count/sum/min/max plus
+    log-bucket quantiles at relative accuracy :data:`ALPHA`.
 
-    ``count``, ``sum`` (hence ``mean``), and ``max`` are exact over every
-    observation. The raw observations themselves are bounded: at most
-    ``max_samples`` of them are retained via Algorithm-R reservoir
-    sampling (seeded, so runs are reproducible), and percentiles use the
-    nearest-rank rule on a sorted copy of the reservoir. Below the cap
-    the reservoir holds every value and percentiles are exact — the
-    common case for per-query workloads; above it memory stays O(cap)
-    no matter how many values stream in.
+    A positive value ``v`` lands in bucket ``ceil(log_gamma v)`` with
+    ``gamma = (1 + ALPHA) / (1 - ALPHA)``; values <= 0 share one zero
+    bucket. A quantile is ``2 gamma^k / (gamma + 1)`` for the bucket
+    ``(gamma^(k-1), gamma^k]`` holding the nearest-rank observation — no
+    point of that bucket is more than ``ALPHA`` away relatively — clamped
+    to ``[min, max]``: within ``ALPHA`` of the exact value for any normal
+    float, and exact when every observation is equal. Buckets are
+    sparse, so memory grows with
+    the logarithm of the value range (about 700 buckets per six
+    decades), never with the observation count.
 
-    Thread-safe: concurrent :meth:`observe` calls from service worker
-    threads serialize on a per-histogram lock, and :meth:`stats` takes a
-    consistent snapshot under the same lock.
+    Merging adds bucket counts, so a histogram merged from disjoint
+    parts, in any order, reports the same quantiles as one fed every
+    value directly: worker deltas, window slots and scrapes combine
+    exactly.
+
+    Thread-safe: observe, merge and reads serialize on a per-histogram
+    lock, which pickling drops (a metrics delta ships histograms as is).
     """
 
-    __slots__ = (
-        "values", "max_samples", "_count", "_sum", "_max", "_rng", "_lock",
-    )
+    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max", "_lock")
 
-    DEFAULT_MAX_SAMPLES = 4096
-
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.values: List[float] = []
-        self.max_samples = max_samples
+    def __init__(self) -> None:
+        self._buckets: Dict[int, int] = {}
+        self._zeros = 0
         self._count = 0
         self._sum = 0.0
+        self._min = 0.0
         self._max = 0.0
-        self._rng = random.Random(0x6A55)
+        self._lock = threading.Lock()
+
+    def _state(self) -> tuple:
+        """A consistent copy of everything but the lock."""
+        with self._lock:
+            return (
+                dict(self._buckets), self._zeros, self._count, self._sum,
+                self._min, self._max,
+            )
+
+    __getstate__ = _state
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self._buckets, self._zeros, self._count, self._sum,
+            self._min, self._max,
+        ) = state
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"histogram values must be finite, got {value}")
+        key = math.ceil(math.log(value) / _LOG_GAMMA) if value > 0.0 else None
         with self._lock:
+            if not self._count or value < self._min:
+                self._min = value
+            if not self._count or value > self._max:
+                self._max = value
             self._count += 1
             self._sum += value
-            if self._count == 1 or value > self._max:
-                self._max = value
-            if len(self.values) < self.max_samples:
-                self.values.append(value)
+            if key is None:
+                self._zeros += 1
             else:
-                # Algorithm R: replace a random reservoir slot with
-                # probability max_samples / count.
-                slot = self._rng.randrange(self._count)
-                if slot < self.max_samples:
-                    self.values[slot] = value
+                self._buckets[key] = self._buckets.get(key, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations to this histogram (exactly)."""
+        buckets, zeros, count, total, low, high = other._state()
+        if not count:
+            return
+        with self._lock:
+            if not self._count or low < self._min:
+                self._min = low
+            if not self._count or high > self._max:
+                self._max = high
+            self._count += count
+            self._sum += total
+            self._zeros += zeros
+            for key, n in buckets.items():
+                self._buckets[key] = self._buckets.get(key, 0) + n
 
     @property
     def count(self) -> int:
@@ -140,23 +216,31 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
     @property
+    def min(self) -> float:
+        return self._min if self._count else 0.0
+
+    @property
     def max(self) -> float:
         return self._max if self._count else 0.0
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100].
+    @property
+    def num_buckets(self) -> int:
+        """Occupied buckets (the zero bucket included): the memory bound."""
+        with self._lock:
+            return len(self._buckets) + (1 if self._zeros else 0)
 
-        Exact while the observation count is within ``max_samples``;
-        estimated from the uniform reservoir sample beyond it.
-        """
+    def _quantiles(self, percentiles: Sequence[float]) -> tuple:
+        buckets, zeros, count, total, low, high = self._state()
+        values = _nearest_rank(
+            sorted(buckets.items()), zeros, count, low, high, percentiles
+        )
+        return count, total, high, values
+
+    def percentile(self, p: float) -> float:
+        """Nearest-rank percentile, ``p`` in [0, 100], within ``ALPHA``."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            ordered = sorted(self.values)
-        if not ordered:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+        return self._quantiles((p,))[3][0]
 
     @property
     def p50(self) -> float:
@@ -170,54 +254,14 @@ class Histogram:
     def p99(self) -> float:
         return self.percentile(99.0)
 
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float,
-        samples: Sequence[float] = (),
-    ) -> None:
-        """Fold another histogram's observations in (delta merge).
-
-        ``count``/``sum``/``max`` stay exact — they are summed/maxed
-        directly, never re-derived from samples. The samples refresh
-        the reservoir: below the cap they are kept verbatim, above it
-        each takes a slot with probability ``cap / merged_count``,
-        mirroring what Algorithm R would have converged to had the
-        observations streamed in individually.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            had = self._count
-            self._count += count
-            self._sum += float(total)
-            if not had or maximum > self._max:
-                self._max = float(maximum)
-            for value in samples:
-                value = float(value)
-                if len(self.values) < self.max_samples:
-                    self.values.append(value)
-                else:
-                    slot = self._rng.randrange(self._count)
-                    if slot < self.max_samples:
-                        self.values[slot] = value
-
     def stats(self) -> HistogramStats:
         """One consistent summary (count/sum/quantiles read atomically)."""
-        with self._lock:
-            count, total, maximum = self._count, self._sum, self._max
-            ordered = sorted(self.values)
-
-        def rank(p: float) -> float:
-            if not ordered:
-                return 0.0
-            position = max(1, math.ceil(p / 100.0 * len(ordered)))
-            return ordered[min(position, len(ordered)) - 1]
-
+        count, total, high, (p50, p95, p99) = self._quantiles(
+            (50.0, 95.0, 99.0)
+        )
         return HistogramStats(
-            count=count, sum=total, p50=rank(50.0), p95=rank(95.0),
-            p99=rank(99.0), max=maximum if count else 0.0,
+            count=count, sum=total, p50=p50, p95=p95, p99=p99,
+            max=high if count else 0.0,
         )
 
     def __repr__(self) -> str:
@@ -232,35 +276,43 @@ class MetricsSnapshot:
     counters stay monotone (no mid-flight :meth:`MetricsRegistry.reset`
     zeroing a scraper's deltas), and all values were read under the
     registry lock, so one exposition never mixes two moments in time.
-    Shares the attribute shape :func:`~repro.obs.exporters.prometheus_text`
-    reads (``counters`` / ``gauges`` / ``histograms`` / ``windows``).
+    Each rolling window appears twice: ``windows`` summarizes its last
+    ``window_sec`` seconds, ``window_totals`` its whole lifetime (the
+    monotone ``_count``/``_sum``).
     """
 
     counters: Dict[str, float]
     gauges: Dict[str, float]
     histograms: Dict[str, HistogramStats]
-    windows: Dict[str, WindowStats]
+    windows: Dict[str, HistogramStats]
+    window_totals: Dict[str, HistogramStats]
+    window_sec: float
 
 
 class MetricsRegistry:
     """Named counters (monotone), gauges (last value), and histograms.
 
-    Two histogram families coexist: :meth:`observe` feeds lifetime
-    :class:`Histogram` reservoirs (the benchmark/CLI shape), while
-    :meth:`observe_window` feeds :class:`RollingHistogram` windows whose
-    percentiles describe only recent traffic (the daemon's latency
-    p50/p95/p99). All mutation paths are thread-safe; a scraping thread
-    should read through :meth:`snapshot` rather than the live dicts.
+    :meth:`observe` feeds lifetime :class:`Histogram`\\ s (the
+    benchmark/CLI shape). :meth:`observe_window` feeds a rolling window,
+    whose percentiles describe only recent traffic (the daemon's latency
+    p50/p95/p99): ``windows[name]`` is a ring of :data:`WINDOW_SLOTS`
+    ``(slot, Histogram)`` entries that a scrape merges, and
+    ``window_totals[name]`` a lifetime :class:`Histogram` for the
+    monotone ``_count``/``_sum``. A value observed at time ``t`` lands
+    in slot ``floor(t / slot_sec)``; ``clock`` (``time.monotonic``) is a
+    plain attribute a test may replace. All mutation paths are
+    thread-safe; a scraping thread should read through :meth:`snapshot`
+    rather than the live dicts.
     """
 
-    def __init__(
-        self, window_sec: float = RollingHistogram.DEFAULT_WINDOW_SEC
-    ) -> None:
+    def __init__(self, window_sec: float = 300.0) -> None:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.windows: Dict[str, RollingHistogram] = {}
+        self.windows: Dict[str, List[Optional[Tuple[int, Histogram]]]] = {}
+        self.window_totals: Dict[str, Histogram] = {}
         self.window_sec = window_sec
+        self.clock: Callable[[], float] = time.monotonic
         self._lock = threading.RLock()
 
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -271,36 +323,42 @@ class MetricsRegistry:
         with self._lock:
             self.gauges[name] = float(value)
 
-    def observe(self, name: str, value: float) -> None:
+    def _histogram(self, name: str) -> Histogram:
         with self._lock:
             hist = self.histograms.get(name)
             if hist is None:
                 hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+        return hist
+
+    def observe(self, name: str, value: float) -> None:
+        self._histogram(name).observe(value)
+
+    def absorb_histogram(self, name: str, hist: Histogram) -> None:
+        """Merge ``hist`` into the named histogram — the parent-side arm
+        of worker delta shipping."""
+        self._histogram(name).merge(hist)
+
+    def _slot(self) -> int:
+        return math.floor(self.clock() * WINDOW_SLOTS / self.window_sec)
 
     def observe_window(self, name: str, value: float) -> None:
-        """Record into the named rolling-window histogram."""
+        """Record into the named rolling window (see the class doc)."""
+        slot = self._slot()
         with self._lock:
-            window = self.windows.get(name)
-            if window is None:
-                window = self.windows[name] = RollingHistogram(
-                    window_sec=self.window_sec
-                )
-        window.observe(value)
+            ring = self.windows.get(name)
+            if ring is None:
+                ring = self.windows[name] = [None] * WINDOW_SLOTS
+                self.window_totals[name] = Histogram()
+            entry = ring[slot % WINDOW_SLOTS]
+            if entry is None or entry[0] != slot:
+                entry = ring[slot % WINDOW_SLOTS] = (slot, Histogram())
+            total = self.window_totals[name]
+        entry[1].observe(value)
+        total.observe(value)
 
     def counter(self, name: str) -> float:
         with self._lock:
             return self.counters.get(name, 0.0)
-
-    def absorb_histogram(self, name: str, sketch) -> None:
-        """Fold a :class:`~repro.obs.delta.HistogramSketch`-shaped
-        object (``count``/``sum``/``max``/``samples``) into the named
-        histogram — the parent-side arm of worker delta shipping."""
-        with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-        hist.absorb(sketch.count, sketch.sum, sketch.max, sketch.samples)
 
     def drain(
         self,
@@ -335,19 +393,33 @@ class MetricsRegistry:
             self.gauges.clear()
             self.histograms.clear()
             self.windows.clear()
+            self.window_totals.clear()
 
     def snapshot(self) -> MetricsSnapshot:
         """A frozen scrape-consistent copy (see :class:`MetricsSnapshot`)."""
+        oldest = self._slot() - WINDOW_SLOTS
         with self._lock:
             counters = dict(self.counters)
             gauges = dict(self.gauges)
             histograms = list(self.histograms.items())
-            windows = list(self.windows.items())
+            rings = [
+                (name, [e[1] for e in ring if e is not None and e[0] > oldest])
+                for name, ring in self.windows.items()
+            ]
+            totals = list(self.window_totals.items())
+        windows: Dict[str, HistogramStats] = {}
+        for name, live in rings:
+            merged = Histogram()
+            for hist in live:
+                merged.merge(hist)
+            windows[name] = merged.stats()
         return MetricsSnapshot(
             counters=counters,
             gauges=gauges,
             histograms={name: h.stats() for name, h in histograms},
-            windows={name: w.snapshot() for name, w in windows},
+            windows=windows,
+            window_totals={name: h.stats() for name, h in totals},
+            window_sec=self.window_sec,
         )
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
@@ -371,15 +443,15 @@ class MetricsRegistry:
         if snap.windows:
             doc["windows"] = {
                 name: {
-                    "window_sec": w.window_sec,
+                    "window_sec": snap.window_sec,
                     "count": w.count,
                     "sum": w.sum,
                     "p50": w.p50,
                     "p95": w.p95,
                     "p99": w.p99,
                     "max": w.max,
-                    "total_count": w.total_count,
-                    "total_sum": w.total_sum,
+                    "total_count": snap.window_totals[name].count,
+                    "total_sum": snap.window_totals[name].sum,
                 }
                 for name, w in snap.windows.items()
             }

@@ -108,14 +108,16 @@ def _phase_rows(histograms: Dict[str, object]) -> List[List[str]]:
     return rows
 
 
-def _window_rows(windows: Dict[str, object]) -> List[List[str]]:
+def _window_rows(view: Dict[str, object]) -> List[List[str]]:
+    windows: Dict[str, object] = view["windows"]  # type: ignore
+    totals: Dict[str, object] = view["window_totals"]  # type: ignore
     rows: List[List[str]] = []
     for name in sorted(windows):
         w = windows[name]
         rows.append([
-            name, f"{int(w.window_sec)}s", str(w.count),
+            name, f"{int(view['window_sec'])}s", str(w.count),
             _fmt_ms(w.p50), _fmt_ms(w.p95), _fmt_ms(w.p99), _fmt_ms(w.max),
-            str(int(w.total_count)),
+            str(totals[name].count),
         ])
     return rows
 
@@ -229,7 +231,7 @@ def render_status_text(view: Dict[str, object]) -> str:
     lines += ["", "Request latency (rolling windows)", "-" * 33]
     lines += _text_table(
         ["window", "width", "n", "p50", "p95", "p99", "max", "lifetime n"],
-        _window_rows(view["windows"]),
+        _window_rows(view),
     )
 
     lines += ["", "Per-phase latency (lifetime)", "-" * 28]
@@ -328,7 +330,7 @@ def render_status_html(view: Dict[str, object]) -> str:
         _html_table(
             ["window", "width", "n", "p50", "p95", "p99", "max",
              "lifetime n"],
-            _window_rows(view["windows"]),
+            _window_rows(view),
         ),
         "<h2>Per-phase latency (lifetime)</h2>",
         _html_table(

@@ -69,6 +69,7 @@ from ..exceptions import InvalidParameterError
 from ..network import SpatialSocialNetwork
 from ..obs import (
     ExplainRecorder,
+    MetricsRegistry,
     ProfileReport,
     Recorder,
     SamplingProfiler,
@@ -157,6 +158,10 @@ class ServerConfig:
         if self.max_queue < 0:
             raise InvalidParameterError(
                 f"max_queue must be >= 0, got {self.max_queue}"
+            )
+        if not self.window_sec > 0:
+            raise InvalidParameterError(
+                f"window_sec must be > 0, got {self.window_sec}"
             )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise InvalidParameterError(
@@ -275,9 +280,10 @@ class GPSSNService:
         self.limits = ExecutionLimits(
             timeout_sec=cfg.timeout_sec, retries=cfg.retries
         )
-        self.recorder = Recorder()
+        self.recorder = Recorder(
+            metrics=MetricsRegistry(window_sec=cfg.window_sec)
+        )
         self.registry = self.recorder.metrics
-        self.registry.window_sec = cfg.window_sec
         self.started_monotonic = time.monotonic()
         self.started_wall = time.time()
         self._explain = _LockedExplain() if cfg.explain else None
@@ -819,6 +825,8 @@ class GPSSNService:
             "gauges": snapshot.gauges,
             "histograms": snapshot.histograms,
             "windows": snapshot.windows,
+            "window_totals": snapshot.window_totals,
+            "window_sec": snapshot.window_sec,
             "slow_queries": list(self.slow),
             "recent_requests": list(self.recent),
             "traces": [

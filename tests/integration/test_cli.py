@@ -152,6 +152,15 @@ class TestExitCodes:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_serve_rejects_non_positive_window(self, bundle, window, capsys):
+        code = main([
+            "serve", "--input", str(bundle), "--port", "0",
+            "--window", window,
+        ])
+        assert code == 2
+        assert "window_sec must be > 0" in capsys.readouterr().err
+
 
 class TestBatch:
     @pytest.fixture(scope="class")

@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.experiments.harness import ExperimentScale, build_dataset
 from repro.service import (
     BatchQueryExecutor,
@@ -75,6 +76,13 @@ def _post(base_url, path, body, headers=None):
     )
     with urllib.request.urlopen(request) as response:
         return response.status, dict(response.headers), response.read()
+
+
+class TestServerConfig:
+    @pytest.mark.parametrize("window_sec", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_window(self, window_sec):
+        with pytest.raises(InvalidParameterError, match="window_sec"):
+            ServerConfig(window_sec=window_sec)
 
 
 class TestHealthAndReadiness:

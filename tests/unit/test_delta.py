@@ -1,18 +1,19 @@
 """Unit tests for the cross-process telemetry plane's data layer.
 
 Covers :mod:`repro.obs.delta` (capture/merge/apply of worker metric
-deltas, histogram sketches, funnel absorption) and
+deltas, exact histogram merging, funnel absorption) and
 :mod:`repro.obs.context` (deterministic head sampling and the picklable
 trace context).
 """
 
 import pickle
+import random
 
 import pytest
 
 from repro.obs import (
     ExplainRecorder,
-    HistogramSketch,
+    Histogram,
     MetricsDelta,
     MetricsRegistry,
     Recorder,
@@ -20,7 +21,7 @@ from repro.obs import (
     head_sample,
     split_worker_metric,
 )
-from repro.obs.delta import DEFAULT_SKETCH_SAMPLES, WORKER_PREFIX, _thin
+from repro.obs.delta import WORKER_PREFIX
 
 
 def _recorder_with_traffic(seed: int = 0) -> Recorder:
@@ -39,65 +40,101 @@ def _recorder_with_traffic(seed: int = 0) -> Recorder:
     return recorder
 
 
+def _lognormal_recorders(seed: int = 11, workers: int = 3, n: int = 1200):
+    """Worker recorders holding disjoint lognormal observations and
+    margins, plus every value in the order a serial run sees them."""
+    rng = random.Random(seed)
+    recorders, values = [], []
+    for _ in range(workers):
+        recorder = Recorder(explain=ExplainRecorder())
+        for _ in range(n):
+            value = rng.lognormvariate(-4.0, 1.5)
+            values.append(value)
+            recorder.metrics.observe("query.cpu_time_sec", value)
+            recorder.explain.prune("refine.pairs", "pair.distance", margin=value)
+        recorders.append(recorder)
+    return recorders, values
+
+
+def _summary(stats):
+    return stats.count, stats.max, stats.p50, stats.p95, stats.p99
+
+
 class TestSketch:
-    def test_from_histogram_exact_moments(self):
-        m = MetricsRegistry()
+    def test_capture_ships_exact_moments(self):
+        m = Recorder()
         for v in (1.0, 2.0, 3.0, 10.0):
-            m.observe("h", v)
-        sketch = HistogramSketch.from_histogram(m.histograms["h"])
-        assert sketch.count == 4
-        assert sketch.sum == pytest.approx(16.0)
-        assert sketch.max == 10.0
-        assert sorted(sketch.samples) == [1.0, 2.0, 3.0, 10.0]
+            m.metrics.observe("h", v)
+        hist = MetricsDelta.capture(m).histograms["h"]
+        assert hist.count == 4
+        assert hist.sum == pytest.approx(16.0)
+        assert hist.max == 10.0
+        assert hist.min == 1.0
 
     def test_merge_is_exact_in_the_moments(self):
-        a = HistogramSketch(count=3, sum=6.0, max=3.0, samples=[1, 2, 3])
-        b = HistogramSketch(count=2, sum=9.0, max=5.0, samples=[4, 5])
-        merged = a.merge(b)
-        assert merged.count == 5
-        assert merged.sum == pytest.approx(15.0)
-        assert merged.max == 5.0
-        assert merged.mean == pytest.approx(3.0)
-
-    def test_merge_associative_below_the_cap(self):
-        sketches = [
-            HistogramSketch(count=2, sum=float(i), max=float(i),
-                            samples=[float(i), float(i) / 2])
-            for i in range(1, 5)
-        ]
-        left = sketches[0].merge(sketches[1]).merge(sketches[2]) \
-            .merge(sketches[3])
-        right = sketches[0].merge(
-            sketches[1].merge(sketches[2].merge(sketches[3]))
-        )
-        assert left.count == right.count
-        assert left.sum == pytest.approx(right.sum)
-        assert left.max == right.max
-        assert sorted(left.samples) == sorted(right.samples)
+        a, b = Histogram(), Histogram()
+        for v in (1, 2, 3):
+            a.observe(v)
+        for v in (4, 5):
+            b.observe(v)
+        a.merge(b)
+        assert a.count == 5
+        assert a.sum == pytest.approx(15.0)
+        assert a.max == 5.0
+        assert a.mean == pytest.approx(3.0)
 
     def test_merge_with_empty_is_identity(self):
-        a = HistogramSketch(count=3, sum=6.0, max=3.0, samples=[1, 2, 3])
-        for merged in (a.merge(HistogramSketch()), HistogramSketch().merge(a)):
-            assert merged.count == a.count
-            assert merged.samples == a.samples
+        a = Histogram()
+        for v in (1, 2, 3):
+            a.observe(v)
+        before = a.stats()
+        a.merge(Histogram())
+        empty = Histogram()
+        empty.merge(a)
+        assert a.stats() == before == empty.stats()
 
-    def test_thin_is_deterministic_and_bounded(self):
-        values = [float(i) for i in range(1000)]
-        thinned = _thin(values, DEFAULT_SKETCH_SAMPLES)
-        assert len(thinned) == DEFAULT_SKETCH_SAMPLES
-        assert thinned == _thin(values, DEFAULT_SKETCH_SAMPLES)
-        assert thinned[0] == 0.0 and thinned[-1] == 999.0
+    def test_worker_merged_quantiles_equal_serial(self):
+        """Three disjoint worker deltas applied to a parent registry give
+        the same summary a serial registry fed every value reports."""
+        recorders, values = _lognormal_recorders()
+        serial = MetricsRegistry()
+        for value in values:
+            serial.observe("query.cpu_time_sec", value)
+        want = serial.snapshot().histograms["query.cpu_time_sec"]
+        deltas = [
+            MetricsDelta.capture(r, worker=str(i))
+            for i, r in enumerate(recorders)
+        ]
+        for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+            parent = MetricsRegistry()
+            for i in order:
+                deltas[i].apply(parent)
+            got = parent.snapshot().histograms["query.cpu_time_sec"]
+            assert _summary(got) == _summary(want)
+            assert got.sum == pytest.approx(want.sum, rel=1e-12)
+        merged = MetricsRegistry()
+        deltas[2].merge(deltas[0].merge(deltas[1])).apply(merged)
+        got = merged.snapshot().histograms["query.cpu_time_sec"]
+        assert _summary(got) == _summary(want)
 
-    def test_percentile_accuracy_after_thinning(self):
-        values = [float(i) for i in range(10_000)]
-        sketch = HistogramSketch(
-            count=len(values), sum=sum(values), max=values[-1],
-            samples=_thin(values, DEFAULT_SKETCH_SAMPLES),
-        )
-        # Even-stride thinning keeps quantiles of a sorted stream exact
-        # to within one stride (10000/256 ≈ 39 ranks ≈ 0.4%).
-        assert sketch.percentile(50) == pytest.approx(5000, rel=0.02)
-        assert sketch.percentile(95) == pytest.approx(9500, rel=0.02)
+    def test_worker_merged_margins_equal_serial(self):
+        recorders, values = _lognormal_recorders(seed=5)
+        serial = ExplainRecorder()
+        for value in values:
+            serial.prune("refine.pairs", "pair.distance", margin=value)
+        want = serial.phase("refine.pairs").rules["pair.distance"].margins
+        deltas = [MetricsDelta.capture(r) for r in recorders]
+        for order in ((0, 1, 2), (1, 0, 2)):
+            parent = ExplainRecorder()
+            for i in order:
+                deltas[i].apply(MetricsRegistry(), explain=parent)
+            got = parent.phase("refine.pairs").rules["pair.distance"]
+            assert got.pruned == len(values)
+            assert _summary(got.margins.stats()) == _summary(want.stats())
+            assert got.margins.sum == pytest.approx(want.sum, rel=1e-12)
+        via_merge = deltas[0].merge(deltas[1]).merge(deltas[2]).to_explain()
+        got = via_merge.phase("refine.pairs").rules["pair.distance"].margins
+        assert _summary(got.stats()) == _summary(want.stats())
 
 
 class TestCaptureApply:

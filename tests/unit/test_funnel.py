@@ -84,18 +84,16 @@ class TestExplainRecorder:
         assert stats.margins.count == 1
         assert stats.margins.max == pytest.approx(1.5)
 
-    def test_margin_reservoir_is_capped(self):
-        ex = ExplainRecorder(max_margin_samples=8)
-        for i in range(1000):
-            ex.prune("p", "r", margin=float(i))
+    def test_margin_buckets_are_bounded(self):
+        ex = ExplainRecorder()
+        for _ in range(10):
+            for i in range(1000):
+                ex.prune("p", "r", margin=float(i))
         stats = ex.phase("p").rules["r"]
-        assert stats.pruned == 1000
-        assert stats.margins.count == 1000
-        assert len(stats.margins.values) == 8
-
-    def test_invalid_sample_cap_rejected(self):
-        with pytest.raises(ValueError):
-            ExplainRecorder(max_margin_samples=0)
+        assert stats.pruned == 10_000
+        assert stats.margins.count == 10_000
+        # Ten passes over one value range fill no new buckets.
+        assert stats.margins.num_buckets < 400
 
     def test_clear(self):
         ex = ExplainRecorder()
@@ -264,6 +262,6 @@ class TestExplainToJson:
 
 class TestRuleStats:
     def test_margin_summary_absent_without_samples(self):
-        stats = RuleStats("r", max_margin_samples=4)
+        stats = RuleStats("r")
         stats.pruned = 3
         assert stats.as_dict() == {"pruned": 3}

@@ -4,10 +4,14 @@ import dataclasses
 import inspect
 import io
 import json
+import math
+import pickle
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import PruningCounters, QueryStatistics
 from repro.obs import (
@@ -23,6 +27,7 @@ from repro.obs import (
     spans_to_jsonl,
     write_trace_jsonl,
 )
+from repro.obs.registry import ALPHA
 
 
 class TestTracer:
@@ -172,15 +177,29 @@ class TestTracer:
         assert stats["work"]["total_sec"] <= stats["query"]["total_sec"]
 
 
+def _nearest_rank(values, p):
+    """The exact nearest-rank percentile the histogram approximates."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def _within_alpha(estimate, exact):
+    # 1e-9 absorbs float rounding at a bucket boundary, where the
+    # error is exactly ALPHA.
+    return abs(estimate - exact) <= ALPHA * exact * (1 + 1e-9)
+
+
 class TestHistogram:
     def test_percentiles_on_known_values(self):
         hist = Histogram()
         for v in range(1, 101):  # 1..100
             hist.observe(v)
         assert hist.count == 100
-        assert hist.p50 == 50
-        assert hist.p95 == 95
+        assert hist.p50 == pytest.approx(50, rel=ALPHA)
+        assert hist.p95 == pytest.approx(95, rel=ALPHA)
         assert hist.max == 100
+        assert hist.min == 1
         assert hist.mean == pytest.approx(50.5)
 
     def test_empty_histogram(self):
@@ -197,15 +216,48 @@ class TestHistogram:
         assert hist.p50 == 42.0
         assert hist.p95 == 42.0
 
+    def test_all_equal_values_exact(self):
+        hist = Histogram()
+        for _ in range(1000):
+            hist.observe(0.123)
+        stats = hist.stats()
+        assert (stats.p50, stats.p95, stats.p99, stats.max) == (0.123,) * 4
+
     def test_invalid_percentile(self):
         hist = Histogram()
         hist.observe(1.0)
         with pytest.raises(ValueError):
             hist.percentile(101)
 
-    def test_reservoir_bounds_memory_over_a_million_values(self):
-        """ISSUE guard: a million observations keep exact count/sum/max
-        while retaining at most the default 4096 reservoir samples."""
+    def test_non_finite_value_rejected(self):
+        hist = Histogram()
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hist.observe(bad)
+        assert hist.count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=False),
+        ),
+        min_size=1, max_size=300,
+    ))
+    def test_quantiles_within_alpha_of_nearest_rank(self, values):
+        hist = Histogram()
+        for v in values:
+            hist.observe(v)
+        stats = hist.stats()
+        for p, estimate in ((50, stats.p50), (95, stats.p95), (99, stats.p99)):
+            assert _within_alpha(estimate, _nearest_rank(values, p)), p
+        assert stats.count == len(values)
+        assert stats.max == max(values)
+        assert hist.min == min(values)
+
+    def test_buckets_bound_memory_over_a_million_values(self):
+        """A million observations keep exact count/sum/max in a bucket
+        count set by the value range, not by the observation count."""
         hist = Histogram()
         n = 1_000_000
         for v in range(n):
@@ -214,36 +266,36 @@ class TestHistogram:
         assert hist.sum == pytest.approx(n * (n - 1) / 2)
         assert hist.max == n - 1
         assert hist.mean == pytest.approx((n - 1) / 2)
-        assert len(hist.values) == Histogram.DEFAULT_MAX_SAMPLES == 4096
-        # The uniform reservoir keeps percentile estimates sane: the
-        # median of ~uniform(0, n) sits well inside the middle band.
-        assert 0.4 * n < hist.p50 < 0.6 * n
+        # One bucket per factor gamma over [1, n), plus the zero bucket.
+        gamma = (1 + ALPHA) / (1 - ALPHA)
+        assert hist.num_buckets <= math.log(n) / math.log(gamma) + 2
+        assert _within_alpha(hist.p50, n // 2 - 1)
 
-    def test_reservoir_cap_configurable(self):
-        hist = Histogram(max_samples=16)
-        for v in range(1000):
+    def test_merge_equals_direct_observation(self):
+        values = [0.0] + [1.07 ** i for i in range(300)]
+        direct = Histogram()
+        for v in values:
+            direct.observe(v)
+        parts = [Histogram() for _ in range(3)]
+        for i, v in enumerate(values):
+            parts[i % 3].observe(v)
+        for order in ((0, 1, 2), (2, 0, 1)):
+            merged = Histogram()
+            for i in order:
+                merged.merge(parts[i])
+            stats, want = merged.stats(), direct.stats()
+            assert (stats.count, stats.p50, stats.p95, stats.p99, stats.max) \
+                == (want.count, want.p50, want.p95, want.p99, want.max)
+            assert stats.sum == pytest.approx(want.sum, rel=1e-12)
+
+    def test_pickles_without_its_lock(self):
+        hist = Histogram()
+        for v in (0.0, 1.0, 2.5, 40.0):
             hist.observe(v)
-        assert len(hist.values) == 16
-        assert hist.count == 1000
-        assert hist.max == 999
-
-    def test_below_cap_percentiles_exact(self):
-        hist = Histogram(max_samples=512)
-        for v in range(1, 101):
-            hist.observe(v)
-        assert hist.p50 == 50  # reservoir holds every value: exact
-        assert hist.p95 == 95
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(max_samples=0)
-
-    def test_reservoir_is_deterministic(self):
-        a, b = Histogram(max_samples=32), Histogram(max_samples=32)
-        for v in range(10_000):
-            a.observe(v)
-            b.observe(v)
-        assert a.values == b.values  # seeded RNG: reproducible runs
+        clone = pickle.loads(pickle.dumps(hist))
+        assert clone.stats() == hist.stats()
+        clone.observe(1.0)  # the clone has a working lock of its own
+        assert clone.count == hist.count + 1
 
 
 class TestMetricsRegistry:
@@ -530,7 +582,7 @@ class TestMetricsSnapshot:
         # The snapshot is a point in time: later writes don't leak in.
         assert snap.counters["a"] == 2
         assert snap.histograms["h"].count == 1
-        assert snap.windows["w"].total_count == 1
+        assert snap.window_totals["w"].count == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             snap.counters = {}
 
@@ -546,13 +598,9 @@ class TestMetricsSnapshot:
         assert "gpssn_http_request_seconds_window_seconds 300" in text
 
     def test_window_counts_stay_monotone_in_exposition(self):
-        from repro.obs import RollingHistogram
-
         clock_now = [0.0]
-        registry = MetricsRegistry()
-        registry.windows["w"] = RollingHistogram(
-            window_sec=1.0, clock=lambda: clock_now[0]
-        )
+        registry = MetricsRegistry(window_sec=1.0)
+        registry.clock = lambda: clock_now[0]
         for _ in range(3):
             registry.observe_window("w", 1.0)
         clock_now[0] = 100.0  # everything ages out of the window
@@ -569,8 +617,8 @@ class TestMetricsSnapshot:
         stats = hist.stats()
         assert (stats.count, stats.sum) == (4, 10.0)
         assert stats.mean == 2.5
-        assert stats.p50 == 2.0
-        assert stats.p99 == 4.0
+        assert stats.p50 == pytest.approx(2.0, rel=ALPHA)
+        assert stats.p99 == 4.0  # clamped to the exact max
         assert stats.max == 4.0
 
     def test_as_dict_includes_windows(self):
