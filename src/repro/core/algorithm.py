@@ -53,11 +53,7 @@ from ..roadnet.shortest_path import position_distance_from_map
 from .metrics import MetricScorer
 from .index_pruning import (
     lb_dist_sn_social_node,
-    lb_maxdist_road_node,
     social_node_distance_prunable,
-    ub_match_score_poi,
-    ub_match_score_road_node,
-    ub_maxdist_road_node,
 )
 from .pruning import matching_score_prunable, social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
@@ -70,6 +66,7 @@ from .refinement import (
     group_distance_maps,
     sample_connected_groups,
 )
+from .road_gates import RoadGates, ScalarRoadGates
 from .scores import match_score
 
 SCandidate = Union[SocialIndexNode, AugmentedUser]
@@ -96,6 +93,176 @@ class PruningToggles:
         self.social_distance = social_distance
         self.matching = matching
         self.road_distance = road_distance
+
+
+def _s_side_bounds(
+    s_cand: Sequence[SCandidate],
+) -> Tuple[List[float], List[Sequence[float]]]:
+    """The S_cand side of Eqs. 16 and 18 for one I_S level.
+
+    ``s_cand`` is never empty: u_q and its index path always survive.
+
+    Returns the per-pivot ``max_{u in S} dist_RN(u, rp_k)`` upper
+    bounds and one interest floor per entry. A node's floor is its
+    per-topic lower bound (``e_S.lb_w``, Eq. 9), which under-estimates
+    the matching score of every user beneath it; a user's is the exact
+    interest vector. Gating per entry (instead of on one global
+    elementwise min) keeps Eq. 18 tight once S_cand reaches user level.
+    """
+    rows: List[Sequence[float]] = []
+    floors: List[Sequence[float]] = []
+    for entry in s_cand:
+        if isinstance(entry, SocialIndexNode):
+            rows.append(entry.ub_road_pivot)
+            floors.append(entry.interest_mbr.low)
+        else:
+            rows.append(entry.road_pivot_dists)
+            floors.append(entry.user.interests)
+    return [max(0.0, *col) for col in zip(*rows)], floors
+
+
+class _RoadSweep:
+    """Algorithm 2's I_R heap for one query (lines 2-3 and 11-28).
+
+    Holds the heap, the best-so-far bound ``delta`` and ``R_cand``. The
+    gates supply every entry's bounds, so :meth:`sweep` only looks
+    them up and applies ``delta`` entry by entry in heap order.
+    """
+
+    __slots__ = (
+        "index", "gates", "counters", "ex", "theta", "matching",
+        "use_delta", "heap", "delta", "tick", "r_cand", "r_slots",
+        "witness_checks",
+    )
+
+    def __init__(
+        self,
+        index: RoadIndex,
+        gates,
+        counters: PruningCounters,
+        ex,
+        theta: float,
+        matching: bool,
+        use_delta: bool,
+    ) -> None:
+        self.index = index
+        self.gates = gates
+        self.counters = counters
+        self.ex = ex
+        self.theta = theta
+        self.matching = matching
+        self.use_delta = use_delta
+        self.heap: List[Tuple[float, int, RoadIndexNode]] = [
+            (0.0, 0, index.root)
+        ]
+        self.delta = math.inf
+        self.tick = 0  # heap tiebreaker
+        self.r_cand: List[AugmentedPOI] = []
+        self.r_slots: List[int] = []
+        self.witness_checks = 0  # Eq. 18 gate evaluations
+
+    def sweep(self, next_level: bool) -> None:
+        """Pop the heap best-first until it empties or its smallest key
+        exceeds ``delta`` (line 14).
+
+        With ``next_level`` an inner node's surviving children go to the
+        next level's heap (lines 25-26); otherwise back into this one
+        (the drain of lines 27-28).
+        """
+        index, gates, counters, ex = (
+            self.index, self.gates, self.counters, self.ex
+        )
+        theta, matching, use_delta = self.theta, self.matching, self.use_delta
+        columns = gates.columns
+        leaf_slots, aps = columns.leaf_slots, columns.aps
+        poi_match, node_match = gates.poi_match, gates.node_match
+        poi_lb, node_lb = gates.poi_lb, gates.node_lb
+        poi_ub, poi_witness = gates.poi_ub, gates.poi_witness
+        r_cand, r_slots = self.r_cand, self.r_slots
+        delta, tick = self.delta, self.tick
+        heap = self.heap
+        out = [] if next_level else heap
+        checks = 0
+        while heap:
+            key, _t, node = heapq.heappop(heap)
+            if use_delta and key > delta:  # line 14: dominated
+                dominated = sum(h[2].num_pois for h in heap) + node.num_pois
+                counters.road_index_pruned += dominated
+                counters.road_pruned_by_distance += dominated
+                if ex is not None:
+                    ex.prune(
+                        "traverse.road", "idx.road_distance",
+                        dominated, key - delta,
+                    )
+                heap.clear()
+                break
+            index.visit(node)
+            if node.is_leaf:
+                for slot in leaf_slots[node.page_id]:
+                    # line 17: matching score pruning w.r.t. u_q (Lemma 1)
+                    if matching:
+                        ub_ms = poi_match[slot]
+                        if matching_score_prunable(ub_ms, theta):
+                            counters.road_object_pruned += 1
+                            counters.road_pruned_by_matching += 1
+                            if ex is not None:
+                                ex.prune(
+                                    "traverse.road", "obj.poi_matching",
+                                    margin=theta - ub_ms,
+                                )
+                            continue
+                    # line 18: distance pruning w.r.t. S_cand (Lemma 5)
+                    lb = poi_lb[slot]
+                    if use_delta and lb > delta:
+                        counters.road_object_pruned += 1
+                        counters.road_pruned_by_distance += 1
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.road", "obj.poi_distance",
+                                margin=lb - delta,
+                            )
+                        continue
+                    # lines 19-20: keep the POI; tighten delta (Eq. 16)
+                    # when its ball may theta-match S_cand (Eq. 18)
+                    r_cand.append(aps[slot])
+                    r_slots.append(slot)
+                    checks += 1
+                    if poi_witness[slot]:
+                        ub = poi_ub[slot]
+                        if ub < delta:
+                            delta = ub
+            else:
+                for child in node.children:
+                    page = child.page_id
+                    # line 23: matching score pruning (Lemma 6)
+                    if matching:
+                        ub_ms = node_match[page]
+                        if matching_score_prunable(ub_ms, theta):
+                            counters.road_index_pruned += child.num_pois
+                            counters.road_pruned_by_matching += child.num_pois
+                            if ex is not None:
+                                ex.prune(
+                                    "traverse.road", "idx.road_matching",
+                                    child.num_pois, theta - ub_ms,
+                                )
+                            continue
+                    # line 24: distance pruning (Lemma 7 via Eq. 17, delta)
+                    lb = node_lb[page]
+                    if use_delta and lb > delta:
+                        counters.road_index_pruned += child.num_pois
+                        counters.road_pruned_by_distance += child.num_pois
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.road", "idx.road_distance",
+                                child.num_pois, lb - delta,
+                            )
+                        continue
+                    # line 25: defer to the next level's heap
+                    tick += 1
+                    heapq.heappush(out, (lb, tick, child))
+        self.delta, self.tick = delta, tick
+        self.witness_checks += checks
+        self.heap = out
 
 
 class GPSSNQueryProcessor:
@@ -528,430 +695,253 @@ class GPSSNQueryProcessor:
         # off (the default) the traversal pays a single local-variable
         # branch per pruning decision.
         ex = rec.explain if rec.explain.active else None
-        # Top-k queries must keep every candidate whose region could be
-        # among the k best; the best-so-far bound delta only witnesses
-        # the single best pair, so delta-based pruning is suspended.
-        use_delta = self.toggles.road_distance and allow_delta_pruning
-        use_vector = self.refinement_kernel == "vector"
-        kernel = self._pair_kernel() if use_vector else None
         social = self.network.social
         if ex is not None:
             ex.visit("traverse.social", social.num_users)
             ex.visit("traverse.road", self.network.num_pois)
         uq = social.user(query.query_user)
-        uq_social_pivot = self.social_pivots.distances(query.query_user)
-        uq_road_pivot = self.road_pivots.distances(uq.home)
-
-        # line 1: S_cand starts at the I_S root, delta at +inf
+        gate_type = (
+            RoadGates if self.refinement_kernel == "vector"
+            else ScalarRoadGates
+        )
+        gates = gate_type(
+            self.road_index.columns, uq.interests,
+            self.road_pivots.distances(uq.home), query.theta, query.radius,
+        )
+        # Top-k queries must keep every candidate whose region could be
+        # among the k best; the best-so-far bound delta only witnesses
+        # the single best pair, so delta-based pruning is suspended.
+        use_delta = self.toggles.road_distance and allow_delta_pruning
+        # lines 1-3: S_cand at the I_S root; delta at +inf and the I_R
+        # heap seeded with the root
         s_cand: List[SCandidate] = [self.social_index.root]
-        delta = math.inf
-        witness_checks = 0  # Eq. 18 gate evaluations (reported as a metric)
-        # lines 2-3: heap over I_R seeded with the root at key 0
-        tick = 0  # heap tiebreaker
-        heap: List[Tuple[float, int, RoadIndexNode]] = [(0.0, tick, self.road_index.root)]
-        r_cand: List[AugmentedPOI] = []
-
-        def s_side_pivot_ubs() -> List[float]:
-            """Per-pivot ``max_{u in S} dist_RN(u, rp_k)`` upper bounds."""
-            ubs = []
-            for k in range(self.road_pivots.num_pivots):
-                worst = 0.0
-                for entry in s_cand:
-                    if isinstance(entry, SocialIndexNode):
-                        val = entry.ub_road_pivot[k]
-                    else:
-                        val = entry.road_pivot_dists[k]
-                    if val > worst:
-                        worst = val
-                ubs.append(worst)
-            return ubs
-
-        def s_side_floor_vectors() -> List[np.ndarray]:
-            """One per-entry interest floor for every S_cand element.
-
-            For an index node the floor is the node's per-topic lower
-            bound (``e_S.lb_w``, Eq. 9), which under-estimates the
-            matching score of every user beneath it; for a user it is the
-            exact interest vector. Feeding the Eq. 18 gate per entry
-            (instead of one global elementwise min) keeps the bound tight
-            once the traversal reaches user level.
-            """
-            vectors: List[np.ndarray] = []
-            for entry in s_cand:
-                if isinstance(entry, SocialIndexNode):
-                    vectors.append(np.asarray(entry.interest_mbr.low))
-                else:
-                    vectors.append(entry.user.interests)
-            return vectors
-
-        def floor_matrix_of(
-            floor_vectors: List[np.ndarray],
-        ) -> Optional[np.ndarray]:
-            """Stacked (entries x topics) image of the interest floors,
-            built per level for the vectorized Eq. 18 gate."""
-            if not use_vector or not floor_vectors:
-                return None
-            return np.stack(
-                [
-                    np.asarray(vec, dtype=np.float64)
-                    for vec in floor_vectors
-                ]
-            )
-
-        def witness_feasible(
-            ap: AugmentedPOI,
-            floor_vectors: List[np.ndarray],
-            floor_matrix: Optional[np.ndarray] = None,
-        ) -> bool:
-            """Eq. 18 gate: could ``ball(ap, r)`` theta-match every user
-            that may remain in S? Checked on the seed's *subset* keywords
-            (a valid lower bound of the region's coverage) against every
-            surviving S_cand entry's interest floor."""
-            nonlocal witness_checks
-            witness_checks += 1
-            if not floor_vectors:
-                return False
-            if floor_matrix is not None:
-                # All entries at once: summing the keyword columns in
-                # ascending topic order reproduces match_score's running
-                # sum term-for-term, so the >= theta decisions match the
-                # scalar gate exactly.
-                scores: Optional[np.ndarray] = None
-                for f in sorted(ap.sub_keywords):
-                    col = floor_matrix[:, f]
-                    scores = col if scores is None else scores + col
-                if scores is None:
-                    return 0.0 >= query.theta
-                return bool((scores >= query.theta).all())
-            return all(
-                match_score(vec, ap.sub_keywords) >= query.theta
-                for vec in floor_vectors
-            )
-
-        def process_road_entry(
-            node: RoadIndexNode,
-            out_heap: Optional[List[Tuple[float, int, RoadIndexNode]]],
-            s_ubs: Sequence[float],
-            floor_vectors: List[np.ndarray],
-            floor_matrix: Optional[np.ndarray] = None,
-        ) -> None:
-            """Lines 15-25: expand one popped I_R node."""
-            nonlocal delta, tick
-            self.road_index.visit(node)
-            if node.is_leaf:
-                for ap in node.pois:
-                    # line 17: matching score pruning w.r.t. u_q (Lemma 1)
-                    if self.toggles.matching:
-                        ub_ms = ub_match_score_poi(uq.interests, ap)
-                        if matching_score_prunable(ub_ms, query.theta):
-                            counters.road_object_pruned += 1
-                            counters.road_pruned_by_matching += 1
-                            if ex is not None:
-                                ex.prune(
-                                    "traverse.road", "obj.poi_matching",
-                                    margin=query.theta - ub_ms,
-                                )
-                            continue
-                    # line 18: distance pruning w.r.t. S_cand (Lemma 5)
-                    lb = lb_maxdist_road_node(
-                        uq_road_pivot, ap.pivot_dists, ap.pivot_dists
-                    )
-                    if use_delta and lb > delta:
-                        counters.road_object_pruned += 1
-                        counters.road_pruned_by_distance += 1
-                        if ex is not None:
-                            ex.prune(
-                                "traverse.road", "obj.poi_distance",
-                                margin=lb - delta,
-                            )
-                        continue
-                    # lines 19-20: keep the POI, tighten delta
-                    r_cand.append(ap)
-                    if witness_feasible(ap, floor_vectors, floor_matrix):
-                        ub = ub_maxdist_road_node(
-                            s_ubs, ap.pivot_dists, query.radius
-                        )
-                        if ub < delta:
-                            delta = ub
-            else:
-                for child in node.children:
-                    # line 23: matching score pruning (Lemma 6)
-                    if self.toggles.matching:
-                        ub_ms = ub_match_score_road_node(uq.interests, child)
-                        if matching_score_prunable(ub_ms, query.theta):
-                            counters.road_index_pruned += child.num_pois
-                            counters.road_pruned_by_matching += child.num_pois
-                            if ex is not None:
-                                ex.prune(
-                                    "traverse.road", "idx.road_matching",
-                                    child.num_pois, query.theta - ub_ms,
-                                )
-                            continue
-                    # line 24: distance pruning (Lemma 7 via Eq. 17 and delta)
-                    lb = lb_maxdist_road_node(
-                        uq_road_pivot, child.lb_pivot_dists, child.ub_pivot_dists
-                    )
-                    if use_delta and lb > delta:
-                        counters.road_index_pruned += child.num_pois
-                        counters.road_pruned_by_distance += child.num_pois
-                        if ex is not None:
-                            ex.prune(
-                                "traverse.road", "idx.road_distance",
-                                child.num_pois, lb - delta,
-                            )
-                        continue
-                    # line 25: defer to the next level's heap
-                    tick += 1
-                    target = out_heap if out_heap is not None else heap
-                    heapq.heappush(target, (lb, tick, child))
+        road = _RoadSweep(
+            self.road_index, gates, counters, ex, query.theta,
+            self.toggles.matching, use_delta,
+        )
+        uq_path = self.social_index.path_ids(query.query_user)
 
         # lines 4-26: level-synchronised descent of I_S and I_R
         for _level in range(self.social_index.height):
-            # one I_S level: Lemmas 3-4 (objects) and 8-9 (nodes)
             with rec.span("traverse.social_pruning"):
-                next_s: List[SCandidate] = []
-                for entry in s_cand:
-                    if isinstance(entry, AugmentedUser):
-                        next_s.append(entry)  # already at object level
-                        continue
-                    self.social_index.visit(entry)
-                    if entry.is_leaf:
-                        for au in entry.users:
-                            if au.user_id == query.query_user:
-                                next_s.append(au)  # u_q is never pruned
-                                continue
-                            # Lemma 4: pivot-based hop lower bound (checked
-                            # first — it is the cheaper predicate)
-                            lb_hops = pivot_lower_bound(
-                                au.social_pivot_dists, uq_social_pivot
-                            )
-                            if self.toggles.social_distance and social_distance_prunable(
-                                lb_hops, query.tau
-                            ):
-                                counters.social_object_pruned += 1
-                                counters.social_pruned_by_distance += 1
-                                if ex is not None:
-                                    ex.prune(
-                                        "traverse.social", "obj.social_hops",
-                                        margin=lb_hops - query.tau,
-                                    )
-                                continue
-                            # Lemma 3: object-level interest pruning (under
-                            # the query's interest metric)
-                            if self.toggles.interest:
-                                sc = scorer.score(
-                                    uq.interests, au.user.interests
-                                )
-                                if sc < query.gamma:
-                                    counters.social_object_pruned += 1
-                                    counters.social_pruned_by_interest += 1
-                                    if ex is not None:
-                                        ex.prune(
-                                            "traverse.social",
-                                            "obj.social_interest",
-                                            margin=query.gamma - sc,
-                                        )
-                                    continue
-                            next_s.append(au)
-                    else:
-                        for child in entry.children:
-                            if self._node_holds_query_user(child, query.query_user):
-                                next_s.append(child)  # u_q's subtree survives
-                                continue
-                            # Lemma 9: hop-distance pruning (cheaper, first)
-                            lb_hops = lb_dist_sn_social_node(uq_social_pivot, child)
-                            if self.toggles.social_distance and social_node_distance_prunable(
-                                lb_hops, query.tau
-                            ):
-                                counters.social_index_pruned += child.num_users
-                                counters.social_pruned_by_distance += child.num_users
-                                if ex is not None:
-                                    ex.prune(
-                                        "traverse.social", "idx.social_hops",
-                                        child.num_users,
-                                        lb_hops - query.tau,
-                                    )
-                                continue
-                            # Lemma 8: interest-region pruning (metric-aware
-                            # upper bound over the node's interest MBR)
-                            if self.toggles.interest:
-                                ub_int = scorer.ub_over_box(
-                                    child.interest_mbr, uq.interests
-                                )
-                                if ub_int < query.gamma:
-                                    counters.social_index_pruned += child.num_users
-                                    counters.social_pruned_by_interest += child.num_users
-                                    if ex is not None:
-                                        ex.prune(
-                                            "traverse.social",
-                                            "idx.social_interest",
-                                            child.num_users,
-                                            query.gamma - ub_int,
-                                        )
-                                    continue
-                            next_s.append(child)
-                s_cand = next_s
-
+                s_cand = self._prune_social_level(
+                    s_cand, query, uq, uq_path, scorer, counters, ex
+                )
             # lines 11-26: one level of I_R under the refreshed S_cand
             # bounds — Lemmas 1/6 (matching), 5/7 (distance), Eq. 18 gate
             with rec.span("traverse.road_sweep"):
-                s_ubs = s_side_pivot_ubs()
-                floor = s_side_floor_vectors()
-                floor_mat = floor_matrix_of(floor)
-                next_heap: List[Tuple[float, int, RoadIndexNode]] = []
-                while heap:
-                    key, _t, node = heapq.heappop(heap)
-                    if use_delta and key > delta:  # line 14: dominated
-                        dominated = sum(
-                            h[2].num_pois for h in heap
-                        ) + node.num_pois
-                        counters.road_index_pruned += dominated
-                        counters.road_pruned_by_distance += dominated
-                        if ex is not None:
-                            ex.prune(
-                                "traverse.road", "idx.road_distance",
-                                dominated, key - delta,
-                            )
-                        heap.clear()
-                        break
-                    process_road_entry(node, next_heap, s_ubs, floor, floor_mat)
-                heap = next_heap  # line 26
+                gates.level(*_s_side_bounds(s_cand))
+                road.sweep(next_level=True)
 
         # lines 27-28: I_R may be deeper than I_S; drain it best-first
         with rec.span("traverse.road_drain"):
-            s_ubs = s_side_pivot_ubs()
-            floor = s_side_floor_vectors()
-            floor_mat = floor_matrix_of(floor)
-            while heap:
-                key, _t, node = heapq.heappop(heap)
-                if use_delta and key > delta:
-                    dominated = sum(
-                        h[2].num_pois for h in heap
-                    ) + node.num_pois
-                    counters.road_index_pruned += dominated
-                    counters.road_pruned_by_distance += dominated
-                    if ex is not None:
-                        ex.prune(
-                            "traverse.road", "idx.road_distance",
-                            dominated, key - delta,
-                        )
-                    heap.clear()
-                    break
-                process_road_entry(node, None, s_ubs, floor, floor_mat)
+            gates.level(*_s_side_bounds(s_cand))
+            road.sweep(next_level=False)
 
         users = [e for e in s_cand if isinstance(e, AugmentedUser)]
-
-        # Line 30 (distance half): with S_cand fully at user level the
-        # bounds are at their tightest. Pick the best witness by its
-        # pivot upper bound, evaluate Eq. 5 for it *exactly* (one
-        # Dijkstra from the witness covers every candidate user), and
-        # discard candidate POIs whose exact distance to u_q — a valid
-        # lower bound of maxdist, since the seed belongs to its region —
-        # exceeds the witness bound.
+        r_cand = road.r_cand
         if use_delta and users and r_cand:
             with rec.span("traverse.witness_filter"):
-                s_ubs = s_side_pivot_ubs()
-                floor = s_side_floor_vectors()
-                floor_mat = floor_matrix_of(floor)
-                network = self.network
-                witness = None
-                witness_key = math.inf
-                for ap in r_cand:
-                    if witness_feasible(ap, floor, floor_mat):
-                        ub = ub_maxdist_road_node(
-                            s_ubs, ap.pivot_dists, query.radius
-                        )
-                        if ub < witness_key:
-                            witness_key = ub
-                            witness = ap
-                best_ub = delta
-                if witness is not None:
-                    if use_vector:
-                        # One dense gather over every candidate user's
-                        # home replaces the per-user map lookups.
-                        dense_w = network.distances.dense_distances_from(
-                            ("poi", witness.poi_id), witness.poi.position
-                        )
-                        positions, user_index = kernel.user_positions()
-                        user_row = positions.distances_from_dense(
-                            network.road, dense_w, witness.poi.position
-                        )
-                        user_idx = np.fromiter(
-                            (user_index[au.user_id] for au in users),
-                            dtype=np.int64, count=len(users),
-                        )
-                        exact_user_max = float(user_row[user_idx].max())
-                    else:
-                        w_map = network.distances.distances_from(
-                            ("poi", witness.poi_id), witness.poi.position
-                        )
-                        exact_user_max = max(
-                            position_distance_from_map(
-                                network.road, w_map, au.user.home,
-                                witness.poi.position
-                            )
-                            for au in users
-                        )
-                    # Eq. 5: the second term max dist(o_i, o_j) over the
-                    # witness region is at most the region radius r.
-                    best_ub = min(best_ub, exact_user_max + query.radius)
-                if not math.isinf(best_ub):
-                    if use_vector:
-                        uq_row = kernel.member_row(query.query_user)
-                        poi_idx = np.fromiter(
-                            (kernel.poi_index[ap.poi_id] for ap in r_cand),
-                            dtype=np.int64, count=len(r_cand),
-                        )
-                        d_arr = uq_row[poi_idx]
-                        prune_mask = d_arr > best_ub
-                        n_pruned = int(prune_mask.sum())
-                        if n_pruned:
-                            counters.road_object_pruned += n_pruned
-                            counters.road_pruned_by_distance += n_pruned
-                            if ex is not None:
-                                ex.prune_batch(
-                                    "traverse.road", "obj.poi_witness",
-                                    d_arr[prune_mask] - best_ub,
-                                )
-                        r_cand = [
-                            ap for ap, pruned in zip(r_cand, prune_mask)
-                            if not pruned
-                        ]
-                    else:
-                        uq_map = network.distances.distances_from(
-                            ("user", query.query_user), uq.home
-                        )
-                        kept = []
-                        for ap in r_cand:
-                            d_uq = position_distance_from_map(
-                                network.road, uq_map, ap.poi.position, uq.home
-                            )
-                            if d_uq > best_ub:
-                                counters.road_object_pruned += 1
-                                counters.road_pruned_by_distance += 1
-                                if ex is not None:
-                                    ex.prune(
-                                        "traverse.road", "obj.poi_witness",
-                                        margin=d_uq - best_ub,
-                                    )
-                            else:
-                                kept.append(ap)
-                        r_cand = kept
-        rec.metrics.inc("traverse.witness_checks", witness_checks)
+                r_cand = self._witness_filter(
+                    query, uq, users, road, counters, ex
+                )
+        rec.metrics.inc("traverse.witness_checks", road.witness_checks)
         if ex is not None:
             ex.survive("traverse.social", len(users))
             ex.survive("traverse.road", len(r_cand))
-        return users, r_cand, delta
+        return users, r_cand, road.delta
 
-    def _node_holds_query_user(
-        self, node: SocialIndexNode, query_user: int
-    ) -> bool:
-        if node.is_leaf:
-            return any(au.user_id == query_user for au in node.users)
-        return any(
-            self._node_holds_query_user(child, query_user)
-            for child in node.children
+    def _prune_social_level(
+        self,
+        s_cand: List[SCandidate],
+        query: GPSSNQuery,
+        uq,
+        uq_path: Set[int],
+        scorer: MetricScorer,
+        counters: PruningCounters,
+        ex,
+    ) -> List[SCandidate]:
+        """Lines 4-10: one I_S level, Lemmas 3-4 (objects) and 8-9 (nodes).
+
+        ``uq_path`` holds the ``id()`` of every node above u_q, whose
+        subtree is never pruned.
+        """
+        uq_social_pivot = self.social_pivots.distances(query.query_user)
+        next_s: List[SCandidate] = []
+        for entry in s_cand:
+            if isinstance(entry, AugmentedUser):
+                next_s.append(entry)  # already at object level
+                continue
+            self.social_index.visit(entry)
+            if entry.is_leaf:
+                for au in entry.users:
+                    if au.user_id == query.query_user:
+                        next_s.append(au)  # u_q is never pruned
+                        continue
+                    # Lemma 4: pivot-based hop lower bound (checked
+                    # first — it is the cheaper predicate)
+                    lb_hops = pivot_lower_bound(
+                        au.social_pivot_dists, uq_social_pivot
+                    )
+                    if self.toggles.social_distance and social_distance_prunable(
+                        lb_hops, query.tau
+                    ):
+                        counters.social_object_pruned += 1
+                        counters.social_pruned_by_distance += 1
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.social", "obj.social_hops",
+                                margin=lb_hops - query.tau,
+                            )
+                        continue
+                    # Lemma 3: object-level interest pruning (under
+                    # the query's interest metric)
+                    if self.toggles.interest:
+                        sc = scorer.score(uq.interests, au.user.interests)
+                        if sc < query.gamma:
+                            counters.social_object_pruned += 1
+                            counters.social_pruned_by_interest += 1
+                            if ex is not None:
+                                ex.prune(
+                                    "traverse.social",
+                                    "obj.social_interest",
+                                    margin=query.gamma - sc,
+                                )
+                            continue
+                    next_s.append(au)
+            else:
+                for child in entry.children:
+                    if id(child) in uq_path:
+                        next_s.append(child)  # u_q's subtree survives
+                        continue
+                    # Lemma 9: hop-distance pruning (cheaper, first)
+                    lb_hops = lb_dist_sn_social_node(uq_social_pivot, child)
+                    if self.toggles.social_distance and social_node_distance_prunable(
+                        lb_hops, query.tau
+                    ):
+                        counters.social_index_pruned += child.num_users
+                        counters.social_pruned_by_distance += child.num_users
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.social", "idx.social_hops",
+                                child.num_users, lb_hops - query.tau,
+                            )
+                        continue
+                    # Lemma 8: interest-region pruning (metric-aware
+                    # upper bound over the node's interest MBR)
+                    if self.toggles.interest:
+                        ub_int = scorer.ub_over_box(
+                            child.interest_mbr, uq.interests
+                        )
+                        if ub_int < query.gamma:
+                            counters.social_index_pruned += child.num_users
+                            counters.social_pruned_by_interest += child.num_users
+                            if ex is not None:
+                                ex.prune(
+                                    "traverse.social", "idx.social_interest",
+                                    child.num_users, query.gamma - ub_int,
+                                )
+                            continue
+                    next_s.append(child)
+        return next_s
+
+    def _witness_filter(
+        self,
+        query: GPSSNQuery,
+        uq,
+        users: List[AugmentedUser],
+        road: "_RoadSweep",
+        counters: PruningCounters,
+        ex,
+    ) -> List[AugmentedPOI]:
+        """Line 30 (distance half) over the swept ``R_cand``.
+
+        With S_cand fully at user level the bounds are at their
+        tightest. Pick the best witness by its pivot upper bound,
+        evaluate Eq. 5 for it *exactly* (one Dijkstra from the witness
+        covers every candidate user), and discard candidate POIs whose
+        exact distance to u_q — a valid lower bound of maxdist, since
+        the seed belongs to its region — exceeds the witness bound.
+        """
+        network = self.network
+        r_cand = road.r_cand
+        use_vector = self.refinement_kernel == "vector"
+        kernel = self._pair_kernel() if use_vector else None
+        road.witness_checks += len(r_cand)  # one Eq. 18 gate per POI
+        pos = road.gates.witness(road.r_slots)
+        best_ub = road.delta
+        if pos is not None:
+            witness = r_cand[pos]
+            if use_vector:
+                # One dense gather over every candidate user's home
+                # replaces the per-user map lookups.
+                dense_w = network.distances.dense_distances_from(
+                    ("poi", witness.poi_id), witness.poi.position
+                )
+                positions, user_index = kernel.user_positions()
+                user_row = positions.distances_from_dense(
+                    network.road, dense_w, witness.poi.position
+                )
+                user_idx = np.fromiter(
+                    (user_index[au.user_id] for au in users),
+                    dtype=np.int64, count=len(users),
+                )
+                exact_user_max = float(user_row[user_idx].max())
+            else:
+                w_map = network.distances.distances_from(
+                    ("poi", witness.poi_id), witness.poi.position
+                )
+                exact_user_max = max(
+                    position_distance_from_map(
+                        network.road, w_map, au.user.home,
+                        witness.poi.position
+                    )
+                    for au in users
+                )
+            # Eq. 5: the second term max dist(o_i, o_j) over the witness
+            # region is at most the region radius r.
+            best_ub = min(best_ub, exact_user_max + query.radius)
+        if math.isinf(best_ub):
+            return r_cand
+        if use_vector:
+            uq_row = kernel.member_row(query.query_user)
+            poi_idx = np.fromiter(
+                (kernel.poi_index[ap.poi_id] for ap in r_cand),
+                dtype=np.int64, count=len(r_cand),
+            )
+            d_arr = uq_row[poi_idx]
+            prune_mask = d_arr > best_ub
+            n_pruned = int(prune_mask.sum())
+            if n_pruned:
+                counters.road_object_pruned += n_pruned
+                counters.road_pruned_by_distance += n_pruned
+                if ex is not None:
+                    ex.prune_batch(
+                        "traverse.road", "obj.poi_witness",
+                        d_arr[prune_mask] - best_ub,
+                    )
+            return [
+                ap for ap, pruned in zip(r_cand, prune_mask) if not pruned
+            ]
+        uq_map = network.distances.distances_from(
+            ("user", query.query_user), uq.home
         )
+        kept = []
+        for ap in r_cand:
+            d_uq = position_distance_from_map(
+                network.road, uq_map, ap.poi.position, uq.home
+            )
+            if d_uq > best_ub:
+                counters.road_object_pruned += 1
+                counters.road_pruned_by_distance += 1
+                if ex is not None:
+                    ex.prune(
+                        "traverse.road", "obj.poi_witness",
+                        margin=d_uq - best_ub,
+                    )
+            else:
+                kept.append(ap)
+        return kept
 
     # ------------------------------------------------------------------
     # phase 2: refinement (Algorithm 2 lines 29-31)
@@ -1030,23 +1020,30 @@ class GPSSNQueryProcessor:
             uq_user = social.user(uq_id)
             if use_vector:
                 # One cached distance row covers every candidate seed
-                # (bitwise-equal to the per-POI map lookups below).
+                # (bitwise-equal to the per-POI map lookups below), and
+                # one masked sum every seed's exact Lemma-1 score.
                 uq_row = kernel.member_row(uq_id)
                 poi_index = kernel.poi_index
+                columns = self.road_index.columns
+                exact_ms = columns.exact_match(
+                    uq_user.interests,
+                    [columns.slot_of[ap.poi_id] for ap in r_cand],
+                )
             else:
                 uq_map = network.distances.distances_from(
                     ("user", uq_id), uq_user.home
                 )
             seed_dist: Dict[int, float] = {}
-            for ap in r_cand:
+            for i, ap in enumerate(r_cand):
                 if use_vector:
                     d = float(uq_row[poi_index[ap.poi_id]])
+                    ms = exact_ms[i]
                 else:
                     d = position_distance_from_map(
                         network.road, uq_map, ap.poi.position, uq_user.home
                     )
+                    ms = match_score(uq_user.interests, ap.sup_keywords)
                 # Exact Lemma-1 check on the seed's true superset keywords.
-                ms = match_score(uq_user.interests, ap.sup_keywords)
                 if ms < query.theta:
                     stats.pruning.road_object_pruned += 1
                     stats.pruning.road_pruned_by_matching += 1

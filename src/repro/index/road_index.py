@@ -27,7 +27,7 @@ for POI insert/delete; the traversal operates on the immutable
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..geometry import MBR
@@ -37,6 +37,9 @@ from .bitvector import KeywordBitVector
 from .pagecounter import PageAccessCounter
 from .pivots import RoadPivotIndex
 from .rstar import RStarNode, RStarTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.road_gates import RoadColumns
 
 #: Default width of the hashed keyword bit vectors.
 DEFAULT_NUM_BITS = 32
@@ -149,9 +152,7 @@ class RoadIndex:
         #: when the index was attached from a snapshot (immutable).
         self._tree: Optional[RStarTree] = None
         self._dirty = False
-        self.root = self._build(max_entries)
-        self.height = self._measure_height(self.root)
-        self.num_pages = self._assign_page_ids()
+        self._adopt_mirror(self._build(max_entries))
 
     # -- construction ----------------------------------------------------------
 
@@ -234,6 +235,13 @@ class RoadIndex:
             lb_pivot_dists=lb, ub_pivot_dists=ub,
             samples=samples, num_pois=sum(c.num_pois for c in children),
         )
+
+    def _adopt_mirror(self, root: RoadIndexNode) -> None:
+        """Install a freshly derived mirror: height, page ids, columns."""
+        self.root = root
+        self.height = self._measure_height(root)
+        self.num_pages = self._assign_page_ids()
+        self._columns = _derive_columns(self)
 
     def _measure_height(self, node: RoadIndexNode) -> int:
         height = 1
@@ -379,9 +387,7 @@ class RoadIndex:
 
         index._tree = None
         index._dirty = False
-        index.root = rebuild(snapshot["tree"])
-        index.height = index._measure_height(index.root)
-        index.num_pages = index._assign_page_ids()
+        index._adopt_mirror(rebuild(snapshot["tree"]))
         return index
 
     # -- incremental maintenance (POI churn) -------------------------------------
@@ -445,8 +451,7 @@ class RoadIndex:
         tree.insert(
             MBR.from_point((poi.location.x, poi.location.y)), poi_id
         )
-        self._region_cache.clear()
-        self._dirty = True
+        self._mutated()
 
     def delete_poi(self, poi_id: int, region_dists: Dict[int, float]) -> None:
         """Unindex a removed POI (exact maintenance).
@@ -498,13 +503,19 @@ class RoadIndex:
                 nbr.sub_vector = KeywordBitVector.from_keywords(
                     nbr.sub_keywords, self.num_bits
                 )
-        self._region_cache.clear()
-        self._dirty = True
+        self._mutated()
 
     def refresh_pivot_dists(self, poi_id: int) -> None:
         """Recompute one POI's road-pivot distances (e.g. after re-anchor)."""
         ap = self.augmented(poi_id)
         ap.pivot_dists = self.pivots.distances(ap.poi.position)
+        self._columns = None
+        self._dirty = True
+
+    def _mutated(self) -> None:
+        """Mark the mirror stale after an insert or delete."""
+        self._region_cache.clear()
+        self._columns = None
         self._dirty = True
 
     def refreeze_if_dirty(self) -> bool:
@@ -519,9 +530,7 @@ class RoadIndex:
         if not self._dirty:
             return False
         tree = self._require_tree()
-        self.root = self._freeze(tree.root)
-        self.height = self._measure_height(self.root)
-        self.num_pages = self._assign_page_ids()
+        self._adopt_mirror(self._freeze(tree.root))
         self._region_cache.clear()
         self._dirty = False
         return True
@@ -533,6 +542,18 @@ class RoadIndex:
             return self._augmented[poi_id]
         except KeyError:
             raise IndexStateError(f"POI {poi_id} not in road index") from None
+
+    @property
+    def columns(self) -> "RoadColumns":
+        """Columnar image of the mirror, read by the road gates.
+
+        Derived with the mirror. A mutation before the next refreeze
+        edits POI material in place, so it drops the image, and the
+        next read re-derives it from the current mirror and values.
+        """
+        if self._columns is None:
+            self._columns = _derive_columns(self)
+        return self._columns
 
     def visit(self, node: RoadIndexNode) -> None:
         """Record a page access for the traversal touching ``node``."""
@@ -601,3 +622,11 @@ class RoadIndex:
             f"RoadIndex(pois={self.root.num_pois}, height={self.height}, "
             f"pages={self.num_pages})"
         )
+
+
+def _derive_columns(index: RoadIndex) -> "RoadColumns":
+    # Imported at use: the gate module sits in repro.core, which imports
+    # this module.
+    from ..core.road_gates import RoadColumns
+
+    return RoadColumns(index)

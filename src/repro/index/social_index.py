@@ -21,7 +21,7 @@ numbered for the I/O simulation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..geometry import MBR
@@ -315,6 +315,15 @@ class SocialIndex:
                 for child in node.children:
                     self._parent[id(child)] = node
                 stack.extend(node.children)
+
+    def path_ids(self, user_id: int) -> Set[int]:
+        """``id()`` of every node on ``user_id``'s leaf-to-root path."""
+        ids: Set[int] = set()
+        node = self._leaf_of.get(user_id)
+        while node is not None:
+            ids.add(id(node))
+            node = self._parent.get(id(node))
+        return ids
 
     @staticmethod
     def _widen_interval(
