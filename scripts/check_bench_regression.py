@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Guard the pruning-power, kernel-speedup, and serve-overhead gates.
+"""Guard the pruning-power, kernel-CPU, and serve-overhead gates.
 
 Three independent gates, all blocking in CI:
 
@@ -10,18 +10,17 @@ Three independent gates, all blocking in CI:
   silently weakened bound. Latency drift is reported but never fails
   the check: wall-clock is machine-dependent, pruning counts are not
   (the workload is seeded).
-* **pair-kernel speedup** — validates a ``BENCH_pair_kernel.json``
-  (``--pair-kernel``): the vectorized refinement kernel must hold its
-  committed speedup floor over the scalar reference on every benched
-  dataset. Scalar and vector run on the same machine in the same
-  process, so the *ratio* is stable even though the absolute times are
-  not.
+* **pair-kernel CPU** — validates a ``BENCH_pair_kernel.json``
+  (``--pair-kernel``): the refinement kernel's CPU time must stay at or
+  below the payload's committed ``max_vector_cpu_sec`` on every benched
+  dataset. The ceiling is an absolute time, so unlike the ratio gates
+  below it depends on the runner's speed.
 * **serve overhead** — validates a ``BENCH_serve.json`` (``--serve``):
   the full-observability service path must stay within the payload's
   committed ``max_overhead`` fraction of bare execution, and the two
-  paths must have produced byte-identical outcome lines. Like the
-  kernel gate, both sides ran interleaved in the same process, so the
-  ratio survives machine-to-machine noise.
+  paths must have produced byte-identical outcome lines. Both sides
+  ran interleaved in the same process, so the ratio survives
+  machine-to-machine noise.
 * **telemetry overhead** — validates a ``BENCH_telemetry.json``
   (``--telemetry``): worker metric-delta shipping and the sampling
   profiler must each stay within the payload's committed
@@ -95,30 +94,25 @@ def compare(
     return failures
 
 
-def compare_pair_kernel(
-    payload: dict, min_speedup: float = None
-) -> List[str]:
-    """Return one message per dataset whose kernel speedup is below the
-    floor (empty list = gate passes).
+def compare_pair_kernel(payload: dict) -> List[str]:
+    """Return one message per dataset whose kernel CPU time exceeds its
+    committed ceiling, or lacks either value (empty list = gate passes).
 
-    The floor defaults to the payload's own committed ``min_speedup``
-    (the value the benchmark asserted when the baseline was written),
-    so CI needs no out-of-band configuration.
+    Each dataset entry carries its own ``max_vector_cpu_sec`` (the value
+    the benchmark asserted when the baseline was written), so CI needs
+    no out-of-band configuration.
     """
-    if min_speedup is None:
-        min_speedup = float(payload.get("min_speedup", 1.0))
     failures: List[str] = []
     for dataset, entry in sorted(payload.get("datasets", {}).items()):
-        speedup = entry.get("speedup")
-        if speedup is None:
-            failures.append(f"{dataset}: no speedup recorded")
+        cpu = entry.get("vector_cpu_sec")
+        ceiling = entry.get("max_vector_cpu_sec")
+        if cpu is None or ceiling is None:
+            failures.append(f"{dataset}: no kernel time or ceiling recorded")
             continue
-        if speedup < min_speedup:
+        if cpu > ceiling:
             failures.append(
-                f"{dataset}: vector kernel {speedup:.2f}x over scalar, "
-                f"below the {min_speedup:.2f}x floor "
-                f"({entry.get('scalar_cpu_sec', 0) * 1000:.1f} ms -> "
-                f"{entry.get('vector_cpu_sec', 0) * 1000:.1f} ms)"
+                f"{dataset}: refinement kernel took {cpu * 1000:.1f} ms, "
+                f"above the {ceiling * 1000:.1f} ms ceiling"
             )
     return failures
 
@@ -327,11 +321,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--pair-kernel",
-        help="BENCH_pair_kernel.json to validate against its speedup floor",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="override the pair-kernel payload's committed speedup floor",
+        help="BENCH_pair_kernel.json to validate against its CPU ceilings",
     )
     parser.add_argument(
         "--serve",
@@ -397,19 +387,17 @@ def main(argv=None) -> int:
     if args.pair_kernel:
         with open(args.pair_kernel, encoding="utf-8") as fp:
             pair_payload = json.load(fp)
-        pair_failures = compare_pair_kernel(
-            pair_payload, min_speedup=args.min_speedup
-        )
+        pair_failures = compare_pair_kernel(pair_payload)
         if not pair_failures:
-            floor = args.min_speedup or pair_payload.get("min_speedup", 1.0)
             for dataset, entry in sorted(
                 pair_payload.get("datasets", {}).items()
             ):
                 print(
-                    f"[pair-kernel] {dataset}: {entry['speedup']:.2f}x "
-                    f"(floor {float(floor):.2f}x)"
+                    f"[pair-kernel] {dataset}: "
+                    f"{entry['vector_cpu_sec'] * 1000:.1f} ms "
+                    f"(ceiling {entry['max_vector_cpu_sec'] * 1000:.1f} ms)"
                 )
-            print("pair-kernel speedup above its committed floor")
+            print("pair-kernel CPU time within its committed ceilings")
         failures.extend(pair_failures)
 
     if args.serve:

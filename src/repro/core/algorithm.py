@@ -29,7 +29,7 @@ import time
 from bisect import insort
 from itertools import islice
 from math import comb
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
 from ..index.social_index import AugmentedUser, SocialIndex, SocialIndexNode
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
-from ..roadnet.shortest_path import position_distance_from_map
 from .metrics import MetricScorer
 from .index_pruning import (
     lb_dist_sn_social_node,
@@ -61,13 +60,10 @@ from .refinement import (
     GROUP_BLOCK,
     BlockGates,
     PairKernel,
-    best_region_for_seed,
     enumerate_connected_groups,
-    group_distance_maps,
     sample_connected_groups,
 )
-from .road_gates import RoadGates, ScalarRoadGates
-from .scores import match_score
+from .road_gates import RoadGates
 
 SCandidate = Union[SocialIndexNode, AugmentedUser]
 
@@ -287,18 +283,10 @@ class GPSSNQueryProcessor:
         toggles: Optional[PruningToggles] = None,
         recorder: Optional[Recorder] = None,
         distance_engine: Optional[str] = None,
-        refinement_kernel: str = "vector",
     ) -> None:
         self.toggles = toggles or PruningToggles()
-        if refinement_kernel not in ("vector", "scalar"):
-            raise InvalidParameterError(
-                f"unknown refinement kernel {refinement_kernel!r}; "
-                "expected 'vector' or 'scalar'"
-            )
-        # "vector" evaluates (group, seed) pairs through the batched
-        # numpy PairKernel; "scalar" keeps the per-pair reference path
-        # (best_region_for_seed) the kernel is validated against.
-        self.refinement_kernel = refinement_kernel
+        # (group, seed) pairs are evaluated through the batched numpy
+        # PairKernel, built on first use.
         self._kernel: Optional[PairKernel] = None
         # Engine selection happens before index construction so the
         # offline region sweeps already run on the chosen kernel; None
@@ -334,7 +322,6 @@ class GPSSNQueryProcessor:
             r_min=r_min, r_max=r_max,
             max_entries=max_entries, leaf_size=leaf_size, seed=seed,
             distance_engine=distance_engine,
-            refinement_kernel=refinement_kernel,
         )
 
     def _pair_kernel(self) -> PairKernel:
@@ -374,12 +361,20 @@ class GPSSNQueryProcessor:
         """
         self._built_version = self.network.version
 
-    def _check_fresh(self) -> None:
+    def _check_query(self, query: GPSSNQuery) -> None:
+        """The checks every entry point runs before answering."""
         if self.network.version != self._built_version:
             raise IndexStateError(
                 "the network changed after the indexes were built; call "
                 "rebuild() before answering further queries"
             )
+        if not (self.r_min <= query.radius <= self.r_max):
+            raise InvalidParameterError(
+                f"query radius {query.radius} outside the index's "
+                f"[{self.r_min}, {self.r_max}] envelope"
+            )
+        if not self.network.social.has_user(query.query_user):
+            raise UnknownEntityError(f"unknown query user {query.query_user}")
 
     # ------------------------------------------------------------------
     # measurement plumbing shared by every entry point
@@ -453,32 +448,8 @@ class GPSSNQueryProcessor:
             :meth:`GPSSNAnswer.empty` when no pair satisfies all six
             predicates of Definition 5.
         """
-        self._check_fresh()
-        if not (self.r_min <= query.radius <= self.r_max):
-            raise InvalidParameterError(
-                f"query radius {query.radius} outside the index's "
-                f"[{self.r_min}, {self.r_max}] envelope"
-            )
-        if not self.network.social.has_user(query.query_user):
-            raise UnknownEntityError(f"unknown query user {query.query_user}")
-
-        stats, base_searches, base_hits = self._begin_query()
-        with self.recorder.span("query") as qspan:
-            started = time.perf_counter()
-
-            scorer = MetricScorer(query.metric)
-            s_cand, r_cand, delta = self._traverse(query, stats.pruning, scorer)
-            stats.candidate_users = len(s_cand)
-            stats.candidate_pois = len(r_cand)
-
-            answers = self._refine(
-                query, s_cand, r_cand, stats, max_groups, scorer
-            )
-            answer = answers[0] if answers else GPSSNAnswer.empty()
-
-            stats.cpu_time_sec = time.perf_counter() - started
-        self._finish_query(stats, qspan, base_searches, base_hits, query)
-        return answer, stats
+        answers, stats = self.answer_topk(query, 1, max_groups)
+        return (answers[0] if answers else GPSSNAnswer.empty()), stats
 
     def answer_topk(
         self,
@@ -497,14 +468,7 @@ class GPSSNQueryProcessor:
         """
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
-        self._check_fresh()
-        if not (self.r_min <= query.radius <= self.r_max):
-            raise InvalidParameterError(
-                f"query radius {query.radius} outside the index's "
-                f"[{self.r_min}, {self.r_max}] envelope"
-            )
-        if not self.network.social.has_user(query.query_user):
-            raise UnknownEntityError(f"unknown query user {query.query_user}")
+        self._check_query(query)
 
         stats, base_searches, base_hits = self._begin_query()
         with self.recorder.span("query") as qspan:
@@ -544,14 +508,7 @@ class GPSSNQueryProcessor:
             raise InvalidParameterError(
                 f"num_samples must be >= 1, got {num_samples}"
             )
-        self._check_fresh()
-        if not (self.r_min <= query.radius <= self.r_max):
-            raise InvalidParameterError(
-                f"query radius {query.radius} outside the index's "
-                f"[{self.r_min}, {self.r_max}] envelope"
-            )
-        if not self.network.social.has_user(query.query_user):
-            raise UnknownEntityError(f"unknown query user {query.query_user}")
+        self._check_query(query)
 
         stats, base_searches, base_hits = self._begin_query()
         with self.recorder.span("query") as qspan:
@@ -567,36 +524,20 @@ class GPSSNQueryProcessor:
                     self.recorder.explain
                     if self.recorder.explain.active else None
                 )
-                network = self.network
-                social = network.social
                 uq_id = query.query_user
                 allowed = {au.user_id for au in s_cand} | {uq_id}
                 rng = np.random.default_rng(seed)
                 groups = sample_connected_groups(
-                    network, uq_id, query.tau, query.gamma, rng, num_samples,
-                    allowed=allowed, score_fn=scorer.score,
+                    self.network, uq_id, query.tau, query.gamma, rng,
+                    num_samples, allowed=allowed, score_fn=scorer.score,
                 )
 
-                use_vector = self.refinement_kernel == "vector"
-                kernel = self._pair_kernel() if use_vector else None
-                uq_user = social.user(uq_id)
-                if use_vector:
-                    uq_row = kernel.member_row(uq_id)
-                    seed_dist = {
-                        ap.poi_id: float(uq_row[kernel.poi_index[ap.poi_id]])
-                        for ap in r_cand
-                    }
-                else:
-                    uq_map = network.distances.distances_from(
-                        ("user", uq_id), uq_user.home
-                    )
-                    seed_dist = {
-                        ap.poi_id: position_distance_from_map(
-                            network.road, uq_map, ap.poi.position,
-                            uq_user.home,
-                        )
-                        for ap in r_cand
-                    }
+                kernel = self._pair_kernel()
+                uq_row = kernel.member_row(uq_id)
+                seed_dist = {
+                    ap.poi_id: float(uq_row[kernel.poi_index[ap.poi_id]])
+                    for ap in r_cand
+                }
                 seeds = sorted(
                     seed_dist, key=lambda pid: (seed_dist[pid], pid)
                 )
@@ -605,13 +546,7 @@ class GPSSNQueryProcessor:
                 best_pair = None
                 for group in groups:
                     stats.groups_refined += 1
-                    if use_vector:
-                        state = kernel.group_state(group, query.theta)
-                    else:
-                        dist_maps = group_distance_maps(network, group)
-                        group_interests = [
-                            social.user(uid).interests for uid in group
-                        ]
+                    state = kernel.group_state(group, query.theta)
                     if ex is not None:
                         ex.visit("refine.pairs", len(seeds))
                     for seed_rank, poi_seed in enumerate(seeds):
@@ -629,19 +564,13 @@ class GPSSNQueryProcessor:
                         region_ids = self.road_index.region(
                             poi_seed, query.radius
                         )
-                        if use_vector:
-                            result = kernel.best_region(
-                                kernel.ball(
-                                    poi_seed, region_ids,
-                                    cache_key=(poi_seed, query.radius),
-                                ),
-                                state,
-                            )
-                        else:
-                            result = best_region_for_seed(
-                                network, group_interests, dist_maps,
-                                poi_seed, region_ids, query.theta,
-                            )
+                        result = kernel.best_region(
+                            kernel.ball(
+                                poi_seed, region_ids,
+                                cache_key=(poi_seed, query.radius),
+                            ),
+                            state,
+                        )
                         if result is None:
                             continue
                         pois, value = result
@@ -672,6 +601,9 @@ class GPSSNQueryProcessor:
         scorer: Optional[MetricScorer] = None,
         allow_delta_pruning: bool = True,
     ) -> Tuple[List[AugmentedUser], List[AugmentedPOI], float]:
+        # Lines 1-28 read the frozen I_R mirror and its columns; POI
+        # churn since the last refreeze leaves both stale.
+        self.road_index.refreeze_if_dirty()
         with self.recorder.span("traverse") as tspan:
             users, r_cand, delta = self._traverse_impl(
                 query, counters, scorer, allow_delta_pruning
@@ -700,11 +632,7 @@ class GPSSNQueryProcessor:
             ex.visit("traverse.social", social.num_users)
             ex.visit("traverse.road", self.network.num_pois)
         uq = social.user(query.query_user)
-        gate_type = (
-            RoadGates if self.refinement_kernel == "vector"
-            else ScalarRoadGates
-        )
-        gates = gate_type(
+        gates = RoadGates(
             self.road_index.columns, uq.interests,
             self.road_pivots.distances(uq.home), query.theta, query.radius,
         )
@@ -743,7 +671,7 @@ class GPSSNQueryProcessor:
         if use_delta and users and r_cand:
             with rec.span("traverse.witness_filter"):
                 r_cand = self._witness_filter(
-                    query, uq, users, road, counters, ex
+                    query, users, road, counters, ex
                 )
         rec.metrics.inc("traverse.witness_checks", road.witness_checks)
         if ex is not None:
@@ -848,7 +776,6 @@ class GPSSNQueryProcessor:
     def _witness_filter(
         self,
         query: GPSSNQuery,
-        uq,
         users: List[AugmentedUser],
         road: "_RoadSweep",
         counters: PruningCounters,
@@ -865,83 +792,47 @@ class GPSSNQueryProcessor:
         """
         network = self.network
         r_cand = road.r_cand
-        use_vector = self.refinement_kernel == "vector"
-        kernel = self._pair_kernel() if use_vector else None
+        kernel = self._pair_kernel()
         road.witness_checks += len(r_cand)  # one Eq. 18 gate per POI
         pos = road.gates.witness(road.r_slots)
         best_ub = road.delta
         if pos is not None:
             witness = r_cand[pos]
-            if use_vector:
-                # One dense gather over every candidate user's home
-                # replaces the per-user map lookups.
-                dense_w = network.distances.dense_distances_from(
-                    ("poi", witness.poi_id), witness.poi.position
-                )
-                positions, user_index = kernel.user_positions()
-                user_row = positions.distances_from_dense(
-                    network.road, dense_w, witness.poi.position
-                )
-                user_idx = np.fromiter(
-                    (user_index[au.user_id] for au in users),
-                    dtype=np.int64, count=len(users),
-                )
-                exact_user_max = float(user_row[user_idx].max())
-            else:
-                w_map = network.distances.distances_from(
-                    ("poi", witness.poi_id), witness.poi.position
-                )
-                exact_user_max = max(
-                    position_distance_from_map(
-                        network.road, w_map, au.user.home,
-                        witness.poi.position
-                    )
-                    for au in users
-                )
+            # One dense gather over every candidate user's home.
+            dense_w = network.distances.dense_distances_from(
+                ("poi", witness.poi_id), witness.poi.position
+            )
+            positions, user_index = kernel.user_positions()
+            user_row = positions.distances_from_dense(
+                network.road, dense_w, witness.poi.position
+            )
+            user_idx = np.fromiter(
+                (user_index[au.user_id] for au in users),
+                dtype=np.int64, count=len(users),
+            )
+            exact_user_max = float(user_row[user_idx].max())
             # Eq. 5: the second term max dist(o_i, o_j) over the witness
             # region is at most the region radius r.
             best_ub = min(best_ub, exact_user_max + query.radius)
         if math.isinf(best_ub):
             return r_cand
-        if use_vector:
-            uq_row = kernel.member_row(query.query_user)
-            poi_idx = np.fromiter(
-                (kernel.poi_index[ap.poi_id] for ap in r_cand),
-                dtype=np.int64, count=len(r_cand),
-            )
-            d_arr = uq_row[poi_idx]
-            prune_mask = d_arr > best_ub
-            n_pruned = int(prune_mask.sum())
-            if n_pruned:
-                counters.road_object_pruned += n_pruned
-                counters.road_pruned_by_distance += n_pruned
-                if ex is not None:
-                    ex.prune_batch(
-                        "traverse.road", "obj.poi_witness",
-                        d_arr[prune_mask] - best_ub,
-                    )
-            return [
-                ap for ap, pruned in zip(r_cand, prune_mask) if not pruned
-            ]
-        uq_map = network.distances.distances_from(
-            ("user", query.query_user), uq.home
+        uq_row = kernel.member_row(query.query_user)
+        poi_idx = np.fromiter(
+            (kernel.poi_index[ap.poi_id] for ap in r_cand),
+            dtype=np.int64, count=len(r_cand),
         )
-        kept = []
-        for ap in r_cand:
-            d_uq = position_distance_from_map(
-                network.road, uq_map, ap.poi.position, uq.home
-            )
-            if d_uq > best_ub:
-                counters.road_object_pruned += 1
-                counters.road_pruned_by_distance += 1
-                if ex is not None:
-                    ex.prune(
-                        "traverse.road", "obj.poi_witness",
-                        margin=d_uq - best_ub,
-                    )
-            else:
-                kept.append(ap)
-        return kept
+        d_arr = uq_row[poi_idx]
+        prune_mask = d_arr > best_ub
+        n_pruned = int(prune_mask.sum())
+        if n_pruned:
+            counters.road_object_pruned += n_pruned
+            counters.road_pruned_by_distance += n_pruned
+            if ex is not None:
+                ex.prune_batch(
+                    "traverse.road", "obj.poi_witness",
+                    d_arr[prune_mask] - best_ub,
+                )
+        return [ap for ap, pruned in zip(r_cand, prune_mask) if not pruned]
 
     # ------------------------------------------------------------------
     # phase 2: refinement (Algorithm 2 lines 29-31)
@@ -954,117 +845,133 @@ class GPSSNQueryProcessor:
         r_cand: List[AugmentedPOI],
         stats: QueryStatistics,
         max_groups: Optional[int],
-        scorer: Optional[MetricScorer] = None,
-        k: int = 1,
+        scorer: MetricScorer,
+        k: int,
     ) -> List[GPSSNAnswer]:
-        with self.recorder.span("refine"):
-            return self._refine_impl(
-                query, s_cand, r_cand, stats, max_groups, scorer, k
-            )
+        rec = self.recorder
+        ex = rec.explain if rec.explain.active else None
+        with rec.span("refine"):
+            with rec.span("refine.corollary2"):
+                allowed = self._corollary2(query, s_cand, stats, scorer, ex)
+            if len(allowed) < query.tau:
+                return []
+            with rec.span("refine.seed_filter"):
+                seeds, seed_dist = self._seed_filter(query, r_cand, stats, ex)
+            with rec.span("refine.enumerate"):
+                best = self._enumerate(
+                    query, allowed, seeds, seed_dist, stats, max_groups,
+                    scorer, k, ex,
+                )
+            return [
+                GPSSNAnswer(
+                    users=frozenset(users), pois=frozenset(pois),
+                    max_distance=value,
+                )
+                for value, users, pois in best
+            ]
 
-    def _refine_impl(
+    def _corollary2(
         self,
         query: GPSSNQuery,
         s_cand: List[AugmentedUser],
+        stats: QueryStatistics,
+        scorer: MetricScorer,
+        ex,
+    ) -> Set[int]:
+        """Line 29: Corollary-2 user pruning, iterated to a fixpoint, on
+        top of an exact hop filter (tau-1 ball around u_q).
+
+        Returns the ids of the surviving users, u_q always among them.
+        """
+        uq_id = query.query_user
+        if ex is not None:
+            ex.visit("refine.users", len(s_cand))
+        reachable = self.network.social.hop_distances_from(
+            uq_id, max_hops=query.tau - 1
+        )
+        survivors: List[AugmentedUser] = []
+        for au in s_cand:
+            if au.user_id == uq_id or au.user_id in reachable:
+                survivors.append(au)
+            else:
+                stats.pruning.social_object_pruned += 1
+                stats.pruning.social_pruned_by_distance += 1
+                if ex is not None:
+                    ex.prune("refine.users", "refine.social_hops")
+        survivors = self._corollary2_fixpoint(
+            query, survivors, stats, scorer, explain=ex
+        )
+        if ex is not None:
+            ex.survive("refine.users", len(survivors))
+        return {au.user_id for au in survivors} | {uq_id}
+
+    def _seed_filter(
+        self,
+        query: GPSSNQuery,
         r_cand: List[AugmentedPOI],
         stats: QueryStatistics,
-        max_groups: Optional[int],
-        scorer: Optional[MetricScorer] = None,
-        k: int = 1,
-    ) -> List[GPSSNAnswer]:
-        scorer = scorer or MetricScorer(query.metric)
-        rec = self.recorder
-        ex = rec.explain if rec.explain.active else None
-        network = self.network
-        social = network.social
+        ex,
+    ) -> Tuple[List[int], np.ndarray]:
+        """Line 30: the exact Lemma-1 re-check of every candidate seed.
+
+        Returns the surviving seeds in ascending ``(dist(u_q, o), id)``
+        order and their distances: ties must not break on traversal
+        order, which depends on index structure and mutation history.
+        """
+        if ex is not None:
+            ex.visit("refine.seeds", len(r_cand))
         uq_id = query.query_user
-
-        # line 29: Corollary-2 user pruning, iterated to a fixpoint, on
-        # top of an exact hop filter (tau-1 ball around u_q).
-        with rec.span("refine.corollary2"):
-            if ex is not None:
-                ex.visit("refine.users", len(s_cand))
-            reachable = social.hop_distances_from(
-                uq_id, max_hops=query.tau - 1
-            )
-            survivors: List[AugmentedUser] = []
-            for au in s_cand:
-                if au.user_id == uq_id:
-                    survivors.append(au)
-                elif au.user_id in reachable:
-                    survivors.append(au)
-                else:
-                    stats.pruning.social_object_pruned += 1
-                    stats.pruning.social_pruned_by_distance += 1
-                    if ex is not None:
-                        ex.prune("refine.users", "refine.social_hops")
-            survivors = self._corollary2_fixpoint(
-                query, survivors, stats, scorer, explain=ex
-            )
-            if ex is not None:
-                ex.survive("refine.users", len(survivors))
-
-        allowed = {au.user_id for au in survivors}
-        if uq_id not in allowed:
-            allowed.add(uq_id)
-        if len(allowed) < query.tau:
-            return []
-
-        use_vector = self.refinement_kernel == "vector"
-        kernel = self._pair_kernel() if use_vector else None
-
-        # line 30: exact matching/distance re-check of candidate POIs.
-        with rec.span("refine.seed_filter"):
-            if ex is not None:
-                ex.visit("refine.seeds", len(r_cand))
-            uq_user = social.user(uq_id)
-            if use_vector:
-                # One cached distance row covers every candidate seed
-                # (bitwise-equal to the per-POI map lookups below), and
-                # one masked sum every seed's exact Lemma-1 score.
-                uq_row = kernel.member_row(uq_id)
-                poi_index = kernel.poi_index
-                columns = self.road_index.columns
-                exact_ms = columns.exact_match(
-                    uq_user.interests,
-                    [columns.slot_of[ap.poi_id] for ap in r_cand],
-                )
-            else:
-                uq_map = network.distances.distances_from(
-                    ("user", uq_id), uq_user.home
-                )
-            seed_dist: Dict[int, float] = {}
-            for i, ap in enumerate(r_cand):
-                if use_vector:
-                    d = float(uq_row[poi_index[ap.poi_id]])
-                    ms = exact_ms[i]
-                else:
-                    d = position_distance_from_map(
-                        network.road, uq_map, ap.poi.position, uq_user.home
+        kernel = self._pair_kernel()
+        # One cached distance row covers every candidate seed, and one
+        # masked sum every seed's exact Match_Score on its true sup_K.
+        uq_row = kernel.member_row(uq_id)
+        poi_index = kernel.poi_index
+        columns = self.road_index.columns
+        exact_ms = columns.exact_match(
+            self.network.social.user(uq_id).interests,
+            [columns.slot_of[ap.poi_id] for ap in r_cand],
+        )
+        kept: List[Tuple[float, int]] = []
+        for ap, ms in zip(r_cand, exact_ms):
+            if ms < query.theta:
+                stats.pruning.road_object_pruned += 1
+                stats.pruning.road_pruned_by_matching += 1
+                if ex is not None:
+                    ex.prune(
+                        "refine.seeds", "refine.seed_matching",
+                        margin=query.theta - ms,
                     )
-                    ms = match_score(uq_user.interests, ap.sup_keywords)
-                # Exact Lemma-1 check on the seed's true superset keywords.
-                if ms < query.theta:
-                    stats.pruning.road_object_pruned += 1
-                    stats.pruning.road_pruned_by_matching += 1
-                    if ex is not None:
-                        ex.prune(
-                            "refine.seeds", "refine.seed_matching",
-                            margin=query.theta - ms,
-                        )
-                    continue
-                seed_dist[ap.poi_id] = d
-            # (distance, id) key: distance ties must not break on traversal
-            # order, which depends on index structure and mutation history.
-            seeds = sorted(seed_dist, key=lambda pid: (seed_dist[pid], pid))
-            if ex is not None:
-                ex.survive("refine.seeds", len(seeds))
+                continue
+            kept.append((float(uq_row[poi_index[ap.poi_id]]), ap.poi_id))
+        kept.sort()
+        if ex is not None:
+            ex.survive("refine.seeds", len(kept))
+        return (
+            [pid for _, pid in kept],
+            np.array([d for d, _ in kept], dtype=np.float64),
+        )
 
-        # line 31: enumerate groups, evaluate seeds with early termination.
-        # `best` holds the running top-k distinct (S, R) pairs as sorted
-        # (value, users, pois) key tuples; the k-th value is the pruning
-        # threshold (any region of a seed farther from u_q than it cannot
-        # enter the top-k, because the seed belongs to its region).
+    def _enumerate(
+        self,
+        query: GPSSNQuery,
+        allowed: Set[int],
+        seeds: List[int],
+        seed_dist_arr: np.ndarray,
+        stats: QueryStatistics,
+        max_groups: Optional[int],
+        scorer: MetricScorer,
+        k: int,
+        ex,
+    ) -> List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]:
+        """Line 31: enumerate groups, evaluate seeds with early
+        termination.
+
+        Returns the running top-k distinct (S, R) pairs as sorted
+        ``(value, users, pois)`` key tuples. The k-th value is the
+        pruning threshold: any region of a seed farther from u_q than
+        it cannot enter the top-k, because the seed belongs to its
+        region.
+        """
         best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
         seen_pairs: Set[Tuple[frozenset, frozenset]] = set()
         n_seeds = len(seeds)
@@ -1084,165 +991,114 @@ class GPSSNQueryProcessor:
                 )
             kth = best[-1][0] if len(best) >= k else math.inf
 
-        with rec.span("refine.enumerate"):
-            groups = enumerate_connected_groups(
-                network, uq_id, query.tau, query.gamma,
-                allowed=allowed, limit=max_groups, score_fn=scorer.score,
-                explain=ex,
+        groups = enumerate_connected_groups(
+            self.network, query.query_user, query.tau, query.gamma,
+            allowed=allowed, limit=max_groups, score_fn=scorer.score,
+            explain=ex,
+        )
+        kernel = self._pair_kernel()
+        radius = query.radius
+        theta = query.theta
+        region = self.road_index.region
+        counters = stats.pruning
+        # Every seed's ball is built once per query (and cached across
+        # queries under (seed, radius)); the stacked full-cover matrix
+        # drives the ball gate as one matmul per newly seen member.
+        # Groups are gated in blocks: one gather reduces every group's
+        # seed gates and Lemma-5 bounds, and a group whose best viable
+        # bound cannot beat kth skips the pair loop (and its GroupState)
+        # entirely.
+        balls = [
+            kernel.ball(s, region(s, radius), cache_key=(s, radius))
+            for s in seeds
+        ]
+        seed_dense_arr = np.fromiter(
+            (b.seed_dense for b in balls), dtype=np.int64, count=n_seeds,
+        )
+        gates = (
+            BlockGates(
+                kernel, seed_dense_arr,
+                np.stack([b.full_cover_f8 for b in balls]), theta,
             )
-            if use_vector:
-                seed_dist_arr = np.fromiter(
-                    (seed_dist[s] for s in seeds),
-                    dtype=np.float64, count=n_seeds,
-                )
-                radius = query.radius
-                theta = query.theta
-                region = self.road_index.region
-                counters = stats.pruning
-                # Every seed's ball is built once per query (and cached
-                # across queries under (seed, radius)); the stacked
-                # full-cover matrix drives the ball gate as one matmul
-                # per newly seen member. Groups are gated in blocks: one
-                # gather reduces every group's seed gates and Lemma-5
-                # bounds, and a group whose best viable bound cannot beat
-                # kth skips the pair loop (and its GroupState) entirely.
-                balls = [
-                    kernel.ball(s, region(s, radius), cache_key=(s, radius))
-                    for s in seeds
-                ]
-                seed_dense_arr = np.fromiter(
-                    (b.seed_dense for b in balls),
-                    dtype=np.int64, count=n_seeds,
-                )
-                gates = (
-                    BlockGates(
-                        kernel, seed_dense_arr,
-                        np.stack([b.full_cover_f8 for b in balls]), theta,
-                    )
-                    if n_seeds else None
-                )
-                # Lemma 5 / Eq. 6 against the sorted seed-distance array:
-                # seeds past `limit` all fail dist < kth, so the scalar
-                # loop's break point is one searchsorted, redone whenever
-                # an accept moves kth.
-                limit = int(np.searchsorted(seed_dist_arr, kth, side="left"))
-                while True:
-                    block = list(islice(groups, GROUP_BLOCK))
-                    if not block:
-                        break
-                    if gates is not None:
-                        lb_block, ok_block, ball_block, g_min = (
-                            gates.reduce(block)
-                        )
-                        g_min = g_min.tolist()
-                    for j, group in enumerate(block):
-                        stats.groups_refined += 1
-                        if ex is not None:
-                            ex.visit("refine.pairs", n_seeds)
-                        if not n_seeds:
-                            continue
-                        if g_min[j] >= kth:
-                            # No viable seed's bound beats kth: the pair
-                            # loop below would examine the first `limit`
-                            # pairs and accept none of them.
-                            counters.candidate_pairs_examined += limit
-                            if ex is not None:
-                                ex.survive("refine.pairs", limit)
-                                if limit < n_seeds:
-                                    ex.prune(
-                                        "refine.pairs", "pair.distance",
-                                        n_seeds - limit,
-                                        float(seed_dist_arr[limit]) - kth,
-                                    )
-                            continue
-                        # Per seed: the seed-alone gate, the exact pair
-                        # value lower bound and the full-ball gate.
-                        seed_ok = ok_block[j].tolist()
-                        seed_lb = lb_block[j].tolist()
-                        ball_ok = ball_block[j].tolist()
-                        state = None
-                        i = 0
-                        while i < limit:
-                            if ex is not None:
-                                ex.survive("refine.pairs")
-                            counters.candidate_pairs_examined += 1
-                            idx = i
-                            i += 1
-                            lb = seed_lb[idx]
-                            if seed_ok[idx]:
-                                # Seed alone suffices: R = {o}, value known.
-                                if lb >= kth:
-                                    continue
-                                pois = frozenset((seeds[idx],))
-                                value = lb
-                            else:
-                                # Infeasible ball, or value provably >= kth:
-                                # the scan cannot produce a top-k entrant.
-                                if not ball_ok[idx] or lb >= kth:
-                                    continue
-                                if state is None:
-                                    state = kernel.group_state(group, theta)
-                                result = kernel.best_region(
-                                    balls[idx], state, skip_gates=True
-                                )
-                                if result is None:
-                                    continue
-                                pois, value = result
-                            if (group, pois) in seen_pairs or value >= kth:
-                                continue
-                            accept(value, group, pois)
-                            limit = int(
-                                np.searchsorted(seed_dist_arr, kth, side="left")
-                            )
-                        if ex is not None and i < n_seeds:
+            if n_seeds else None
+        )
+        # Lemma 5 / Eq. 6 against the sorted seed-distance array: seeds
+        # past `limit` all fail dist < kth, so the pair loop's break
+        # point is one searchsorted, redone whenever an accept moves kth.
+        limit = int(np.searchsorted(seed_dist_arr, kth, side="left"))
+        while True:
+            block = list(islice(groups, GROUP_BLOCK))
+            if not block:
+                break
+            if gates is not None:
+                lb_block, ok_block, ball_block, g_min = gates.reduce(block)
+                g_min = g_min.tolist()
+            for j, group in enumerate(block):
+                stats.groups_refined += 1
+                if ex is not None:
+                    ex.visit("refine.pairs", n_seeds)
+                if not n_seeds:
+                    continue
+                if g_min[j] >= kth:
+                    # No viable seed's bound beats kth: the pair loop
+                    # below would examine the first `limit` pairs and
+                    # accept none of them.
+                    counters.candidate_pairs_examined += limit
+                    if ex is not None:
+                        ex.survive("refine.pairs", limit)
+                        if limit < n_seeds:
                             ex.prune(
                                 "refine.pairs", "pair.distance",
-                                n_seeds - i,
-                                float(seed_dist_arr[i]) - kth,
+                                n_seeds - limit,
+                                float(seed_dist_arr[limit]) - kth,
                             )
-            else:
-                for group in groups:
-                    stats.groups_refined += 1
-                    dist_maps = group_distance_maps(network, group)
-                    group_interests = [
-                        social.user(uid).interests for uid in group
-                    ]
-                    frozen_group = frozenset(group)
+                    continue
+                # Per seed: the seed-alone gate, the exact pair value
+                # lower bound and the full-ball gate.
+                seed_ok = ok_block[j].tolist()
+                seed_lb = lb_block[j].tolist()
+                ball_ok = ball_block[j].tolist()
+                state = None
+                i = 0
+                while i < limit:
                     if ex is not None:
-                        ex.visit("refine.pairs", n_seeds)
-                    for seed_rank, seed in enumerate(seeds):
-                        if seed_dist[seed] >= kth:
-                            if ex is not None:
-                                ex.prune(
-                                    "refine.pairs", "pair.distance",
-                                    n_seeds - seed_rank,
-                                    seed_dist[seed] - kth,
-                                )
-                            break
-                        if ex is not None:
-                            ex.survive("refine.pairs")
-                        stats.pruning.candidate_pairs_examined += 1
-                        region_ids = self.road_index.region(
-                            seed, query.radius
-                        )
-                        result = best_region_for_seed(
-                            network, group_interests, dist_maps,
-                            seed, region_ids, query.theta,
+                        ex.survive("refine.pairs")
+                    counters.candidate_pairs_examined += 1
+                    idx = i
+                    i += 1
+                    lb = seed_lb[idx]
+                    if seed_ok[idx]:
+                        # Seed alone suffices: R = {o}, value known.
+                        if lb >= kth:
+                            continue
+                        pois = frozenset((seeds[idx],))
+                        value = lb
+                    else:
+                        # Infeasible ball, or value provably >= kth: the
+                        # scan cannot produce a top-k entrant.
+                        if not ball_ok[idx] or lb >= kth:
+                            continue
+                        if state is None:
+                            state = kernel.group_state(group, theta)
+                        result = kernel.best_region(
+                            balls[idx], state, skip_gates=True
                         )
                         if result is None:
                             continue
                         pois, value = result
-                        if (frozen_group, pois) in seen_pairs or value >= kth:
-                            continue
-                        accept(value, frozen_group, pois)
-
-        return [
-            GPSSNAnswer(
-                users=frozenset(users), pois=frozenset(pois),
-                max_distance=value,
-            )
-            for value, users, pois in best
-        ]
+                    if (group, pois) in seen_pairs or value >= kth:
+                        continue
+                    accept(value, group, pois)
+                    limit = int(
+                        np.searchsorted(seed_dist_arr, kth, side="left")
+                    )
+                if ex is not None and i < n_seeds:
+                    ex.prune(
+                        "refine.pairs", "pair.distance",
+                        n_seeds - i,
+                        float(seed_dist_arr[i]) - kth,
+                    )
+        return best
 
     def _corollary2_fixpoint(
         self,

@@ -490,8 +490,9 @@ class PairKernel:
     Outcomes are identical to :func:`best_region_for_seed` (post
     minimal-prefix fix): the distance values are bitwise-equal IEEE
     expressions and the prefix order uses the same stable tie-breaking.
-    The scalar path remains in place as the correctness reference
-    (``refinement_kernel="scalar"`` on the query processor).
+    :func:`best_region_for_seed` stays as the correctness reference:
+    the exhaustive :class:`~repro.core.baseline.BaselineProcessor` runs
+    on it and ``tests/unit/test_pair_kernel.py`` compares the two.
     """
 
     def __init__(self, network: SpatialSocialNetwork) -> None:

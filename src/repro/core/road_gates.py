@@ -19,8 +19,9 @@ looks values up, by POI slot or node page id, and still applies
 ``delta`` entry by entry in its usual order.
 
 The values are bitwise those of the per-entry predicates in
-:mod:`repro.core.index_pruning`, which :class:`ScalarRoadGates` (the
-``refinement_kernel="scalar"`` reference) evaluates on access:
+:mod:`repro.core.index_pruning` and of
+:func:`~repro.core.scores.match_score` per floor for Eq. 18, which
+``tests/properties/test_road_gates.py`` checks entry by entry:
 
 * max and min reductions are order-free;
 * every matching score is a sequential sum in ascending topic order,
@@ -33,17 +34,9 @@ The values are bitwise those of the per-entry predicates in
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .index_pruning import (
-    lb_maxdist_road_node,
-    ub_match_score_poi,
-    ub_match_score_road_node,
-    ub_maxdist_road_node,
-)
-from .scores import match_score
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..index.bitvector import KeywordBitVector
@@ -174,7 +167,7 @@ class RoadColumns:
 
 
 class RoadGates:
-    """One query's I_R bounds for every entry (the vector kernel).
+    """One query's I_R bounds for every entry.
 
     ``poi_match``/``poi_lb`` are indexed by slot and ``node_match``/
     ``node_lb`` by page id; :meth:`level` refreshes ``poi_ub`` and
@@ -249,77 +242,3 @@ class RoadGates:
         keys = np.where(self._witness[idx], self._ub[idx], math.inf)
         best = int(np.argmin(keys))
         return best if keys[best] < math.inf else None
-
-
-class _PerEntry:
-    """Indexable view that evaluates a bound on access."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[int], object]) -> None:
-        self.fn = fn
-
-    def __getitem__(self, i: int):
-        return self.fn(i)
-
-
-class ScalarRoadGates:
-    """The per-entry reference for :class:`RoadGates`.
-
-    Same interface; every bound is evaluated on access by the
-    Section-4.2 predicates of :mod:`repro.core.index_pruning` and the
-    Eq. 18 gate by :func:`~repro.core.scores.match_score` per floor.
-    """
-
-    def __init__(
-        self,
-        columns: RoadColumns,
-        interests: np.ndarray,
-        uq_pivot_dists: Sequence[float],
-        theta: float,
-        radius: float,
-    ) -> None:
-        aps, nodes = columns.aps, columns.nodes
-        self.columns = columns
-        self.theta = theta
-        self.radius = radius
-        self.poi_match = _PerEntry(
-            lambda s: ub_match_score_poi(interests, aps[s])
-        )
-        self.node_match = _PerEntry(
-            lambda p: ub_match_score_road_node(interests, nodes[p])
-        )
-        self.poi_lb = _PerEntry(
-            lambda s: lb_maxdist_road_node(
-                uq_pivot_dists, aps[s].pivot_dists, aps[s].pivot_dists
-            )
-        )
-        self.node_lb = _PerEntry(
-            lambda p: lb_maxdist_road_node(
-                uq_pivot_dists, nodes[p].lb_pivot_dists,
-                nodes[p].ub_pivot_dists,
-            )
-        )
-
-    def level(
-        self, s_ubs: Sequence[float], floors: Sequence[Sequence[float]]
-    ) -> None:
-        aps, theta, radius = self.columns.aps, self.theta, self.radius
-        self.poi_ub = _PerEntry(
-            lambda s: ub_maxdist_road_node(s_ubs, aps[s].pivot_dists, radius)
-        )
-        self.poi_witness = _PerEntry(
-            lambda s: bool(floors) and all(
-                match_score(vec, aps[s].sub_keywords) >= theta
-                for vec in floors
-            )
-        )
-
-    def witness(self, slots: Sequence[int]) -> Optional[int]:
-        best, best_key = None, math.inf
-        for pos, slot in enumerate(slots):
-            if self.poi_witness[slot]:
-                ub = self.poi_ub[slot]
-                if ub < best_key:
-                    best, best_key = pos, ub
-        return best

@@ -237,11 +237,16 @@ class RoadIndex:
         )
 
     def _adopt_mirror(self, root: RoadIndexNode) -> None:
-        """Install a freshly derived mirror: height, page ids, columns."""
+        """Install a freshly derived mirror: height, page ids, columns.
+
+        ``columns`` is the mirror's columnar image read by the road
+        gates; like the mirror, it goes stale on a mutation until
+        :meth:`refreeze_if_dirty`, which every query runs first.
+        """
         self.root = root
         self.height = self._measure_height(root)
         self.num_pages = self._assign_page_ids()
-        self._columns = _derive_columns(self)
+        self.columns = _derive_columns(self)
 
     def _measure_height(self, node: RoadIndexNode) -> int:
         height = 1
@@ -397,7 +402,7 @@ class RoadIndex:
     # keyword unions, pivot distances), so the road index carries no
     # slack: one truncated Dijkstra per inserted/removed POI updates the
     # symmetric neighbourhood, and the frozen traversal mirror is
-    # re-derived lazily before the next query (`refreeze_if_dirty`).
+    # re-derived before the next query traverses (`refreeze_if_dirty`).
     # Widen-on-update slack accounting lives in the social index, per
     # the dynamic-layer design.
 
@@ -509,13 +514,11 @@ class RoadIndex:
         """Recompute one POI's road-pivot distances (e.g. after re-anchor)."""
         ap = self.augmented(poi_id)
         ap.pivot_dists = self.pivots.distances(ap.poi.position)
-        self._columns = None
         self._dirty = True
 
     def _mutated(self) -> None:
         """Mark the mirror stale after an insert or delete."""
         self._region_cache.clear()
-        self._columns = None
         self._dirty = True
 
     def refreeze_if_dirty(self) -> bool:
@@ -524,8 +527,8 @@ class RoadIndex:
         The live R*-tree absorbs insert/delete immediately, but queries
         traverse the immutable :class:`RoadIndexNode` mirror; this
         regenerates it (node MBRs, keyword aggregates, pivot-bound
-        intervals — all exact) and re-assigns page ids. Returns whether
-        a refreeze happened.
+        intervals — all exact), its ``columns`` and page ids. Returns
+        whether a refreeze happened.
         """
         if not self._dirty:
             return False
@@ -542,18 +545,6 @@ class RoadIndex:
             return self._augmented[poi_id]
         except KeyError:
             raise IndexStateError(f"POI {poi_id} not in road index") from None
-
-    @property
-    def columns(self) -> "RoadColumns":
-        """Columnar image of the mirror, read by the road gates.
-
-        Derived with the mirror. A mutation before the next refreeze
-        edits POI material in place, so it drops the image, and the
-        next read re-derives it from the current mirror and values.
-        """
-        if self._columns is None:
-            self._columns = _derive_columns(self)
-        return self._columns
 
     def visit(self, node: RoadIndexNode) -> None:
         """Record a page access for the traversal touching ``node``."""

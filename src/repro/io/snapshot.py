@@ -87,7 +87,10 @@ PathLike = Union[str, Path]
 
 MAGIC = b"GPSSNAP\x01"
 FORMAT_NAME = "gpssn-frozen-snapshot"
-FORMAT_VERSION = 1
+#: 2: ``meta["build_args"]`` holds exactly the processor's constructor
+#: arguments, which no longer include a refinement-kernel choice; a
+#: version-1 arena's would fail ``rebuild()``.
+FORMAT_VERSION = 2
 
 #: Section (and data-area) alignment: the mmap granularity, so every
 #: section view is page-aligned for the OS to share across processes.
@@ -813,10 +816,6 @@ class FrozenSnapshot:
         processor.r_min = float(document["r_min"])
         processor.r_max = float(document["r_max"])
         processor._built_version = network.version
-        # Kernel selection is runtime strategy, not persisted index
-        # state: attached processors get the default vectorized path
-        # (and build the PairKernel lazily like a fresh one).
-        processor.refinement_kernel = "vector"
-        processor._kernel = None
+        processor._kernel = None  # built on first use, as when fresh
         processor._build_args = self.build_args
         return network, processor

@@ -9,6 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+# The golden-replay helper asserts; rewrite it so failures show diffs.
+pytest.register_assert_rewrite("refinement_golden")
+
 from repro import (
     GPSSNQueryProcessor,
     NetworkPosition,
@@ -20,6 +23,8 @@ from repro import (
     uni_dataset,
     zipf_dataset,
 )
+from repro.core.refinement import exact_maxdist
+from repro.core.scores import interest_score, match_score
 from repro.roadnet.shortest_path import (
     multi_source_dijkstra,
     position_distance_from_map,
@@ -51,6 +56,33 @@ def reference_point_to_point(
     ``pos_b``."""
     dist_map = multi_source_dijkstra(road, position_seeds(road, pos_a))
     return position_distance_from_map(road, dist_map, pos_b, pos_a)
+
+
+def assert_valid_answer(network, query, answer):
+    """``answer`` satisfies all six predicates of Definition 5 and its
+    value is the exact maxdist of its pair."""
+    social = network.social
+    users = sorted(answer.users)
+    pois = sorted(answer.pois)
+    assert len(users) == query.tau
+    assert query.query_user in answer.users
+    assert social.is_connected_subset(users)
+    for i, a in enumerate(users):
+        for b in users[i + 1:]:
+            assert interest_score(
+                social.user(a).interests, social.user(b).interests
+            ) >= query.gamma - 1e-9
+    for i, a in enumerate(pois):
+        for b in pois[i + 1:]:
+            assert network.poi_poi_distance(a, b) <= 2 * query.radius + 1e-6
+    covered = frozenset().union(*(network.poi(p).keywords for p in pois))
+    for uid in users:
+        assert match_score(
+            social.user(uid).interests, covered
+        ) >= query.theta - 1e-9
+    assert answer.max_distance == pytest.approx(
+        exact_maxdist(network, users, pois), abs=1e-6
+    )
 
 
 def build_tiny_network(num_keywords: int = 3) -> SpatialSocialNetwork:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import assert_valid_answer
 from repro import GPSSNQuery, GPSSNQueryProcessor, uni_dataset
-from repro.core.refinement import exact_maxdist
-from repro.core.scores import interest_score, match_score
 
 
 @pytest.fixture(scope="module")
@@ -17,31 +16,6 @@ def setup():
         network, num_road_pivots=3, num_social_pivots=3, seed=6
     )
     return network, processor
-
-
-def assert_valid_answer(network, query, answer):
-    social = network.social
-    users = sorted(answer.users)
-    pois = sorted(answer.pois)
-    assert len(users) == query.tau
-    assert query.query_user in answer.users
-    assert social.is_connected_subset(users)
-    for i, a in enumerate(users):
-        for b in users[i + 1:]:
-            assert interest_score(
-                social.user(a).interests, social.user(b).interests
-            ) >= query.gamma - 1e-9
-    for i, a in enumerate(pois):
-        for b in pois[i + 1:]:
-            assert network.poi_poi_distance(a, b) <= 2 * query.radius + 1e-6
-    covered = frozenset().union(*(network.poi(p).keywords for p in pois))
-    for uid in users:
-        assert match_score(
-            social.user(uid).interests, covered
-        ) >= query.theta - 1e-9
-    assert answer.max_distance == pytest.approx(
-        exact_maxdist(network, users, pois), abs=1e-6
-    )
 
 
 @pytest.mark.parametrize("qseed", [0, 1, 2, 3, 4])

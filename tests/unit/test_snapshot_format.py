@@ -103,6 +103,22 @@ class TestOpen:
         with pytest.raises(SnapshotFormatError, match="version"):
             FrozenSnapshot.open(bad)
 
+    def test_version_1_arena_is_refused(self, arena, tmp_path):
+        """A version-1 header (its build_args still name a refinement
+        kernel the processor no longer takes) fails attach up front."""
+        data = arena.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+        header = json.loads(data[start:start + header_len])
+        assert header["version"] == FORMAT_VERSION == 2
+        assert "refinement_kernel" not in header["meta"]["build_args"]
+        header["version"] = 1
+        header["meta"]["build_args"]["refinement_kernel"] = "vector"
+        old = tmp_path / "v1.gpsnap"
+        _craft(old, header)
+        with pytest.raises(SnapshotFormatError, match="version 1"):
+            FrozenSnapshot.open(old)
+
     def test_truncated_section(self, arena, tmp_path):
         bad = tmp_path / "cut.gpsnap"
         shutil.copyfile(arena, bad)
