@@ -38,9 +38,11 @@ Three independent gates, all blocking in CI:
   (``--snapshot-scale``): memmap-attaching a frozen arena must stay at
   least ``min_speedup`` times faster than the document-mode worker
   rebuild at the largest benched scale, attached workers must stay
-  within the committed incremental-RSS budget, and attached answers
-  must have matched the in-memory processor at every scale. Attach and
-  rebuild ran in the same process, so the ratio is machine-stable.
+  within the committed incremental-RSS budget, attached answers
+  must have matched the in-memory processor at every scale, and every
+  scale's equivalence answers must average at most
+  ``max_query_sec_per_answer``. Attach and rebuild ran in the same
+  process, so the ratio is machine-stable.
 
 Usage::
 
@@ -156,8 +158,9 @@ def compare_snapshot_scale(
     (``min_speedup``, ``max_attach_rss_fraction``,
     ``attach_rss_floor_mb``), so CI needs no out-of-band configuration.
     The speedup gate applies at the largest benched scale only — small
-    arenas legitimately amortize less — while answer equivalence must
-    hold at every scale.
+    arenas legitimately amortize less — while answer equivalence and
+    the per-answer query ceiling (``max_query_sec_per_answer``, when the
+    payload commits one) must hold at every scale.
     """
     failures: List[str] = []
     rows = payload.get("rows") or []
@@ -171,6 +174,18 @@ def compare_snapshot_scale(
                 f"snapshot-scale: attached worker diverged from the "
                 f"in-memory processor at {row.get('road_vertices')} vertices"
             )
+    ceiling = payload.get("max_query_sec_per_answer")
+    if ceiling is not None:
+        for row in rows:
+            per_answer = float(row.get("query_sec", 0.0)) / max(
+                int(row.get("answers", 1)), 1
+            )
+            if per_answer > float(ceiling):
+                failures.append(
+                    f"snapshot-scale: queries took {per_answer:.2f} s per "
+                    f"answer at {row.get('road_vertices')} vertices, above "
+                    f"the {float(ceiling):.2f} s ceiling"
+                )
     top = max(rows, key=lambda r: r.get("road_vertices", 0))
     speedup = top.get("speedup")
     if speedup is None:

@@ -181,10 +181,9 @@ class ContinuousQueryRegistry:
         * ``remove_friend`` — the edge's reach test reads the graph
           *with* the edge (a destroyed group used it).
         * ``remove_poi`` — the POI's issuer distances need its position,
-          gone after the apply (the road graph itself is untouched, so
-          the distances are computed lazily afterwards from the saved
-          position — but the oracle cache is also invalidated by POI
-          churn, so we measure here while maps are warm and exact).
+          gone after the apply. They are read from each issuer's
+          ``("user", id)`` map, which POI churn never evicts, so
+          measuring before or after the apply costs the same search.
         """
         op = mutation.op
         pre: Dict[int, object] = {}

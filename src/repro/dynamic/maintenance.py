@@ -9,8 +9,9 @@ rebuild. Division of labour per structure:
 
 * **Road index** — maintained exactly. R*-tree insert/delete is exact,
   and one truncated Dijkstra per POI mutation updates the symmetric
-  ``2*r_max`` neighbourhood's region/sup/sub material; the frozen
-  traversal mirror is re-derived lazily in :meth:`flush`.
+  ``2*r_max`` neighbourhood's region ids, region distances and sup/sub
+  material; the frozen traversal mirror is re-derived lazily in
+  :meth:`flush`.
 * **Social pivot maps** — maintained exactly (a stale hop map could
   over-prune through ``pivot_lower_bound``, the inadmissible
   direction); a per-pivot BFS-level test skips the recompute for most
@@ -20,9 +21,13 @@ rebuild. Division of labour per structure:
   The looseness is tracked by the ``dynamic.bound_slack`` gauge and
   repaired by a :meth:`~repro.index.social_index.SocialIndex.compact`
   pass once the slack crosses ``slack_threshold``.
-* **Distance engines** — the shared oracle invalidates itself via the
-  network version; the ``lazy-ch`` engine additionally keeps a stale
-  hierarchy parked and serves exact CSR fallbacks (see
+* **Distance engines** — no supported mutation edits the road graph,
+  so every cached ``dist_RN`` map stays exact except the one rooted at
+  the entity a mutation touched: the network forgets the moved user's
+  ``("user", id)`` map and the added or removed POI's ``("poi", id)``
+  map, and nothing else. The shared oracle drops every map itself when
+  the road version moves; the ``lazy-ch`` engine additionally keeps a
+  stale hierarchy parked and serves exact CSR fallbacks (see
   :class:`repro.roadnet.engines.LazyCHEngine`).
 
 The contract, enforced oracle-style by the property suite: after any

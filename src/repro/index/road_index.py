@@ -9,6 +9,9 @@ the pre-computed material the pruning lemmas need:
   ``2 * r_max`` (the candidate superset ``R'`` of Section 3.1), and
 * ``sub_K`` — the keyword union within ``r_min`` (for the matching-score
   lower bound of Eq. 18), both also hashed into bit vectors;
+* the ``2 * r_max`` region itself with each member's exact road
+  distance, from which :meth:`RoadIndex.region` answers ``⊙(o_i, 2r)``
+  without a distance search;
 * road-pivot distances ``dist_RN(o_i, rp_k)``.
 
 **Non-leaf nodes** (:class:`RoadIndexNode`) carry
@@ -26,7 +29,7 @@ for POI insert/delete; the traversal operates on the immutable
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import IndexStateError, InvalidParameterError
@@ -53,6 +56,7 @@ class AugmentedPOI:
     __slots__ = (
         "poi", "sup_keywords", "sub_keywords",
         "sup_vector", "sub_vector", "pivot_dists", "region_2rmax",
+        "region_dists",
     )
 
     def __init__(
@@ -63,6 +67,7 @@ class AugmentedPOI:
         pivot_dists: Sequence[float],
         num_bits: int,
         region_2rmax: Sequence[int],
+        region_dists: Sequence[float],
     ) -> None:
         self.poi = poi
         self.sup_keywords = sup_keywords
@@ -70,9 +75,12 @@ class AugmentedPOI:
         self.sup_vector = KeywordBitVector.from_keywords(sup_keywords, num_bits)
         self.sub_vector = KeywordBitVector.from_keywords(sub_keywords, num_bits)
         self.pivot_dists = list(pivot_dists)
-        #: POI ids within 2*r_max — the widest superset region, from which
-        #: query-time regions for any r <= r_max can be filtered.
+        #: POI ids within 2*r_max, ascending — the widest superset region,
+        #: from which query-time regions for any r <= r_max are filtered.
         self.region_2rmax = list(region_2rmax)
+        #: ``dist_RN`` from this POI to each ``region_2rmax`` member
+        #: (parallel column).
+        self.region_dists = [float(d) for d in region_dists]
 
     @property
     def poi_id(self) -> int:
@@ -181,6 +189,7 @@ class RoadIndex:
                 pivot_dists=self.pivots.distances(poi.position),
                 num_bits=self.num_bits,
                 region_2rmax=region,
+                region_dists=region_dists.values(),
             )
 
         tree = RStarTree(max_entries=max_entries)
@@ -291,6 +300,7 @@ class RoadIndex:
                     "sub": sorted(ap.sub_keywords),
                     "pivot_dists": list(ap.pivot_dists),
                     "region": list(ap.region_2rmax),
+                    "region_dists": list(ap.region_dists),
                 }
                 for pid, ap in self._augmented.items()
             },
@@ -324,6 +334,7 @@ class RoadIndex:
                 pivot_dists=data["pivot_dists"],
                 num_bits=index.num_bits,
                 region_2rmax=data["region"],
+                region_dists=data["region_dists"],
             )
 
         def rebuild(skeleton: dict) -> RoadIndexNode:
@@ -419,8 +430,8 @@ class RoadIndex:
 
         One truncated Dijkstra rooted at the new POI yields the
         symmetric ``2*r_max`` neighbourhood: the new entry's own region
-        and, per neighbour, the exact region/sup/sub deltas (road
-        distances are symmetric, so ``d(p, q) = d(q, p)``).
+        and, per neighbour, the exact region/distance/sup/sub deltas
+        (road distances are symmetric, so ``d(p, q) = d(q, p)``).
         """
         tree = self._require_tree()
         network = self.network
@@ -437,12 +448,15 @@ class RoadIndex:
             pivot_dists=self.pivots.distances(poi.position),
             num_bits=self.num_bits,
             region_2rmax=region,
+            region_dists=[region_dists[pid] for pid in region],
         )
         for qid, d in region_dists.items():
             if qid == poi_id or qid not in self._augmented:
                 continue
             nbr = self._augmented[qid]
-            insort(nbr.region_2rmax, poi_id)
+            at = bisect_left(nbr.region_2rmax, poi_id)
+            nbr.region_2rmax.insert(at, poi_id)
+            nbr.region_dists.insert(at, d)
             # Unions only grow on insert: both deltas are exact.
             nbr.sup_keywords = nbr.sup_keywords | poi.keywords
             nbr.sup_vector = KeywordBitVector.from_keywords(
@@ -491,8 +505,10 @@ class RoadIndex:
             if qid == poi_id or qid not in self._augmented:
                 continue
             nbr = self._augmented[qid]
-            if poi_id in nbr.region_2rmax:
-                nbr.region_2rmax.remove(poi_id)
+            at = bisect_left(nbr.region_2rmax, poi_id)
+            if at < len(nbr.region_2rmax) and nbr.region_2rmax[at] == poi_id:
+                del nbr.region_2rmax[at]
+                del nbr.region_dists[at]
             nbr.sup_keywords = union_keywords(
                 network.poi(pid) for pid in nbr.region_2rmax
             )
@@ -502,8 +518,8 @@ class RoadIndex:
             if d <= self.r_min:
                 nbr.sub_keywords = union_keywords(
                     network.poi(pid)
-                    for pid in nbr.region_2rmax
-                    if network.poi_poi_distance(qid, pid) <= self.r_min
+                    for pid, dq in zip(nbr.region_2rmax, nbr.region_dists)
+                    if dq <= self.r_min
                 )
                 nbr.sub_vector = KeywordBitVector.from_keywords(
                     nbr.sub_keywords, self.num_bits
@@ -560,9 +576,10 @@ class RoadIndex:
     def region(self, poi_id: int, radius: float) -> List[int]:
         """POI ids within network distance ``radius`` of ``poi_id``.
 
-        Served from the pre-computed ``2*r_max`` region when the radius
-        permits (the common case: every query radius satisfies
-        ``2r <= 2*r_max``), falling back to a live search otherwise.
+        Filtered from the stored ``2*r_max`` region and its distances
+        when the radius permits (the common case: every query radius
+        satisfies ``2r <= 2*r_max``), falling back to one bounded,
+        uncached search otherwise.
         """
         key = (poi_id, radius)
         cached = self._region_cache.get(key)
@@ -570,13 +587,12 @@ class RoadIndex:
             return cached
         if radius <= 2.0 * self.r_max:
             ap = self.augmented(poi_id)
-            network = self.network
             result = [
-                pid for pid in ap.region_2rmax
-                if network.poi_poi_distance(poi_id, pid) <= radius
+                pid for pid, d in zip(ap.region_2rmax, ap.region_dists)
+                if d <= radius
             ]
         else:
-            result = sorted(self.network.pois_within(poi_id, radius))
+            result = sorted(self.network.poi_distances_within(poi_id, radius))
         self._region_cache[key] = result
         return result
 

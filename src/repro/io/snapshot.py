@@ -90,7 +90,10 @@ FORMAT_NAME = "gpssn-frozen-snapshot"
 #: 2: ``meta["build_args"]`` holds exactly the processor's constructor
 #: arguments, which no longer include a refinement-kernel choice; a
 #: version-1 arena's would fail ``rebuild()``.
-FORMAT_VERSION = 2
+#: 3: the road-index document carries each POI's ``region_dists``, the
+#: exact distances ``RoadIndex.region`` filters; a version-2 arena has
+#: none.
+FORMAT_VERSION = 3
 
 #: Section (and data-area) alignment: the mmap granularity, so every
 #: section view is page-aligned for the OS to share across processes.

@@ -108,7 +108,12 @@ class SpatialSocialNetwork:
         return self.road.version + self.social.version + self._poi_version
 
     def add_poi(self, poi: POI) -> None:
-        """Add a POI (validated like construction-time POIs)."""
+        """Add a POI (validated like construction-time POIs).
+
+        Only the oracle map cached under the new ``("poi", id)`` key is
+        dropped: every other map is rooted at an unchanged position on
+        an unchanged road graph, so it stays exact.
+        """
         if poi.poi_id in self._pois:
             raise GraphConstructionError(f"duplicate POI id {poi.poi_id}")
         self.road.validate_position(poi.position)
@@ -120,32 +125,35 @@ class SpatialSocialNetwork:
                 )
         self._pois[poi.poi_id] = poi
         self._poi_version += 1
-        self.distances.clear()
+        self.distances.forget(("poi", poi.poi_id))
 
     def remove_poi(self, poi_id: int) -> POI:
-        """Remove and return a POI."""
+        """Remove and return a POI.
+
+        Drops the removed POI's ``("poi", id)`` oracle map, so a future
+        POI reusing the id cannot inherit its distances; maps rooted
+        elsewhere stay exact.
+        """
         try:
             poi = self._pois.pop(poi_id)
         except KeyError:
             raise UnknownEntityError(f"unknown POI {poi_id}") from None
         self._poi_version += 1
-        # Drop cached Dijkstra maps: a future POI reusing this id must
-        # not inherit the removed POI's distances.
-        self.distances.clear()
+        self.distances.forget(("poi", poi_id))
         return poi
 
     def move_user(self, user_id: int, home: "NetworkPosition") -> User:
         """Relocate a user's home; returns the previous record.
 
-        Interests and friendships are preserved. The shared distance
-        oracle is cleared because the user's cached ``("user", id)``
-        Dijkstra map is rooted at the old home.
+        Interests and friendships are preserved. Only the user's cached
+        ``("user", id)`` map is dropped, since it is rooted at the old
+        home; every other map keeps its source and stays exact.
         """
         current = self.social.user(user_id)
         self.road.validate_position(home)
         moved = User(user_id=user_id, interests=current.interests, home=home)
         previous = self.social.replace_user(moved)
-        self.distances.clear()
+        self.distances.forget(("user", user_id))
         return previous
 
     def add_friendship(self, a: int, b: int) -> None:
@@ -196,7 +204,10 @@ class SpatialSocialNetwork:
             raise GraphConstructionError(f"unknown mutation op {op!r}")
 
     def add_user(self, user: "User", friends: Iterable[int] = ()) -> None:
-        """Add a user (validated) and wire the given friendships."""
+        """Add a user (validated) and wire the given friendships.
+
+        Drops any oracle map cached under the new ``("user", id)`` key.
+        """
         self.road.validate_position(user.home)
         if user.dimensions != self.num_keywords:
             raise GraphConstructionError(
@@ -206,7 +217,7 @@ class SpatialSocialNetwork:
         self.social.add_user(user)
         for friend in friends:
             self.social.add_friendship(user.user_id, friend)
-        self.distances.clear()
+        self.distances.forget(("user", user.user_id))
 
     # -- POI access ----------------------------------------------------------
 

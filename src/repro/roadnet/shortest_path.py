@@ -314,6 +314,7 @@ class DistanceOracle:
             Hashable, Tuple[Dict[int, float], np.ndarray]
         ] = {}
         self._indexer: Optional[VertexIndexer] = None
+        self._road_version = road.version
         #: number of full searches actually executed (for tests/benchmarks)
         self.searches_run = 0
         #: lookups served from the cache without a search; together with
@@ -339,6 +340,7 @@ class DistanceOracle:
         self, key: Hashable, pos: NetworkPosition
     ) -> Dict[int, float]:
         """Vertex-distance map from ``pos``, cached under ``key``."""
+        self._check_road_version()
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
@@ -364,6 +366,7 @@ class DistanceOracle:
         dense-row view (the scipy CSR path), its row is reused directly
         — no marshalling pass in either direction.
         """
+        self._check_road_version()
         indexer = self.vertex_indexer()
         cached = self._cache.get(key)
         if cached is not None:
@@ -420,6 +423,17 @@ class DistanceOracle:
         :meth:`distance` without polluting the cache).
         """
         return self.engine.point_to_point(pos_a, pos_b)
+
+    def _check_road_version(self) -> None:
+        """Drop every cached map once the road graph has changed."""
+        if self._road_version != self.road.version:
+            self.clear()
+            self._road_version = self.road.version
+
+    def forget(self, key: Hashable) -> None:
+        """Drop the map cached under ``key`` (its source moved or left)."""
+        self._cache.pop(key, None)
+        self._dense_cache.pop(key, None)
 
     def clear(self) -> None:
         self._cache.clear()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import POI, NetworkPosition, uni_dataset
 from repro.exceptions import IndexStateError, InvalidParameterError
 from repro.index.pivots import select_pivots_road
 from repro.index.road_index import RoadIndex
@@ -132,6 +133,105 @@ class TestRegion:
         radius = 2 * road_index.r_max + 5.0
         expected = sorted(small_uni.pois_within(0, radius))
         assert sorted(road_index.region(0, radius)) == expected
+
+
+def _assert_regions_exact(index, network, tol=0.0):
+    """``region`` and the stored distances equal live oracle searches."""
+    ids = network.poi_ids()
+    for pid in ids:
+        ap = index.augmented(pid)
+        for q, d in zip(ap.region_2rmax, ap.region_dists):
+            assert abs(d - network.poi_poi_distance(pid, q)) <= tol
+        for radius in (index.r_min, 1.0, 2 * index.r_max):
+            expected = [
+                q for q in sorted(ids)
+                if network.poi_poi_distance(pid, q) <= radius
+            ]
+            assert index.region(pid, radius) == expected, (pid, radius)
+
+
+class TestRegionExactness:
+    """``region`` filters the stored distance column, never the oracle."""
+
+    @pytest.fixture()
+    def live(self):
+        network = uni_dataset(
+            num_road_vertices=100, num_pois=30, num_users=40, seed=2
+        )
+        rng = np.random.default_rng(3)
+        pivots = select_pivots_road(network.distances.engine, 3, rng)
+        return network, RoadIndex(network, pivots, r_min=0.5, r_max=4.0)
+
+    def test_after_build(self, live):
+        network, index = live
+        assert all(
+            len(ap.region_2rmax) == len(ap.region_dists)
+            for ap in index._augmented.values()
+        )
+        _assert_regions_exact(index, network)
+
+    def test_region_runs_no_search(self, live):
+        network, index = live
+        runs = network.distances.searches_run
+        for pid in network.poi_ids():
+            index.region(pid, 1.0)
+        assert network.distances.searches_run == runs
+
+    def test_after_insert_and_delete(self, live):
+        network, index = live
+        donor = network.poi(network.poi_ids()[0])
+        # 0.25 along the donor's edge: inside both its r_min and 2*r_max.
+        position = NetworkPosition(
+            donor.position.u, donor.position.v,
+            max(donor.position.offset - 0.25, 0.0),
+        )
+        network.add_poi(POI(
+            poi_id=1000,
+            location=network.road.position_coords(position),
+            position=position,
+            keywords=donor.keywords,
+        ))
+        index.insert_poi(1000)
+        for removed in network.poi_ids()[5:8]:
+            region_dists = network.poi_distances_within(
+                removed, 2 * index.r_max
+            )
+            network.remove_poi(removed)
+            index.delete_poi(removed, region_dists)
+        assert index.refreeze_if_dirty()
+        assert 1000 in index.augmented(donor.poi_id).region_2rmax
+        # A neighbour's entry for the inserted POI is d(new, q), read
+        # from the new POI's search; a cold build reads d(q, new).
+        _assert_regions_exact(index, network, tol=1e-9)
+
+    def test_after_freeze_attach(self, tmp_path):
+        from repro.experiments.harness import (
+            ExperimentScale,
+            build_dataset,
+            make_processor,
+        )
+        from repro.io.snapshot import FrozenSnapshot, freeze
+
+        scale = ExperimentScale(road_vertices=60, num_pois=20, num_users=40)
+        network = build_dataset("UNI", scale, seed=3)
+        processor = make_processor(network, seed=3)
+        path = tmp_path / "net.gpsnap"
+        freeze(network, path, processor=processor)
+        attached_network, attached = FrozenSnapshot.open(path).attach()
+        index = attached.road_index
+        for pid in network.poi_ids():
+            live_ap = processor.road_index.augmented(pid)
+            ap = index.augmented(pid)
+            assert ap.region_2rmax == live_ap.region_2rmax
+            assert ap.region_dists == live_ap.region_dists
+        _assert_regions_exact(index, attached_network)
+
+    def test_fallback_beyond_2rmax(self, road_index, small_uni):
+        radius = 2.5 * road_index.r_max
+        for pid in small_uni.poi_ids():
+            assert road_index.region(pid, radius) == sorted(
+                small_uni.pois_within(pid, radius)
+            )
 
 
 class TestVisitCounting:

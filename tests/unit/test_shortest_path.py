@@ -268,3 +268,74 @@ class TestOracle:
         a = NetworkPosition(0, 1, 0.5)
         b = NetworkPosition(2, 3, 0.5)
         assert math.isinf(oracle.distance("a", a, b))
+
+
+class TestOracleInvalidation:
+    """A cached map is exact while its source and the road graph hold."""
+
+    @staticmethod
+    def _network():
+        from repro import uni_dataset
+
+        return uni_dataset(
+            num_road_vertices=100, num_pois=30, num_users=40, seed=2
+        )
+
+    def test_road_edit_drops_cached_maps(self):
+        network = self._network()
+        ids = network.poi_ids()
+        a, b = max(
+            ((p, q) for p in ids for q in ids
+             if network.poi(p).position.u != network.poi(q).position.u
+             and not network.road.has_edge(
+                 network.poi(p).position.u, network.poi(q).position.u)),
+            key=lambda pq: network.poi_poi_distance(*pq),
+        )
+        before = network.poi_poi_distance(a, b)
+        network.distances.dense_distances_from(
+            ("poi", a), network.poi(a).position
+        )
+        network.road.add_edge(
+            network.poi(a).position.u, network.poi(b).position.u, 1e-3
+        )
+        fresh = DistanceOracle(network.road)
+        pos_a, pos_b = network.poi(a).position, network.poi(b).position
+        expected = fresh.distance(("poi", a), pos_a, pos_b)
+        assert expected < before
+        assert network.poi_poi_distance(a, b) == expected
+        np.testing.assert_array_equal(
+            network.distances.dense_distances_from(("poi", a), pos_a),
+            fresh.dense_distances_from(("poi", a), pos_a),
+        )
+
+    def test_move_user_reruns_only_its_search(self):
+        network = self._network()
+        users = sorted(network.social.user_ids())[:6]
+        pois = network.poi_ids()[:6]
+        oracle = network.distances
+
+        def warm():
+            for uid in users:
+                oracle.distances_from(
+                    ("user", uid), network.social.user(uid).home
+                )
+            for pid in pois:
+                oracle.distances_from(("poi", pid), network.poi(pid).position)
+
+        warm()
+        moved = users[0]
+        target = network.social.user(users[-1]).home
+        network.move_user(moved, target)
+        runs = oracle.searches_run
+        warm()
+        assert oracle.searches_run == runs + 1
+
+        fresh = DistanceOracle(network.road)
+        for uid in users:
+            home = network.social.user(uid).home
+            for pid in pois:
+                pos = network.poi(pid).position
+                assert oracle.distance(("user", uid), home, pos) == \
+                    fresh.distance(("user", uid), home, pos)
+                assert network.user_poi_distance(uid, pid) == \
+                    fresh.distance(("poi", pid), pos, home)

@@ -110,13 +110,30 @@ class TestOpen:
         start = len(MAGIC) + 8
         (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
         header = json.loads(data[start:start + header_len])
-        assert header["version"] == FORMAT_VERSION == 2
+        assert header["version"] == FORMAT_VERSION == 3
         assert "refinement_kernel" not in header["meta"]["build_args"]
         header["version"] = 1
         header["meta"]["build_args"]["refinement_kernel"] = "vector"
         old = tmp_path / "v1.gpsnap"
         _craft(old, header)
         with pytest.raises(SnapshotFormatError, match="version 1"):
+            FrozenSnapshot.open(old)
+
+    def test_version_2_arena_is_refused(self, arena, tmp_path):
+        """A version-2 header (its road index stores region ids but not
+        their distances) fails attach up front."""
+        data = arena.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+        header = json.loads(data[start:start + header_len])
+        augmented = header["meta"]["index"]["road_index"]["augmented"]
+        assert all("region_dists" in entry for entry in augmented.values())
+        header["version"] = 2
+        for entry in augmented.values():
+            del entry["region_dists"]
+        old = tmp_path / "v2.gpsnap"
+        _craft(old, header)
+        with pytest.raises(SnapshotFormatError, match="version 2"):
             FrozenSnapshot.open(old)
 
     def test_truncated_section(self, arena, tmp_path):
