@@ -10,8 +10,41 @@ one batch at the end of :meth:`apply_batch`.
 
 The skip predicates are **parity-exact**, not merely conservative: a
 skipped query's cached outcome is byte-identical to what a fresh
-re-evaluation (or a from-scratch rebuild) would produce. The arguments,
-one per rule id:
+re-evaluation (or a from-scratch rebuild) would produce. The arguments
+follow, one per rule id; a social mutation meets the first three in the
+order listed, cheapest first:
+
+``cq.issuer_interest`` (user moves, friendship flips)
+    Definition 5 requires every member of a group to score
+    ``Interest_Score >= gamma`` with the issuer. A user other than the
+    issuer that scores below ``gamma`` against it ("hostile") is in no
+    valid group: the enumeration's ``compatible`` check rejects it the
+    moment it reaches a frontier, and never extends it. Its position
+    and its edges therefore change no group's value and no group's
+    discovery order — an edge to a hostile user only adds a rejected
+    frontier entry, and a path through one never connects a group. So
+    a move of a hostile user, or a friend edit with a hostile endpoint,
+    leaves the answer unchanged. The test is the enumeration's own
+    ``MetricScorer.score`` call, so the skip agrees with it bit for
+    bit. The issuer is never hostile, even when its self-score is below
+    ``gamma``. Interests never mutate, so the test reads the same before
+    and after the apply.
+
+``cq.member_distance`` (user moves only)
+    A pair's value is at least every member's distance to every POI of
+    its region (Lemma 5), so a pair whose group holds both the issuer
+    and the moved user ``u`` has value at least
+    ``lb = min_o max(dist_RN(u_q, o), dist_RN(u, o))`` over all POIs
+    ``o``. If the answer is found, ``u`` is not in it and
+    ``lb > delta`` (strictly), every pair containing ``u`` loses to the
+    incumbent after the move. A move changes neither the social graph
+    nor the issuer's seed order, so every pair without ``u`` keeps its
+    value and its discovery order, and the incumbent — the first pair
+    found at ``delta`` — still wins. Both rows come from
+    ``PairKernel.member_row``, the rows the refinement itself reads.
+    The rule is move-only: a friend edit reorders the group
+    enumeration's depth-first search, so a pair tying the incumbent at
+    ``delta`` could be discovered first and win.
 
 ``cq.social_hops`` (friendship flips, user moves)
     Every member of a connected ``tau``-group containing the issuer is
@@ -58,6 +91,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..core.metrics import MetricScorer
 from ..core.query import GPSSNQuery
 from ..service.batch import plan_batch, query_request_id
 from ..service.limits import ExecutionLimits, QueryOutcome, run_with_limits
@@ -72,6 +108,16 @@ __all__ = ["ContinuousQueryRegistry", "StandingQuery", "CONTINUOUS_PHASE"]
 CONTINUOUS_PHASE = "continuous.queries"
 
 
+def _touched_users(mutation: Mutation) -> Tuple[int, ...]:
+    """The users a social mutation touches: the moved user or both
+    edge endpoints. POI mutations touch none."""
+    if mutation.op == "move_user":
+        return (mutation.user,)
+    if mutation.op in ("add_friend", "remove_friend"):
+        return (mutation.a, mutation.b)
+    return ()
+
+
 class StandingQuery:
     """One subscribed query plus its cached outcome.
 
@@ -80,8 +126,8 @@ class StandingQuery:
     batch run over the same query file.
     """
 
-    __slots__ = ("index", "query", "max_groups", "request_id", "outcome",
-                 "dirty", "reanswers", "skips")
+    __slots__ = ("index", "query", "max_groups", "request_id", "scorer",
+                 "outcome", "dirty", "reanswers", "skips")
 
     def __init__(
         self, index: int, query: GPSSNQuery, max_groups: Optional[int]
@@ -90,6 +136,9 @@ class StandingQuery:
         self.query = query
         self.max_groups = max_groups
         self.request_id = query_request_id(query, max_groups)
+        # The scorer the processor builds for this query, so the
+        # issuer-interest skip scores exactly as the enumeration does.
+        self.scorer = MetricScorer(query.metric)
         self.outcome: Optional[QueryOutcome] = None
         self.dirty = True
         self.reanswers = 0
@@ -179,7 +228,8 @@ class ContinuousQueryRegistry:
         """Context that must be captured before the mutation lands.
 
         * ``remove_friend`` — the edge's reach test reads the graph
-          *with* the edge (a destroyed group used it).
+          *with* the edge (a destroyed group used it). It is not run
+          for a query the issuer-interest rule will skip.
         * ``remove_poi`` — the POI's issuer distances need its position,
           gone after the apply. They are read from each issuer's
           ``("user", id)`` map, which POI churn never evicts, so
@@ -189,7 +239,9 @@ class ContinuousQueryRegistry:
         pre: Dict[int, object] = {}
         if op == "remove_friend":
             for sq in self._clean_queries():
-                if self._failed(sq):
+                if self._failed(sq) or self._hostile_margin(
+                    sq, _touched_users(mutation)
+                ) is not None:
                     continue
                 pre[sq.index] = self._edge_in_reach(
                     sq, mutation.a, mutation.b
@@ -207,6 +259,7 @@ class ContinuousQueryRegistry:
     ) -> Tuple[int, int]:
         """Run the skip predicate for every clean query; mark the rest dirty."""
         op = mutation.op
+        touched = _touched_users(mutation)
         skipped = triggered = 0
         ex = self.processor.recorder.explain
         for sq in self._clean_queries():
@@ -220,7 +273,10 @@ class ContinuousQueryRegistry:
                 triggered += 1
                 ex.survive(CONTINUOUS_PHASE)
                 continue
-            if op == "move_user":
+            hostile = self._hostile_margin(sq, touched)
+            if hostile is not None:
+                keep, rule, margin = True, "cq.issuer_interest", hostile
+            elif op == "move_user":
                 keep, rule, margin = self._test_move_user(sq, mutation.user)
             elif op == "add_friend":
                 keep, rule, margin = self._test_add_friend(
@@ -268,7 +324,54 @@ class ContinuousQueryRegistry:
         ball = self._issuer_ball(sq)
         return a in ball and b in ball
 
+    def _hostile_margin(
+        self, sq: StandingQuery, user_ids: Sequence[int]
+    ) -> Optional[float]:
+        """``gamma - score`` of the first user hostile to the issuer.
+
+        A user is hostile when it is not the issuer and its
+        ``Interest_Score`` with the issuer is below ``gamma``, scored by
+        the same call the enumeration's ``compatible`` check makes.
+        None when no user in ``user_ids`` is hostile.
+        """
+        query = sq.query
+        social = self.network.social
+        for uid in user_ids:
+            if uid == query.query_user:
+                continue
+            score = sq.scorer.score(
+                social.user(uid).interests,
+                social.user(query.query_user).interests,
+            )
+            if score < query.gamma:
+                return query.gamma - score
+        return None
+
+    def _member_distance_margin(
+        self, sq: StandingQuery, user_id: int
+    ) -> Optional[float]:
+        """``lb - delta`` when every pair holding ``user_id`` loses.
+
+        ``lb = min_o max(dist_RN(u_q, o), dist_RN(u, o))`` bounds the
+        value of every pair whose group holds the issuer and ``u``.
+        None when the answer is not found, ``u`` is in it, or
+        ``lb <= delta``.
+        """
+        answer = sq.answer
+        if answer is None or not answer.found or user_id in answer.users:
+            return None
+        kernel = self.processor._pair_kernel()
+        lb = float(np.maximum(
+            kernel.member_row(sq.query.query_user), kernel.member_row(user_id)
+        ).min())
+        if lb > answer.max_distance:
+            return lb - answer.max_distance
+        return None
+
     def _test_move_user(self, sq: StandingQuery, user_id: int):
+        margin = self._member_distance_margin(sq, user_id)
+        if margin is not None:
+            return True, "cq.member_distance", margin
         if user_id in self._issuer_ball(sq):
             return False, "", None
         return True, "cq.social_hops", math.inf

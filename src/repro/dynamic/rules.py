@@ -8,14 +8,34 @@ ContinuousQueryRegistry`. The entries follow the catalogue format of
 :data:`repro.core.index_pruning.INDEX_RULES` and are merged into
 :data:`repro.obs.explain.RULES`.
 
-All three rules are *parity-exact*, not merely admissible: a skipped
+Every rule is *parity-exact*, not merely admissible: a skipped
 query's cached answer is byte-identical to what a re-evaluation would
-return, because the mutation provably cannot change the candidate sets
-or the value of any top-k pair (see the docstrings in
+return, because the mutation provably cannot change the value or the
+discovery order of any pair that could win (see the docstrings in
 :mod:`repro.dynamic.continuous` for the arguments).
 """
 
 CONTINUOUS_RULES = {
+    "cq.issuer_interest": {
+        "lemma": "Def. 5 / Lemma 3 (issuer interest)",
+        "figure": "-",
+        "margin_unit": "gamma - Interest_Score(u, u_q)",
+        "description": (
+            "user move or friendship flip touching a user whose "
+            "interest score with the issuer is below gamma cannot "
+            "change any valid group or its enumeration order"
+        ),
+    },
+    "cq.member_distance": {
+        "lemma": "Lemma 5 (member distance bound)",
+        "figure": "-",
+        "margin_unit": "lb - delta",
+        "description": (
+            "moved non-member whose min over POIs of max(dist_RN(u_q, o), "
+            "dist_RN(u, o)) strictly exceeds the current best "
+            "max-distance cannot enter an improving (S, R) pair"
+        ),
+    },
     "cq.social_hops": {
         "lemma": "Def. 5 (tau-hop constraint)",
         "figure": "-",

@@ -163,6 +163,7 @@ class TestRuleRegistry:
         "refine.social_hops", "refine.corollary2", "refine.seed_matching",
         "pair.distance", "group.interest",
         "cq.social_hops", "cq.spatial_ball", "cq.poi_monotone",
+        "cq.issuer_interest", "cq.member_distance",
     }
 
     def test_every_expected_rule_registered(self):
