@@ -29,7 +29,7 @@ import time
 from bisect import insort
 from itertools import islice
 from math import comb
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -857,11 +857,14 @@ class GPSSNQueryProcessor:
                 return []
             with rec.span("refine.seed_filter"):
                 seeds, seed_dist = self._seed_filter(query, r_cand, stats, ex)
-            with rec.span("refine.enumerate"):
-                best = self._enumerate(
+            with rec.span("refine.enumerate") as espan:
+                best, scans, skips = self._enumerate(
                     query, allowed, seeds, seed_dist, stats, max_groups,
                     scorer, k, ex,
                 )
+                espan.set(prefix_scans=scans, member_bound_skips=skips)
+            rec.metrics.inc("refine.prefix_scans", scans)
+            rec.metrics.inc("refine.member_bound_skips", skips)
             return [
                 GPSSNAnswer(
                     users=frozenset(users), pois=frozenset(pois),
@@ -962,15 +965,27 @@ class GPSSNQueryProcessor:
         scorer: MetricScorer,
         k: int,
         ex,
-    ) -> List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]:
+    ) -> Tuple[List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]], int, int]:
         """Line 31: enumerate groups, evaluate seeds with early
         termination.
 
         Returns the running top-k distinct (S, R) pairs as sorted
-        ``(value, users, pois)`` key tuples. The k-th value is the
-        pruning threshold: any region of a seed farther from u_q than
-        it cannot enter the top-k, because the seed belongs to its
-        region.
+        ``(value, users, pois)`` key tuples, then the number of prefix
+        scans run and of scans the member gate skipped. The k-th value
+        is the pruning threshold: any region of a seed farther from u_q
+        than it cannot enter the top-k, because the seed belongs to its
+        region (Lemma 5).
+
+        A pair that passes the block gates still skips its prefix scan
+        when some member's own best region at the seed
+        (:meth:`PairKernel.member_bound`, Lemma 2 with Definition 5's
+        per-member theta condition) is already ``>= kth``: the group's
+        region theta-matches that member and is at least as far from it,
+        so the pair's value is ``>= kth`` too. Bounds are memoized per
+        (member, seed) for the query and computed lazily, for pairs that
+        reach this gate only. A skipped pair was already counted as
+        examined and could not have been accepted, so answers and every
+        count stay as without the gate.
         """
         best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
         seen_pairs: Set[Tuple[frozenset, frozenset]] = set()
@@ -1022,6 +1037,25 @@ class GPSSNQueryProcessor:
             )
             if n_seeds else None
         )
+        # Per-member gate: (uid, seed index) -> the singleton optimum,
+        # computed lazily, only for pairs that pass the block gates.
+        bounds: Dict[Tuple[int, int], float] = {}
+        scans = skips = 0
+
+        def member_gated(group: frozenset, idx: int) -> bool:
+            """Some member's own best region at seed ``idx`` is already
+            ``>= kth``, hence so is the group's."""
+            ball = balls[idx]
+            for uid in group:
+                bound = bounds.get((uid, idx))
+                if bound is None:
+                    bound = bounds[uid, idx] = kernel.member_bound(
+                        uid, ball, theta
+                    )
+                if bound >= kth:
+                    return True
+            return False
+
         # Lemma 5 / Eq. 6 against the sorted seed-distance array: seeds
         # past `limit` all fail dist < kth, so the pair loop's break
         # point is one searchsorted, redone whenever an accept moves kth.
@@ -1078,6 +1112,10 @@ class GPSSNQueryProcessor:
                         # scan cannot produce a top-k entrant.
                         if not ball_ok[idx] or lb >= kth:
                             continue
+                        if member_gated(group, idx):
+                            skips += 1
+                            continue
+                        scans += 1
                         if state is None:
                             state = kernel.group_state(group, theta)
                         result = kernel.best_region(
@@ -1098,7 +1136,7 @@ class GPSSNQueryProcessor:
                         n_seeds - i,
                         float(seed_dist_arr[i]) - kth,
                     )
-        return best
+        return best, scans, skips
 
     def _corollary2_fixpoint(
         self,

@@ -30,6 +30,7 @@ POIs ordered by ``max_{u in S} dist_RN(u, o)``.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -387,6 +388,12 @@ class GroupState:
 #: with bounded memory.
 GROUP_BLOCK = 256
 
+#: Absolute slack of :meth:`PairKernel.member_bound`'s theta test. A
+#: Match_Score is a sum of at most ``d`` non-negative weights of a
+#: normalized distribution, so two summation orders differ by about
+#: ``d * 2**-53``; the slack dwarfs that and only ever lowers the bound.
+MATCH_SLACK = 1e-9
+
 
 class BlockGates:
     """Seed-axis gates of one query, reduced per block of groups.
@@ -485,7 +492,12 @@ class PairKernel:
       (:class:`GroupState`);
     * per (group, seed) pair only O(1) gates plus — when the seed alone
       is not enough — a stable argsort of the ball's gathered distances
-      and a cumulative-coverage matmul for the feasible-prefix scan.
+      and a cumulative-coverage matmul for the feasible-prefix scan;
+    * before that scan, a per-member lower bound of the pair's value
+      (:meth:`member_bound`, the singleton group's optimum at the seed):
+      Definition 5 makes the group's region theta-match every member,
+      so by Lemma 2 no member's own best region is farther than the
+      group's, and a pair with a member bound ``>= kth`` cannot win.
 
     Outcomes are identical to :func:`best_region_for_seed` (post
     minimal-prefix fix): the distance values are bitwise-equal IEEE
@@ -622,6 +634,44 @@ class PairKernel:
         self, group: Iterable[int], theta: float
     ) -> GroupState:
         return GroupState(self, group, theta)
+
+    def member_bound(
+        self, uid: int, ball: BallArrays, theta: float
+    ) -> float:
+        """The optimum of the singleton group ``{uid}`` at ``ball``'s seed.
+
+        ``row_u[seed]`` when the seed alone theta-matches the user;
+        otherwise ``max(row_u[seed], row_u[p])`` for the first ball POI
+        ``p``, in stable ``row_u`` order, at which the cumulative keyword
+        cover (seed topics included) theta-matches the user; ``+inf``
+        when the whole ball fails the user.
+
+        This is a lower bound of :meth:`best_region`'s value for every
+        group containing ``uid`` at this seed: the group's region ``R*``
+        theta-matches ``uid`` (Definition 5, condition 5) and
+        ``gmax(p) >= row_u(p)``, so the ``row_u`` prefix through
+        ``max_{p in R*} row_u(p) <= value`` covers ``R*``'s topics and,
+        Match_Score being monotone in ``R`` (Lemma 2), theta-matches
+        ``uid`` too. The distances are the same floats under ``max`` and
+        comparisons only; the score test accepts ``theta -
+        MATCH_SLACK``, which covers any summation order of the group
+        scan's matmul (a score is a sum of at most ``d`` weights of a
+        normalized distribution), so it is never stricter than
+        :meth:`best_region`'s own test.
+        """
+        row = self.member_row(uid)
+        seed_value = float(row[ball.seed_dense])
+        if self.user_poi_feasible(uid, theta)[ball.seed_dense]:
+            return seed_value
+        dist = row[ball.dense_idx]
+        order = np.argsort(dist, kind="stable")
+        cum = np.logical_or.accumulate(ball.keywords[order], axis=0)
+        cum |= self.keywords[ball.seed_dense]
+        feasible = cum @ self.interest_vector(uid) >= theta - MATCH_SLACK
+        cut = int(np.argmax(feasible))
+        if not feasible[cut]:
+            return math.inf
+        return max(seed_value, float(dist[order[cut]]))
 
     # -- the (group, seed) evaluation ---------------------------------
 

@@ -127,6 +127,7 @@ METRIC_HELP = {
     "dijkstra.": "Distance-oracle Dijkstra statistics",
     "dist_engine.": "Distance-engine internal statistics",
     "traverse.": "Algorithm-2 traversal statistics",
+    "refine.": "Algorithm-2 refinement statistics",
     "explain.": "Pruning-funnel (EXPLAIN ANALYZE) statistics",
     "service.": "Query service (batch executor and serve daemon) statistics",
     "http.": "gpssn serve HTTP request statistics",

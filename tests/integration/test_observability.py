@@ -2,14 +2,22 @@
 
 import dataclasses
 import json
+import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro import GPSSNQuery, GPSSNQueryProcessor
 from repro.cli import main
-from repro.experiments.harness import run_workload
+from repro.experiments.harness import (
+    ExperimentScale,
+    build_dataset,
+    run_workload,
+    sample_query_users,
+)
 from repro.obs import Recorder
+from repro.service.server import ServerConfig, create_server
 
 QUERY = GPSSNQuery(query_user=0, tau=3, gamma=0.2, theta=0.3, radius=2.0)
 
@@ -114,6 +122,66 @@ class TestRegistryAbsorption:
         assert processor.recorder.metrics.counter(
             "traverse.witness_checks"
         ) >= 0
+
+    def test_member_bound_counters(self):
+        """A capped paper-default UNI query skips prefix scans by the
+        member gate; both refinement counters reach the enumerate span
+        and the daemon's /metrics."""
+        network = build_dataset(
+            "UNI", ExperimentScale(100, 40, 100), seed=7
+        )
+        (uid,) = sample_query_users(network, 1, seed=7)
+        processor = GPSSNQueryProcessor(
+            network, seed=7, recorder=Recorder.traced()
+        )
+        processor.answer(GPSSNQuery(query_user=uid), max_groups=1500)
+        metrics = processor.recorder.metrics
+        scans = metrics.counter("refine.prefix_scans")
+        skips = metrics.counter("refine.member_bound_skips")
+        assert skips > 0
+        (espan,) = [
+            span for span, _depth in processor.recorder.tracer.iter_spans()
+            if span.name == "refine.enumerate"
+        ]
+        assert espan.attributes == {
+            "prefix_scans": scans, "member_bound_skips": skips,
+        }
+
+        server = create_server(
+            network,
+            ServerConfig(
+                port=0, workers=1, backend="thread",
+                default_max_groups=1500,
+            ),
+            build_args={"seed": 7},
+        )
+        server.service.warm()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            base_url = f"http://{host}:{port}"
+            request = urllib.request.Request(
+                base_url + "/query", data=f'{{"user": {uid}}}\n'.encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request) as response:
+                assert response.status == 200
+            with urllib.request.urlopen(base_url + "/metrics") as response:
+                exported = {
+                    line.split()[0]: float(line.split()[1])
+                    for line in response.read().decode().splitlines()
+                    if line.startswith("gpssn_refine_")
+                }
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert exported == {
+            "gpssn_refine_prefix_scans": scans,
+            "gpssn_refine_member_bound_skips": skips,
+        }
 
 
 class TestHarness:

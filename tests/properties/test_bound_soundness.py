@@ -17,6 +17,7 @@ from repro.core.index_pruning import (
     ub_match_score_road_node,
     ub_maxdist_road_node,
 )
+from repro.core.refinement import enumerate_connected_groups
 from repro.core.scores import match_score
 from repro.index.pivots import pivot_lower_bound
 
@@ -126,3 +127,31 @@ def test_eq19_lb_hops_sound(uid):
         for au in leaf_users(node):
             exact = true_hops.get(au.user_id, math.inf)
             assert lb <= exact + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    uid=user_ids, tau=st.integers(2, 4),
+    theta=st.sampled_from([0.2, 0.4, 0.6]),
+    radius=st.sampled_from([1.0, 2.0, 3.0]),
+)
+def test_member_bound_sound(uid, tau, theta, radius):
+    """Lemma 2 with Definition 5's per-member theta condition: a
+    member's own best region at a seed is never farther than the
+    group's, so every member's bound is at most the pair's value."""
+    kernel = _PROCESSOR._pair_kernel()
+    balls = [
+        kernel.ball(pid, _PROCESSOR.road_index.region(pid, radius))
+        for pid in _NETWORK.poi_ids()
+    ]
+    for group in enumerate_connected_groups(
+        _NETWORK, uid, tau, 0.0, limit=10
+    ):
+        state = kernel.group_state(group, theta)
+        for ball in balls:
+            result = kernel.best_region(ball, state)
+            if result is None:
+                continue
+            for member in group:
+                bound = kernel.member_bound(member, ball, theta)
+                assert bound <= result[1], (member, ball.seed_poi)

@@ -6,6 +6,7 @@ path promises byte-identical query outcomes.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.core.query import GPSSNQuery
 from repro.core.refinement import (
     BallArrays,
     BlockGates,
+    GroupState,
     PairKernel,
     best_region_for_seed,
     enumerate_connected_groups,
@@ -265,6 +267,79 @@ class TestPairKernel:
                     ) == expected
                 checked += 1
         assert checked > 0
+
+
+class TestMemberBound:
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_equals_singleton_reference(self, small_uni, theta):
+        """For every (user, seed) the bound is the scalar reference's
+        value for the singleton group {u}, bit for bit, and +inf exactly
+        when the reference finds no region."""
+        kernel = PairKernel(small_uni)
+        radius = 20.0
+        outcomes = set()
+        for uid in small_uni.social.user_ids():
+            dist_maps = group_distance_maps(small_uni, [uid])
+            interests = [small_uni.social.user(uid).interests]
+            for seed in small_uni.poi_ids():
+                region = small_uni.pois_within(seed, radius)
+                expected = best_region_for_seed(
+                    small_uni, interests, dist_maps, seed, region, theta
+                )
+                got = kernel.member_bound(
+                    uid, kernel.ball(seed, region), theta
+                )
+                if expected is None:
+                    assert got == math.inf, (uid, seed)
+                    outcomes.add("none")
+                else:
+                    assert got == expected[1], (uid, seed)
+                    outcomes.add("seed" if len(expected[0]) == 1 else "scan")
+        assert outcomes == {"none", "seed", "scan"}
+
+    def test_bounds_every_scanned_pair_on_golden_networks(
+        self, monkeypatch
+    ):
+        """Replay every golden case with the member gate disabled, so
+        every pair the block gates pass reaches the prefix scan: each
+        member's bound is at most the scanned value, and the outcomes
+        and counts still equal the golden file (the gate moves none)."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "properties")
+        )
+        import refinement_golden as golden
+
+        member_bound = PairKernel.member_bound
+        best_region = PairKernel.best_region
+        members = {}
+        scanned = 0
+
+        def recording_group_state(self, group, theta):
+            state = GroupState(self, group, theta)
+            # Holding the state keeps its id unique for the whole replay.
+            members[id(state)] = (state, sorted(group))
+            return state
+
+        def checked_best_region(self, ball, state, skip_gates=False):
+            nonlocal scanned
+            result = best_region(self, ball, state, skip_gates)
+            if result is not None:
+                scanned += 1
+                for uid in members[id(state)][1]:
+                    bound = member_bound(self, uid, ball, state.theta)
+                    assert bound <= result[1], (uid, ball.seed_poi)
+            return result
+
+        monkeypatch.setattr(PairKernel, "group_state", recording_group_state)
+        monkeypatch.setattr(PairKernel, "best_region", checked_best_region)
+        monkeypatch.setattr(
+            PairKernel, "member_bound",
+            lambda self, uid, ball, theta: -math.inf,
+        )
+        for case in golden.load():
+            got = golden.outcome(golden.processor_for(case), case)
+            assert got == case["out"], case
+        assert scanned > 1000
 
 
 class TestKernelCacheBounds:
