@@ -27,7 +27,7 @@ import heapq
 import math
 import time
 from bisect import insort
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -59,8 +59,9 @@ from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
 from .refinement import (
     GROUP_BLOCK,
     BlockGates,
+    GroupSpace,
     PairKernel,
-    enumerate_connected_groups,
+    enumerate_group_indices,
     sample_connected_groups,
 )
 from .road_gates import RoadGates
@@ -858,13 +859,17 @@ class GPSSNQueryProcessor:
             with rec.span("refine.seed_filter"):
                 seeds, seed_dist = self._seed_filter(query, r_cand, stats, ex)
             with rec.span("refine.enumerate") as espan:
-                best, scans, skips = self._enumerate(
+                best, scans, skips, live, space = self._enumerate(
                     query, allowed, seeds, seed_dist, stats, max_groups,
                     scorer, k, ex,
                 )
-                espan.set(prefix_scans=scans, member_bound_skips=skips)
+                espan.set(
+                    prefix_scans=scans, member_bound_skips=skips,
+                    live_groups=live, group_space=space,
+                )
             rec.metrics.inc("refine.prefix_scans", scans)
             rec.metrics.inc("refine.member_bound_skips", skips)
+            rec.metrics.inc("refine.live_groups", live)
             return [
                 GPSSNAnswer(
                     users=frozenset(users), pois=frozenset(pois),
@@ -965,16 +970,24 @@ class GPSSNQueryProcessor:
         scorer: MetricScorer,
         k: int,
         ex,
-    ) -> Tuple[List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]], int, int]:
+    ) -> Tuple[
+        List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]],
+        int, int, int, int,
+    ]:
         """Line 31: enumerate groups, evaluate seeds with early
         termination.
 
         Returns the running top-k distinct (S, R) pairs as sorted
         ``(value, users, pois)`` key tuples, then the number of prefix
-        scans run and of scans the member gate skipped. The k-th value
-        is the pruning threshold: any region of a seed farther from u_q
-        than it cannot enter the top-k, because the seed belongs to its
-        region (Lemma 5).
+        scans run, of scans the member gate skipped, of groups that
+        reached the pair loop, and of users in the group space. The k-th
+        value is the pruning threshold: any region of a seed farther
+        from u_q than it cannot enter the top-k, because the seed
+        belongs to its region (Lemma 5).
+
+        Groups arrive as local-index tuples of one :class:`GroupSpace`.
+        A block's dead groups (``g_min >= kth``) are only counted; a
+        frozenset and the pair loop are built for live groups alone.
 
         A pair that passes the block gates still skips its prefix scan
         when some member's own best region at the seed
@@ -1006,12 +1019,15 @@ class GPSSNQueryProcessor:
                 )
             kth = best[-1][0] if len(best) >= k else math.inf
 
-        groups = enumerate_connected_groups(
-            self.network, query.query_user, query.tau, query.gamma,
-            allowed=allowed, limit=max_groups, score_fn=scorer.score,
-            explain=ex,
-        )
         kernel = self._pair_kernel()
+        space = GroupSpace(
+            self.network, query.query_user, query.tau, query.gamma,
+            allowed, scorer,
+        )
+        users = space.users
+        groups = enumerate_group_indices(
+            space, query.tau, limit=max_groups, explain=ex,
+        )
         radius = query.radius
         theta = query.theta
         region = self.road_index.region
@@ -1032,29 +1048,45 @@ class GPSSNQueryProcessor:
         )
         gates = (
             BlockGates(
-                kernel, seed_dense_arr,
+                kernel, users, seed_dense_arr,
                 np.stack([b.full_cover_f8 for b in balls]), theta,
             )
             if n_seeds else None
         )
-        # Per-member gate: (uid, seed index) -> the singleton optimum,
-        # computed lazily, only for pairs that pass the block gates.
+        # Per-member gate: (local index, seed index) -> the singleton
+        # optimum, computed lazily, only for pairs that pass the block
+        # gates.
         bounds: Dict[Tuple[int, int], float] = {}
-        scans = skips = 0
+        scans = skips = live_groups = 0
 
-        def member_gated(group: frozenset, idx: int) -> bool:
+        def member_gated(members: Tuple[int, ...], idx: int) -> bool:
             """Some member's own best region at seed ``idx`` is already
             ``>= kth``, hence so is the group's."""
             ball = balls[idx]
-            for uid in group:
-                bound = bounds.get((uid, idx))
+            for m in members:
+                bound = bounds.get((m, idx))
                 if bound is None:
-                    bound = bounds[uid, idx] = kernel.member_bound(
-                        uid, ball, theta
+                    bound = bounds[m, idx] = kernel.member_bound(
+                        users[m], ball, theta
                     )
                 if bound >= kth:
                     return True
             return False
+
+        def skip_dead(run: int) -> None:
+            """Account for ``run`` groups whose ``g_min >= kth``: the
+            pair loop would examine the first ``limit`` pairs of each and
+            accept none of them."""
+            counters.candidate_pairs_examined += limit * run
+            if ex is not None:
+                ex.survive("refine.pairs", limit * run)
+                if limit < n_seeds:
+                    margin = float(seed_dist_arr[limit]) - kth
+                    for _ in range(run):
+                        ex.prune(
+                            "refine.pairs", "pair.distance",
+                            n_seeds - limit, margin,
+                        )
 
         # Lemma 5 / Eq. 6 against the sorted seed-distance array: seeds
         # past `limit` all fail dist < kth, so the pair loop's break
@@ -1064,29 +1096,33 @@ class GPSSNQueryProcessor:
             block = list(islice(groups, GROUP_BLOCK))
             if not block:
                 break
-            if gates is not None:
-                lb_block, ok_block, ball_block, g_min = gates.reduce(block)
-                g_min = g_min.tolist()
-            for j, group in enumerate(block):
-                stats.groups_refined += 1
-                if ex is not None:
-                    ex.visit("refine.pairs", n_seeds)
-                if not n_seeds:
-                    continue
+            stats.groups_refined += len(block)
+            if ex is not None:
+                ex.visit("refine.pairs", n_seeds * len(block))
+            if not n_seeds:
+                continue
+            # Seeds from `limit` on have dist(u_q, o) >= kth, so their
+            # bounds are >= kth: only the first `limit` decide g_min < kth
+            # and, as kth only falls, only they are read below.
+            index = np.fromiter(
+                chain.from_iterable(block), dtype=np.intp,
+                count=len(block) * query.tau,
+            ).reshape(len(block), query.tau)
+            lb_block, ok_block, ball_block, g_min = gates.reduce(
+                index, limit
+            )
+            # A group dead at the block's start stays dead; a live one is
+            # re-checked against the current kth. Between live groups
+            # kth, and so `limit`, cannot move.
+            done = 0
+            for j in np.flatnonzero(g_min < kth).tolist():
                 if g_min[j] >= kth:
-                    # No viable seed's bound beats kth: the pair loop
-                    # below would examine the first `limit` pairs and
-                    # accept none of them.
-                    counters.candidate_pairs_examined += limit
-                    if ex is not None:
-                        ex.survive("refine.pairs", limit)
-                        if limit < n_seeds:
-                            ex.prune(
-                                "refine.pairs", "pair.distance",
-                                n_seeds - limit,
-                                float(seed_dist_arr[limit]) - kth,
-                            )
                     continue
+                skip_dead(j - done)
+                done = j + 1
+                live_groups += 1
+                members = block[j]
+                group = frozenset([users[m] for m in members])
                 # Per seed: the seed-alone gate, the exact pair value
                 # lower bound and the full-ball gate.
                 seed_ok = ok_block[j].tolist()
@@ -1112,7 +1148,7 @@ class GPSSNQueryProcessor:
                         # scan cannot produce a top-k entrant.
                         if not ball_ok[idx] or lb >= kth:
                             continue
-                        if member_gated(group, idx):
+                        if member_gated(members, idx):
                             skips += 1
                             continue
                         scans += 1
@@ -1136,7 +1172,8 @@ class GPSSNQueryProcessor:
                         n_seeds - i,
                         float(seed_dist_arr[i]) - kth,
                     )
-        return best, scans, skips
+            skip_dead(len(block) - done)
+        return best, scans, skips, live_groups, len(users)
 
     def _corollary2_fixpoint(
         self,

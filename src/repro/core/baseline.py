@@ -97,7 +97,7 @@ class BaselineProcessor:
         ex = rec.explain if rec.explain.active else None
         for group in enumerate_connected_groups(
             network, query.query_user, query.tau, query.gamma,
-            limit=max_groups, score_fn=scorer.score, explain=ex,
+            limit=max_groups, scorer=scorer, explain=ex,
         ):
             stats.groups_refined += 1
             dist_maps = group_distance_maps(network, group)
@@ -176,7 +176,7 @@ class BaselineProcessor:
         ex = rec.explain if rec.explain.active else None
         for group in enumerate_connected_groups(
             network, query.query_user, query.tau, query.gamma,
-            limit=max_groups, score_fn=scorer.score, explain=ex,
+            limit=max_groups, scorer=scorer, explain=ex,
         ):
             stats.groups_refined += 1
             dist_maps = group_distance_maps(network, group)
@@ -240,7 +240,7 @@ class BaselineProcessor:
         scorer = MetricScorer(query.metric)
         groups = enumerate_connected_groups(
             network, query.query_user, query.tau, query.gamma,
-            limit=max(1, num_samples), score_fn=scorer.score,
+            limit=max(1, num_samples), scorer=scorer,
         )
         seeds = network.poi_ids()
         for group in groups:

@@ -34,7 +34,7 @@ elementwise, hence ``supp(low) ⊆ supp(x) ⊆ supp(high)``):
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet
+from typing import FrozenSet, Optional, Sequence
 
 import numpy as np
 
@@ -111,28 +111,45 @@ class MetricScorer:
         differing = len(a.symmetric_difference(b))
         return 1.0 - differing / d
 
-    def pairwise_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """All-pairs score matrix for a stack of interest vectors.
+    def pairwise_matrix(
+        self, matrix: np.ndarray, rows: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Score matrix for a stack of interest vectors.
 
-        Vectorized for DOT and COSINE; set metrics fall back to a loop
-        (they run on the small post-pruning candidate sets only).
+        Entry ``(i, j)`` scores vector ``i`` against vector ``j``. With
+        ``rows`` only those vectors are scored against the whole stack:
+        entry ``(r, j)`` scores ``matrix[rows[r]]`` against
+        ``matrix[j]``, at ``O(len(rows) * n * d)``.
+
+        DOT and COSINE entries are matrix products, so they may differ
+        from :meth:`score` in the last bits. The set metrics count
+        support overlaps with a 0/1 matrix product, which is exact for
+        integers, and then apply :meth:`score`'s own division and
+        subtraction, so their entries equal :meth:`score` bit for bit.
         """
         matrix = np.asarray(matrix, dtype=float)
+        pick = slice(None) if rows is None else np.asarray(rows, dtype=int)
         if self.metric is InterestMetric.DOT:
-            return matrix @ matrix.T
+            return matrix[pick] @ matrix.T
         if self.metric is InterestMetric.COSINE:
             norms = np.linalg.norm(matrix, axis=1)
             safe = np.where(norms == 0, 1.0, norms)
             normalized = matrix / safe[:, None]
             normalized[norms == 0] = 0.0
-            return normalized @ normalized.T
-        n = matrix.shape[0]
-        scores = np.zeros((n, n))
-        for i in range(n):
-            scores[i, i] = self.score(matrix[i], matrix[i])
-            for j in range(i + 1, n):
-                scores[i, j] = scores[j, i] = self.score(matrix[i], matrix[j])
-        return scores
+            return normalized[pick] @ normalized.T
+        member = (matrix >= self.binarize_threshold).astype(float)
+        shared = member[pick] @ member.T
+        sizes = member.sum(axis=1)
+        either = sizes[pick][:, None] + sizes[None, :] - shared
+        if self.metric is InterestMetric.JACCARD:
+            scores = np.zeros_like(shared)
+            np.divide(shared, either, out=scores, where=either > 0)
+            return scores
+        # HAMMING similarity
+        d = matrix.shape[1]
+        if d == 0:
+            return np.zeros_like(shared)
+        return 1.0 - (either - shared) / d
 
     # -- index-level upper bounds (Lemma 8 generalization) ----------------------
 

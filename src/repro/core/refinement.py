@@ -6,7 +6,8 @@ and candidate POIs ``R_cand``; this module turns them into the final
 
 * :func:`enumerate_connected_groups` — all connected ``tau``-subsets of
   the candidate users that contain the query user and satisfy the
-  pairwise interest threshold ``gamma`` (the refinement of Section 5);
+  pairwise interest threshold ``gamma`` (the refinement of Section 5),
+  enumerated over a per-query :class:`GroupSpace` of dense indices;
 * :func:`best_region_for_seed` — for a group ``S`` and a seed POI
   ``o_i``, the subset of ``ball(o_i, r)`` minimizing
   ``maxdist_RN(S, R)`` subject to the matching threshold.
@@ -50,7 +51,250 @@ import numpy as np
 from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
+from .metrics import DEFAULT_SCORER, MetricScorer
 from .scores import interest_score, match_score
+
+
+#: Half-width of the band around ``gamma`` inside which :class:`GroupSpace`
+#: re-scores a :meth:`~repro.core.metrics.MetricScorer.pairwise_matrix`
+#: entry with the exact ``scorer.score``. A matrix entry and ``score``
+#: are two summation orders of the same ``d`` non-negative products, each
+#: in ``[0, 1]``, so they differ by at most about ``2 d**2 2**-53``: below
+#: ``1e-9`` for any ``d <= 2000``. Outside the band the two sides of
+#: ``gamma`` therefore agree, and inside it the exact score decides.
+PAIR_TOL = 1e-9
+
+#: Most score-matrix entries :class:`GroupSpace` holds at once: its
+#: compat rows are scored in blocks of ``max(1, COMPAT_CELLS // |space|)``
+#: users (512 KiB of float64), so a large space costs memory and time
+#: only for the blocks whose users the enumeration actually extends.
+COMPAT_CELLS = 1 << 16
+
+
+class GroupSpace:
+    """The users one group enumeration can reach, in dense local indices.
+
+    The space holds the issuer plus every permitted user within
+    ``tau - 1`` hops of it through permitted users: no group member and
+    no frontier entry can lie outside it. Users are kept in ascending id
+    order, so local order is id order and every sorted id list maps to a
+    sorted index list.
+
+    Only *inner* users — within ``tau - 2`` hops — are ever extended
+    (a user ``h`` hops out joins a group of at least ``h + 1``), so only
+    they get, the first time the enumeration extends a group by them
+    (:meth:`expand`; ``None`` until then):
+
+    * ``neighbours`` — the sorted permitted-neighbour list, as local
+      indices, and ``neighbour_bits``, the same set as an int bitmask;
+    * ``compat`` — an int bitmask of the users whose
+      ``Interest_Score`` with them reaches ``gamma``. Inner users are
+      scored in blocks (breadth-first order, at most
+      :data:`COMPAT_CELLS` entries per block), each one
+      ``scorer.pairwise_matrix`` of the block's rows against the whole
+      space, with every entry within :data:`PAIR_TOL` of ``gamma``
+      re-scored by ``scorer.score``, so each bit equals
+      ``score(w_a, w_b) >= gamma`` exactly. For ``tau == 2`` the only
+      inner user is the issuer: one row, linear in the space.
+    """
+
+    __slots__ = (
+        "users", "root", "neighbours", "neighbour_bits", "compat",
+        "_index", "_social", "_scorer", "_gamma", "_interests", "_matrix",
+        "_blocks", "_block_of",
+    )
+
+    def __init__(
+        self,
+        network: SpatialSocialNetwork,
+        query_user: int,
+        tau: int,
+        gamma: float,
+        allowed: Optional[Set[int]] = None,
+        scorer: Optional[MetricScorer] = None,
+    ) -> None:
+        social = network.social
+        if not social.has_user(query_user):
+            raise UnknownEntityError(f"unknown query user {query_user}")
+
+        # Breadth-first through permitted users, tau - 1 hops deep.
+        hops = {query_user: 0}
+        inner_ids: List[int] = []
+        level = [query_user]
+        for hop in range(1, tau):
+            inner_ids.extend(level)
+            following = []
+            for uid in level:
+                for nbr in social.friends(uid):
+                    if nbr not in hops and (allowed is None or nbr in allowed):
+                        hops[nbr] = hop
+                        following.append(nbr)
+            level = following
+        users = sorted(hops)
+        index = {uid: i for i, uid in enumerate(users)}
+        n = len(users)
+        self.users = users
+        self.root = index[query_user]
+        self.neighbours: List[Optional[List[int]]] = [None] * n
+        self.neighbour_bits: List[Optional[int]] = [None] * n
+        self.compat: List[Optional[int]] = [None] * n
+        self._index = index
+        self._social = social
+        self._scorer = scorer or DEFAULT_SCORER
+        self._gamma = gamma
+        inner = [index[uid] for uid in inner_ids]
+        size = max(1, COMPAT_CELLS // n)
+        self._blocks = [inner[s:s + size] for s in range(0, len(inner), size)]
+        self._block_of = {
+            i: block for block in self._blocks for i in block
+        }
+        self._interests: List[np.ndarray] = []
+        self._matrix: Optional[np.ndarray] = None
+
+    def expand(self, i: int) -> List[int]:
+        """Build (once) and return inner user ``i``'s neighbour list,
+        scoring its ``compat`` row first if its block is unscored.
+
+        Every permitted neighbour of an inner user lies in the space,
+        so membership in the space is the permission test.
+        """
+        if self.compat[i] is None:
+            self._score(self._block_of[i])
+        index = self._index
+        nbrs = sorted(
+            index[nbr] for nbr in self._social.friends(self.users[i])
+            if nbr in index
+        )
+        self.neighbours[i] = nbrs
+        self.neighbour_bits[i] = sum(map((1).__lshift__, nbrs))
+        return nbrs
+
+    def _score(self, rows: List[int]) -> None:
+        """Fill the ``compat`` masks of one block of inner users."""
+        if self._matrix is None:
+            social = self._social
+            self._interests = [social.user(uid).interests for uid in self.users]
+            self._matrix = np.stack(self._interests)
+        scorer, gamma, interests = self._scorer, self._gamma, self._interests
+        scores = scorer.pairwise_matrix(self._matrix, rows)
+        ok = scores >= gamma
+        for r, j in zip(*np.nonzero(np.abs(scores - gamma) <= PAIR_TOL)):
+            ok[r, j] = scorer.score(interests[j], interests[rows[r]]) >= gamma
+        packed = np.packbits(ok, axis=1, bitorder="little")
+        for i, row in zip(rows, packed):
+            self.compat[i] = int.from_bytes(row.tobytes(), "little")
+
+
+def enumerate_group_indices(
+    space: GroupSpace,
+    tau: int,
+    limit: Optional[int] = None,
+    explain=None,
+) -> Iterator[Tuple[int, ...]]:
+    """Yield connected, pairwise-compatible ``tau``-groups of ``space``.
+
+    Groups are tuples of local indices, the issuer first and the other
+    members in the order they joined. A group is compatible with a
+    candidate when the AND of its members' ``compat`` masks has the
+    candidate's bit set.
+
+    The search is the "extension set" technique, run as one iterative
+    depth-first search: a group only ever grows by frontier entries
+    after the one it last took, and the frontier of a child is the rest
+    of its parent's frontier plus the new member's neighbours that the
+    parent had not yet seen (banned or in its frontier). Each connected
+    group is generated exactly once, in an order fixed by ids alone. An
+    incompatible candidate stays in ``seen``: it is incompatible with
+    every supergroup too. The last level only tests bits.
+
+    ``limit`` caps the yielded groups: the search stops right after the
+    ``limit``-th. With ``explain`` (an
+    :class:`~repro.obs.funnel.ExplainRecorder`, or ``None`` to keep the
+    loop free of hook calls) every candidate considered is visited in
+    the ``refine.groups`` funnel, pruned under ``group.interest`` when
+    incompatible and survived when taken, as it is considered.
+    """
+    root = space.root
+    if tau == 1:
+        yield (root,)
+        return
+    remaining = math.inf if limit is None else limit
+    if remaining <= 0:
+        return
+    neighbours = space.neighbours
+    neighbour_bits = space.neighbour_bits
+    compat = space.compat
+    last = tau - 1  # the size of a group whose candidates complete it
+    # Frames are [group, mask, frontier, seen, next position]; `leaf`
+    # is a group of size tau - 1 waiting for its bit tests.
+    stack: List[list] = []
+    leaf = None
+    frontier = space.expand(root)
+    if last == 1:
+        leaf = ((root,), compat[root], frontier)
+    else:
+        stack.append([
+            (root,), compat[root], frontier,
+            neighbour_bits[root] | (1 << root), 0,
+        ])
+    while True:
+        if leaf is not None:
+            group, mask, frontier = leaf
+            leaf = None
+            if explain is None:
+                hits = [c for c in frontier if mask >> c & 1]
+                if len(hits) >= remaining:
+                    hits = hits[:remaining]
+                remaining -= len(hits)
+                for c in hits:
+                    yield group + (c,)
+                if not remaining:
+                    return
+            else:
+                for c in frontier:
+                    explain.visit("refine.groups")
+                    if mask >> c & 1:
+                        explain.survive("refine.groups")
+                        yield group + (c,)
+                        remaining -= 1
+                        if not remaining:
+                            return
+                    else:
+                        explain.prune("refine.groups", "group.interest")
+        if not stack:
+            return
+        frame = stack[-1]
+        group, mask, frontier, seen, pos = frame
+        end = len(frontier)
+        while pos < end:
+            c = frontier[pos]
+            pos += 1
+            if explain is not None:
+                explain.visit("refine.groups")
+            if mask >> c & 1:
+                if explain is not None:
+                    explain.survive("refine.groups")
+                break
+            if explain is not None:
+                explain.prune("refine.groups", "group.interest")
+        else:
+            stack.pop()
+            continue
+        frame[4] = pos
+        child = frontier[pos:]
+        nbrs = neighbours[c]
+        if nbrs is None:
+            nbrs = space.expand(c)
+        bits = neighbour_bits[c]
+        fresh = bits & ~seen
+        if fresh:
+            child.extend([j for j in nbrs if fresh >> j & 1])
+        child_group = group + (c,)
+        child_mask = mask & compat[c]
+        if len(child_group) == last:
+            leaf = (child_group, child_mask, child)
+        else:
+            stack.append([child_group, child_mask, child, seen | bits, 0])
 
 
 def enumerate_connected_groups(
@@ -60,7 +304,7 @@ def enumerate_connected_groups(
     gamma: float,
     allowed: Optional[Set[int]] = None,
     limit: Optional[int] = None,
-    score_fn=None,
+    scorer: Optional[MetricScorer] = None,
     explain=None,
 ) -> Iterator[FrozenSet[int]]:
     """Yield connected ``tau``-groups containing ``query_user``.
@@ -70,6 +314,10 @@ def enumerate_connected_groups(
     every *pair* of members has ``Interest_Score >= gamma`` (checked
     incrementally, so incompatible branches die early).
 
+    A thin wrapper over :class:`GroupSpace` and
+    :func:`enumerate_group_indices` that maps each group back to user
+    ids; the query processor consumes the index tuples directly.
+
     Args:
         network: the spatial-social network.
         query_user: the issuer ``u_q``.
@@ -78,113 +326,18 @@ def enumerate_connected_groups(
         allowed: optional candidate-user whitelist (``S_cand``); the
             issuer is always treated as allowed.
         limit: optional cap on the number of yielded groups.
-        score_fn: pairwise interest score; defaults to the paper's dot
-            product (Eq. 1). Pass a :class:`~repro.core.metrics.MetricScorer`
-            bound method for the alternative metrics.
+        scorer: the pairwise interest metric; defaults to the paper's
+            dot product (Eq. 1).
         explain: optional :class:`~repro.obs.funnel.ExplainRecorder`
-            (pass ``None``, not a NullExplain, to keep the loop free of
-            hook calls). Each frontier-extension decision lands in the
-            ``refine.groups`` funnel: visited per candidate considered,
-            pruned under ``group.interest`` when pairwise-incompatible,
-            survived when the extension is taken.
+            (see :func:`enumerate_group_indices`).
 
     Yields:
         ``frozenset`` groups of exactly ``tau`` user ids.
     """
-    social = network.social
-    if not social.has_user(query_user):
-        raise UnknownEntityError(f"unknown query user {query_user}")
-    if score_fn is None:
-        score_fn = interest_score
-
-    if tau == 1:
-        yield frozenset((query_user,))
-        return
-
-    def permitted(uid: int) -> bool:
-        return allowed is None or uid in allowed or uid == query_user
-
-    interests = {query_user: social.user(query_user).interests}
-    # Exact memos, shared by every branch of this enumeration: each
-    # unordered pair's interest check is scored once (every supported
-    # score is symmetric bit for bit), and each user's permitted
-    # neighbours are sorted once. Sorted order keeps enumeration
-    # content-deterministic: set iteration order depends on insertion
-    # and deletion history, which differs between a freshly loaded
-    # network and one mutated in place, and a `limit` cap makes the
-    # yielded set order-sensitive.
-    pair_ok: Dict[Tuple[int, int], bool] = {}
-    neighbours: Dict[int, List[int]] = {}
-
-    def compatible(uid: int, group: Tuple[int, ...]) -> bool:
-        w = interests.get(uid)
-        if w is None:
-            w = interests[uid] = social.user(uid).interests
-        for member in group:
-            key = (uid, member) if uid < member else (member, uid)
-            ok = pair_ok.get(key)
-            if ok is None:
-                ok = pair_ok[key] = score_fn(w, interests[member]) >= gamma
-            if not ok:
-                return False
-        return True
-
-    def permitted_neighbours(uid: int) -> List[int]:
-        nbrs = neighbours.get(uid)
-        if nbrs is None:
-            nbrs = neighbours[uid] = [
-                nbr for nbr in sorted(social.friends(uid)) if permitted(nbr)
-            ]
-        return nbrs
-
-    # Connected-subgraph enumeration with a canonical extension order:
-    # each group is generated once by only ever adding neighbours whose
-    # id is allowed to extend the current frontier set ("extension set"
-    # technique). `banned` carries vertices already considered at an
-    # ancestor, preventing duplicates; it always contains the group.
-    yielded = 0
-
-    def extend(
-        group: Tuple[int, ...],
-        frontier: List[int],
-        banned: Set[int],
-    ) -> Iterator[FrozenSet[int]]:
-        nonlocal yielded
-        local_banned = set(banned)
-        for idx, candidate in enumerate(frontier):
-            if limit is not None and yielded >= limit:
-                return
-            if explain is not None:
-                explain.visit("refine.groups")
-            if not compatible(candidate, group):
-                # A pairwise-incompatible candidate stays incompatible in
-                # every supergroup: ban it for deeper levels of this branch.
-                local_banned.add(candidate)
-                if explain is not None:
-                    explain.prune("refine.groups", "group.interest")
-                continue
-            if explain is not None:
-                explain.survive("refine.groups")
-            new_group = group + (candidate,)
-            if len(new_group) == tau:
-                yielded += 1
-                yield frozenset(new_group)
-            else:
-                new_banned = local_banned | {candidate}
-                new_frontier = [
-                    c for c in frontier[idx + 1:] if c not in new_banned
-                ]
-                in_frontier = set(new_frontier)
-                for nbr in permitted_neighbours(candidate):
-                    if nbr not in new_banned and nbr not in in_frontier:
-                        new_frontier.append(nbr)
-                        in_frontier.add(nbr)
-                yield from extend(new_group, new_frontier, new_banned)
-            local_banned.add(candidate)
-
-    yield from extend(
-        (query_user,), permitted_neighbours(query_user), {query_user}
-    )
+    space = GroupSpace(network, query_user, tau, gamma, allowed, scorer)
+    users = space.users
+    for group in enumerate_group_indices(space, tau, limit, explain):
+        yield frozenset([users[i] for i in group])
 
 
 def group_distance_maps(
@@ -409,70 +562,74 @@ class BlockGates:
     * ``ball_ok`` — the seed's full ball theta-matches every member.
 
     These are exactly :class:`GroupState`'s reductions restricted to the
-    seeds. Member rows are computed once per query, for the users that
-    actually occur in an enumerated group, and a whole block of groups
-    is reduced by one ``(block, tau)`` gather per quantity. ``g_min`` is
-    each group's smallest bound over its viable seeds (``seed_ok`` or
+    seeds. Member rows live in dense ``(space, seeds)`` arrays indexed by
+    :class:`GroupSpace` local index; a row is filled the first time its
+    user occurs in a block, so rows are computed once per query and only
+    for users of an enumerated group. A whole block of groups is reduced
+    by one ``(block, tau)`` gather per quantity. ``g_min`` is each
+    group's smallest bound over its viable seeds (``seed_ok`` or
     ``ball_ok``): when it is not below the running k-th value, no pair
     of the group can enter the top-k.
     """
 
     __slots__ = (
-        "kernel", "seed_dense", "full_cover", "theta",
-        "_lb", "_seed_ok", "_ball_ok",
+        "kernel", "users", "seed_dense", "full_cover", "theta",
+        "_filled", "_lb", "_seed_ok", "_ball_ok",
     )
 
     def __init__(
         self,
         kernel: "PairKernel",
+        users: Sequence[int],
         seed_dense: np.ndarray,
         full_cover: np.ndarray,
         theta: float,
     ) -> None:
         self.kernel = kernel
+        self.users = users
         self.seed_dense = seed_dense
         self.full_cover = full_cover
         self.theta = theta
-        self._lb: Dict[int, np.ndarray] = {}
-        self._seed_ok: Dict[int, np.ndarray] = {}
-        self._ball_ok: Dict[int, np.ndarray] = {}
+        shape = (len(users), len(seed_dense))
+        self._filled = np.zeros(len(users), dtype=bool)
+        self._lb = np.empty(shape)
+        self._seed_ok = np.empty(shape, dtype=bool)
+        self._ball_ok = np.empty(shape, dtype=bool)
 
-    def _add_members(self, uids: List[int]) -> None:
+    def _fill(self, rows: List[int]) -> None:
         kernel = self.kernel
         seed_dense = self.seed_dense
         theta = self.theta
-        for uid in uids:
-            self._lb[uid] = kernel.member_row(uid)[seed_dense]
-            self._seed_ok[uid] = (
+        uids = [self.users[i] for i in rows]
+        for i, uid in zip(rows, uids):
+            self._lb[i] = kernel.member_row(uid)[seed_dense]
+            self._seed_ok[i] = (
                 kernel.user_poi_feasible(uid, theta)[seed_dense]
             )
         interests = np.stack([kernel.interest_vector(uid) for uid in uids])
-        ball_ok = ((self.full_cover @ interests.T) >= theta).T
-        for uid, row in zip(uids, ball_ok):
-            self._ball_ok[uid] = row
+        self._ball_ok[rows] = ((self.full_cover @ interests.T) >= theta).T
+        self._filled[rows] = True
 
     def reduce(
-        self, groups: Sequence[FrozenSet[int]]
+        self, index: np.ndarray, width: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(lb, seed_ok, ball_ok, g_min)`` for a block of groups.
+        """``(lb, seed_ok, ball_ok, g_min)`` for a ``(block, tau)`` array
+        of groups as local indices, over the first ``width`` seeds (all
+        by default).
 
-        The first three are ``(len(groups), n_seeds)`` arrays, ``g_min``
-        has one entry per group (``inf`` when no seed is viable).
+        The first three are ``(block, width)`` arrays, ``g_min`` has one
+        entry per group (``inf`` when no seed is viable).
         """
-        members = sorted(set().union(*groups))
-        fresh = [uid for uid in members if uid not in self._lb]
-        if fresh:
-            self._add_members(fresh)
-        slot = {uid: i for i, uid in enumerate(members)}
-        index = np.array([[slot[uid] for uid in group] for group in groups])
-        lb = np.stack([self._lb[uid] for uid in members])[index].max(axis=1)
-        seed_ok = np.stack(
-            [self._seed_ok[uid] for uid in members]
-        )[index].all(axis=1)
-        ball_ok = np.stack(
-            [self._ball_ok[uid] for uid in members]
-        )[index].all(axis=1)
-        g_min = np.where(seed_ok | ball_ok, lb, np.inf).min(axis=1)
+        fresh = index[~self._filled[index]]
+        if fresh.size:
+            self._fill(np.unique(fresh).tolist())
+        cols = slice(None, width)
+        lb = self._lb[:, cols][index].max(axis=1)
+        seed_ok = self._seed_ok[:, cols][index].all(axis=1)
+        ball_ok = self._ball_ok[:, cols][index].all(axis=1)
+        g_min = np.where(seed_ok | ball_ok, lb, np.inf).min(
+            axis=1, initial=np.inf
+        )
         return lb, seed_ok, ball_ok, g_min
 
 

@@ -183,7 +183,7 @@ class ScanProcessor:
         for group in enumerate_connected_groups(
             network, query.query_user, query.tau, query.gamma,
             allowed=set(candidates), limit=max_groups,
-            score_fn=scorer.score, explain=ex,
+            scorer=scorer, explain=ex,
         ):
             stats.groups_refined += 1
             dist_maps = group_distance_maps(network, group)

@@ -57,6 +57,7 @@ import concurrent.futures
 import logging
 import multiprocessing
 import os
+import signal
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -406,8 +407,14 @@ def _process_worker_label() -> str:
 def _process_initializer(
     snapshot: NetworkSnapshot, traced: bool = False, explain: bool = False
 ) -> None:
-    """Build this worker process's warm state exactly once."""
+    """Build this worker process's warm state exactly once.
+
+    A forked worker inherits its parent's signal handlers; SIGTERM is
+    reset to its default action so that terminating the worker (or its
+    whole process group) stops it rather than raising inside a query.
+    """
     global _PROCESS_STATE
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _PROCESS_STATE = WorkerState(
         snapshot, recorder=_worker_recorder(traced, explain)
     )

@@ -56,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import signal
 import threading
 import time
 import uuid
@@ -1240,16 +1241,35 @@ def serve(
     ready_message=None,
     snapshot: Optional[NetworkSnapshot] = None,
 ) -> None:
-    """Run the daemon until interrupted (the ``gpssn serve`` loop)."""
+    """Run the daemon until interrupted (the ``gpssn serve`` loop).
+
+    SIGTERM takes the same graceful path as SIGINT: readiness drains,
+    in-flight handlers finish, and the service closes its worker pool
+    and deletes its temporary arena before ``serve`` returns. (Only
+    the main thread can install the SIGTERM handler; elsewhere SIGTERM
+    keeps its default action.)
+    """
     server = create_server(network, config, build_args, snapshot=snapshot)
-    server.service.warm_async()
-    host, port = server.server_address[:2]
-    if ready_message is not None:
-        ready_message(host, port)
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _interrupt_on_sigterm)
     try:
+        server.service.warm_async()
+        host, port = server.server_address[:2]
+        if ready_message is not None:
+            ready_message(host, port)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
         server.server_close()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _interrupt_on_sigterm(signum, frame) -> None:
+    """Turn the first SIGTERM into ``KeyboardInterrupt``; ignore repeats
+    so they cannot cut the shutdown short."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise KeyboardInterrupt

@@ -125,8 +125,8 @@ class TestRegistryAbsorption:
 
     def test_member_bound_counters(self):
         """A capped paper-default UNI query skips prefix scans by the
-        member gate; both refinement counters reach the enumerate span
-        and the daemon's /metrics."""
+        member gate; the refinement counters (live groups included) reach
+        the enumerate span, the daemon's /metrics and /trace/<id>."""
         network = build_dataset(
             "UNI", ExperimentScale(100, 40, 100), seed=7
         )
@@ -134,18 +134,26 @@ class TestRegistryAbsorption:
         processor = GPSSNQueryProcessor(
             network, seed=7, recorder=Recorder.traced()
         )
-        processor.answer(GPSSNQuery(query_user=uid), max_groups=1500)
+        query = GPSSNQuery(query_user=uid)
+        _, stats = processor.answer(query, max_groups=1500)
         metrics = processor.recorder.metrics
         scans = metrics.counter("refine.prefix_scans")
         skips = metrics.counter("refine.member_bound_skips")
+        live = metrics.counter("refine.live_groups")
         assert skips > 0
+        assert 0 < live < stats.groups_refined
         (espan,) = [
             span for span, _depth in processor.recorder.tracer.iter_spans()
             if span.name == "refine.enumerate"
         ]
-        assert espan.attributes == {
+        attributes = {
             "prefix_scans": scans, "member_bound_skips": skips,
+            "live_groups": live, "group_space": espan.attributes.get(
+                "group_space"
+            ),
         }
+        assert espan.attributes == attributes
+        assert query.tau <= attributes["group_space"] <= network.social.num_users
 
         server = create_server(
             network,
@@ -173,6 +181,16 @@ class TestRegistryAbsorption:
                     for line in response.read().decode().splitlines()
                     if line.startswith("gpssn_refine_")
                 }
+            request = urllib.request.Request(
+                base_url + "/query?trace=1", data=f'{{"user": {uid}}}\n'.encode(),
+                method="POST", headers={"X-Request-Id": "req-live-groups"},
+            )
+            with urllib.request.urlopen(request) as response:
+                assert response.status == 200
+            with urllib.request.urlopen(
+                base_url + "/trace/req-live-groups"
+            ) as response:
+                spans = json.loads(response.read())["spans"]
         finally:
             server.shutdown()
             server.server_close()
@@ -181,7 +199,10 @@ class TestRegistryAbsorption:
         assert exported == {
             "gpssn_refine_prefix_scans": scans,
             "gpssn_refine_member_bound_skips": skips,
+            "gpssn_refine_live_groups": live,
         }
+        (traced,) = [s for s in spans if s["name"] == "refine.enumerate"]
+        assert traced["attrs"] == attributes
 
 
 class TestHarness:

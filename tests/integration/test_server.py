@@ -7,12 +7,21 @@ serve-smoke job also enforces against the real CLI.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.exceptions import InvalidParameterError
 from repro.experiments.harness import ExperimentScale, build_dataset
 from repro.service import (
@@ -397,3 +406,70 @@ class TestTimeouts:
         [outcome] = result.outcomes
         assert outcome.status == "timeout"
         assert service.registry.counter("service.timeouts") == 1
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("group", [False, True], ids=["pid", "pgid"])
+    def test_sigterm_closes_pool_and_arena(self, tmp_path, group):
+        """SIGTERM to a process-backend daemon takes the graceful path:
+        exit 0, no pool worker outlives it, the temporary arena is gone.
+        Sent to the whole process group it also reaches the pool worker,
+        which must stop instead of raising KeyboardInterrupt inside its
+        query loop."""
+        bundle = tmp_path / "net.json"
+        assert main([
+            "generate", "--dataset", "UNI", "--users", "40", "--pois", "20",
+            "--road-vertices", "60", "--seed", "3", "--output", str(bundle),
+        ]) == 0
+        arena_dir = tmp_path / "arena"
+        arena_dir.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ, TMPDIR=str(arena_dir),
+            PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+            ),
+        )
+        stderr = tmp_path / "stderr.txt"
+        with stderr.open("w") as err:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--input", str(bundle), "--port", "0",
+                    "--workers", "1", "--backend", "process",
+                ],
+                env=env, stdout=subprocess.PIPE, stderr=err, text=True,
+                start_new_session=True,
+            )
+        pgid = proc.pid  # a new session leads its own process group
+        try:
+            port = re.search(
+                r"http://[^:]+:(\d+)", proc.stdout.readline()
+            ).group(1)
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    _get(f"http://127.0.0.1:{port}", "/readyz")
+                    break
+                except (urllib.error.URLError, ConnectionError):
+                    assert time.monotonic() < deadline, "never became ready"
+                    time.sleep(0.1)
+            assert len(list(arena_dir.glob("*.gpsnap"))) == 1
+            if group:
+                os.killpg(pgid, signal.SIGTERM)
+            else:
+                proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.stdout.close()
+            try:
+                os.killpg(pgid, 0)
+                survivors = True
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                survivors = False
+            if proc.poll() is None:
+                proc.wait()
+        assert not survivors
+        assert not list(arena_dir.glob("*.gpsnap"))
+        assert "KeyboardInterrupt" not in stderr.read_text()

@@ -99,6 +99,42 @@ class TestPairwiseMatrix:
                     scorer.score(matrix[i], matrix[j]), abs=1e-9
                 )
 
+    @pytest.mark.parametrize(
+        "metric", [InterestMetric.JACCARD, InterestMetric.HAMMING]
+    )
+    def test_set_metric_matrix_is_bitwise_exact(self, metric):
+        """Set metrics count overlaps exactly, so every entry equals the
+        scalar score bit for bit (empty supports included)."""
+        rng = np.random.default_rng(1)
+        matrix = rng.random((40, 7)) * (rng.random((40, 7)) < 0.5)
+        matrix[0] = 0.0
+        matrix[1] = 0.05  # below the binarize threshold: empty support
+        scorer = MetricScorer(metric)
+        scores = scorer.pairwise_matrix(matrix)
+        for i in range(len(matrix)):
+            for j in range(len(matrix)):
+                assert scores[i, j] == scorer.score(matrix[i], matrix[j])
+
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_row_subset_scores_rows_against_all(self, metric):
+        """``rows`` scores just those vectors against the whole stack;
+        set-metric entries stay bitwise equal to ``score``."""
+        rng = np.random.default_rng(2)
+        matrix = rng.random((9, 5)) * (rng.random((9, 5)) < 0.6)
+        matrix[4] = 0.0
+        scorer = MetricScorer(metric)
+        rows = [7, 0, 4]
+        scores = scorer.pairwise_matrix(matrix, rows)
+        assert scores.shape == (3, 9)
+        for r, i in enumerate(rows):
+            for j in range(9):
+                exact = scorer.score(matrix[i], matrix[j])
+                if metric in (InterestMetric.JACCARD, InterestMetric.HAMMING):
+                    assert scores[r, j] == exact
+                else:
+                    assert scores[r, j] == pytest.approx(exact, abs=1e-9)
+
 
 class TestBoxUpperBounds:
     @pytest.mark.parametrize("metric", ALL_METRICS)

@@ -16,10 +16,12 @@ from repro.core.query import GPSSNQuery
 from repro.core.refinement import (
     BallArrays,
     BlockGates,
+    GroupSpace,
     GroupState,
     PairKernel,
     best_region_for_seed,
     enumerate_connected_groups,
+    enumerate_group_indices,
     group_distance_maps,
 )
 from repro.core.scores import match_score
@@ -418,15 +420,15 @@ class TestBlockGates:
         ]
         seed_dense = np.array([b.seed_dense for b in balls])
         full_cover = np.stack([b.full_cover_f8 for b in balls])
-        gates = BlockGates(kernel, seed_dense, full_cover, theta)
-        groups = list(
-            enumerate_connected_groups(small_uni, 0, 3, 0.0, limit=40)
-        )
+        space = GroupSpace(small_uni, 0, 3, 0.0)
+        gates = BlockGates(kernel, space.users, seed_dense, full_cover, theta)
+        groups = list(enumerate_group_indices(space, 3, limit=40))
         assert len(groups) > 2
         # Two blocks: the second reuses the member rows of the first.
         for block in (groups[:15], groups[15:]):
-            lb, seed_ok, ball_ok, g_min = gates.reduce(block)
-            for j, group in enumerate(block):
+            lb, seed_ok, ball_ok, g_min = gates.reduce(np.array(block))
+            for j, members in enumerate(block):
+                group = [space.users[m] for m in members]
                 state = kernel.group_state(group, theta)
                 assert np.array_equal(lb[j], state.gmax[seed_dense])
                 assert np.array_equal(
@@ -441,3 +443,28 @@ class TestBlockGates:
                     if seed_ok[j][i] or ball_ok[j][i]
                 ]
                 assert g_min[j] == (min(viable) if viable else math.inf)
+
+    def test_reduce_width_is_a_seed_prefix(self, small_uni):
+        kernel = PairKernel(small_uni)
+        theta = 0.45
+        seeds = small_uni.poi_ids()[:12]
+        balls = [
+            kernel.ball(s, small_uni.pois_within(s, 20.0)) for s in seeds
+        ]
+        seed_dense = np.array([b.seed_dense for b in balls])
+        full_cover = np.stack([b.full_cover_f8 for b in balls])
+        space = GroupSpace(small_uni, 0, 3, 0.0)
+        index = np.array(list(enumerate_group_indices(space, 3, limit=40)))
+        full = BlockGates(
+            kernel, space.users, seed_dense, full_cover, theta
+        ).reduce(index)
+        for width in (0, 1, 5, len(seeds)):
+            part = BlockGates(
+                kernel, space.users, seed_dense, full_cover, theta
+            ).reduce(index, width)
+            for got, want in zip(part[:3], full[:3]):
+                assert np.array_equal(got, want[:, :width])
+            lb, seed_ok, ball_ok, g_min = part
+            viable = np.where(seed_ok | ball_ok, lb, np.inf)
+            for j in range(len(index)):
+                assert g_min[j] == min(viable[j].tolist(), default=math.inf)

@@ -1,20 +1,28 @@
 """Unit and property tests for group enumeration and region construction."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import refinement
+from repro.core.metrics import InterestMetric, MetricScorer
 from repro.core.refinement import (
+    PAIR_TOL,
+    GroupSpace,
     best_region_for_seed,
     enumerate_connected_groups,
+    enumerate_group_indices,
     exact_maxdist,
     group_distance_maps,
     max_group_distance_to_poi,
 )
 from repro.core.scores import interest_score, match_score
 from repro.exceptions import UnknownEntityError
-from repro.datagen.synthetic import uni_dataset
+from repro.datagen.synthetic import uni_dataset, zipf_dataset
+from repro.obs.funnel import ExplainRecorder
 
 # Shared across the S1 minimality property examples (dataset build
 # dominates runtime; hypothesis draws queries, not networks).
@@ -112,8 +120,214 @@ class TestEnumeration:
         assert ours == expected
 
 
+def _reference_enumerate(
+    network, query_user, tau, gamma, allowed=None, limit=None,
+    scorer=None, explain=None,
+):
+    """The recursive enumerator the index-space DFS replaced, kept as
+    the yield-order and funnel reference: a pair check per (candidate,
+    member), ``yield from`` per level."""
+    social = network.social
+    if not social.has_user(query_user):
+        raise UnknownEntityError(f"unknown query user {query_user}")
+    score_fn = (scorer or MetricScorer()).score
+    if tau == 1:
+        yield frozenset((query_user,))
+        return
+
+    def permitted(uid):
+        return allowed is None or uid in allowed or uid == query_user
+
+    def compatible(uid, group):
+        w = social.user(uid).interests
+        return all(
+            score_fn(w, social.user(member).interests) >= gamma
+            for member in group
+        )
+
+    def permitted_neighbours(uid):
+        return [nbr for nbr in sorted(social.friends(uid)) if permitted(nbr)]
+
+    yielded = 0
+
+    def extend(group, frontier, banned):
+        nonlocal yielded
+        local_banned = set(banned)
+        for idx, candidate in enumerate(frontier):
+            if limit is not None and yielded >= limit:
+                return
+            if explain is not None:
+                explain.visit("refine.groups")
+            if not compatible(candidate, group):
+                local_banned.add(candidate)
+                if explain is not None:
+                    explain.prune("refine.groups", "group.interest")
+                continue
+            if explain is not None:
+                explain.survive("refine.groups")
+            new_group = group + (candidate,)
+            if len(new_group) == tau:
+                yielded += 1
+                yield frozenset(new_group)
+            else:
+                new_banned = local_banned | {candidate}
+                new_frontier = [
+                    c for c in frontier[idx + 1:] if c not in new_banned
+                ]
+                in_frontier = set(new_frontier)
+                for nbr in permitted_neighbours(candidate):
+                    if nbr not in new_banned and nbr not in in_frontier:
+                        new_frontier.append(nbr)
+                        in_frontier.add(nbr)
+                yield from extend(new_group, new_frontier, new_banned)
+            local_banned.add(candidate)
+
+    yield from extend(
+        (query_user,), permitted_neighbours(query_user), {query_user}
+    )
+
+
+class _CountingScorer(MetricScorer):
+    """A scorer that records which user pairs ``score`` saw and how
+    often ``pairwise_matrix`` ran, and on how many rows."""
+
+    def __init__(self, network, metric=InterestMetric.DOT):
+        super().__init__(metric)
+        social = network.social
+        self.owner = {
+            id(social.user(uid).interests): uid for uid in social.user_ids()
+        }
+        self.calls = []
+        self.matrices = 0
+        self.rows = 0
+
+    def score(self, w_j, w_k):
+        self.calls.append(frozenset((self.owner[id(w_j)], self.owner[id(w_k)])))
+        return super().score(w_j, w_k)
+
+    def pairwise_matrix(self, matrix, rows=None):
+        self.matrices += 1
+        self.rows += len(matrix) if rows is None else len(rows)
+        return super().pairwise_matrix(matrix, rows)
+
+
+class TestIndexSpaceParity:
+    """The iterative index-space enumerator yields exactly the
+    recursive reference's sequence, with the same funnel events."""
+
+    @staticmethod
+    def _assert_parity(network, query_user, tau, gamma, **kwargs):
+        ref_ex, new_ex = ExplainRecorder(), ExplainRecorder()
+        expected = list(_reference_enumerate(
+            network, query_user, tau, gamma, explain=ref_ex, **kwargs
+        ))
+        assert list(enumerate_connected_groups(
+            network, query_user, tau, gamma, explain=new_ex, **kwargs
+        )) == expected
+        assert list(enumerate_connected_groups(
+            network, query_user, tau, gamma, **kwargs
+        )) == expected
+        assert new_ex.as_dict() == ref_ex.as_dict()
+        return expected
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dataset", [uni_dataset, zipf_dataset])
+    def test_random_networks(self, dataset, tau):
+        nonempty = 0
+        for seed in (3, 11):
+            network = dataset(
+                num_road_vertices=40, num_pois=10, num_users=36, seed=seed
+            )
+            users = sorted(network.social.user_ids())
+            rng = random.Random(seed * 10 + tau)
+            for gamma in (0.0, 0.2, 0.5):
+                for metric in InterestMetric:
+                    scorer = MetricScorer(metric)
+                    query_user = rng.choice(users)
+                    subset = set(rng.sample(users, len(users) * 2 // 3))
+                    for allowed in (None, subset):
+                        for limit in (1, 7, None):
+                            nonempty += bool(self._assert_parity(
+                                network, query_user, tau, gamma,
+                                allowed=allowed, limit=limit, scorer=scorer,
+                            ))
+        assert nonempty
+
+    def test_space_holds_every_group(self, small_uni):
+        allowed = set(range(0, 40, 2))
+        for tau in (2, 3, 4):
+            space = GroupSpace(small_uni, 0, tau, 0.0, allowed)
+            hops = small_uni.social.hop_distances_from(0, max_hops=tau - 1)
+            assert space.users == sorted(space.users)
+            assert set(space.users) <= set(hops) | {0}
+            assert set(space.users) <= allowed | {0}
+            for group in enumerate_group_indices(space, tau):
+                assert space.root == group[0]
+                assert len(set(group)) == tau
+
+    @pytest.mark.parametrize(
+        "metric", [InterestMetric.DOT, InterestMetric.COSINE]
+    )
+    def test_near_tie_rescored_exactly(self, small_uni, metric):
+        """gamma a few ulps around real pair scores: every such matrix
+        entry lies in the PAIR_TOL band, is re-scored, and the decision
+        equals ``scorer.score(w_a, w_b) >= gamma``."""
+        social = small_uni.social
+        probe = MetricScorer(metric)
+        w0 = social.user(0).interests
+        ties = sorted({
+            probe.score(social.user(nbr).interests, w0)
+            for nbr in social.friends(0)
+        })
+        assert ties
+        rescored = 0
+        for tie in ties:
+            for gamma in (
+                np.nextafter(np.nextafter(tie, -1.0), -1.0),
+                np.nextafter(tie, -1.0), tie, np.nextafter(tie, 2.0),
+                np.nextafter(np.nextafter(tie, 2.0), 2.0),
+            ):
+                gamma = float(gamma)
+                assert abs(gamma - tie) <= PAIR_TOL
+                for tau in (2, 3, 4):
+                    scorer = _CountingScorer(small_uni, metric)
+                    got = list(enumerate_connected_groups(
+                        small_uni, 0, tau, gamma, scorer=scorer
+                    ))
+                    assert scorer.matrices == 1
+                    rescored += len(scorer.calls)
+                    assert got == list(_reference_enumerate(
+                        small_uni, 0, tau, gamma, scorer=probe
+                    ))
+        assert rescored
+
+
+    def test_compat_blocks_are_scored_lazily(self, small_uni, monkeypatch):
+        """With one-row blocks the sequence is unchanged, each inner user
+        is scored at most once, and a capped search scores only the
+        users it extends."""
+        monkeypatch.setattr(refinement, "COMPAT_CELLS", 1)
+        for metric in InterestMetric:
+            for tau in (2, 3, 4):
+                scorer = _CountingScorer(small_uni, metric)
+                space = GroupSpace(small_uni, 0, tau, 0.2, scorer=scorer)
+                groups = list(enumerate_group_indices(space, tau))
+                scored = sum(mask is not None for mask in space.compat)
+                assert scorer.matrices == scorer.rows == scored
+                assert [
+                    frozenset(space.users[i] for i in group)
+                    for group in groups
+                ] == list(_reference_enumerate(
+                    small_uni, 0, tau, 0.2, scorer=MetricScorer(metric)
+                ))
+        scorer = _CountingScorer(small_uni)
+        space = GroupSpace(small_uni, 0, 3, 0.0, scorer=scorer)
+        assert len(list(enumerate_group_indices(space, 3, limit=1))) == 1
+        assert scorer.matrices == scorer.rows == 2
+
+
 class TestEnumerationMemos:
-    """The pair-check and neighbour memos leave the yield order exact."""
+    """Each pair is scored at most once and a cap keeps the yield order."""
 
     @staticmethod
     def _networks(small_uni):
@@ -126,25 +340,16 @@ class TestEnumerationMemos:
 
     def test_score_fn_called_once_per_unordered_pair(self, small_uni):
         for network in self._networks(small_uni):
-            social = network.social
-            owner = {
-                id(social.user(uid).interests): uid
-                for uid in social.user_ids()
-            }
-            for tau in (3, 4):
-                calls = []
-
-                def counting(w_a, w_b):
-                    calls.append(frozenset((owner[id(w_a)], owner[id(w_b)])))
-                    return interest_score(w_a, w_b)
-
+            for tau in (2, 3, 4):
+                scorer = _CountingScorer(network)
                 groups = list(
                     enumerate_connected_groups(
-                        network, 0, tau, 0.2, score_fn=counting
+                        network, 0, tau, 0.2, scorer=scorer
                     )
                 )
                 assert groups
-                assert len(calls) == len(set(calls)), tau
+                assert scorer.matrices <= 1, tau
+                assert len(scorer.calls) == len(set(scorer.calls)), tau
                 assert set(groups) == brute_force_groups(
                     network, 0, tau, 0.2
                 )
