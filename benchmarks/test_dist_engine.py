@@ -14,6 +14,7 @@ median point-to-point at least 5x faster than the reference.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 
@@ -91,6 +92,7 @@ def test_dist_engine_speedup(benchmark, uni_processor):
 
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
+        "cpu_count": os.cpu_count(),
         "road_vertices": road.num_vertices,
         "road_edges": road.num_edges,
         "num_pairs": NUM_PAIRS,

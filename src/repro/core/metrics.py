@@ -95,7 +95,9 @@ class MetricScorer:
             nk = float(np.linalg.norm(w_k))
             if nj == 0.0 or nk == 0.0:
                 return 0.0
-            return float(np.dot(w_j, w_k) / (nj * nk))
+            # A norm that underflows (components near 1e-160) can push
+            # the quotient past 1; a cosine never exceeds it.
+            return min(1.0, float(np.dot(w_j, w_k) / (nj * nk)))
         t = self.binarize_threshold
         a = support(w_j, t)
         b = support(w_k, t)
@@ -136,7 +138,9 @@ class MetricScorer:
             safe = np.where(norms == 0, 1.0, norms)
             normalized = matrix / safe[:, None]
             normalized[norms == 0] = 0.0
-            return normalized[pick] @ normalized.T
+            # Clamped like score(): entries at or below 1 keep every bit.
+            scores = normalized[pick] @ normalized.T
+            return np.minimum(scores, 1.0, out=scores)
         member = (matrix >= self.binarize_threshold).astype(float)
         shared = member[pick] @ member.T
         sizes = member.sum(axis=1)

@@ -124,9 +124,11 @@ class DynamicIndexMaintainer:
         self.network.apply(mutation)
         if not stale:
             return
-        social_pivots.recompute(stale)
+        changed = social_pivots.recompute(stale)
         social_index = self.processor.social_index
         for uid in self.network.social.user_ids():
+            if uid not in changed:
+                continue
             au = social_index.augmented(uid)
             fresh = social_pivots.distances(uid)
             if fresh == au.social_pivot_dists:

@@ -23,7 +23,7 @@ and strengthens the distance pruning (Lemmas 4, 7, 9). Because
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -270,10 +270,23 @@ class SocialPivotIndex:
                     stale.append(k)
         return stale
 
-    def recompute(self, indices: Sequence[int]) -> None:
-        """Re-run the BFS for the given pivot map indices (post-mutation)."""
+    def recompute(self, indices: Sequence[int]) -> Set[int]:
+        """Re-run the BFS for the given pivot map indices (post-mutation).
+
+        Returns the users whose hop count to one of those pivots changed,
+        including users who gained or lost reachability; every other
+        user's :meth:`distances` row is what it was before the call.
+        """
+        changed: Set[int] = set()
         for k in indices:
-            self._maps[k] = self.social.hop_distances_from(self.pivots[k])
+            old = self._maps[k]
+            new = self.social.hop_distances_from(self.pivots[k])
+            changed.update(
+                uid for uid, hops in new.items() if old.get(uid) != hops
+            )
+            changed.update(uid for uid in old if uid not in new)
+            self._maps[k] = new
+        return changed
 
     def lower_bound(self, dists_a: Sequence[float], dists_b: Sequence[float]) -> float:
         return pivot_lower_bound(dists_a, dists_b)

@@ -93,7 +93,11 @@ FORMAT_NAME = "gpssn-frozen-snapshot"
 #: 3: the road-index document carries each POI's ``region_dists``, the
 #: exact distances ``RoadIndex.region`` filters; a version-2 arena has
 #: none.
-FORMAT_VERSION = 3
+#: 4: seeded road searches on the scipy path are one Dijkstra from a
+#: virtual source, whose sums equal the heap kernel's bit for bit; a
+#: version-3 arena's ``region_dists`` came from a minimum over per-seed
+#: searches and may differ from a fresh build in the last bit.
+FORMAT_VERSION = 4
 
 #: Section (and data-area) alignment: the mmap granularity, so every
 #: section view is page-aligned for the OS to share across processes.

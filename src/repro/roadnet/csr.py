@@ -7,10 +7,14 @@ allocates a dict-items view, and chases pointers. :class:`CSRGraph`
 freezes the adjacency into three flat arrays — ``indptr``, ``indices``,
 ``weights``, the standard compressed-sparse-row layout — with a dense
 ``0..n-1`` remap of vertex ids, so the inner loop is integer slicing
-over flat lists. When scipy is importable, whole single-source searches
-are handed to ``scipy.sparse.csgraph.dijkstra``'s C implementation
-instead (graphs below :data:`SCIPY_MIN_VERTICES` stay on the Python
-kernel, where the per-call marshalling would dominate).
+over flat lists. When scipy is importable, whole seeded searches are
+handed to ``scipy.sparse.csgraph.dijkstra``'s C implementation instead
+(graphs below :data:`SCIPY_MIN_VERTICES` stay on the Python kernel,
+where the per-call marshalling would dominate). A seeded search — a
+network position starts from both edge endpoints, ``(u, offset)`` and
+``(v, len - offset)`` — is one C search from a virtual source vertex
+``n`` whose out-edges are the seeds, so its row equals the heap
+kernel's bit for bit.
 
 The snapshot records the road network's version counter at build time;
 :class:`~repro.roadnet.engines.CSREngine` rebuilds it lazily when the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from collections.abc import Mapping
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -40,8 +45,15 @@ except ImportError:  # pragma: no cover - CI always has scipy
     HAVE_SCIPY = False
 
 #: Below this vertex count the Python list kernel beats the scipy call
-#: (two C calls + row marshalling per seeded search).
-SCIPY_MIN_VERTICES = 256
+#: (one C call + row marshalling per seeded search). Measured on a
+#: 2-vCPU VM, two-seed searches over random road networks (mean of 4),
+#: kernel vs scipy in µs, unbounded / bounded to reach a quarter of the
+#: vertices: 64 vertices 66 vs 53 / 16 vs 46; 128: 93 vs 36 / 20 vs 32;
+#: 192: 247 vs 70 / 59 vs 55; 256: 297 vs 68 / 84 vs 47. The full
+#: search favours scipy from ~48 vertices, the bounded one from ~160;
+#: index build plus 8 queries on a UNI network (150 users) took 74 vs
+#: 77 ms at 100 road vertices and 89 vs 75 ms at 150.
+SCIPY_MIN_VERTICES = 128
 
 
 class SortedIdIndex:
@@ -150,7 +162,8 @@ class CSRGraph:
     __slots__ = (
         "ids", "_index_of", "indptr", "indices", "weights",
         "_indptr_l", "_indices_l", "_weights_l",
-        "road_version", "_sp_matrix", "kernel_runs", "scipy_runs",
+        "road_version", "_sp_matrix", "_sp_lock", "kernel_runs",
+        "scipy_runs",
     )
 
     def __init__(self, road: RoadNetwork) -> None:
@@ -179,6 +192,7 @@ class CSRGraph:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.road_version = road.version
         self._sp_matrix = None
+        self._sp_lock = threading.Lock()
         #: number of Python-kernel searches run (for tests/benchmarks)
         self.kernel_runs = 0
         #: number of scipy C-kernel searches run
@@ -211,6 +225,7 @@ class CSRGraph:
         graph.weights = weights
         graph.road_version = road_version
         graph._sp_matrix = None
+        graph._sp_lock = threading.Lock()
         graph.kernel_runs = 0
         graph.scipy_runs = 0
         return graph
@@ -241,9 +256,13 @@ class CSRGraph:
     # -- pickling (batch workers ship CSR state inside network snapshots) ----
 
     def __getstate__(self) -> Dict[str, object]:
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        # The scipy matrix is derived state: wrapping the same arrays
-        # again is cheap, and dropping it keeps snapshots lean.
+        state = {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "_sp_lock"
+        }
+        # The scipy matrix is derived state: building it again is
+        # cheap, and dropping it keeps snapshots lean.
         state["_sp_matrix"] = None
         # Borrowed/memmapped arrays must not leak into pickles — the
         # receiving process may not be able to re-open the backing file,
@@ -258,6 +277,7 @@ class CSRGraph:
     def __setstate__(self, state: Dict[str, object]) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._sp_lock = threading.Lock()
 
     # -- shape ---------------------------------------------------------------
 
@@ -337,41 +357,72 @@ class CSRGraph:
                     push(heap, (nd, v))
         return dist
 
-    def _matrix(self):
-        if self._sp_matrix is None:
+    def _augmented(self, k: int):
+        """The scipy matrix of the graph plus the virtual source row.
+
+        Vertex ``n`` has no in-edges; its row ends the arrays and has
+        room for at least ``k`` seed edges. The matrix is built once (the
+        room only grows, by rebuilding, when a search brings more
+        distinct seed vertices than any before it). The caller holds
+        ``_sp_lock``.
+        """
+        mat = self._sp_matrix
+        m = len(self.indices)
+        if mat is None or len(mat.indices) - m < k:
             n = self.num_vertices
-            self._sp_matrix = _csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(n, n)
+            room = max(k, 2)
+            data = np.zeros(m + room, dtype=np.float64)
+            data[:m] = self.weights
+            indices = np.zeros(m + room, dtype=np.int32)
+            indices[:m] = self.indices
+            indptr = np.empty(n + 2, dtype=np.int32)
+            indptr[: n + 1] = self.indptr
+            indptr[n + 1] = m + room
+            mat = _csr_matrix(
+                (data, indices, indptr), shape=(n + 1, n + 1), copy=False
             )
-        return self._sp_matrix
+            self._sp_matrix = mat
+        return mat
 
     def _scipy_dense(
         self,
         seeds: Sequence[Tuple[int, float]],
         max_distance: float,
     ) -> np.ndarray:
-        """Seeded multi-source SSSP as a min-reduction over scipy rows.
+        """Seeded multi-source SSSP as one C Dijkstra from a virtual source.
 
-        ``min_k (d0_k + dist_from_seed_k(x))`` equals the seeded
-        multi-source result; each row is one C Dijkstra with its limit
-        tightened by the seed's initial offset. Returns the dense
-        per-vertex float64 row in internal-index order (inf = out of
-        reach / beyond the bound).
+        The seeds become the out-edges of virtual vertex ``n``: each
+        seed vertex keeps its smallest ``d0`` (the heap kernel's rule),
+        seeds beyond ``max_distance`` are dropped, and the rest are
+        written in ascending column order into the virtual row — a
+        zero ``d0`` stays an edge. scipy then adds each edge weight to
+        the settled distance exactly as :meth:`kernel` does, so the row
+        equals the heap kernel's bit for bit. Only the virtual row's
+        entries are written per call; the lock keeps concurrent callers
+        from interleaving a write with another caller's search. Returns
+        the dense per-vertex float64 row in internal-index order (inf =
+        out of reach / beyond the bound).
         """
-        best = None
+        best: Dict[int, float] = {}
         for idx, d0 in seeds:
-            limit = max_distance - d0
-            if limit < 0:
-                continue
+            if d0 <= max_distance and d0 < best.get(idx, math.inf):
+                best[idx] = d0
+        n = self.num_vertices
+        if not best:
+            return np.full(n, math.inf, dtype=np.float64)
+        cols = sorted(best)
+        k = len(cols)
+        with self._sp_lock:
+            mat = self._augmented(k)
+            m = int(mat.indptr[n])
+            mat.indices[m : m + k] = cols
+            mat.data[m : m + k] = [best[c] for c in cols]
+            mat.indptr[n + 1] = m + k
             self.scipy_runs += 1
             row = _scipy_dijkstra(
-                self._matrix(), directed=True, indices=idx, limit=limit
+                mat, directed=True, indices=n, limit=max_distance
             )
-            row = row + d0
-            best = row if best is None else np.minimum(best, row)
-        if best is None:
-            return np.full(self.num_vertices, math.inf, dtype=np.float64)
-        return best
+        return row[:n]
 
     def _scipy_sssp(
         self,

@@ -4,15 +4,17 @@ The dict-walking Dijkstra functions of ``repro.roadnet.shortest_path``
 are the correctness oracle; the CSR kernel and the contraction
 hierarchies must reproduce them to within
 floating-point noise (1e-9) on arbitrary road networks, arbitrary
-on-edge positions, truncation bounds, and disconnected pairs.
+on-edge positions, truncation bounds, and disconnected pairs. Seeded
+CSR searches on the scipy path must reproduce them exactly.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.roadnet.csr as csr_mod
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.roadnet.csr import CSRGraph
@@ -91,20 +93,49 @@ class TestEngineAgreement:
             assert math.isinf(make_engine(name, road).point_to_point(a, b))
 
     @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 500), bound=st.floats(0.0, 60.0))
-    def test_csr_sssp_matches_dict_kernel(self, seed, bound):
+    @given(
+        seed=st.integers(0, 500),
+        bound=st.one_of(st.just(math.inf), st.floats(0.0, 60.0)),
+        num_seeds=st.integers(1, 3),
+        duplicate=st.booleans(),
+        zero=st.booleans(),
+        split=st.booleans(),
+    )
+    @example(seed=0, bound=math.inf, num_seeds=1, duplicate=False,
+             zero=True, split=False)
+    @example(seed=1, bound=math.inf, num_seeds=2, duplicate=False,
+             zero=False, split=False)
+    @example(seed=2, bound=25.0, num_seeds=3, duplicate=True,
+             zero=True, split=False)
+    @example(seed=3, bound=math.inf, num_seeds=3, duplicate=True,
+             zero=False, split=True)
+    def test_csr_sssp_matches_dict_kernel(
+        self, seed, bound, num_seeds, duplicate, zero, split
+    ):
+        """The scipy path returns the dict kernel's distances exactly:
+        one C search from a virtual source adds the same weights in the
+        same order as the heap, whatever the seeds look like."""
         rng = np.random.default_rng(seed)
-        road = generate_road_network(50, rng)
+        if split:
+            road = two_component_road(rng, half=25)
+        else:
+            road = generate_road_network(50, rng)
         ids = list(road.vertices())
         seeds = [
             (ids[int(rng.integers(len(ids)))], float(rng.random() * 3))
-            for _ in range(3)
+            for _ in range(num_seeds)
         ]
-        ours = CSRGraph(road).sssp(seeds, bound)
-        reference = multi_source_dijkstra(road, seeds, bound)
-        assert set(ours) == set(reference)
-        for v, d in reference.items():
-            assert ours[v] == pytest.approx(d, abs=ATOL)
+        if duplicate:  # the same vertex again, at another offset
+            seeds.append((seeds[0][0], float(rng.random() * 3)))
+        if zero:
+            seeds[-1] = (seeds[-1][0], 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 1)
+            graph = CSRGraph(road)
+            ours = graph.sssp(seeds, bound)
+        assert graph.kernel_runs == 0
+        assert graph.scipy_runs == int(any(d0 <= bound for _, d0 in seeds))
+        assert dict(ours.items()) == multi_source_dijkstra(road, seeds, bound)
 
 
 class TestBidirectional:

@@ -1,6 +1,8 @@
 """Unit tests for the CSR snapshot and its Dijkstra kernels."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -117,9 +119,8 @@ class TestKernelEquivalence:
         for bound in (math.inf, 18.0):
             via_scipy = csr._scipy_sssp(csr.internal_seeds(seeds), bound)
             reference = multi_source_dijkstra(random_road, seeds, bound)
-            assert set(via_scipy) == set(reference)
-            for v, d in reference.items():
-                assert via_scipy[v] == pytest.approx(d, abs=1e-9)
+            assert dict(via_scipy.items()) == reference
+        assert csr.scipy_runs == 2  # one C search per seeded call
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_scipy_engaged_above_threshold(self, monkeypatch):
@@ -130,6 +131,59 @@ class TestKernelEquivalence:
         monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
         csr.sssp([(0, 0.0)])
         assert csr.scipy_runs > 0
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_concurrent_searches_match_serial(self, random_road, monkeypatch):
+        """Threads searching one graph get the rows a serial run gets:
+        the virtual source row is written and searched under the
+        graph's lock."""
+        import repro.roadnet.csr as csr_mod
+
+        monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
+        workers, repeats = 4, 12
+        csr = CSRGraph(random_road)
+        ids = list(random_road.vertices())
+        rng = np.random.default_rng(17)
+        seed_sets = [
+            [
+                (ids[int(rng.integers(len(ids)))], float(rng.random() * 3))
+                for _ in range(1 + i % 3)
+            ]
+            for i in range(30)
+        ]
+        serial = [csr.sssp_dense(s) for s in seed_sets]
+        results = [[] for _ in range(workers)]
+        barrier = threading.Barrier(workers)
+
+        def work(slot):
+            order = list(range(len(seed_sets)))
+            if slot % 2:
+                order.reverse()
+            barrier.wait(timeout=30)
+            for _ in range(repeats):
+                for i in order:
+                    results[slot].append((i, csr.sssp_dense(seed_sets[i])))
+
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(workers)
+        ]
+        # Switch threads as often as the interpreter allows, so an
+        # unguarded write would interleave with another search.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for rows in results:
+            assert len(rows) == repeats * len(seed_sets)
+            for i, row in rows:
+                assert np.array_equal(row, serial[i])
 
 
 class TestCSREngine:

@@ -79,6 +79,34 @@ class TestSocialPivotExactness:
         for uid in network.social.user_ids():
             assert pivots.distances(uid) == exact.distances(uid), uid
 
+    def test_recompute_reports_exactly_the_moved_users(self, setup):
+        """The maintainer re-widens only the users ``recompute`` names,
+        so that set must hold every user whose pivot row moved."""
+        network, processor = setup
+        pivots = processor.social_pivots
+        inner = pivots.recompute
+        calls = []
+
+        def recording(indices):
+            users = list(network.social.user_ids())
+            before = {uid: pivots.distances(uid) for uid in users}
+            changed = inner(indices)
+            moved = {
+                uid for uid in users if pivots.distances(uid) != before[uid]
+            }
+            calls.append((changed, moved))
+            return changed
+
+        pivots.recompute = recording
+        churn(processor)
+        assert calls
+        for changed, moved in calls:
+            assert changed == moved
+        social = processor.social_index
+        for uid in network.social.user_ids():
+            stored = social.augmented(uid).social_pivot_dists
+            assert stored == pivots.distances(uid), uid
+
     def test_same_level_edge_flip_refreshes_nothing(self, setup):
         network, processor = setup
         pivots = processor.social_pivots

@@ -41,6 +41,17 @@ class TestScores:
         scorer = MetricScorer(InterestMetric.COSINE)
         assert scorer.score(np.zeros(3), np.ones(3)) == 0.0
 
+    def test_cosine_never_exceeds_one(self):
+        """A norm that underflows must not lift a cosine past 1, in
+        either scoring path."""
+        scorer = MetricScorer(InterestMetric.COSINE)
+        a = np.asarray([1.0])
+        b = np.asarray([1.5063e-160])
+        assert scorer.score(a, b) == 1.0
+        assert scorer.score(b, a) == 1.0
+        scores = scorer.pairwise_matrix(np.stack([a, b]))
+        assert scores.max() == 1.0
+
     def test_jaccard_known_value(self):
         scorer = MetricScorer(InterestMetric.JACCARD, binarize_threshold=0.5)
         a = np.asarray([0.9, 0.9, 0.0, 0.0])

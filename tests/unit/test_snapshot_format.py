@@ -110,7 +110,7 @@ class TestOpen:
         start = len(MAGIC) + 8
         (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
         header = json.loads(data[start:start + header_len])
-        assert header["version"] == FORMAT_VERSION == 3
+        assert header["version"] == FORMAT_VERSION == 4
         assert "refinement_kernel" not in header["meta"]["build_args"]
         header["version"] = 1
         header["meta"]["build_args"]["refinement_kernel"] = "vector"
@@ -134,6 +134,20 @@ class TestOpen:
         old = tmp_path / "v2.gpsnap"
         _craft(old, header)
         with pytest.raises(SnapshotFormatError, match="version 2"):
+            FrozenSnapshot.open(old)
+
+    def test_version_3_arena_is_refused(self, arena, tmp_path):
+        """A version-3 header (its region distances were summed by the
+        per-seed scipy searches, not the virtual-source search) fails
+        attach up front."""
+        data = arena.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
+        header = json.loads(data[start:start + header_len])
+        header["version"] = 3
+        old = tmp_path / "v3.gpsnap"
+        _craft(old, header)
+        with pytest.raises(SnapshotFormatError, match="version 3"):
             FrozenSnapshot.open(old)
 
     def test_truncated_section(self, arena, tmp_path):
