@@ -54,7 +54,6 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from .core.algorithm import GPSSNQueryProcessor
 from .core.metrics import InterestMetric
 from .core.query import GPSSNQuery
@@ -153,7 +152,7 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
         "--snapshot", default=None, metavar="PATH",
         help="memmap a frozen snapshot (gpssn freeze) instead of "
         "rebuilding from a bundle; the snapshot's recorded build recipe "
-        "(seed, distance engine) wins over the matching flags",
+        "(seed) wins over the matching flag",
     )
     parser.add_argument("--user", type=int, required=True)
     parser.add_argument("--tau", type=int, default=5)
@@ -162,13 +161,6 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=2.0)
     parser.add_argument(
         "--metric", choices=[m.value for m in InterestMetric], default="dot"
-    )
-    parser.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES),
-        default=DEFAULT_DISTANCE_ENGINE,
-        help="dist_RN engine: the CSR array kernel, or the contraction "
-        "hierarchy (offline preprocessing, fastest point-to-point "
-        "queries)",
     )
     parser.add_argument("--topk", type=int, default=1)
     parser.add_argument("--max-groups", type=int, default=None)
@@ -218,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     frz.add_argument(
         "--output", required=True, help="snapshot path (.gpssnap)"
     )
-    frz.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES),
-        default=DEFAULT_DISTANCE_ENGINE,
-        help="dist_RN engine baked into the snapshot (ch also freezes "
-        "the preprocessed hierarchy)",
-    )
     frz.add_argument("--seed", type=int, default=7)
 
     query = sub.add_parser("query", help="answer a GP-SSN query")
@@ -267,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=0,
         help="retries for unexpected per-query errors (domain errors "
         "and timeouts are never retried)",
-    )
-    batch.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES),
-        default=DEFAULT_DISTANCE_ENGINE,
     )
     batch.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -361,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="expose GET /debug/profile?seconds=N (in-process sampling "
         "profiler; collapsed/flamegraph/json formats)",
-    )
-    serve.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES),
-        default=DEFAULT_DISTANCE_ENGINE,
     )
     serve.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -486,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the post-stream network as a bundle (for a cold "
         "gpssn batch diff)",
     )
-    rep.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES),
-        default=DEFAULT_DISTANCE_ENGINE,
-    )
     rep.add_argument("--max-groups", type=int, default=None,
                      help="default refinement cap for lines without one")
     rep.add_argument("--seed", type=int, default=7)
@@ -598,23 +572,14 @@ def _processor_from_args(
         _, processor = _frozen_snapshot(args.snapshot).build_worker(recorder)
         return processor
     network = _load_network(args.input)
-    return GPSSNQueryProcessor(
-        network, seed=args.seed, recorder=recorder,
-        distance_engine=args.distance_engine,
-    )
+    return GPSSNQueryProcessor(network, seed=args.seed, recorder=recorder)
 
 
 def cmd_freeze(args: argparse.Namespace) -> int:
     from .io.snapshot import freeze
 
     network = _load_network(args.input)
-    meta = freeze(
-        network,
-        args.output,
-        build_args={
-            "seed": args.seed, "distance_engine": args.distance_engine,
-        },
-    )
+    meta = freeze(network, args.output, build_args={"seed": args.seed})
     import os
 
     size = os.path.getsize(args.output)
@@ -622,7 +587,7 @@ def cmd_freeze(args: argparse.Namespace) -> int:
     print(
         f"froze {args.input} -> {args.output}: {size} bytes, "
         f"{counts['vertices']} vertices, {counts['pois']} POIs, "
-        f"{counts['users']} users, engine={meta['distance_engine']}"
+        f"{counts['users']} users"
     )
     return 0
 
@@ -678,9 +643,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             workers=args.workers,
             backend=args.backend,
             limits=limits,
-            build_args={
-                "seed": args.seed, "distance_engine": args.distance_engine,
-            },
+            build_args={"seed": args.seed},
             recorder=recorder,
         )
     with executor:
@@ -743,9 +706,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     run_server(
         network,
         config,
-        build_args=None if snapshot else {
-            "seed": args.seed, "distance_engine": args.distance_engine,
-        },
+        build_args=None if snapshot else {"seed": args.seed},
         ready_message=announce,
         snapshot=snapshot,
     )
@@ -922,7 +883,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     entries = _load_batch_entries(args.queries, args.max_groups)
     log = _load_mutations(args.mutations)
 
-    build_args = {"seed": args.seed, "distance_engine": args.distance_engine}
+    build_args = {"seed": args.seed}
     processor = GPSSNQueryProcessor(network, **build_args)
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
     registry.subscribe(entries)

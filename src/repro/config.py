@@ -42,14 +42,6 @@ PIVOT_VALUES: Tuple[int, ...] = (2, 3, 5, 7, 10)
 #: same coordinate units.
 DATA_SPACE_SIZE: float = 100.0
 
-#: Selectable ``dist_RN`` engines (see :mod:`repro.roadnet.engines`):
-#: the CSR array kernel, the contraction hierarchy, and its lazily
-#: invalidated dynamic variant.
-DISTANCE_ENGINES: Tuple[str, ...] = ("csr", "ch", "lazy-ch")
-
-#: The engine used when none is named.
-DEFAULT_DISTANCE_ENGINE: str = "csr"
-
 #: Default LRU capacity (source maps) of a standalone
 #: :class:`~repro.roadnet.shortest_path.DistanceOracle`.
 DEFAULT_DISTANCE_CACHE_SIZE: int = 1024
@@ -82,18 +74,10 @@ class ExperimentConfig:
     r_min: float = 0.5
     r_max: float = 4.0
     seed: int = 7
-    #: which dist_RN engine the experiment runs on (Table-3 results are
-    #: engine-invariant; only the measured cost changes)
-    distance_engine: str = DEFAULT_DISTANCE_ENGINE
     #: LRU capacity of the shared distance oracle
     distance_cache_size: int = NETWORK_DISTANCE_CACHE_SIZE
 
     def __post_init__(self) -> None:
-        if self.distance_engine not in DISTANCE_ENGINES:
-            raise InvalidParameterError(
-                f"unknown distance engine {self.distance_engine!r}; "
-                f"expected one of {DISTANCE_ENGINES}"
-            )
         if self.distance_cache_size < 1:
             raise InvalidParameterError(
                 f"distance_cache_size must be >= 1, got "

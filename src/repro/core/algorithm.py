@@ -283,17 +283,11 @@ class GPSSNQueryProcessor:
         social_pivots: Optional[SocialPivotIndex] = None,
         toggles: Optional[PruningToggles] = None,
         recorder: Optional[Recorder] = None,
-        distance_engine: Optional[str] = None,
     ) -> None:
         self.toggles = toggles or PruningToggles()
         # (group, seed) pairs are evaluated through the batched numpy
         # PairKernel, built on first use.
         self._kernel: Optional[PairKernel] = None
-        # Engine selection happens before index construction so the
-        # offline region sweeps already run on the chosen kernel; None
-        # keeps whatever engine the network is already using.
-        if distance_engine is not None:
-            network.use_distance_engine(distance_engine)
         # Default recorder: NullTracer (no span overhead) + live metrics
         # registry (absorbed once per query, off the hot path). Swap in
         # Recorder.traced() — or assign .recorder directly — to capture
@@ -322,7 +316,6 @@ class GPSSNQueryProcessor:
             num_social_pivots=num_social_pivots,
             r_min=r_min, r_max=r_max,
             max_entries=max_entries, leaf_size=leaf_size, seed=seed,
-            distance_engine=distance_engine,
         )
 
     def _pair_kernel(self) -> PairKernel:

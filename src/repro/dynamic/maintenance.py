@@ -21,14 +21,12 @@ rebuild. Division of labour per structure:
   The looseness is tracked by the ``dynamic.bound_slack`` gauge and
   repaired by a :meth:`~repro.index.social_index.SocialIndex.compact`
   pass once the slack crosses ``slack_threshold``.
-* **Distance engines** — no supported mutation edits the road graph,
+* **Distance oracle** — no supported mutation edits the road graph,
   so every cached ``dist_RN`` map stays exact except the one rooted at
   the entity a mutation touched: the network forgets the moved user's
   ``("user", id)`` map and the added or removed POI's ``("poi", id)``
-  map, and nothing else. The shared oracle drops every map itself when
-  the road version moves; the ``lazy-ch`` engine additionally keeps a
-  stale hierarchy parked and serves exact CSR fallbacks (see
-  :class:`repro.roadnet.engines.LazyCHEngine`).
+  map, and nothing else. The shared oracle drops every map itself (and
+  its CSR engine rebuilds the snapshot) when the road version moves.
 
 The contract, enforced oracle-style by the property suite: after any
 mutation prefix (plus a :meth:`flush`), the processor answers every

@@ -114,19 +114,13 @@ def make_processor(
     num_road_pivots: int = 5,
     num_social_pivots: int = 5,
     seed: int = 7,
-    distance_engine: Optional[str] = None,
 ) -> GPSSNQueryProcessor:
-    """Build the indexed processor with the Table-3 default pivot counts.
-
-    ``distance_engine`` selects the ``dist_RN`` kernel (``csr`` |
-    ``ch`` | ``lazy-ch``); ``None`` keeps the network's current engine.
-    """
+    """Build the indexed processor with the Table-3 default pivot counts."""
     return GPSSNQueryProcessor(
         network,
         num_road_pivots=num_road_pivots,
         num_social_pivots=num_social_pivots,
         seed=seed,
-        distance_engine=distance_engine,
     )
 
 

@@ -28,13 +28,13 @@ from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 import numpy as np
 
 from ..exceptions import InvalidParameterError, UnknownEntityError
-from ..roadnet.engines import DistanceEngine
+from ..roadnet.engines import CSREngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.shortest_path import position_distance_from_map
 from ..socialnet.graph import SocialNetwork
 
-#: ``vertex_id -> distance``: a dict on the plain engine, a
-#: :class:`~repro.roadnet.csr.DenseDistanceView` on the CSR-backed ones.
+#: ``vertex_id -> distance``: a dict from the heap kernel, a
+#: :class:`~repro.roadnet.csr.DenseDistanceView` from the scipy path.
 DistanceMap = Mapping[int, float]
 
 
@@ -144,14 +144,14 @@ def select_pivots(
 class RoadPivotIndex:
     """Pre-computed road-network pivot distances (``dist_RN(·, rp_k)``).
 
-    One full SSSP per pivot vertex, run on the network's distance
+    One full SSSP per pivot vertex, run on the network's ``dist_RN``
     engine; distances to arbitrary :class:`NetworkPosition` values are
     derived from the two edge endpoints, so a single map serves every
     user and POI.
     """
 
     def __init__(
-        self, engine: DistanceEngine, pivot_vertices: Sequence[int]
+        self, engine: CSREngine, pivot_vertices: Sequence[int]
     ) -> None:
         if not pivot_vertices:
             raise InvalidParameterError("need at least one road pivot")
@@ -293,7 +293,7 @@ class SocialPivotIndex:
 
 
 def select_pivots_road(
-    engine: DistanceEngine,
+    engine: CSREngine,
     num_pivots: int,
     rng: np.random.Generator,
     num_sample_pairs: int = 30,
@@ -302,8 +302,8 @@ def select_pivots_road(
 ) -> RoadPivotIndex:
     """Choose ``h`` road pivot vertices with Algorithm 1 and index them.
 
-    Every candidate-side SSSP runs on ``engine`` (the network's selected
-    ``dist_RN`` engine), so the CSR-backed engines answer each one with
+    Every candidate-side SSSP runs on ``engine`` (the network's
+    ``dist_RN`` engine), which answers each one on larger graphs with
     a single C Dijkstra and a dense row instead of a per-vertex dict.
     """
     vertices = list(engine.road.vertices())

@@ -12,7 +12,7 @@ the *real* data when it is available:
   (road + POIs + users + friendships) for reproducible experiments;
 * :mod:`~repro.io.snapshot` — the zero-copy frozen arena: one
   page-aligned binary file holding the network and its built indexes
-  (pivot tables, R*-trees, CH preprocessing), which
+  (pivot tables, R*-trees), which
   :func:`~repro.io.snapshot.freeze` writes and
   :class:`~repro.io.snapshot.FrozenSnapshot` memmap-attaches in O(1),
   shared read-only across worker processes.

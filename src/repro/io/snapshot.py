@@ -1,10 +1,10 @@
 """Zero-copy frozen snapshots: one mmap-backed arena for the whole network.
 
 Every batch worker and every ``gpssn serve`` boot used to rebuild
-:class:`~repro.roadnet.csr.CSRGraph`, the contraction hierarchy, and both
-R*-tree indexes from a pickled bundle document — O(|V| + |E|) Python work
-per process, which caps experiments far below the 10^5-vertex road
-networks of the paper's Figs. 10–11. A *frozen snapshot* serializes every
+:class:`~repro.roadnet.csr.CSRGraph` and both R*-tree indexes from a
+pickled bundle document — O(|V| + |E|) Python work per process, which
+caps experiments far below the 10^5-vertex road networks of the paper's
+Figs. 10–11. A *frozen snapshot* serializes every
 flat array behind the network into one versioned on-disk arena that
 ``np.memmap`` opens in O(1):
 
@@ -16,10 +16,6 @@ section                   dtype    contents
 ``road/indptr``           int64    CSR row pointers (n+1)
 ``road/indices``          int64    CSR neighbor indices, ascending per row (2m)
 ``road/weights``          float64  CSR edge lengths (2m)
-``ch/rank``               int64    contraction order (n) — ``ch`` engine only
-``ch/up_indptr``          int64    upward-graph row pointers (n+1)
-``ch/up_indices``         int64    upward-graph targets
-``ch/up_weights``         float64  upward-graph weights (original + shortcuts)
 ``pivot/vertices``        int64    road pivot vertex ids (h)
 ``pivot/rows``            float64  dense pivot distance rows (h, n); inf = unreachable
 ``poi/ids``               int64    sorted POI ids (p)
@@ -38,18 +34,17 @@ section                   dtype    contents
 The file layout is ``MAGIC (8 bytes) | header length (uint64 LE) |
 header JSON | zero padding | sections``. The header carries the section
 table (dtype/shape/offset/crc32 per section) plus a ``meta`` document:
-entity counts, engine name, build arguments, version counters, CH
-metadata, and the embedded index document (R*-tree images and radii;
-the CH payload and pivot rows live in the binary sections). Every
-section is little-endian, C-contiguous, and aligned to
-``mmap.ALLOCATIONGRANULARITY``; nothing in the file depends on
+entity counts, build arguments, version counters, and the embedded
+index document (R*-tree images and radii; the pivot rows live in the
+binary sections). Every section is little-endian, C-contiguous, and
+aligned to ``mmap.ALLOCATIONGRANULARITY``; nothing in the file depends on
 wall-clock time, so ``freeze → open → attach → freeze`` reproduces the
 file byte for byte.
 
 Attach is O(1) in the road size: :class:`FrozenRoadNetwork` answers the
 ``RoadNetwork`` API straight off the memmapped arrays (binary search in
-place of dict lookups, tiny per-vertex neighbor-dict cache), the CSR /
-CH engines adopt borrowed arrays, and the road pivot index revives from
+place of dict lookups, tiny per-vertex neighbor-dict cache), the CSR
+engine adopts borrowed arrays, and the road pivot index revives from
 the stored dense distance rows instead of re-running one full Dijkstra
 per pivot. Workers pickle only ``(path, header sha256)``.
 """
@@ -67,7 +62,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from ..exceptions import (
     GraphConstructionError,
     SnapshotFormatError,
@@ -76,9 +70,7 @@ from ..exceptions import (
 from ..geometry import Point
 from ..network import SpatialSocialNetwork
 from ..obs import Recorder
-from ..roadnet.ch import ContractionHierarchy
 from ..roadnet.csr import CSRGraph, DenseDistanceView, SortedIdIndex
-from ..roadnet.engines import CHEngine, CSREngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.poi import POI
 from ..socialnet.graph import SocialNetwork, User
@@ -97,7 +89,11 @@ FORMAT_NAME = "gpssn-frozen-snapshot"
 #: virtual source, whose sums equal the heap kernel's bit for bit; a
 #: version-3 arena's ``region_dists`` came from a minimum over per-seed
 #: searches and may differ from a fresh build in the last bit.
-FORMAT_VERSION = 4
+#: 5: the CSR engine is the only ``dist_RN`` engine: no ``ch/*``
+#: sections, and neither ``meta`` nor ``build_args`` names an engine; a
+#: version-4 arena's ``build_args`` carry an engine-name argument the
+#: processor no longer takes.
+FORMAT_VERSION = 5
 
 #: Section (and data-area) alignment: the mmap granularity, so every
 #: section view is page-aligned for the OS to share across processes.
@@ -106,11 +102,6 @@ ALIGN = mmap.ALLOCATIONGRANULARITY
 
 def _align_up(value: int, align: int = ALIGN) -> int:
     return (value + align - 1) // align * align
-
-
-def _le(arr: np.ndarray, dtype: str) -> np.ndarray:
-    """A C-contiguous little-endian copy/view of ``arr``."""
-    return np.ascontiguousarray(arr, dtype=np.dtype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +328,8 @@ def freeze(
         processor: an already-built
             :class:`~repro.core.algorithm.GPSSNQueryProcessor` to embed;
             built here (with ``build_args``) when ``None``.
-        build_args: processor build arguments (``seed``,
-            ``distance_engine``, ...) used when building here; the file
+        build_args: processor build arguments (``seed``, pivot
+            counts, ...) used when building here; the file
             records the embedded processor's own build arguments.
 
     Returns:
@@ -353,8 +344,6 @@ def freeze(
 
     ids, xy, indptr, indices, weights = _canonical_road_arrays(network.road)
     n = len(ids)
-    engine = network.distances.engine
-    engine_name = engine.name
 
     sections: Dict[str, np.ndarray] = {
         "road/ids": ids,
@@ -363,36 +352,6 @@ def freeze(
         "road/indices": indices,
         "road/weights": weights,
     }
-
-    # -- contraction hierarchy (arrays, not JSON) ---------------------------
-    ch_meta = None
-    if engine_name == "ch":
-        hierarchy = None
-        if isinstance(engine, CHEngine) and engine._ch is not None \
-                and engine._graph is not None:
-            if [int(i) for i in engine._graph.ids] == ids.tolist():
-                # The live hierarchy already sits on the canonical order
-                # (always true for attached/bundle-restored networks) —
-                # reuse it so refreezing is cheap and byte-identical.
-                hierarchy = engine._ch
-        if hierarchy is None:
-            canonical = CSRGraph.from_arrays(
-                ids, indptr, indices, weights,
-                road_version=network.road.version,
-            )
-            hierarchy = ContractionHierarchy.build(canonical)
-        sections["ch/rank"] = _le(np.asarray(hierarchy.rank), "<i8")
-        sections["ch/up_indptr"] = _le(np.asarray(hierarchy.up_indptr), "<i8")
-        sections["ch/up_indices"] = _le(
-            np.asarray(hierarchy.up_indices), "<i8"
-        )
-        sections["ch/up_weights"] = _le(
-            np.asarray(hierarchy.up_weights), "<f8"
-        )
-        ch_meta = {
-            "shortcuts_added": int(hierarchy.shortcuts_added),
-            "preprocess_seconds": float(hierarchy.preprocess_seconds),
-        }
 
     # -- road pivot distance rows -------------------------------------------
     pivots = [int(p) for p in processor.road_pivots.pivots]
@@ -475,11 +434,9 @@ def freeze(
             "friendships": len(friendships),
         },
         "num_keywords": d,
-        "distance_engine": engine_name,
         "build_args": dict(processor._build_args),
         "road_version": int(network.road.version),
         "network_version": int(network.version),
-        "ch": ch_meta,
         "index": {
             "r_min": processor.r_min,
             "r_max": processor.r_max,
@@ -635,22 +592,9 @@ class FrozenSnapshot:
         )
 
     @property
-    def distance_engine(self) -> str:
-        """The engine the arena attaches on. Arenas frozen on the retired
-        ``plain`` engine (or with no engine recorded) attach on the
-        default engine — answers are engine-invariant."""
-        name = self.meta.get("distance_engine")
-        return name if name in DISTANCE_ENGINES else DEFAULT_DISTANCE_ENGINE
-
-    @property
     def build_args(self) -> dict:
-        """The embedded processor's build arguments, with a recorded
-        engine name resolved the way :attr:`distance_engine` resolves
-        it (a ``None`` engine means "keep the network's" and stays)."""
-        args = dict(self.meta.get("build_args") or {})
-        if args.get("distance_engine") is not None:
-            args["distance_engine"] = self.distance_engine
-        return args
+        """The embedded processor's build arguments."""
+        return dict(self.meta.get("build_args") or {})
 
     def verify(self) -> None:
         """Checksum every section; raise :class:`SnapshotFormatError` on
@@ -682,7 +626,7 @@ class FrozenSnapshot:
 
     def attach_network(self) -> SpatialSocialNetwork:
         """Reconstruct the :class:`SpatialSocialNetwork` over borrowed
-        arrays — no validation walk, no CSR/CH rebuild."""
+        arrays — no validation walk, no CSR rebuild."""
         s = self.sections
         meta = self.meta
         road = FrozenRoadNetwork(
@@ -734,7 +678,6 @@ class FrozenSnapshot:
         network = SpatialSocialNetwork(
             road, social, pois,
             num_keywords=int(meta["num_keywords"]),
-            distance_engine=self.distance_engine,
             validate=False,
         )
         # Reproduce the frozen-time version arithmetic exactly: the road
@@ -744,28 +687,10 @@ class FrozenSnapshot:
             int(meta["network_version"]) - road.version - social.version
         )
 
-        engine = network.distances.engine
-        if isinstance(engine, CSREngine):
-            graph = CSRGraph.from_arrays(
-                s["road/ids"], s["road/indptr"], s["road/indices"],
-                s["road/weights"], road_version=road.version,
-            )
-            if isinstance(engine, CHEngine) and "ch/rank" in s:
-                ch_meta = meta.get("ch") or {}
-                hierarchy = ContractionHierarchy(
-                    n=len(s["road/ids"]),
-                    rank=s["ch/rank"],
-                    up_indptr=s["ch/up_indptr"],
-                    up_indices=s["ch/up_indices"],
-                    up_weights=s["ch/up_weights"],
-                    shortcuts_added=int(ch_meta.get("shortcuts_added", 0)),
-                    preprocess_seconds=float(
-                        ch_meta.get("preprocess_seconds", 0.0)
-                    ),
-                )
-                engine.adopt(graph, hierarchy)
-            else:
-                engine.adopt_graph(graph)
+        network.distances.engine.adopt_graph(CSRGraph.from_arrays(
+            s["road/ids"], s["road/indptr"], s["road/indices"],
+            s["road/weights"], road_version=road.version,
+        ))
         return network
 
     def attach(self, toggles=None):

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import DEFAULT_DISTANCE_ENGINE, NETWORK_DISTANCE_CACHE_SIZE
-from .exceptions import GraphConstructionError, UnknownEntityError
-from .roadnet.engines import DistanceEngine, make_engine
+from .config import NETWORK_DISTANCE_CACHE_SIZE
+from .exceptions import (
+    GraphConstructionError,
+    InvalidParameterError,
+    UnknownEntityError,
+)
+from .roadnet.engines import CSREngine
 from .roadnet.graph import RoadNetwork
 from .roadnet.poi import POI
 from .roadnet.shortest_path import DistanceOracle
@@ -34,7 +38,6 @@ class SpatialSocialNetwork:
         pois: Sequence[POI],
         num_keywords: int,
         distance_cache_size: int = NETWORK_DISTANCE_CACHE_SIZE,
-        distance_engine: str = DEFAULT_DISTANCE_ENGINE,
         validate: bool = True,
     ) -> None:
         self.road = road
@@ -73,26 +76,21 @@ class SpatialSocialNetwork:
         self._endpoint_pois: Optional[Tuple[int, Dict[int, List[int]]]] = None
         #: shared oracle for dist_RN lookups; keys are ("user", id) and
         #: ("poi", id) so users and POIs never collide.
-        self.distances = DistanceOracle(
-            road,
-            cache_size=distance_cache_size,
-            engine=make_engine(distance_engine, road),
-        )
+        self.distances = DistanceOracle(road, cache_size=distance_cache_size)
 
-    def use_distance_engine(self, name: str) -> DistanceEngine:
-        """Switch the shared oracle to the named ``dist_RN`` engine.
+    def use_distance_engine(self, name: str) -> CSREngine:
+        """The shared oracle's ``dist_RN`` engine, which must be ``name``.
 
-        A no-op when the engine of that name is already active (so a
-        rebuilt processor does not throw away CH preprocessing);
-        otherwise the cached maps are dropped together with the old
-        engine — distances are engine-invariant, but mixing kernels
-        inside one cache would blur the per-engine measurements.
+        ``"csr"`` is the only engine; any other name raises
+        :class:`~repro.exceptions.InvalidParameterError`. Kept for callers
+        that still name the engine they expect.
         """
-        if self.distances.engine.name == name:
-            return self.distances.engine
-        engine = make_engine(name, self.road)
-        self.distances.engine = engine
-        self.distances.clear()
+        engine = self.distances.engine
+        if name != engine.name:
+            raise InvalidParameterError(
+                f"unknown distance engine {name!r}; the only engine is "
+                f"{engine.name!r}"
+            )
         return engine
 
     # -- mutation (bumps version counters so indexes can detect staleness) ----

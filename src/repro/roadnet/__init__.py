@@ -9,20 +9,12 @@ Public surface:
 * :class:`~repro.roadnet.poi.POI` — a point of interest with keywords;
 * :class:`~repro.roadnet.shortest_path.DistanceOracle` — cached
   ``dist_RN`` distances between network positions;
-* the pluggable distance engines (:mod:`repro.roadnet.engines`): the
-  :class:`~repro.roadnet.csr.CSRGraph` array kernel and the
-  :class:`~repro.roadnet.ch.ContractionHierarchy`.
+* the ``dist_RN`` engine :class:`~repro.roadnet.engines.CSREngine`
+  over the :class:`~repro.roadnet.csr.CSRGraph` array kernel.
 """
 
-from .ch import ContractionHierarchy
 from .csr import CSRGraph
-from .engines import (
-    CHEngine,
-    CSREngine,
-    DistanceEngine,
-    ENGINE_NAMES,
-    make_engine,
-)
+from .engines import CSREngine
 from .graph import NetworkPosition, RoadNetwork
 from .poi import POI
 from .shortest_path import DistanceOracle, bidirectional_dijkstra, dijkstra
@@ -35,10 +27,5 @@ __all__ = [
     "dijkstra",
     "bidirectional_dijkstra",
     "CSRGraph",
-    "ContractionHierarchy",
-    "DistanceEngine",
     "CSREngine",
-    "CHEngine",
-    "make_engine",
-    "ENGINE_NAMES",
 ]

@@ -62,7 +62,7 @@ class SortedIdIndex:
     Borrowed (memmapped) graphs keep their ids as a strictly ascending
     numpy array; building an n-entry dict on attach would defeat the
     O(1) open, so lookups binary-search the array instead. Implements
-    the subset of the dict protocol the engines and seed translation
+    the subset of the dict protocol the engine and seed translation
     actually use.
     """
 

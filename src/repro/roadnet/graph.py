@@ -89,26 +89,6 @@ class RoadNetwork:
         self._num_edges += 1
         self.version += 1
 
-    def update_edge_length(self, u: int, v: int, length: float) -> float:
-        """Change the length of an existing edge; returns the old length.
-
-        This models travel-cost drift (congestion, roadworks) without
-        touching topology — the mutation that exercises lazy distance-
-        engine invalidation. Positions anchored on the edge stay valid
-        only if their offset still fits, which callers must ensure.
-        """
-        if not self.has_edge(u, v):
-            raise UnknownEntityError(f"unknown road edge ({u}, {v})")
-        if length <= 0:
-            raise GraphConstructionError(
-                f"edge ({u}, {v}) has non-positive length {length}"
-            )
-        old = self._adj[u][v]
-        self._adj[u][v] = float(length)
-        self._adj[v][u] = float(length)
-        self.version += 1
-        return old
-
     # -- accessors ---------------------------------------------------------
 
     @property

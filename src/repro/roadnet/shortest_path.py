@@ -11,11 +11,10 @@ The paper's query processing needs three flavours of network distance:
   per-source searches.
 
 The searches here are plain binary-heap Dijkstra over the dict-of-dicts
-adjacency; edge weights are road segment lengths. Faster engines (a CSR
-array kernel, a contraction hierarchy) live in
-:mod:`repro.roadnet.engines` and plug into :class:`DistanceOracle` via
-its ``engine`` parameter — the functions in this module stay the
-reference implementation every engine is validated against.
+adjacency; edge weights are road segment lengths. The oracle runs its
+searches on the CSR array kernel of
+:class:`~repro.roadnet.engines.CSREngine`; the functions in this module
+stay the reference implementation that engine is validated against.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import heapq
 import math
 from collections import OrderedDict
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -39,9 +37,6 @@ import numpy as np
 from ..config import DEFAULT_DISTANCE_CACHE_SIZE
 from ..exceptions import UnknownEntityError
 from .graph import NetworkPosition, RoadNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .engines import DistanceEngine
 
 
 def dijkstra(
@@ -282,28 +277,22 @@ class DistanceOracle:
     ``cache_size`` (``None`` picks
     :data:`repro.config.DEFAULT_DISTANCE_CACHE_SIZE`).
 
-    The search itself is delegated to a
-    :class:`~repro.roadnet.engines.DistanceEngine` (default: the CSR
-    array kernel); :meth:`point_to_point` additionally exposes
-    the engine's one-shot distance path for callers that will not reuse
-    a source map.
+    The search itself runs on the oracle's own
+    :class:`~repro.roadnet.engines.CSREngine` (``self.engine``).
     """
 
     def __init__(
         self,
         road: RoadNetwork,
         cache_size: Optional[int] = None,
-        engine: Optional["DistanceEngine"] = None,
     ) -> None:
+        from .engines import CSREngine  # deferred: engines imports us
+
         self.road = road
         self.cache_size = (
             DEFAULT_DISTANCE_CACHE_SIZE if cache_size is None else cache_size
         )
-        if engine is None:
-            from .engines import CSREngine  # deferred: engines imports us
-
-            engine = CSREngine(road)
-        self.engine = engine
+        self.engine = CSREngine(road)
         self._cache: "OrderedDict[Hashable, Dict[int, float]]" = OrderedDict()
         # Dense companions to cached maps, for the vectorized kernels:
         # key -> (dict the row was built from, float64 row in indexer
@@ -405,24 +394,11 @@ class DistanceOracle:
         """``dist_RN`` between two network positions.
 
         The search tree is rooted at ``pos_a`` (cached under ``key_a``);
-        ``pos_b`` only needs the endpoint lookups. Use this when many
-        targets share a source — the cached map amortizes; for one-shot
-        pairs prefer :meth:`point_to_point`.
+        ``pos_b`` only needs the endpoint lookups, so many targets
+        sharing a source amortize the cached map.
         """
         dist_map = self.distances_from(key_a, pos_a)
         return position_distance_from_map(self.road, dist_map, pos_b, pos_a)
-
-    def point_to_point(
-        self, pos_a: NetworkPosition, pos_b: NetworkPosition
-    ) -> float:
-        """One exact ``dist_RN`` via the engine's direct path, uncached.
-
-        Under the ``ch`` engine this is a microsecond-scale bidirectional
-        upward search; under ``csr`` a target-truncated kernel sweep;
-        under ``plain`` a full Dijkstra (the cache-miss cost of
-        :meth:`distance` without polluting the cache).
-        """
-        return self.engine.point_to_point(pos_a, pos_b)
 
     def _check_road_version(self) -> None:
         """Drop every cached map once the road graph has changed."""

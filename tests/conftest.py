@@ -51,7 +51,7 @@ def build_grid_road(side: int = 4, spacing: float = 10.0) -> RoadNetwork:
 def reference_point_to_point(
     road: RoadNetwork, pos_a: NetworkPosition, pos_b: NetworkPosition
 ) -> float:
-    """The reference ``dist_RN`` every engine is checked against: one
+    """The reference ``dist_RN`` the engine is checked against: one
     seeded dict-walking Dijkstra from ``pos_a``, endpoint lookups for
     ``pos_b``."""
     dist_map = multi_source_dijkstra(road, position_seeds(road, pos_a))

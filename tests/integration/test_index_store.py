@@ -7,7 +7,7 @@ import pytest
 from repro import GPSSNQuery, GPSSNQueryProcessor, uni_dataset
 from repro.core.metrics import InterestMetric
 from repro.exceptions import IndexStateError, SnapshotFormatError
-from repro.io.snapshot import FrozenSnapshot, _write_arena, freeze
+from repro.io.snapshot import FrozenSnapshot, freeze
 
 
 @pytest.fixture(scope="module")
@@ -76,53 +76,6 @@ class TestRoundTrip:
         )
         answers, _ = revived.answer_topk(query, 3)
         assert isinstance(answers, list)
-
-
-class TestDistanceEnginePersistence:
-    def test_ch_preprocessing_survives_roundtrip(self, tmp_path):
-        from repro.roadnet.engines import CHEngine
-
-        network = uni_dataset(
-            num_road_vertices=90, num_pois=30, num_users=60, seed=27
-        )
-        processor = GPSSNQueryProcessor(
-            network, num_road_pivots=3, num_social_pivots=3, seed=27,
-            distance_engine="ch",
-        )
-        path = tmp_path / "ch.gpsnap"
-        freeze(network, path, processor=processor)
-        shortcuts = FrozenSnapshot.open(path).meta["ch"]["shortcuts_added"]
-
-        # The hierarchy must revive from the arena, not rebuild.
-        attached, revived = attach(path)
-        engine = attached.distances.engine
-        assert isinstance(engine, CHEngine)
-        assert engine._ch is not None  # adopted, no lazy build pending
-        assert engine._ch.shortcuts_added == shortcuts
-
-        query = GPSSNQuery(
-            query_user=3, tau=3, gamma=0.3, theta=0.3, radius=2.0
-        )
-        a, _ = processor.answer(query)
-        b, _ = revived.answer(query)
-        assert a.found == b.found
-        if a.found:
-            assert a.max_distance == pytest.approx(b.max_distance)
-            assert a.users == b.users and a.pois == b.pois
-
-    def test_plain_arena_attaches_on_csr(self, setup, tmp_path):
-        """Arenas frozen on the retired ``plain`` engine still attach."""
-        _network, original, path = setup
-        frozen = FrozenSnapshot.open(path)
-        meta = dict(frozen.meta, distance_engine="plain")
-        meta["build_args"] = dict(meta["build_args"], distance_engine="plain")
-        old = tmp_path / "plain.gpsnap"
-        _write_arena(old, meta, dict(frozen.sections))
-        attached, revived = attach(old)
-        assert attached.distances.engine.name == "csr"
-        assert revived._build_args["distance_engine"] == "csr"
-        query = GPSSNQuery(query_user=0, tau=3, gamma=0.3, theta=0.3)
-        assert revived.answer(query)[0] == original.answer(query)[0]
 
 
 class TestValidation:

@@ -1,11 +1,10 @@
-"""Road pivots are engine-invariant: same choice, bit-identical distances.
+"""Road pivots carry the reference distances, bit for bit.
 
-``select_pivots_road`` runs every SSSP on the network's distance engine.
-The CSR kernel (scipy rows at these sizes) and both contraction-hierarchy
-engines must pick the same pivots and report the same
-``dist_RN(pos, rp_k)`` float for every POI and user — the float the
-reference dict-walking Dijkstra computes — so the index built on any
-engine answers identically.
+``select_pivots_road`` runs every SSSP on the CSR ``dist_RN`` engine
+(scipy rows at these sizes). For every POI and user, the pivot index
+must report the same ``dist_RN(pos, rp_k)`` float the reference
+dict-walking Dijkstra computes, so the index answers exactly as one
+built on the reference searches would.
 """
 
 import numpy as np
@@ -14,13 +13,11 @@ import pytest
 from repro.datagen.scale import generate_grid_network
 from repro.experiments.harness import DATASET_NAMES, build_dataset
 from repro.index.pivots import select_pivots_road
-from repro.roadnet.engines import make_engine
+from repro.roadnet.engines import CSREngine
 from repro.roadnet.shortest_path import (
     multi_source_dijkstra,
     position_distance_from_map,
 )
-
-ENGINES = ("csr", "ch", "lazy-ch")
 
 
 def positions_of(network):
@@ -29,8 +26,8 @@ def positions_of(network):
     ]
 
 
-def pivot_fingerprint(network, engine_name):
-    engine = make_engine(engine_name, network.road)
+def pivot_fingerprint(network):
+    engine = CSREngine(network.road)
     index = select_pivots_road(engine, 5, np.random.default_rng(7))
     return index.pivots, [index.distances(pos) for pos in positions_of(network)]
 
@@ -44,20 +41,16 @@ def reference_distances(network, pivots):
     ]
 
 
-def assert_engine_parity(network):
-    want_pivots, want_dists = pivot_fingerprint(network, ENGINES[0])
-    assert want_dists == reference_distances(network, want_pivots)
-    for name in ENGINES[1:]:
-        pivots, dists = pivot_fingerprint(network, name)
-        assert pivots == want_pivots, name
-        # Lists of floats compare exactly: bit-identical, not approximate.
-        assert dists == want_dists, name
+def assert_reference_parity(network):
+    pivots, dists = pivot_fingerprint(network)
+    # Lists of floats compare exactly: bit-identical, not approximate.
+    assert dists == reference_distances(network, pivots)
 
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 def test_section_6_1_datasets(dataset):
-    assert_engine_parity(build_dataset(dataset, seed=7))
+    assert_reference_parity(build_dataset(dataset, seed=7))
 
 
 def test_grid_10k():
-    assert_engine_parity(generate_grid_network(10_000, 1000, 1000, seed=7))
+    assert_reference_parity(generate_grid_network(10_000, 1000, 1000, seed=7))

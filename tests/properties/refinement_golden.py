@@ -20,13 +20,13 @@ The cases:
 * ``tiny_grid`` / ``infeasible`` — the hand-checkable network;
 * ``block_boundary`` / ``block_multiple`` — group enumerations that
   cross one or end exactly at two refinement blocks;
-* ``topk`` — ``answer_topk`` with k = 2, 3 and 5 on both engines;
+* ``topk`` — ``answer_topk`` with k = 2, 3 and 5;
 * ``split`` — a road network with two components (inf pivots);
 * ``rule_off`` — each :class:`~repro.PruningToggles` flag off;
 * ``topk_delta`` — top-k queries (delta pruning suspended);
 * ``churn`` — after POI insert and delete, each followed by a refreeze;
-* ``grid`` / ``grid_capped`` — a fixed (engine, uid, tau, gamma, theta,
-  r) grid with EXPLAIN on and off, and with a group cap.
+* ``grid`` / ``grid_capped`` — a fixed (uid, tau, gamma, theta, r) grid
+  with EXPLAIN on and off, and with a group cap.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from repro.obs.funnel import ExplainRecorder  # noqa: E402
 
 GOLDEN_PATH = HERE / "refinement_golden.json"
 COUNTER_FIELDS = [f.name for f in dataclasses.fields(PruningCounters)]
-ENGINES = ("csr", "ch")
 NUM_KEYWORDS = 3
 
 
@@ -152,9 +151,8 @@ _NETWORKS = {}
 _PROCESSORS = {}
 
 
-def _network(name, engine):
-    key = (name, engine)
-    if key not in _NETWORKS:
+def _network(name):
+    if name not in _NETWORKS:
         if name == "tiny":
             network = build_tiny_network()
         elif name == "split":
@@ -163,23 +161,21 @@ def _network(name, engine):
             network = uni_network()
         else:
             raise ValueError(f"unknown network {name!r}")
-        network.use_distance_engine(engine)
-        _NETWORKS[key] = network
-    return _NETWORKS[key]
+        _NETWORKS[name] = network
+    return _NETWORKS[name]
 
 
 def processor_for(case):
     """The (cached) processor a case runs on; churn stages get their own
     network, mutated once."""
     key = (
-        case.get("net", "uni"), case.get("engine", "csr"),
-        case.get("explain", True),
+        case.get("net", "uni"), case.get("explain", True),
         case.get("off"), case.get("pivots", 3), case.get("seed", 11),
         case.get("stage"),
     )
     if key not in _PROCESSORS:
-        net, engine, explain, off, pivots, seed, stage = key
-        network = churn_network() if net == "churn" else _network(net, engine)
+        net, explain, off, pivots, seed, stage = key
+        network = churn_network() if net == "churn" else _network(net)
         _PROCESSORS[key] = GPSSNQueryProcessor(
             network, num_road_pivots=pivots, num_social_pivots=pivots,
             seed=seed,
@@ -258,15 +254,15 @@ def queries(users, thetas=(0.2, 0.5), radii=(1.0, 3.0)):
 def _grid_queries(seed, count, taus):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        yield (
-            ENGINES[int(rng.integers(len(ENGINES)))],
-            [
-                int(rng.integers(40)), int(rng.choice(taus)),
-                float(rng.choice([0.0, 0.2, 0.4])),
-                float(rng.choice([0.2, 0.4, 0.6])),
-                float(rng.choice([1.0, 2.0, 3.0])),
-            ],
-        )
+        # The grid once drew an engine per query; the draw stays so the
+        # stream, and with it every committed query, is unchanged.
+        rng.integers(2)
+        yield [
+            int(rng.integers(40)), int(rng.choice(taus)),
+            float(rng.choice([0.0, 0.2, 0.4])),
+            float(rng.choice([0.2, 0.4, 0.6])),
+            float(rng.choice([1.0, 2.0, 3.0])),
+        ]
 
 
 def cases():
@@ -274,7 +270,7 @@ def cases():
     out = []
 
     def add(suite, explain=True, **case):
-        # Defaults (UNI network, csr, EXPLAIN on) are left implicit.
+        # Defaults (UNI network, EXPLAIN on) are left implicit.
         if not explain:
             case["explain"] = False
         out.append(dict(suite=suite, **case))
@@ -296,9 +292,8 @@ def cases():
         add("block_multiple", explain=explain, q=q, cap=cap)
         if not explain:
             add("block_multiple", explain=False, q=q, cap=cap, k=3)
-    for engine in ENGINES:
-        for k in (2, 3, 5):
-            add("topk", engine=engine, q=[0, 3, 0.0, 0.3, 3.0], k=k)
+    for k in (2, 3, 5):
+        add("topk", q=[0, 3, 0.0, 0.3, 3.0], k=k)
     for q in queries(range(0, 18, 3)):
         add("split", net="split", q=q)
     for q in queries(range(0, 18, 6)):
@@ -313,14 +308,14 @@ def cases():
     for stage in ("insert", "delete"):
         for q in queries((0, 11, 23), thetas=(0.3,)):
             add("churn", net="churn", stage=stage, q=q)
-    for engine, q in _grid_queries(seed=18, count=44, taus=(2, 3, 4)):
-        add("grid", engine=engine, q=q)
-        add("grid", engine=engine, explain=False, q=q)
-        add("grid", engine=engine, explain=False, q=q, k=3)
-    for cap, (engine, q) in zip(
+    for q in _grid_queries(seed=18, count=44, taus=(2, 3, 4)):
+        add("grid", q=q)
+        add("grid", explain=False, q=q)
+        add("grid", explain=False, q=q, k=3)
+    for cap, q in zip(
         [1, 5, 50] * 6, _grid_queries(seed=19, count=16, taus=(2, 3))
     ):
-        add("grid_capped", engine=engine, q=q, cap=cap)
+        add("grid_capped", q=q, cap=cap)
     return out
 
 

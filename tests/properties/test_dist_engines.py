@@ -1,11 +1,11 @@
-"""Property tests: every distance engine agrees with the reference Dijkstra.
+"""Property tests: the ``dist_RN`` engine agrees with the reference Dijkstra.
 
 The dict-walking Dijkstra functions of ``repro.roadnet.shortest_path``
-are the correctness oracle; the CSR kernel and the contraction
-hierarchies must reproduce them to within
-floating-point noise (1e-9) on arbitrary road networks, arbitrary
-on-edge positions, truncation bounds, and disconnected pairs. Seeded
-CSR searches on the scipy path must reproduce them exactly.
+are the correctness oracle; the CSR engine must reproduce them to
+within floating-point noise (1e-9) on arbitrary road networks,
+arbitrary on-edge positions, truncation bounds, and disconnected
+pairs. Seeded CSR searches on the scipy path must reproduce them
+exactly.
 """
 
 import math
@@ -18,7 +18,7 @@ import repro.roadnet.csr as csr_mod
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.roadnet.csr import CSRGraph
-from repro.roadnet.engines import ENGINE_NAMES, make_engine
+from repro.roadnet.engines import CSREngine
 from repro.roadnet.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
@@ -66,18 +66,17 @@ def two_component_road(rng, half=12):
 class TestEngineAgreement:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 500))
-    def test_point_to_point_all_engines(self, seed):
+    def test_point_to_point_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         road = generate_road_network(50, rng)
-        engines = [make_engine(name, road) for name in ENGINE_NAMES]
+        engine = CSREngine(road)
         for a, b in zip(
             random_positions(road, rng, 8), random_positions(road, rng, 8)
         ):
             want = reference_point_to_point(road, a, b)
-            for engine in engines:
-                assert engine.point_to_point(a, b) == pytest.approx(
-                    want, abs=ATOL
-                )
+            assert engine.point_to_point(a, b) == pytest.approx(
+                want, abs=ATOL
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 500))
@@ -89,8 +88,7 @@ class TestEngineAgreement:
         while (b.u < 12) == (a.u < 12):  # resample until components differ
             b = random_positions(road, rng, 1)[0]
         assert math.isinf(reference_point_to_point(road, a, b))
-        for name in ENGINE_NAMES:
-            assert math.isinf(make_engine(name, road).point_to_point(a, b))
+        assert math.isinf(CSREngine(road).point_to_point(a, b))
 
     @settings(max_examples=12, deadline=None)
     @given(

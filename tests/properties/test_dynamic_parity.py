@@ -5,9 +5,8 @@ mutation stream, a :class:`ContinuousQueryRegistry` fed one mutation at
 a time — widen-on-update social bounds, exact R*-tree edits, pivot-map
 staleness tests, parity-exact skip predicates — serializes its standing
 answers to the *same JSONL bytes* as a registry built from scratch on
-the mutated network. Checked here for random streams across all
-distance engines (hypothesis) and for every prefix of a fixed 200-op
-stream (the acceptance oracle; the dynamic-smoke CI job replays the
+the mutated network. Checked here for random streams (hypothesis) and
+for every prefix of a fixed 200-op stream (the acceptance oracle; the dynamic-smoke CI job replays the
 same discipline through the CLI).
 
 Standing queries carry no ``max_groups`` cap: byte-parity is only
@@ -47,26 +46,20 @@ def standing_entries(network, gamma=0.2):
     ]
 
 
-def fresh_lines(network, entries, seed, engine=None):
+def fresh_lines(network, entries, seed):
     """Outcome lines of a registry built from scratch on ``network``."""
-    processor = GPSSNQueryProcessor(
-        network, seed=seed, distance_engine=engine, **BUILD
-    )
+    processor = GPSSNQueryProcessor(network, seed=seed, **BUILD)
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
     registry.subscribe(entries)
     return registry.outcome_lines()
 
 
 @settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 40),
-    count=st.integers(1, 24),
-    engine=st.sampled_from(["csr", "ch", "lazy-ch"]),
-)
-def test_random_stream_matches_rebuild(seed, count, engine):
+@given(seed=st.integers(0, 40), count=st.integers(1, 24))
+def test_random_stream_matches_rebuild(seed, count):
     network = tiny_network(seed)
     processor = GPSSNQueryProcessor(
-        network, seed=seed, distance_engine=engine,
+        network, seed=seed,
         recorder=Recorder(explain=ExplainRecorder()), **BUILD
     )
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
@@ -77,9 +70,7 @@ def test_random_stream_matches_rebuild(seed, count, engine):
     report = registry.apply_batch(log)
     assert report["applied"] == count
 
-    assert registry.outcome_lines() == fresh_lines(
-        network, entries, seed, engine
-    )
+    assert registry.outcome_lines() == fresh_lines(network, entries, seed)
 
     # Funnel admissibility: every skip test is accounted for — each
     # clean-query visit either pruned under a cq.* rule or survived
@@ -135,28 +126,19 @@ def test_200_op_stream_every_prefix_matches_rebuild(seed, gamma):
         assert "cq.member_distance" in fired
 
 
-@pytest.mark.parametrize("engine", ["csr", "ch", "lazy-ch"])
+@pytest.mark.parametrize("engine", ["csr"])
 def test_engines_agree_after_fixed_stream(engine):
-    """Engine choice is invisible in answers, before and after churn.
-
-    The same 30-op stream replayed on independent copies of the same
-    network must leave every engine byte-identical to a cold ``csr``
-    rebuild, before and after the stream — in particular ``lazy-ch``,
-    whose parked-stale-hierarchy + CSR-fallback path only exists for
-    the dynamic plane.
-    """
+    """A fixed 30-op stream leaves the registry byte-identical to a cold
+    rebuild, before and after the stream, on the ``dist_RN`` engine."""
     seed = 9
     network = tiny_network(seed)
     entries = standing_entries(network)
-    processor = GPSSNQueryProcessor(
-        network, seed=seed, distance_engine=engine, **BUILD
-    )
+    processor = GPSSNQueryProcessor(network, seed=seed, **BUILD)
+    assert network.use_distance_engine(engine) is network.distances.engine
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
     registry.subscribe(entries)
     assert registry.outcome_lines() == fresh_lines(
-        tiny_network(seed), entries, seed, "csr"
+        tiny_network(seed), entries, seed
     )
     registry.apply_batch(synthesize_mutations(network, 30, seed=seed + 1))
-    assert registry.outcome_lines() == fresh_lines(
-        network, entries, seed, "csr"
-    )
+    assert registry.outcome_lines() == fresh_lines(network, entries, seed)

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_valid_answer
 from refinement_golden import (
-    ENGINES,
     load,
     processor_for,
     replay,
@@ -51,7 +50,7 @@ def _found(out):
 
 
 def test_vector_matches_scalar():
-    """The fixed (engine, uid, tau, gamma, theta, r) grid, EXPLAIN on."""
+    """The fixed (uid, tau, gamma, theta, r) grid, EXPLAIN on."""
     assert len(_replay("grid", _explain)) >= 40
 
 
@@ -67,9 +66,8 @@ def test_vector_matches_scalar_capped_refinement():
     assert len(_replay("grid_capped")) >= 15
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_topk_matches_scalar(engine):
-    outs = _replay("topk", lambda case: case["engine"] == engine)
+def test_topk_matches_scalar():
+    outs = _replay("topk")
     assert [len(out["answers"]) for out in outs] == [2, 3, 5]
 
 
@@ -118,7 +116,7 @@ QUERY_PARAMS = dict(
 
 
 def _exact(query):
-    """The baseline's optimum (engine-independent), memoized."""
+    """The baseline's optimum, memoized."""
     key = (query.query_user, query.tau, query.gamma, query.theta, query.radius)
     if key not in _EXACT:
         _EXACT[key] = BaselineProcessor(_NETWORK).answer(query)[0]
@@ -142,23 +140,19 @@ def _query(uid, tau, gamma, theta, radius):
 
 
 @settings(max_examples=40, deadline=None)
-@given(engine=st.sampled_from(ENGINES), **QUERY_PARAMS)
-def test_matches_baseline(engine, uid, tau, gamma, theta, radius):
+@given(**QUERY_PARAMS)
+def test_matches_baseline(uid, tau, gamma, theta, radius):
     query = _query(uid, tau, gamma, theta, radius)
-    answer, _ = processor_for({"net": "uni", "engine": engine}).answer(query)
+    answer, _ = processor_for({"net": "uni"}).answer(query)
     _assert_matches_baseline(query, answer)
 
 
 @settings(max_examples=30, deadline=None)
-@given(engine=st.sampled_from(ENGINES), **QUERY_PARAMS)
-def test_topk_matches_baseline_explain_off(
-    engine, uid, tau, gamma, theta, radius
-):
+@given(**QUERY_PARAMS)
+def test_topk_matches_baseline_explain_off(uid, tau, gamma, theta, radius):
     """Top-3 leads with the optimum; every pair is distinct and valid."""
     query = _query(uid, tau, gamma, theta, radius)
-    processor = processor_for(
-        {"net": "uni", "engine": engine, "explain": False}
-    )
+    processor = processor_for({"net": "uni", "explain": False})
     answer, _ = processor.answer(query)
     _assert_matches_baseline(query, answer)
     top, _ = processor.answer_topk(query, k=3)

@@ -1,4 +1,4 @@
-"""Freeze → open → attach → refreeze invariants, per distance engine.
+"""Freeze → open → attach → refreeze invariants.
 
 Two properties pin the frozen-arena contract:
 
@@ -31,7 +31,7 @@ SCALE = ExperimentScale(
     road_vertices=80, num_pois=25, num_users=60, max_groups=300
 )
 SEED = 5
-ENGINES = ["csr", "ch", "lazy-ch"]
+ENGINES = ["csr"]
 
 
 def _observable(answer, stats):
@@ -51,7 +51,7 @@ def _observable(answer, stats):
 def frozen_setup(request, tmp_path_factory):
     engine = request.param
     network = build_dataset("UNI", SCALE, seed=SEED)
-    processor = make_processor(network, seed=SEED, distance_engine=engine)
+    processor = make_processor(network, seed=SEED)
     path = tmp_path_factory.mktemp(f"rt_{engine}") / "net.gpsnap"
     freeze(network, path, processor=processor)
     return engine, network, processor, path
@@ -72,15 +72,7 @@ class TestRefreezeByteIdentical:
     def test_refreeze_from_same_network_is_deterministic(
         self, frozen_setup, tmp_path
     ):
-        engine, network, processor, path = frozen_setup
-        if engine == "ch":
-            # A live (non-canonical-order) hierarchy is rebuilt per
-            # freeze, and its preprocess_seconds is a fresh wall-clock
-            # measurement — determinism here is only promised for files
-            # that are a pure function of the graph. The attach path
-            # above still refreezes ch byte-identically, because the
-            # stored hierarchy (timing included) round-trips.
-            pytest.skip("ch embeds the measured preprocessing time")
+        _engine, network, processor, path = frozen_setup
         again = tmp_path / "refrozen.gpsnap"
         freeze(network, again, processor=processor)
         assert again.read_bytes() == path.read_bytes()
@@ -105,7 +97,8 @@ class TestAttachedEquivalence:
         engine, network, _processor, path = frozen_setup
         frozen = FrozenSnapshot.open(path)
         attached_net, _ = frozen.attach()
-        assert frozen.meta["distance_engine"] == engine
+        assert "distance_engine" not in frozen.meta
+        assert not any(name.startswith("ch/") for name in frozen.sections)
         assert attached_net.distances.engine.name == engine
         assert attached_net.version == network.version
         assert attached_net.num_pois == network.num_pois

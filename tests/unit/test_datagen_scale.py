@@ -71,9 +71,9 @@ class TestGenerateGridNetwork:
 
 
 class TestPoiDistancesWithin:
-    @pytest.fixture(scope="class", params=["csr", "ch"])
+    @pytest.fixture(scope="class", params=["csr"])
     def network(self, request):
-        # 300 vertices crosses SCIPY_MIN_VERTICES, so the csr variant
+        # 300 vertices crosses SCIPY_MIN_VERTICES, so the csr engine
         # exercises the dense-row scipy path, not the dict kernel.
         scale = ExperimentScale(
             road_vertices=300, num_pois=30, num_users=40, max_groups=100

@@ -1,4 +1,5 @@
-"""Unit tests for the CSR snapshot and its Dijkstra kernels."""
+"""Unit tests for the CSR snapshot, its Dijkstra kernels and the
+``dist_RN`` engine on top of them."""
 
 import math
 import sys
@@ -11,12 +12,7 @@ from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.exceptions import InvalidParameterError, UnknownEntityError
 from repro.roadnet.csr import CSRGraph, HAVE_SCIPY
-from repro.roadnet.engines import (
-    CSREngine,
-    DistanceEngine,
-    ENGINE_NAMES,
-    make_engine,
-)
+from repro.roadnet.engines import CSREngine
 from repro.roadnet.shortest_path import (
     DistanceOracle,
     multi_source_dijkstra,
@@ -221,31 +217,87 @@ class TestCSREngine:
         assert stats["kernel_runs"] + stats["scipy_runs"] >= 1
 
     def test_oracle_delegates_to_engine(self, grid_road):
-        engine = CSREngine(grid_road)
-        oracle = DistanceOracle(grid_road, engine=engine)
+        oracle = DistanceOracle(grid_road)
+        engine = oracle.engine
+        assert isinstance(engine, CSREngine)
         pos = NetworkPosition(0, 1, 1.0)
         via_oracle = oracle.distances_from("k", pos)
         direct = engine.sssp(position_seeds(grid_road, pos))
         assert via_oracle == pytest.approx(direct)
         assert engine.stats()["kernel_runs"] >= 2
 
+    def test_same_edge_reversed_orientation(self, grid_road):
+        # Endpoint detours give min(2+7, 8+3) = 9; the direct walk is 5.
+        engine = CSREngine(grid_road)
+        a = NetworkPosition(0, 1, 2.0)
+        b = NetworkPosition(1, 0, 3.0)
+        assert engine.point_to_point(a, b) == pytest.approx(5.0)
 
-class TestMakeEngine:
-    def test_names(self, grid_road):
-        for name in ENGINE_NAMES:
-            engine = make_engine(name, grid_road)
-            assert isinstance(engine, DistanceEngine)
-            assert engine.name == name
+    def test_on_edge_positions(self, grid_road):
+        # Mid-edge positions seed both endpoints: 5 to vertex 0, 5 on.
+        engine = CSREngine(grid_road)
+        a = NetworkPosition(0, 1, 5.0)
+        b = NetworkPosition(0, 4, 5.0)
+        assert engine.point_to_point(a, b) == pytest.approx(10.0)
+
+    def test_disconnected_pair_is_inf(self):
+        road = RoadNetwork()
+        for vid, (x, y) in enumerate([(0, 0), (1, 0), (5, 5), (6, 5)]):
+            road.add_vertex(vid, x, y)
+        road.add_edge(0, 1)
+        road.add_edge(2, 3)
+        engine = CSREngine(road)
+        a = NetworkPosition(0, 1, 0.5)
+        b = NetworkPosition(2, 3, 0.5)
+        assert math.isinf(engine.point_to_point(a, b))
+        assert math.isinf(reference_point_to_point(road, a, b))
+
+    def test_empty_seeds_reach_nothing(self, grid_road, monkeypatch):
+        import repro.roadnet.csr as csr_mod
+
+        engine = CSREngine(grid_road)
+        graph = engine.graph()
+        assert graph.kernel([], targets={graph.index_of[0]}) == {}
+        assert engine.sssp([]) == {}
+        if HAVE_SCIPY:
+            monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
+            row = engine.sssp_dense([])
+            assert row.shape == (grid_road.num_vertices,)
+            assert np.isinf(row).all()
+
+    def test_point_to_point_follows_mutation(self):
+        road = build_grid_road()
+        engine = CSREngine(road)
+        engine.point_to_point(
+            NetworkPosition(0, 1, 1.0), NetworkPosition(14, 15, 2.0)
+        )
+        road.add_vertex(99, -10.0, -10.0)
+        road.add_edge(0, 99, 10.0)
+        a = NetworkPosition(0, 99, 0.0)
+        b = NetworkPosition(0, 99, 10.0)
+        assert engine.point_to_point(a, b) == pytest.approx(10.0)
+
+
+class TestSingleEngine:
+    def test_network_engine_is_csr(self, grid_road):
+        from repro import SocialNetwork, SpatialSocialNetwork
+
+        network = SpatialSocialNetwork(grid_road, SocialNetwork(), [], 1)
+        engine = network.use_distance_engine("csr")
+        assert engine is network.distances.engine
+        assert isinstance(engine, CSREngine)
+        assert engine.name == "csr"
 
     def test_unknown_name_rejected(self, grid_road):
-        with pytest.raises(InvalidParameterError):
-            make_engine("quantum", grid_road)
+        from repro import SocialNetwork, SpatialSocialNetwork
 
-    def test_config_validates_engine_name(self):
+        network = SpatialSocialNetwork(grid_road, SocialNetwork(), [], 1)
+        for name in ("ch", "quantum"):
+            with pytest.raises(InvalidParameterError):
+                network.use_distance_engine(name)
+
+    def test_config_validates_cache_size(self):
         from repro.config import ExperimentConfig
 
-        assert ExperimentConfig(distance_engine="ch").distance_engine == "ch"
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(distance_engine="quantum")
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(distance_cache_size=0)

@@ -3,19 +3,14 @@
 The parity property suite checks end-to-end answer bytes; these tests
 pin the per-structure contracts the proofs lean on: exact R*-tree
 material after POI churn, exact pivot maps after friendship flips,
-widen-then-compact social bounds, and the lazy CH engine's exact CSR
-fallback under staleness.
+and widen-then-compact social bounds.
 """
-
-import math
 
 import pytest
 
 from repro import GPSSNQueryProcessor, uni_dataset
 from repro.dynamic import DynamicIndexMaintainer, synthesize_mutations
-from repro.exceptions import InvalidParameterError
 from repro.index.pivots import SocialPivotIndex
-from repro.roadnet.engines import CSREngine, LazyCHEngine
 
 
 @pytest.fixture()
@@ -145,66 +140,3 @@ class TestSocialIndexCompaction:
         maintainer = churn(processor, slack_threshold=1)
         assert maintainer.compactions > 0
         assert processor.social_index.bound_slack == 0
-
-
-class TestLazyCHEngine:
-    def positions(self, network, n=6):
-        users = sorted(network.social.user_ids())[:n]
-        return [network.social.user(u).home for u in users]
-
-    def test_exact_fallback_while_stale(self, setup):
-        network, _ = setup
-        engine = LazyCHEngine(network.road, rebuild_after=64)
-        reference = CSREngine(network.road)
-        points = self.positions(network)
-        engine.point_to_point(points[0], points[1])  # warm the hierarchy
-
-        u, v, length = next(iter(network.road.edges()))
-        network.road.update_edge_length(u, v, length * 2.5)
-        assert engine.stale
-        for a in points:
-            for b in points:
-                got = engine.point_to_point(a, b)
-                want = reference.point_to_point(a, b)
-                assert got == pytest.approx(want, nan_ok=True) or (
-                    math.isinf(got) and math.isinf(want)
-                )
-        assert engine.stale  # below the bound: still parked
-        assert engine.fallback_queries > 0
-        assert engine.lazy_rebuilds == 0
-
-    def test_rebuild_at_staleness_bound(self, setup):
-        network, _ = setup
-        engine = LazyCHEngine(network.road, rebuild_after=3)
-        points = self.positions(network)
-        engine.point_to_point(points[0], points[1])
-
-        u, v, length = next(iter(network.road.edges()))
-        network.road.update_edge_length(u, v, length * 0.5)
-        for _ in range(3):
-            engine.point_to_point(points[0], points[2])
-        assert engine.stale  # 3 fallbacks paid, bound not yet exceeded
-        engine.point_to_point(points[0], points[2])  # 4th crosses it
-        assert engine.lazy_rebuilds == 1
-        assert not engine.stale
-        assert engine.fallback_queries == 0
-
-    def test_dirty_vertex_set_triggers_rebuild(self, setup):
-        network, _ = setup
-        engine = LazyCHEngine(network.road, rebuild_after=2)
-        points = self.positions(network)
-        engine.point_to_point(points[0], points[1])
-
-        edges = list(network.road.edges())[:2]
-        for u, v, length in edges:
-            network.road.update_edge_length(u, v, length * 1.5)
-            engine.mark_dirty(u, v)
-        assert len(engine.dirty_vertices) >= 2
-        engine.point_to_point(points[0], points[2])
-        assert engine.lazy_rebuilds == 1
-        assert not engine.dirty_vertices
-
-    def test_invalid_rebuild_after_rejected(self, setup):
-        network, _ = setup
-        with pytest.raises(InvalidParameterError):
-            LazyCHEngine(network.road, rebuild_after=0)

@@ -198,7 +198,6 @@ class TestDirectEdgeDistance:
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(1, 0, 3.0)
         assert oracle.distance("a", a, b) == pytest.approx(5.0)
-        assert oracle.point_to_point(a, b) == pytest.approx(5.0)
 
 
 class TestOracle:
@@ -250,9 +249,9 @@ class TestOracle:
         oracle = DistanceOracle(grid_road)
         a = NetworkPosition(0, 1, 5.0)
         b = NetworkPosition(0, 4, 5.0)
-        got = oracle.point_to_point(a, b)
+        got = oracle.engine.point_to_point(a, b)
         assert got == pytest.approx(oracle.distance("a", a, b))
-        # The one-shot path never touched the hit/miss accounting.
+        # The engine's one-shot path never touched the hit/miss accounting.
         assert oracle.cache_hits == 0
         assert oracle.searches_run == 1  # only the distance() call
 

@@ -14,6 +14,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.exceptions import SnapshotFormatError
 from repro.experiments.harness import (
     ExperimentScale,
@@ -97,11 +98,18 @@ class TestOpen:
         with pytest.raises(SnapshotFormatError, match="something-else"):
             FrozenSnapshot.open(bad)
 
-    def test_unsupported_version(self, tmp_path):
-        bad = tmp_path / "future.gpsnap"
-        _craft(bad, {"format": FORMAT_NAME, "version": FORMAT_VERSION + 1})
-        with pytest.raises(SnapshotFormatError, match="version"):
-            FrozenSnapshot.open(bad)
+    def test_unsupported_version(self, tmp_path, capsys):
+        # A future version, and the previous one: a version-4 arena's
+        # build_args still name a distance engine.
+        for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+            bad = tmp_path / f"v{version}.gpsnap"
+            _craft(bad, {"format": FORMAT_NAME, "version": version})
+            with pytest.raises(SnapshotFormatError, match="version"):
+                FrozenSnapshot.open(bad)
+            code = main(["query", "--snapshot", str(bad), "--user", "0"])
+            assert code == 2
+            assert f"unsupported snapshot version {version}" in \
+                capsys.readouterr().err
 
     def test_version_1_arena_is_refused(self, arena, tmp_path):
         """A version-1 header (its build_args still name a refinement
@@ -110,7 +118,7 @@ class TestOpen:
         start = len(MAGIC) + 8
         (header_len,) = struct.unpack("<Q", data[len(MAGIC):start])
         header = json.loads(data[start:start + header_len])
-        assert header["version"] == FORMAT_VERSION == 4
+        assert header["version"] == FORMAT_VERSION == 5
         assert "refinement_kernel" not in header["meta"]["build_args"]
         header["version"] = 1
         header["meta"]["build_args"]["refinement_kernel"] = "vector"
