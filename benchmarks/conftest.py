@@ -9,6 +9,8 @@ through pytest-benchmark.
 
 from __future__ import annotations
 
+import importlib.util
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,27 @@ BENCH_SEED = 7
 BENCH_QUERIES = 4
 
 RESULTS_DIR = Path(__file__).parent / "results"
+CHECKER_PATH = (
+    Path(__file__).resolve().parent.parent
+    / "scripts"
+    / "check_bench_regression.py"
+)
+
+
+@lru_cache(maxsize=None)
+def _checker():
+    spec = importlib.util.spec_from_file_location(
+        "check_bench_regression", CHECKER_PATH
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def gate_failures(payload: dict) -> list:
+    """The violated gates of ``payload``, as the CI gate step reports
+    them (``scripts/check_bench_regression.py``)."""
+    return _checker().check(payload)
 
 
 def write_result(name: str, headers, rows, title: str) -> str:

@@ -1,43 +1,39 @@
 """Pruning-funnel trajectory benchmark + regression-guard wiring.
 
 Runs the shared Figure-7 workload (all four datasets, seeded) with the
-EXPLAIN recorder on, writes ``results/BENCH_pruning_funnel.json`` —
-per-rule prune counts plus query latency — and proves the guard closes:
-``scripts/check_bench_regression.py`` accepts the fresh run against the
-committed baseline and rejects a doctored one that claims twice the
-pruning power.
+EXPLAIN recorder on and writes ``results/BENCH_pruning_funnel.json`` —
+per-rule prune counts plus query latency — with its gate: every rule
+keeps at least ``MIN_RULE_FRACTION`` of the committed baseline's prune
+count on every dataset. CI stashes the committed payload and passes it
+to ``scripts/check_bench_regression.py --baseline`` after the rerun;
+losing more than a fifth of a rule's prunes is the signature of a
+silently weakened bound. Latency is recorded but not gated: wall-clock
+is machine-dependent, prune counts are not (the workload is seeded).
 """
 
 from __future__ import annotations
 
-import copy
-import importlib.util
 import json
-from pathlib import Path
+import os
 
 from benchmarks.conftest import (
     BENCH_QUERIES,
     BENCH_SCALE,
     BENCH_SEED,
     RESULTS_DIR,
+    gate_failures,
     write_result,
 )
 
 BASELINE_PATH = RESULTS_DIR / "BENCH_pruning_funnel.json"
-CHECKER_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "scripts"
-    / "check_bench_regression.py"
-)
 
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench_regression", CHECKER_PATH
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+#: The committed gate: each rule's prune count may fall to no less than
+#: this fraction of its baseline count...
+MIN_RULE_FRACTION = 0.8
+#: ...counting only rules with at least this many baseline prunes: a
+#: swing of a handful of candidates is enumeration noise, not a lost
+#: lemma.
+MIN_BASELINE_PRUNES = 10
 
 
 def _build_payload(workloads) -> dict:
@@ -69,7 +65,15 @@ def _build_payload(workloads) -> dict:
         },
         "num_queries": BENCH_QUERIES,
         "seed": BENCH_SEED,
+        "cpu_count": os.cpu_count(),
         "datasets": datasets,
+        "gates": [
+            {
+                "value": "datasets.*.rule_counts.*",
+                "min_baseline_fraction": MIN_RULE_FRACTION,
+                "min_baseline": MIN_BASELINE_PRUNES,
+            },
+        ],
     }
 
 
@@ -109,43 +113,8 @@ def test_pruning_funnel_baseline(benchmark, pruning_workloads):
         "Pruning funnel baseline (Fig. 7 workload, explain recorder on)",
     )
 
-    # A fresh run compared against itself always passes the guard.
-    checker = _load_checker()
-    assert checker.compare(payload, payload) == []
+    # Its own baseline here: the gate's path must resolve. CI compares
+    # it against the committed payload.
+    assert gate_failures(payload) == []
 
-    benchmark(lambda: checker.compare(payload, payload))
-
-
-def test_regression_checker_fails_on_doctored_baseline(
-    tmp_path, pruning_workloads
-):
-    """The guard's acceptance bar: doubling the baseline's prune counts
-    (i.e. pretending we used to prune twice as much) must make the
-    checker exit nonzero, and an identical baseline must pass."""
-    checker = _load_checker()
-    payload = _build_payload(pruning_workloads)
-
-    current = tmp_path / "current.json"
-    current.write_text(json.dumps(payload) + "\n")
-
-    honest = tmp_path / "honest.json"
-    honest.write_text(json.dumps(payload) + "\n")
-    assert checker.main(
-        ["--baseline", str(honest), "--current", str(current)]
-    ) == 0
-
-    doctored_payload = copy.deepcopy(payload)
-    for entry in doctored_payload["datasets"].values():
-        entry["rule_counts"] = {
-            rule: count * 2 for rule, count in entry["rule_counts"].items()
-        }
-    doctored = tmp_path / "doctored.json"
-    doctored.write_text(json.dumps(doctored_payload) + "\n")
-    assert checker.main(
-        ["--baseline", str(doctored), "--current", str(current)]
-    ) == 1
-
-    # Small-count rules stay exempt: below --min-count nothing can fail.
-    assert checker.compare(
-        doctored_payload, payload, min_count=10**9
-    ) == []
+    benchmark(gate_failures, payload)

@@ -23,9 +23,9 @@ CI box inflates the two sides equally:
   rides a daemon thread, so its cost is the GIL share of walking
   ``sys._current_frames()``, not anything in the query hot path.
 
-Results land in ``results/BENCH_telemetry.json`` with the committed
-``max_overhead`` gate (5%), re-validated in CI by
-``scripts/check_bench_regression.py --telemetry``.
+Results land in ``results/BENCH_telemetry.json`` with its gates — each
+arm at most ``MAX_OVERHEAD`` (5%), identical outcomes, exact counters —
+re-validated in CI by ``scripts/check_bench_regression.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import RESULTS_DIR, gate_failures, write_result
 from repro.core.query import GPSSNQuery
 from repro.experiments.harness import (
     ExperimentScale,
@@ -150,16 +150,16 @@ def test_telemetry_plane_overhead(telemetry_setup):
             for name in bare.recorder.metrics.counters
         )
 
-    bare_lines = outcome_lines(bare_outcomes)
-    shipped_lines = outcome_lines(shipped_outcomes)
-    outcomes_match = shipped_lines == bare_lines
-    assert outcomes_match  # the plane must be invisible in the answers
+    # The plane must be invisible in the answers.
+    outcomes_match = outcome_lines(shipped_outcomes) == outcome_lines(
+        bare_outcomes
+    )
     assert profiled_samples > 0  # the profiler actually sampled
 
     delta_overhead = on_sec / off_sec - 1.0
     profiler_overhead = prof_on / prof_off - 1.0
     payload = {
-        "schema": "gpssn.bench.telemetry/1",
+        "schema": "gpssn.bench.telemetry/2",
         "scale": {
             "road_vertices": TELEMETRY_SCALE.road_vertices,
             "num_pois": TELEMETRY_SCALE.num_pois,
@@ -181,9 +181,14 @@ def test_telemetry_plane_overhead(telemetry_setup):
             "overhead": round(profiler_overhead, 4),
             "samples": profiled_samples,
         },
-        "max_overhead": MAX_OVERHEAD,
         "outcomes_match": outcomes_match,
         "counters_match": counters_match,
+        "gates": [
+            {"value": "delta.overhead", "max": MAX_OVERHEAD},
+            {"value": "profiler.overhead", "max": MAX_OVERHEAD},
+            {"value": "outcomes_match", "equals": True},
+            {"value": "counters_match", "equals": True},
+        ],
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -203,14 +208,4 @@ def test_telemetry_plane_overhead(telemetry_setup):
         ),
     )
 
-    assert counters_match, (
-        "shipped worker counters diverged from the aggregate tallies"
-    )
-    assert delta_overhead <= MAX_OVERHEAD, (
-        f"delta shipping costs {delta_overhead:+.1%} over the "
-        f"telemetry-off executor (gate: {MAX_OVERHEAD:.0%})"
-    )
-    assert profiler_overhead <= MAX_OVERHEAD, (
-        f"the sampling profiler costs {profiler_overhead:+.1%} over "
-        f"bare execution (gate: {MAX_OVERHEAD:.0%})"
-    )
+    assert gate_failures(payload) == []

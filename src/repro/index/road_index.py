@@ -30,6 +30,7 @@ for POI insert/delete; the traversal operates on the immutable
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import IndexStateError, InvalidParameterError
@@ -155,7 +156,7 @@ class RoadIndex:
         self.counter = PageAccessCounter()
 
         self._augmented: Dict[int, AugmentedPOI] = {}
-        self._region_cache: Dict[tuple, List[int]] = {}
+        self._region_cache: "OrderedDict[tuple, List[int]]" = OrderedDict()
         #: live R*-tree retained for incremental insert/delete; ``None``
         #: when the index was attached from a snapshot (immutable).
         self._tree: Optional[RStarTree] = None
@@ -323,7 +324,7 @@ class RoadIndex:
         index.num_bits = int(snapshot["num_bits"])
         index.samples_per_node = int(snapshot["samples_per_node"])
         index.counter = PageAccessCounter()
-        index._region_cache = {}
+        index._region_cache = OrderedDict()
         index._augmented = {}
         for pid_str, data in snapshot["augmented"].items():
             pid = int(pid_str)
@@ -578,12 +579,18 @@ class RoadIndex:
 
         Filtered from the stored ``2*r_max`` region and its distances
         when the radius permits (the common case: every query radius
-        satisfies ``2r <= 2*r_max``), falling back to one bounded,
-        uncached search otherwise.
+        satisfies ``2r <= 2*r_max``), falling back to one bounded search
+        otherwise. Either result is cached per ``(poi_id, radius)``
+        under the LRU policy and ``network.distances.cache_size`` budget
+        of the pair kernel's balls: ``radius`` is a client-supplied
+        float, so an unbounded cache would grow with every distinct
+        value a long-running service is asked for.
         """
         key = (poi_id, radius)
-        cached = self._region_cache.get(key)
+        cache = self._region_cache
+        cached = cache.get(key)
         if cached is not None:
+            cache.move_to_end(key)
             return cached
         if radius <= 2.0 * self.r_max:
             ap = self.augmented(poi_id)
@@ -593,7 +600,9 @@ class RoadIndex:
             ]
         else:
             result = sorted(self.network.poi_distances_within(poi_id, radius))
-        self._region_cache[key] = result
+        cache[key] = result
+        if len(cache) > self.network.distances.cache_size:
+            cache.popitem(last=False)
         return result
 
     def describe(self) -> dict:

@@ -129,6 +129,15 @@ class TestRegion:
         second = road_index.region(0, 2.0)
         assert first is second
 
+    def test_region_cache_bounded(self, road_index, small_uni):
+        cap = small_uni.distances.cache_size
+        step = 2 * road_index.r_max / (3 * cap + 1)
+        for i in range(1, 3 * cap + 1):
+            road_index.region(0, i * step)
+        assert len(road_index._region_cache) == cap
+        # Least recently used first out: the newest radius is still held.
+        assert (0, 3 * cap * step) in road_index._region_cache
+
     def test_region_beyond_precomputed_radius(self, road_index, small_uni):
         radius = 2 * road_index.r_max + 5.0
         expected = sorted(small_uni.pois_within(0, radius))
