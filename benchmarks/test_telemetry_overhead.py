@@ -18,10 +18,18 @@ CI box inflates the two sides equally:
   the shipped worker-labelled counters must equal the aggregate
   tallies exactly (disjoint deltas sum — nothing lost, nothing
   doubled).
-* **profiler** — the same workload bare versus under the 5 ms
+* **profiler** — the same workload bare versus under the 10 ms
   thread-timer :class:`~repro.obs.profiler.SamplingProfiler`. Sampling
   rides a daemon thread, so its cost is the GIL share of walking
   ``sys._current_frames()``, not anything in the query hot path.
+
+Both costs are small, and a shared box's jitter is not. Priced as the
+best of five one-batch passes (~0.12 s) a side, with the "on" pass
+always second, the profiler arm read +5% to +13% on unchanged code.
+So each arm times ``REPEATS`` pairs of passes of ``PASSES`` batches
+each, runs the "on" side first in every other pair (the second pass of
+a pair reads slower on such a box), and reports the median paired ratio
+(``off_sec``/``on_sec`` are each side's median pass).
 
 Results land in ``results/BENCH_telemetry.json`` with its gates — each
 arm at most ``MAX_OVERHEAD`` (5%), identical outcomes, exact counters —
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -54,7 +63,10 @@ TELEMETRY_SCALE = ExperimentScale(
 )
 TELEMETRY_SEED = 7
 TELEMETRY_QUERIES = 24
-REPEATS = 5
+#: Timed (off, on) pairs per arm.
+REPEATS = 15
+#: Consecutive batch runs per timed pass.
+PASSES = 5
 
 #: The committed gate, shared by both arms.
 MAX_OVERHEAD = 0.05
@@ -75,10 +87,26 @@ def telemetry_setup():
     return network, entries
 
 
-def _timed(fn):
-    started = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - started, result
+def _pair(off_pass, on_pass, on_first):
+    """Time one ``(off, on)`` pair of passes, the on side first if
+    ``on_first``."""
+    if on_first:
+        on = on_pass()
+        return off_pass(), on
+    off = off_pass()
+    return off, on_pass()
+
+
+def _arm(pairs):
+    """One arm's payload: each side's median pass and the overhead, the
+    median paired ratio minus one."""
+    return {
+        "off_sec": round(statistics.median(off for off, _ in pairs), 4),
+        "on_sec": round(statistics.median(on for _, on in pairs), 4),
+        "overhead": round(
+            statistics.median(on / off for off, on in pairs) - 1.0, 4
+        ),
+    }
 
 
 def _counters_match(registry, expected_queries: int) -> bool:
@@ -109,39 +137,46 @@ def test_telemetry_plane_overhead(telemetry_setup):
         build_args={"seed": TELEMETRY_SEED},
     ) as shipping:
         # Untimed warm pass each: cache fills are startup, not plane cost.
-        bare_outcomes = bare.run_entries(entries)
-        shipped_outcomes = shipping.run_entries(entries)
+        bare.run_entries(entries)
+        shipping.run_entries(entries)
 
-        off_sec = on_sec = prof_off = prof_on = float("inf")
-        profiled_samples = 0
-        for _ in range(REPEATS):
-            elapsed, bare_outcomes = _timed(
-                lambda: bare.run_entries(entries)
-            )
-            off_sec = min(off_sec, elapsed)
-            elapsed, shipped_outcomes = _timed(
-                lambda: shipping.run_entries(entries)
-            )
-            on_sec = min(on_sec, elapsed)
+        last = {}
+        samples = []
 
-            elapsed, _ = _timed(lambda: bare.run_entries(entries))
-            prof_off = min(prof_off, elapsed)
+        def timed_pass(name, executor):
+            started = time.perf_counter()
+            for _ in range(PASSES):
+                last[name] = executor.run_entries(entries)
+            return time.perf_counter() - started
+
+        def profiled_pass():
             # 10 ms, not the CLI's 5 ms default: on a single-core CI
             # box the sampler thread competes for the GIL, and the gate
             # prices the production-reasonable cadence.
             profiler = SamplingProfiler(interval_sec=0.01)
             with profiler:
-                elapsed, _ = _timed(lambda: bare.run_entries(entries))
-            prof_on = min(prof_on, elapsed)
-            profiled_samples = max(
-                profiled_samples, profiler.report.num_samples
-            )
+                elapsed = timed_pass("profiled", bare)
+            samples.append(profiler.report.num_samples)
+            return elapsed
+
+        delta_pairs, profiler_pairs = [], []
+        for rep in range(REPEATS):
+            delta_pairs.append(_pair(
+                lambda: timed_pass("bare", bare),
+                lambda: timed_pass("shipped", shipping),
+                on_first=rep % 2 == 1,
+            ))
+            profiler_pairs.append(_pair(
+                lambda: timed_pass("bare", bare), profiled_pass,
+                on_first=rep % 2 == 1,
+            ))
+        bare_outcomes, shipped_outcomes = last["bare"], last["shipped"]
 
         registry = shipping.recorder.metrics
         # The shipping executor ran the warm pass plus REPEATS timed
-        # passes; deltas are cumulative across all of them.
+        # passes of PASSES batches; deltas are cumulative across all.
         counters_match = _counters_match(
-            registry, len(entries) * (REPEATS + 1)
+            registry, len(entries) * (REPEATS * PASSES + 1)
         )
         # The telemetry-off executor really shipped nothing.
         assert bare.recorder.metrics.counters.get("query.count") is None
@@ -154,12 +189,12 @@ def test_telemetry_plane_overhead(telemetry_setup):
     outcomes_match = outcome_lines(shipped_outcomes) == outcome_lines(
         bare_outcomes
     )
-    assert profiled_samples > 0  # the profiler actually sampled
+    assert min(samples) > 0  # the profiler actually sampled
 
-    delta_overhead = on_sec / off_sec - 1.0
-    profiler_overhead = prof_on / prof_off - 1.0
+    delta, profiler = _arm(delta_pairs), _arm(profiler_pairs)
+    profiler["samples"] = max(samples)
     payload = {
-        "schema": "gpssn.bench.telemetry/2",
+        "schema": "gpssn.bench.telemetry/3",
         "scale": {
             "road_vertices": TELEMETRY_SCALE.road_vertices,
             "num_pois": TELEMETRY_SCALE.num_pois,
@@ -169,18 +204,10 @@ def test_telemetry_plane_overhead(telemetry_setup):
         "seed": TELEMETRY_SEED,
         "num_queries": len(entries),
         "repeats": REPEATS,
+        "passes": PASSES,
         "cpu_count": os.cpu_count(),
-        "delta": {
-            "off_sec": round(off_sec, 4),
-            "on_sec": round(on_sec, 4),
-            "overhead": round(delta_overhead, 4),
-        },
-        "profiler": {
-            "off_sec": round(prof_off, 4),
-            "on_sec": round(prof_on, 4),
-            "overhead": round(profiler_overhead, 4),
-            "samples": profiled_samples,
-        },
+        "delta": delta,
+        "profiler": profiler,
         "outcomes_match": outcomes_match,
         "counters_match": counters_match,
         "gates": [
@@ -195,12 +222,12 @@ def test_telemetry_plane_overhead(telemetry_setup):
 
     write_result(
         "telemetry_overhead",
-        ["arm", f"off (best of {REPEATS})", "on", "overhead"],
+        ["arm", f"off (median of {REPEATS})", "on", "overhead"],
         [
-            ["delta shipping", round(off_sec, 3), round(on_sec, 3),
-             f"{delta_overhead:+.1%}"],
-            ["sampling profiler", round(prof_off, 3), round(prof_on, 3),
-             f"{profiler_overhead:+.1%}"],
+            [name, arm["off_sec"], arm["on_sec"], f"{arm['overhead']:+.1%}"]
+            for name, arm in (
+                ("delta shipping", delta), ("sampling profiler", profiler)
+            )
         ],
         title=(
             f"Telemetry plane overhead ({len(entries)} queries, "

@@ -12,10 +12,10 @@ Thirteen subcommands cover the everyday workflow:
 * ``gpssn query`` — answer a GP-SSN query (optionally top-k or sampled)
   against a bundle;
 * ``gpssn batch`` — answer a JSONL file of queries concurrently through
-  the batch executor (``--workers N``, serial/thread/process backends)
+  the batch executor (``--workers N``, serial/process backends)
   and write JSONL outcomes;
 * ``gpssn serve`` — run the long-lived query daemon: ``POST /query``
-  (same JSONL schema as ``batch``) on a warm worker pool with admission
+  (same JSONL schema as ``batch``) on a warm executor with admission
   control, plus the live observability plane (``/metrics`` Prometheus
   exposition, ``/healthz``, ``/readyz``, ``/status`` dashboard,
   ``?trace=1`` request tracing);
@@ -291,13 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="warm query workers (concurrent requests beyond this wait "
-        "in the admission queue)",
+        help="process-pool size with --backend process (serial always "
+        "runs one worker); concurrent requests beyond the workers wait "
+        "in the admission queue",
     )
     serve.add_argument(
-        "--backend", choices=("serial", "thread", "process"),
-        default="thread",
-        help="worker backend; serial is thread with one worker",
+        "--backend", choices=BACKENDS, default="serial",
+        help="worker backend: serial answers on one in-process worker, "
+        "process on a pool of --workers processes",
     )
     serve.add_argument(
         "--max-queue", type=int, default=16,
@@ -695,10 +696,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except InvalidParameterError as exc:
         raise CLIError(EXIT_INPUT, str(exc))
 
+    workers = 1 if config.backend == "serial" else config.workers
+
     def announce(host: str, port: int) -> None:
         print(
             f"gpssn serve: listening on http://{host}:{port} "
-            f"({config.backend} backend, {args.workers} workers, "
+            f"({config.backend} backend, {workers} workers, "
             f"queue {config.max_queue}); warming workers ...",
             flush=True,
         )

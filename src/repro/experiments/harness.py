@@ -243,7 +243,7 @@ def run_workload(
 
     ``workers > 0`` routes the workload through the concurrent
     :class:`~repro.service.executor.BatchQueryExecutor` (``backend``
-    picks thread/process; answers are identical to the serial path).
+    picks serial/process; answers are identical to the serial path).
     Per-query statistics still aggregate — they travel back inside each
     outcome — but the per-rule funnel stays empty: worker processes run
     recorder-free, exactly like the serial overhead-free timing mode.

@@ -1,6 +1,7 @@
 """Serializable telemetry deltas shipped from workers to the parent.
 
-The batch executor's thread and process workers each own a *private*
+The batch executor's workers (the serial state and each pool process)
+each own a *private*
 :class:`~repro.obs.registry.Recorder`: counters, histograms, and the
 pruning funnel accumulate in the worker and — before this module —
 died with the shard (``_drain_worker_tracer`` silently discarded
@@ -30,7 +31,7 @@ histograms), so a delta pickles across the process-pool boundary.
 
 Application is two-fold: every counter/gauge/histogram lands once under
 its own name (the aggregate the funnel dashboards and regression gates
-read — identical across serial/thread/process backends) and once under
+read — identical across the serial and process backends) and once under
 ``worker.<label>.<name>`` (the per-worker series ``/status`` renders
 and the Prometheus exporter exposes as ``gpssn_worker_*{worker="..."}``
 families).

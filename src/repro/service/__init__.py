@@ -6,12 +6,12 @@
 * :mod:`repro.service.limits` — per-query timeout + bounded retry and
   the ``result | timeout | error`` :class:`QueryOutcome` envelope;
 * :mod:`repro.service.executor` — :class:`BatchQueryExecutor` with the
-  ``serial`` / ``thread`` / ``process`` backends and the picklable
+  ``serial`` / ``process`` backends and the picklable
   :class:`NetworkSnapshot` that gives every worker warm state;
 * :mod:`repro.service.protocol` — the JSONL query/outcome wire format
   shared by ``gpssn batch`` and the daemon;
-* :mod:`repro.service.server` — the ``gpssn serve`` daemon: warm worker
-  pool with admission control plus the live observability plane
+* :mod:`repro.service.server` — the ``gpssn serve`` daemon: a warm
+  executor with admission control plus the live observability plane
   (``/metrics``, ``/healthz``, ``/readyz``, ``/status``, request
   tracing);
 * :mod:`repro.service.dashboard` — the ``/status`` page renderer.

@@ -126,9 +126,9 @@ def worker_rows(view: Dict[str, object]) -> List[List[str]]:
     """The per-worker panel: one row per ``worker.<label>.*`` series.
 
     Everything here arrives on shard metric deltas, so the panel is
-    populated identically whether the workers are the serial state
-    (label ``0``), threads (``0..n``), or pool processes (``pid<n>``) —
-    the cross-process telemetry plane's visible payoff.
+    populated identically whether the worker is the serial state
+    (label ``0``) or pool processes (``pid<n>``) — the cross-process
+    telemetry plane's visible payoff.
     """
     counters: Dict[str, float] = view.get("counters", {})  # type: ignore
     gauges: Dict[str, float] = view.get("gauges", {})  # type: ignore
@@ -338,7 +338,7 @@ def render_status_html(view: Dict[str, object]) -> str:
             _phase_rows(view["histograms"]),
         ),
         "<h2>Workers <span class='muted'>(from shipped metric deltas; "
-        "identical plane on serial/thread/process backends)</span></h2>",
+        "identical plane on serial and process backends)</span></h2>",
         _html_table(
             ["worker", "queries", "cpu p95", "cache hits", "attach",
              "spans dropped"],

@@ -1,19 +1,15 @@
 """Concurrent batch execution of GP-SSN queries with warm worker state.
 
 :class:`BatchQueryExecutor` turns the one-query-at-a-time processor
-into a batch service. Three backends share one outcome contract:
+into a batch service. Two backends share one outcome contract:
 
 ``serial``
     The correctness oracle: replay the batch in input order on a single
-    warm worker, no planning. Obviously right — every other backend is
-    validated (and CI-diffed) against its byte-identical outcomes.
-
-``thread``
-    A thread pool. Each worker thread owns its *own* warm
-    :class:`WorkerState` (network and indexes attached from the frozen
-    arena, distance-oracle cache), so threads never share
-    mutable query state; useful for low worker counts and for testing
-    scheduling independence without process overhead.
+    warm in-process worker, no planning. Obviously right — the process
+    backend is validated (and CI-diffed) against its byte-identical
+    outcomes. Query work is Python and numpy under the GIL, so more
+    in-process workers would add warm state (an arena attach and an
+    oracle each) and no speed.
 
 ``process``
     A process pool (``fork`` where available). The picklable
@@ -37,7 +33,7 @@ per-query timeout/retry envelope of :mod:`repro.service.limits`, so one
 pathological query degrades to a ``timeout`` outcome instead of
 stalling the batch.
 
-Answers are deterministic in (arena, query): all backends attach
+Answers are deterministic in (arena, query): both backends attach
 workers to the *same* arena, so worker count and scheduling order never
 change outcomes.
 
@@ -59,6 +55,7 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +84,7 @@ from .limits import (
 )
 
 #: The selectable executor backends.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 logger = logging.getLogger(__name__)
 
@@ -449,8 +446,8 @@ def _fork_or_default_context():
 
 
 class BatchQueryExecutor:
-    """Answer batches of GP-SSN queries on warm serial/thread/process
-    backends (see the module docstring for the backend contract)."""
+    """Answer batches of GP-SSN queries on a warm serial or process
+    backend (see the module docstring for the backend contract)."""
 
     def __init__(
         self,
@@ -506,7 +503,8 @@ class BatchQueryExecutor:
         self._processor: Optional[GPSSNQueryProcessor] = None
         self._temp_arena: Optional[str] = None
         self._serial_state: Optional[WorkerState] = None
-        self._thread_states: List[WorkerState] = []
+        # Serializes run_shard callers of the one in-process state.
+        self._serial_lock = threading.Lock()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     @classmethod
@@ -571,18 +569,17 @@ class BatchQueryExecutor:
                         self.worker_tracing, self.worker_explain
                     ),
                 )
-        elif self.backend == "thread":
-            while len(self._thread_states) < self.workers:
-                self._thread_states.append(WorkerState(
-                    snapshot,
-                    recorder=_worker_recorder(
-                        self.worker_tracing, self.worker_explain
-                    ),
-                ))
         else:
             pool = self._ensure_pool()
             pool.submit(_process_warmup).result()
         return self
+
+    @property
+    def local_state(self) -> Optional[WorkerState]:
+        """The warm in-process worker state of the serial backend (None
+        before :meth:`warm`, and always on ``process``, whose workers
+        live in their own processes)."""
+        return self._serial_state
 
     def close(self) -> None:
         try:
@@ -626,33 +623,32 @@ class BatchQueryExecutor:
 
     # -- execution ----------------------------------------------------------
 
-    def submit_shard(
+    def run_shard(
         self,
         items: List[PlanItem],
-        worker: int = 0,
         trace_ctx: Optional[TraceContext] = None,
-    ) -> "concurrent.futures.Future":
-        """Dispatch one shard of planned items asynchronously.
+    ) -> ShardResult:
+        """Answer one shard of planned items and return its result.
 
-        Only meaningful on the ``process`` backend: the daemon's HTTP
-        handler threads each submit their request's items here and block
-        on the future, so concurrent requests share the one warm process
-        pool without stepping on per-worker state (submissions are
-        serialized by :class:`concurrent.futures.ProcessPoolExecutor`,
-        which is thread-safe by contract). ``worker`` only labels the
-        outcomes for metrics; the resolved value is a
-        :class:`ShardResult` whose delta carries the worker's telemetry
-        (and, with a ``trace_ctx``, its span forest).
+        Safe to call from many threads at once; the daemon's HTTP
+        handler threads each run their request's items here. On
+        ``process`` the shard goes to the warm pool, whose submissions
+        are thread-safe by contract. On ``serial`` it runs inline on the
+        calling thread, one caller at a time, on the one warm worker
+        state. The :class:`ShardResult`'s delta carries the worker's
+        telemetry (and, with a ``trace_ctx``, its span forest).
         """
-        if self.backend != "process":
-            raise InvalidParameterError(
-                f"submit_shard needs the process backend, got {self.backend!r}"
+        if self.backend == "process":
+            return self._ensure_pool().submit(
+                _process_run_shard, 0, items, self.limits,
+                trace_ctx, self.telemetry,
+            ).result()
+        with self._serial_lock:
+            self.warm()
+            return self._serial_state.run_shard(
+                items, self.limits, 0,
+                trace_ctx=trace_ctx, collect=self.telemetry,
             )
-        pool = self._ensure_pool()
-        return pool.submit(
-            _process_run_shard, worker, items, self.limits,
-            trace_ctx, self.telemetry,
-        )
 
     def run(
         self,
@@ -679,10 +675,7 @@ class BatchQueryExecutor:
                 plan = None
             else:
                 plan = plan_batch(entries, self.workers)
-                if self.backend == "thread":
-                    shard_results = self._run_thread(plan)
-                else:
-                    shard_results = self._run_process(plan)
+                shard_results = self._run_process(plan)
                 outcomes = self._fan_out(plan, shard_results)
             elapsed = time.perf_counter() - started
             span.set(
@@ -717,21 +710,6 @@ class BatchQueryExecutor:
         return ShardResult(
             outcomes=outcomes, delta=state.collect_delta("0")
         )
-
-    def _run_thread(self, plan: BatchPlan) -> List[ShardResult]:
-        self.warm()
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=len(plan.shards)
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._thread_states[w].run_shard,
-                    [plan.items[i] for i in plan.shards[w]],
-                    self.limits, w, None, self.telemetry,
-                )
-                for w in range(len(plan.shards))
-            ]
-            return [f.result() for f in futures]
 
     def _run_process(self, plan: BatchPlan) -> List[ShardResult]:
         pool = self._ensure_pool()

@@ -6,11 +6,11 @@ stall the whole run. :func:`run_with_limits` wraps a single query
 callable with
 
 * a **timeout** — enforced pre-emptively via ``SIGALRM`` where that is
-  possible (the main thread of a POSIX process, which covers the serial
-  backend and every process-pool worker) and checked post-hoc elsewhere
-  (thread workers cannot be interrupted mid-query, so an overrunning
-  query is completed but its result discarded and reported as a
-  timeout). Either way the caller sees the same canonical outcome, so
+  possible (the main thread of a POSIX process, which covers a serial
+  batch and every process-pool worker) and checked post-hoc elsewhere
+  (the serve daemon's handler threads cannot be interrupted mid-query,
+  so an overrunning query is completed but its result discarded and
+  reported as a timeout). Either way the caller sees the same canonical outcome, so
   backends stay byte-comparable;
 * a **bounded retry** — unexpected exceptions are retried up to
   ``retries`` times. Deterministic failures (:class:`GPSSNError`

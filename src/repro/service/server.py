@@ -1,9 +1,13 @@
-"""The ``gpssn serve`` daemon: warm workers behind a live observability
-plane.
+"""The ``gpssn serve`` daemon: a warm batch executor behind a live
+observability plane.
 
-This is the step from "batch tool" to "system serving traffic": the
-same warm-worker execution the batch executor uses, held open behind an
-HTTP front end with the operational surface a long-lived service needs:
+This is the step from "batch tool" to "system serving traffic": one
+:class:`~repro.service.executor.BatchQueryExecutor` held open behind an
+HTTP front end with the operational surface a long-lived service needs.
+Every request runs through it as one shard: on the ``serial`` backend
+inline on its handler thread, one request at a time on the one warm
+in-process worker; on ``process`` in the warm pool, one request per
+worker process.
 
 ``POST /query``
     JSONL body, one query object per line — the *same* schema as
@@ -45,8 +49,9 @@ Admission control bounds the damage a traffic spike can do: at most
 ``workers + max_queue`` requests are in the house at once; the rest see
 ``429`` with ``Retry-After`` instead of stacking up unboundedly. Every
 query runs under the per-request timeout envelope of
-:mod:`repro.service.limits` — worker threads use its post-hoc path, so
-timeouts degrade to ``timeout`` outcomes without signals.
+:mod:`repro.service.limits` — serial requests run on handler threads
+and use its post-hoc path, so timeouts degrade to ``timeout`` outcomes
+without signals.
 
 Stdlib only (``http.server`` threading front end); no new hard deps.
 """
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import signal
 import threading
 import time
@@ -80,11 +84,9 @@ from ..obs import (
 )
 from .batch import BatchPlan, plan_batch
 from .executor import (
+    BACKENDS,
     BatchQueryExecutor,
     NetworkSnapshot,
-    ShardResult,
-    WorkerState,
-    _worker_recorder,
     fan_out_outcomes,
 )
 from .limits import (
@@ -105,9 +107,6 @@ __all__ = [
     "serve",
 ]
 
-#: Executor backends the daemon accepts (serial is thread with 1 worker).
-SERVE_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -115,8 +114,9 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
+    #: Process-pool size; the serial backend always runs one worker.
     workers: int = 2
-    backend: str = "thread"
+    backend: str = "serial"
     #: Requests allowed to wait beyond the ones actively executing;
     #: request workers + max_queue + 1 and you get a 429.
     max_queue: int = 16
@@ -147,10 +147,10 @@ class ServerConfig:
     profile_endpoint: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in SERVE_BACKENDS:
+        if self.backend not in BACKENDS:
             raise InvalidParameterError(
                 f"unknown serve backend {self.backend!r}; expected one of "
-                f"{SERVE_BACKENDS}"
+                f"{BACKENDS}"
             )
         if self.workers < 1:
             raise InvalidParameterError(
@@ -184,12 +184,13 @@ class ProfilerBusyError(Exception):
 
 
 class _LockedExplain:
-    """A thread-safe facade over one shared :class:`ExplainRecorder`.
+    """A thread-safe facade over the daemon's cumulative
+    :class:`ExplainRecorder`, the source of ``/metrics``' per-rule counts.
 
-    The daemon's in-process workers all record into the same funnel so
-    ``/metrics`` can expose cumulative per-rule counts; the recorder
-    itself is plain dict-and-int bookkeeping, so concurrent workers
-    serialize here.
+    Handler threads absorb each finished shard's shipped funnel delta
+    into it concurrently, and the dynamic plane's processor records into
+    it directly; the recorder itself is plain dict-and-int bookkeeping,
+    so every caller serializes here.
     """
 
     active = True
@@ -258,7 +259,7 @@ class _TraceRecord:
 
 
 class GPSSNService:
-    """The daemon engine: warm workers + admission + the metrics plane.
+    """The daemon engine: a warm executor + admission + the metrics plane.
 
     HTTP-agnostic on purpose — integration tests drive
     :meth:`execute` / :meth:`metrics_text` / :meth:`status_view`
@@ -302,13 +303,9 @@ class GPSSNService:
         #: to a temporary one at :meth:`warm` (removed by :meth:`close`).
         self.snapshot = snapshot
         self._temp_arena: Optional[str] = None
-        # In-process worker pool (serial/thread) vs the process-pool
-        # executor (made at warm-up); exactly one of the two is used.
-        self._worker_pool: "queue.Queue[Tuple[int, WorkerState]]" = (
-            queue.Queue()
-        )
+        # Runs every request, on either backend (made at warm-up).
         self._executor: Optional[BatchQueryExecutor] = None
-        # In-process worker tracers, registered at warm-up so the
+        # The in-process worker's tracer, registered at warm-up so the
         # sampling profiler can attribute CPU samples to active spans.
         self._worker_tracers: List[object] = []
         self._profile_lock = threading.Lock()
@@ -345,7 +342,7 @@ class GPSSNService:
         """Copy a worker's snapshot-attach telemetry onto the service
         registry so ``/metrics`` and ``/status`` can surface it before
         the first shard delta arrives. ``counters=False`` skips the
-        header-mismatch counter for pooled workers — their first delta
+        header-mismatch counter for the serial worker — its first delta
         ships the same count and would double it; the warm-probe
         recorder (which never ships a delta) keeps ``counters=True``."""
         for name in ("snapshot.attach_seconds", "snapshot.bytes_mapped"):
@@ -357,14 +354,6 @@ class GPSSNService:
         mismatch = recorder.metrics.counters.get("snapshot.header_mismatch")
         if mismatch:
             self.registry.inc("snapshot.header_mismatch", mismatch)
-
-    def _worker_state(self) -> WorkerState:
-        recorder = _worker_recorder(self.config.phase_timing, self.config.explain)
-        state = WorkerState(self.snapshot, recorder=recorder)
-        if getattr(recorder.tracer, "active", False):
-            self._worker_tracers.append(recorder.tracer)
-        self._adopt_snapshot_gauges(recorder, counters=False)
-        return state
 
     def warm(self) -> "GPSSNService":
         """Build every worker's warm state (idempotent, blocking).
@@ -381,29 +370,30 @@ class GPSSNService:
                 )
             self._temp_arena = self.snapshot.snapshot_path
         cfg = self.config
-        if cfg.backend == "process":
-            if self._executor is None:
-                self._executor = BatchQueryExecutor(
-                    None,
-                    workers=cfg.workers,
-                    backend="process",
-                    limits=self.limits,
-                    worker_tracing=cfg.phase_timing,
-                    worker_explain=cfg.explain,
-                    snapshot=self.snapshot,
-                )
-            self._executor.warm()
+        if self._executor is None:
+            self._executor = BatchQueryExecutor(
+                None,
+                workers=cfg.workers,
+                backend=cfg.backend,
+                limits=self.limits,
+                worker_tracing=cfg.phase_timing,
+                worker_explain=cfg.explain,
+                snapshot=self.snapshot,
+            )
+        self._executor.warm()
+        state = self._executor.local_state
+        if state is not None:
+            recorder = state.processor.recorder
+            if getattr(recorder.tracer, "active", False):
+                self._worker_tracers.append(recorder.tracer)
+            self._adopt_snapshot_gauges(recorder, counters=False)
+        else:
             # Pool workers attach in their own processes where we cannot
             # scrape; one local attach (cheap by design) makes the
             # gauges visible on the service registry too.
             probe = Recorder()
             self.snapshot.build_worker(probe)
             self._adopt_snapshot_gauges(probe)
-        else:
-            while self._worker_pool.qsize() < self.workers:
-                self._worker_pool.put(
-                    (self._worker_pool.qsize(), self._worker_state())
-                )
         self._ready.set()
         self.registry.set_gauge("service.ready", 1)
         return self
@@ -484,12 +474,12 @@ class GPSSNService:
         request_id: str,
         trace: bool = False,
     ) -> RequestResult:
-        """Answer one admitted request's entries on a warm worker.
+        """Answer one admitted request's entries on the warm executor.
 
         The caller holds the admission slot; this blocks until a worker
         frees up (bounded by admission), runs the request's deduped
-        plan, fans outcomes back out, and absorbs every outcome into
-        the service registry.
+        plan as one shard, fans outcomes back out, and absorbs every
+        outcome into the service registry.
         """
         self._ready.wait()
         started = time.perf_counter()
@@ -497,13 +487,7 @@ class GPSSNService:
         ctx = TraceContext.sampled(
             request_id, self.config.trace_sample_rate, force=trace
         )
-        if self._executor is not None:
-            shard = self._executor.submit_shard(
-                list(plan.items), trace_ctx=ctx
-            ).result()
-            queue_wait = None  # derived from the shard's own wall time
-        else:
-            shard, queue_wait = self._run_pooled(plan, ctx)
+        shard = self._executor.run_shard(list(plan.items), trace_ctx=ctx)
         item_outcomes = dict(enumerate(shard.outcomes))
         outcomes = fan_out_outcomes(plan, item_outcomes)
         duration = time.perf_counter() - started
@@ -511,9 +495,10 @@ class GPSSNService:
         if shard.delta is not None:
             shard.delta.apply(self.registry, explain=self._explain)
             if shard.delta.trace is not None:
-                if queue_wait is None:
-                    shard_sec = shard.delta.trace.get("shard_sec", duration)
-                    queue_wait = max(duration - float(shard_sec), 0.0)
+                # Request time outside the worker's shard: waiting for
+                # the worker, shipping to it, and the issuer prewarm.
+                shard_sec = shard.delta.trace.get("shard_sec", duration)
+                queue_wait = max(duration - float(shard_sec), 0.0)
                 self._store_trace(
                     plan, duration, queue_wait, shard.delta
                 )
@@ -522,28 +507,6 @@ class GPSSNService:
         return RequestResult(
             outcomes=outcomes, duration_sec=duration, traced=traced
         )
-
-    def _run_pooled(
-        self, plan: BatchPlan, ctx: Optional[TraceContext]
-    ) -> Tuple[ShardResult, float]:
-        """Run a plan on one checked-out in-process worker.
-
-        Returns the shard result plus the measured queue wait — the time
-        this request spent blocked on worker checkout, which becomes the
-        ``queue.wait`` span of a merged trace.
-        """
-        wait_started = time.perf_counter()
-        worker_id, state = self._worker_pool.get()
-        queue_wait = time.perf_counter() - wait_started
-        try:
-            return (
-                state.run_shard(
-                    list(plan.items), self.limits, worker_id, trace_ctx=ctx
-                ),
-                queue_wait,
-            )
-        finally:
-            self._worker_pool.put((worker_id, state))
 
     def _store_trace(
         self,

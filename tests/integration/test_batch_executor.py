@@ -68,10 +68,11 @@ class TestBatchQueryExecutor:
         assert parallel.backend == "process"
 
     def test_unknown_backend_rejected(self, small_processor):
-        with pytest.raises(InvalidParameterError):
-            BatchQueryExecutor.from_processor(
-                small_processor, workers=2, backend="fibers"
-            )
+        for backend in ("fibers", "thread"):
+            with pytest.raises(InvalidParameterError):
+                BatchQueryExecutor.from_processor(
+                    small_processor, workers=2, backend=backend
+                )
 
     def test_empty_batch(self, small_processor):
         with BatchQueryExecutor.from_processor(small_processor) as executor:
@@ -97,7 +98,7 @@ class TestBatchQueryExecutor:
         recorder = Recorder.traced()
         queries = _queries(issuers) + _queries(issuers)[:2]
         with BatchQueryExecutor.from_processor(
-            small_processor, workers=2, backend="thread", recorder=recorder
+            small_processor, workers=2, backend="process", recorder=recorder
         ) as executor:
             executor.run(queries, max_groups=150)
         m = recorder.metrics

@@ -152,6 +152,13 @@ class TestExitCodes:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["serve", "batch"])
+    def test_thread_backend_is_gone(self, bundle, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--input", str(bundle), "--backend", "thread"])
+        assert info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_serve_rejects_non_positive_window(self, bundle, window, capsys):
         code = main([

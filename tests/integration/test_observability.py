@@ -158,7 +158,7 @@ class TestRegistryAbsorption:
         server = create_server(
             network,
             ServerConfig(
-                port=0, workers=1, backend="thread",
+                port=0, backend="serial",
                 default_max_groups=1500,
             ),
             build_args={"seed": 7},

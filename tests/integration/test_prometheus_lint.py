@@ -33,7 +33,7 @@ def scrape():
     scale = ExperimentScale(road_vertices=60, num_pois=20, num_users=40)
     network = build_dataset("UNI", scale, seed=SEED)
     config = ServerConfig(
-        port=0, workers=2, backend="thread", explain=True,
+        port=0, workers=2, backend="process", explain=True,
         timeout_sec=None,
     )
     server = create_server(network, config, build_args={"seed": SEED})

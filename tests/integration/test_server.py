@@ -28,6 +28,7 @@ from repro.service import (
     BatchQueryExecutor,
     outcome_lines,
     parse_query_lines,
+    plan_batch,
 )
 from repro.service.server import (
     GPSSNService,
@@ -54,7 +55,7 @@ def network():
 @pytest.fixture(scope="module")
 def server(network):
     config = ServerConfig(
-        port=0, workers=2, backend="thread", explain=True,
+        port=0, backend="serial", explain=True,
         slow_query_sec=0.0,  # every query lands in the slow ring
     )
     server = create_server(network, config, build_args={"seed": SEED})
@@ -87,11 +88,27 @@ def _post(base_url, path, body, headers=None):
         return response.status, dict(response.headers), response.read()
 
 
+def _serial_lines(network, body):
+    """The serial batch executor's canonical JSONL for one request body."""
+    entries = parse_query_lines(body.splitlines())
+    with BatchQueryExecutor(
+        network, backend="serial", build_args={"seed": SEED}
+    ) as executor:
+        return "\n".join(outcome_lines(executor.run_entries(entries))) + "\n"
+
+
 class TestServerConfig:
     @pytest.mark.parametrize("window_sec", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_window(self, window_sec):
         with pytest.raises(InvalidParameterError, match="window_sec"):
             ServerConfig(window_sec=window_sec)
+
+    def test_rejects_thread_backend(self):
+        with pytest.raises(InvalidParameterError, match="thread"):
+            ServerConfig(backend="thread")
+
+    def test_default_backend_is_serial(self):
+        assert ServerConfig().backend == "serial"
 
 
 class TestHealthAndReadiness:
@@ -124,13 +141,7 @@ class TestQueryEndpoint:
         )
         assert status == 200
         assert headers["X-Query-Count"] == "4"
-
-        entries = parse_query_lines(QUERY_BODY.splitlines())
-        with BatchQueryExecutor(
-            network, backend="serial", build_args={"seed": SEED}
-        ) as executor:
-            expected = executor.run_entries(entries)
-        assert body.decode() == "\n".join(outcome_lines(expected)) + "\n"
+        assert body.decode() == _serial_lines(network, QUERY_BODY)
 
     def test_request_id_header_honored_and_echoed(self, base_url):
         _, headers, _ = _post(
@@ -368,6 +379,73 @@ class TestAccessLog:
         assert post["queries"] == 1
         assert post["query_ids"][0].startswith("q-")
         assert by_path["/healthz"]["method"] == "GET"
+
+
+class TestConcurrentRequests:
+    def test_one_serial_worker_answers_concurrent_clients(self, network):
+        """Four clients at once on the one in-process worker: every
+        request waits its turn, gets the serial executor's bytes, and a
+        traced request's span forest holds its own queries only."""
+        config = ServerConfig(
+            port=0, workers=1, backend="serial", max_queue=4,
+            timeout_sec=None,
+        )
+        server = create_server(network, config, build_args={"seed": SEED})
+        server.service.warm()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        clients = 4
+        barrier = threading.Barrier(clients)
+        results = [None] * clients
+
+        def client(i):
+            path = "/query?trace=1" if i % 2 == 0 else "/query"
+            barrier.wait()
+            results[i] = _post(
+                url, path, QUERY_BODY.encode(),
+                headers={"X-Request-Id": f"req-client-{i}"},
+            )
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the handler threads
+        try:
+            host, port = server.server_address[:2]
+            url = f"http://{host}:{port}"
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            traces = [
+                json.loads(_get(url, f"/trace/req-client-{i}")[2])
+                for i in range(0, clients, 2)
+            ]
+            service = server.service
+            assert service.queue_depth == 0
+        finally:
+            sys.setswitchinterval(switch_interval)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+        expected = _serial_lines(network, QUERY_BODY)
+        assert [r[0] for r in results] == [200] * clients
+        assert all(r[2].decode() == expected for r in results)
+        assert service.registry.counter("service.requests") == clients
+        entries = parse_query_lines(QUERY_BODY.splitlines())
+        unique = len(plan_batch(entries, 1).items)
+        for trace in traces:
+            names = [span["name"] for span in trace["spans"]]
+            assert names.count("query") == unique
+            (wait,) = [
+                span for span in trace["spans"]
+                if span["name"] == "queue.wait"
+            ]
+            assert wait["duration"] >= 0.0
 
 
 class TestProcessBackendParity:

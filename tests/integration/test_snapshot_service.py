@@ -18,11 +18,11 @@ from repro.experiments.harness import (
 )
 from repro.io.snapshot import freeze
 from repro.obs import Recorder
-from repro.service import BatchQueryExecutor, outcome_lines
+from repro.service import BACKENDS, BatchQueryExecutor, outcome_lines
 from repro.service.batch import query_request_id
 from repro.service.executor import NetworkSnapshot
 from repro.service.limits import ExecutionLimits, run_with_limits
-from repro.service.server import SERVE_BACKENDS, GPSSNService, ServerConfig
+from repro.service.server import GPSSNService, ServerConfig
 
 SCALE = ExperimentScale(
     road_vertices=120, num_pois=40, num_users=100, max_groups=400
@@ -70,7 +70,7 @@ def arena_dir(tmp_path, monkeypatch):
 
 
 class TestExecutorBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_frozen_matches_in_memory(
         self, frozen_setup, reference_lines, backend
     ):
@@ -108,7 +108,7 @@ class TestLiveNetworkService:
     temporary arena at warm-up and serves exactly what an arena-started
     service serves."""
 
-    @pytest.mark.parametrize("backend", SERVE_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_frozen_service_and_removes_its_arena(
         self, frozen_setup, reference_lines, arena_dir, backend
     ):
@@ -161,7 +161,7 @@ class TestExecutorFromProcessor:
 
         monkeypatch.setattr(GPSSNQueryProcessor, "__init__", no_build)
         with BatchQueryExecutor.from_processor(
-            processor, workers=2, backend="thread"
+            processor, backend="serial"
         ) as executor:
             lines = outcome_lines(executor.run_entries(entries))
         assert lines == reference_lines

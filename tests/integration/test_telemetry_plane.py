@@ -4,8 +4,8 @@ The plane's contract: a worker shard ships a :class:`MetricsDelta`
 (metric tallies + funnel + optional span forest) back on its result
 envelope, and after the parent applies it the observable surface —
 funnel counters, per-worker series, merged traces — is identical no
-matter which backend ran the shard. Serial is the ground truth; thread
-and process workers must match it exactly in every exact tally.
+matter which backend ran the shard. Serial is the ground truth; process
+workers must match it exactly in every exact tally.
 """
 
 import json
@@ -76,7 +76,7 @@ def _run_backend(network, entries, backend, workers=2, **overrides):
 def per_backend(network, entries):
     return {
         backend: _run_backend(network, entries, backend)
-        for backend in ("serial", "thread", "process")
+        for backend in ("serial", "process")
     }
 
 
@@ -85,7 +85,6 @@ class TestBackendParity:
 
     def test_outcomes_identical(self, per_backend):
         serial = per_backend["serial"]["outcomes"]
-        assert per_backend["thread"]["outcomes"] == serial
         assert per_backend["process"]["outcomes"] == serial
 
     def test_pruning_counters_identical(self, per_backend):
@@ -98,13 +97,11 @@ class TestBackendParity:
 
         serial = pruning(per_backend["serial"])
         assert serial  # the plane must ship the funnel tallies at all
-        assert pruning(per_backend["thread"]) == serial
         assert pruning(per_backend["process"]) == serial
 
     def test_explain_funnel_identical(self, per_backend):
         serial = per_backend["serial"]["funnel"]
         assert serial
-        assert per_backend["thread"]["funnel"] == serial
         assert per_backend["process"]["funnel"] == serial
 
     def test_worker_series_partition_the_totals(self, per_backend):
@@ -130,7 +127,6 @@ class TestBackendParity:
             return found
 
         assert labels(per_backend["serial"]) == {"0"}
-        assert labels(per_backend["thread"]) <= {"0", "1"}
         assert all(
             label.startswith("pid")
             for label in labels(per_backend["process"])
@@ -336,7 +332,7 @@ class TestProfileEndpoint:
 class TestWorkerPanel:
     def test_status_dashboard_lists_workers(self, network, entries):
         config = ServerConfig(
-            workers=2, backend="thread", explain=True, timeout_sec=None,
+            workers=2, backend="process", explain=True, timeout_sec=None,
         )
         service = GPSSNService(network, config, build_args={"seed": SEED})
         with service:
@@ -348,6 +344,7 @@ class TestWorkerPanel:
         assert rows
         labels = [row[0] for row in rows]
         assert labels == sorted(labels)
+        assert all(label.startswith("pid") for label in labels)
         total_queries = sum(int(row[1]) for row in rows)
         # The plan dedupes the repeated query: workers answer the
         # unique items, not the raw entry count.

@@ -3,8 +3,8 @@ worker-count-invariant.
 
 The acceptance bar for the batch executor is that concurrency is purely
 an execution detail: the same seeded batch answered by the ``serial``
-correctness oracle, the ``thread`` backend, and the ``process`` backend
-— at any worker count — yields byte-identical canonical outcomes
+correctness oracle and the ``process`` backend — at any worker count —
+yields byte-identical canonical outcomes
 ``(S, R, maxdist_RN)`` in the same input order.
 """
 
@@ -45,7 +45,7 @@ def serial_lines(small_processor, batch_queries):
     return _canonical_lines(outcomes)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_backend_and_worker_count_never_change_outcomes(
     small_processor, batch_queries, serial_lines, backend, workers
@@ -59,7 +59,7 @@ def test_backend_and_worker_count_never_change_outcomes(
 
 def test_outcomes_arrive_in_input_order(small_processor, batch_queries):
     with BatchQueryExecutor.from_processor(
-        small_processor, workers=2, backend="thread"
+        small_processor, workers=2, backend="process"
     ) as executor:
         outcomes = executor.run(batch_queries, max_groups=150)
     assert [o.index for o in outcomes] == list(range(len(batch_queries)))
