@@ -41,17 +41,18 @@ SOCIAL_DEGREE_RANGE: Tuple[int, int] = (1, 10)
 def _delaunay_edges(points: np.ndarray) -> List[Tuple[int, int]]:
     """Unique undirected edges of the Delaunay triangulation of ``points``.
 
-    Falls back to a nearest-neighbour chain for degenerate inputs (fewer
-    than 4 points or collinear layouts) where scipy cannot triangulate.
+    Falls back to a nearest-neighbour chain for degenerate inputs (two
+    points, or collinear layouts) where Qhull cannot triangulate.
     """
     n = len(points)
     if n < 2:
         return []
-    try:
-        from scipy.spatial import Delaunay
+    # Deferred: scipy.spatial is a heavy import that only generation needs.
+    from scipy.spatial import Delaunay, QhullError
 
+    try:
         tri = Delaunay(points)
-    except Exception:
+    except QhullError:
         order = np.argsort(points[:, 0], kind="stable")
         return [(int(order[i]), int(order[i + 1])) for i in range(n - 1)]
     edges = set()

@@ -33,8 +33,8 @@ from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.shortest_path import position_distance_from_map
 from ..socialnet.graph import SocialNetwork
 
-#: ``vertex_id -> distance``: a dict from the heap kernel, a
-#: :class:`~repro.roadnet.csr.DenseDistanceView` from the scipy path.
+#: ``vertex_id -> distance``: a
+#: :class:`~repro.roadnet.csr.DenseDistanceView` over one engine row.
 DistanceMap = Mapping[int, float]
 
 

@@ -86,7 +86,7 @@ FORMAT_NAME = "gpssn-frozen-snapshot"
 #: exact distances ``RoadIndex.region`` filters; a version-2 arena has
 #: none.
 #: 4: seeded road searches on the scipy path are one Dijkstra from a
-#: virtual source, whose sums equal the heap kernel's bit for bit; a
+#: virtual source, whose sums equal the reference Dijkstra's bit for bit; a
 #: version-3 arena's ``region_dists`` came from a minimum over per-seed
 #: searches and may differ from a fresh build in the last bit.
 #: 5: the CSR engine is the only ``dist_RN`` engine: no ``ch/*``
@@ -357,13 +357,10 @@ def freeze(
     pivots = [int(p) for p in processor.road_pivots.pivots]
     rows = np.full((len(pivots), n), np.inf, dtype="<f8")
     for k, dist_map in enumerate(processor.road_pivots._maps):
-        if isinstance(dist_map, DenseDistanceView):
-            vids, dists = dist_map.ids, dist_map.row
-        else:
-            vids, dists = list(dist_map), list(dist_map.values())
         # One vectorized remap from the engine's vertex order onto the
         # sorted canonical ids.
-        rows[k, np.searchsorted(ids, np.asarray(vids, dtype=np.int64))] = dists
+        vids = np.asarray(dist_map.ids, dtype=np.int64)
+        rows[k, np.searchsorted(ids, vids)] = dist_map.row
     sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
     sections["pivot/rows"] = rows
 

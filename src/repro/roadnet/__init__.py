@@ -10,14 +10,14 @@ Public surface:
 * :class:`~repro.roadnet.shortest_path.DistanceOracle` — cached
   ``dist_RN`` distances between network positions;
 * the ``dist_RN`` engine :class:`~repro.roadnet.engines.CSREngine`
-  over the :class:`~repro.roadnet.csr.CSRGraph` array kernel.
+  over the :class:`~repro.roadnet.csr.CSRGraph` snapshot.
 """
 
 from .csr import CSRGraph
 from .engines import CSREngine
 from .graph import NetworkPosition, RoadNetwork
 from .poi import POI
-from .shortest_path import DistanceOracle, bidirectional_dijkstra, dijkstra
+from .shortest_path import DistanceOracle, dijkstra
 
 __all__ = [
     "RoadNetwork",
@@ -25,7 +25,6 @@ __all__ = [
     "POI",
     "DistanceOracle",
     "dijkstra",
-    "bidirectional_dijkstra",
     "CSRGraph",
     "CSREngine",
 ]

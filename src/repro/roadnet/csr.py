@@ -1,20 +1,17 @@
-"""Compressed-sparse-row snapshot of a road network + array kernels.
+"""Compressed-sparse-row snapshot of a road network + its C Dijkstra.
 
 The dict-of-dicts adjacency of :class:`~repro.roadnet.graph.RoadNetwork`
-is ideal for construction, validation, and mutation, but the Dijkstra
-inner loop pays for it: every neighbor expansion hashes a vertex id,
-allocates a dict-items view, and chases pointers. :class:`CSRGraph`
-freezes the adjacency into three flat arrays — ``indptr``, ``indices``,
-``weights``, the standard compressed-sparse-row layout — with a dense
-``0..n-1`` remap of vertex ids, so the inner loop is integer slicing
-over flat lists. When scipy is importable, whole seeded searches are
-handed to ``scipy.sparse.csgraph.dijkstra``'s C implementation instead
-(graphs below :data:`SCIPY_MIN_VERTICES` stay on the Python kernel,
-where the per-call marshalling would dominate). A seeded search — a
-network position starts from both edge endpoints, ``(u, offset)`` and
-``(v, len - offset)`` — is one C search from a virtual source vertex
-``n`` whose out-edges are the seeds, so its row equals the heap
-kernel's bit for bit.
+is ideal for construction, validation, and mutation, but a search over
+it pays for every hashed vertex id and pointer chase.
+:class:`CSRGraph` freezes the adjacency into three flat arrays —
+``indptr``, ``indices``, ``weights``, the standard compressed-sparse-row
+layout — with a dense ``0..n-1`` remap of vertex ids, and hands every
+search to ``scipy.sparse.csgraph.dijkstra``'s C implementation. A
+seeded search — a network position starts from both edge endpoints,
+``(u, offset)`` and ``(v, len - offset)`` — is one C search from a
+virtual source vertex ``n`` whose out-edges are the seeds, so its row
+equals the reference
+:func:`~repro.roadnet.shortest_path.multi_source_dijkstra` bit for bit.
 
 The snapshot records the road network's version counter at build time;
 :class:`~repro.roadnet.engines.CSREngine` rebuilds it lazily when the
@@ -23,37 +20,17 @@ underlying graph mutates.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from collections.abc import Mapping
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from ..exceptions import UnknownEntityError
 from .graph import RoadNetwork
-
-try:  # pragma: no cover - exercised indirectly via the scipy path
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - CI always has scipy
-    _csr_matrix = None
-    _scipy_dijkstra = None
-    HAVE_SCIPY = False
-
-#: Below this vertex count the Python list kernel beats the scipy call
-#: (one C call + row marshalling per seeded search). Measured on a
-#: 2-vCPU VM, two-seed searches over random road networks (mean of 4),
-#: kernel vs scipy in µs, unbounded / bounded to reach a quarter of the
-#: vertices: 64 vertices 66 vs 53 / 16 vs 46; 128: 93 vs 36 / 20 vs 32;
-#: 192: 247 vs 70 / 59 vs 55; 256: 297 vs 68 / 84 vs 47. The full
-#: search favours scipy from ~48 vertices, the bounded one from ~160;
-#: index build plus 8 queries on a UNI network (150 users) took 74 vs
-#: 77 ms at 100 road vertices and 89 vs 75 ms at 150.
-SCIPY_MIN_VERTICES = 128
 
 
 class SortedIdIndex:
@@ -93,12 +70,12 @@ class SortedIdIndex:
 class DenseDistanceView(Mapping):
     """Dict-like view of one dense SSSP row (``vertex_id -> distance``).
 
-    Materializing an n-entry Python dict per scipy search is the single
+    Materializing an n-entry Python dict per search is the single
     biggest cost of a full-graph SSSP on large networks, yet consumers
     (``position_distance_from_map``, the oracle cache) probe only a few
     vertices per map. The view answers ``get``/``[]``/``in`` straight
     from the float64 row; unreached vertices (``inf``) read as absent,
-    matching the dict the Dijkstra kernels return. Iteration walks the
+    matching the dict the reference Dijkstra returns. Iteration walks the
     reachable vertices only, so bounded searches stay proportional to
     the searched neighbourhood. ``row`` exposes the dense array for
     vectorized consumers (internal-index order, ``inf`` = unreached)
@@ -154,16 +131,12 @@ class CSRGraph:
 
     Vertex ids are remapped to dense internal indices ``0..n-1`` in the
     road network's iteration order; ``ids[i]`` recovers the original id
-    and ``index_of`` maps back. Arrays are kept both as numpy (for the
-    scipy path and any vectorized consumer) and as plain Python lists
-    (the heap kernel is measurably faster on unboxed list access).
+    and ``index_of`` maps back.
     """
 
     __slots__ = (
         "ids", "_index_of", "indptr", "indices", "weights",
-        "_indptr_l", "_indices_l", "_weights_l",
-        "road_version", "_sp_matrix", "_sp_lock", "kernel_runs",
-        "scipy_runs",
+        "road_version", "_sp_matrix", "_sp_lock", "scipy_runs",
     )
 
     def __init__(self, road: RoadNetwork) -> None:
@@ -184,18 +157,13 @@ class CSRGraph:
                 pos += 1
         self.ids = ids
         self._index_of = index_of
-        self._indptr_l = indptr
-        self._indices_l = indices
-        self._weights_l = weights
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.road_version = road.version
         self._sp_matrix = None
         self._sp_lock = threading.Lock()
-        #: number of Python-kernel searches run (for tests/benchmarks)
-        self.kernel_runs = 0
-        #: number of scipy C-kernel searches run
+        #: number of C searches run (for tests/benchmarks)
         self.scipy_runs = 0
 
     @classmethod
@@ -210,23 +178,18 @@ class CSRGraph:
         """Wrap borrowed (read-only, possibly memmapped) CSR arrays.
 
         Nothing is copied and no per-vertex Python structures are built:
-        the id index and the list mirrors the heap kernel uses are
-        materialized lazily on first need, so attaching a memmapped
-        graph is O(1) regardless of size.
+        the id index is materialized lazily on first need, so attaching
+        a memmapped graph is O(1) regardless of size.
         """
         graph = cls.__new__(cls)
         graph.ids = ids
         graph._index_of = None
-        graph._indptr_l = None
-        graph._indices_l = None
-        graph._weights_l = None
         graph.indptr = indptr
         graph.indices = indices
         graph.weights = weights
         graph.road_version = road_version
         graph._sp_matrix = None
         graph._sp_lock = threading.Lock()
-        graph.kernel_runs = 0
         graph.scipy_runs = 0
         return graph
 
@@ -243,15 +206,6 @@ class CSRGraph:
                     int(vid): i for i, vid in enumerate(self.ids)
                 }
         return self._index_of
-
-    def _lists(self) -> Tuple[List[int], List[int], List[float]]:
-        """The plain-list mirrors of the CSR arrays (heap-kernel fuel),
-        materialized on first use for borrowed graphs."""
-        if self._indptr_l is None:
-            self._indptr_l = self.indptr.tolist()
-            self._indices_l = self.indices.tolist()
-            self._weights_l = self.weights.tolist()
-        return self._indptr_l, self._indices_l, self._weights_l
 
     # -- pickling (batch workers ship CSR state inside network snapshots) ----
 
@@ -309,53 +263,7 @@ class CSRGraph:
                 raise UnknownEntityError(f"unknown road vertex {vid}") from None
         return out
 
-    # -- kernels -------------------------------------------------------------
-
-    def kernel(
-        self,
-        seeds: Sequence[Tuple[int, float]],
-        max_distance: float = math.inf,
-        targets: Optional[Set[int]] = None,
-    ) -> Dict[int, float]:
-        """Binary-heap Dijkstra over the CSR arrays (internal indices).
-
-        Args:
-            seeds: ``(internal_index, initial_distance)`` pairs.
-            max_distance: truncation bound (inclusive).
-            targets: optional set of internal indices; the search stops
-                early once every target is settled (point-to-point use).
-
-        Returns:
-            ``internal_index -> distance`` for every settled/reached
-            vertex within the bound.
-        """
-        self.kernel_runs += 1
-        indptr, indices, weights = self._lists()
-        inf = math.inf
-        dist: Dict[int, float] = {}
-        heap: List[Tuple[float, int]] = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        for idx, d0 in seeds:
-            if d0 <= max_distance and d0 < dist.get(idx, inf):
-                dist[idx] = d0
-                push(heap, (d0, idx))
-        pending = set(targets) if targets is not None else None
-        while heap:
-            d, u = pop(heap)
-            if d > dist.get(u, inf):
-                continue
-            if pending is not None:
-                pending.discard(u)
-                if not pending:
-                    break
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                nd = d + weights[j]
-                if nd <= max_distance and nd < dist.get(v, inf):
-                    dist[v] = nd
-                    push(heap, (nd, v))
-        return dist
+    # -- search --------------------------------------------------------------
 
     def _augmented(self, k: int):
         """The scipy matrix of the graph plus the virtual source row.
@@ -378,7 +286,7 @@ class CSRGraph:
             indptr = np.empty(n + 2, dtype=np.int32)
             indptr[: n + 1] = self.indptr
             indptr[n + 1] = m + room
-            mat = _csr_matrix(
+            mat = csr_matrix(
                 (data, indices, indptr), shape=(n + 1, n + 1), copy=False
             )
             self._sp_matrix = mat
@@ -392,12 +300,13 @@ class CSRGraph:
         """Seeded multi-source SSSP as one C Dijkstra from a virtual source.
 
         The seeds become the out-edges of virtual vertex ``n``: each
-        seed vertex keeps its smallest ``d0`` (the heap kernel's rule),
+        seed vertex keeps its smallest ``d0`` (the rule of
+        :func:`~repro.roadnet.shortest_path.multi_source_dijkstra`),
         seeds beyond ``max_distance`` are dropped, and the rest are
         written in ascending column order into the virtual row — a
         zero ``d0`` stays an edge. scipy then adds each edge weight to
-        the settled distance exactly as :meth:`kernel` does, so the row
-        equals the heap kernel's bit for bit. Only the virtual row's
+        the settled distance exactly as the reference does, so the row
+        equals the reference's bit for bit. Only the virtual row's
         entries are written per call; the lock keeps concurrent callers
         from interleaving a write with another caller's search. Returns
         the dense per-vertex float64 row in internal-index order (inf =
@@ -424,43 +333,22 @@ class CSRGraph:
             )
         return row[:n]
 
-    def _scipy_sssp(
-        self,
-        seeds: Sequence[Tuple[int, float]],
-        max_distance: float,
-    ) -> Mapping:
-        best = self._scipy_dense(seeds, max_distance)
-        return DenseDistanceView(self.ids, self.index_of, best)
-
-    def _use_scipy(self) -> bool:
-        return HAVE_SCIPY and self.num_vertices >= SCIPY_MIN_VERTICES
-
     def sssp(
         self,
         seeds: Iterable[Tuple[int, float]],
         max_distance: float = math.inf,
-    ) -> Dict[int, float]:
-        """Seeded SSSP over original vertex ids (drop-in for the dict
-        kernel's :func:`~repro.roadnet.shortest_path.multi_source_dijkstra`).
+    ) -> DenseDistanceView:
+        """Seeded SSSP over original vertex ids, as a dict-like view (a
+        drop-in for the reference
+        :func:`~repro.roadnet.shortest_path.multi_source_dijkstra`).
         """
-        internal = self.internal_seeds(seeds)
-        if self._use_scipy():
-            return self._scipy_sssp(internal, max_distance)
-        out = self.kernel(internal, max_distance)
-        ids = self.ids
-        return {int(ids[i]): d for i, d in out.items()}
+        row = self.sssp_dense(seeds, max_distance)
+        return DenseDistanceView(self.ids, self.index_of, row)
 
     def sssp_dense(
         self,
         seeds: Iterable[Tuple[int, float]],
         max_distance: float = math.inf,
-    ) -> Optional[np.ndarray]:
-        """Seeded SSSP as a dense per-vertex row in ``ids`` order.
-
-        Only the scipy path serves this natively; on the Python-kernel
-        path ``None`` is returned and callers densify the dict result
-        themselves (the marshalling there costs more than it saves).
-        """
-        if not self._use_scipy():
-            return None
+    ) -> np.ndarray:
+        """Seeded SSSP as a dense per-vertex row in ``ids`` order."""
         return self._scipy_dense(self.internal_seeds(seeds), max_distance)

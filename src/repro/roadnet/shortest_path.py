@@ -12,9 +12,9 @@ The paper's query processing needs three flavours of network distance:
 
 The searches here are plain binary-heap Dijkstra over the dict-of-dicts
 adjacency; edge weights are road segment lengths. The oracle runs its
-searches on the CSR array kernel of
-:class:`~repro.roadnet.engines.CSREngine`; the functions in this module
-stay the reference implementation that engine is validated against.
+searches on the C Dijkstra of :class:`~repro.roadnet.engines.CSREngine`
+and caches each as a dense row; the functions in this module stay the
+reference implementation that engine is validated against.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from ..config import DEFAULT_DISTANCE_CACHE_SIZE
 from ..exceptions import UnknownEntityError
+from .csr import DenseDistanceView
 from .graph import NetworkPosition, RoadNetwork
 
 
@@ -131,11 +132,11 @@ class VertexIndexer:
     The vectorized refinement kernels replace per-vertex dict lookups
     with array gathers; this is the shared id <-> index contract. The
     order is ``list(road.vertices())`` — identical to the order
-    :class:`~repro.roadnet.csr.CSRGraph` freezes, so dense rows coming
-    out of the scipy Dijkstra path line up without a remap.
+    :class:`~repro.roadnet.csr.CSRGraph` freezes, so the engine's dense
+    rows line up without a remap.
     """
 
-    __slots__ = ("ids", "index_of", "size", "road_version", "_identity")
+    __slots__ = ("ids", "index_of", "size", "road_version")
 
     def __init__(self, road: RoadNetwork) -> None:
         self.ids: List[int] = list(road.vertices())
@@ -144,26 +145,6 @@ class VertexIndexer:
         }
         self.size = len(self.ids)
         self.road_version = road.version
-        # Synthetic datasets label vertices 0..n-1 already; when the id
-        # space is dense the keys of a distance map can be used as
-        # indices directly, skipping the per-key dict hop.
-        self._identity = all(vid == i for i, vid in enumerate(self.ids))
-
-    def dense_distances(self, dist_map: Dict[int, float]) -> np.ndarray:
-        """``dist_map`` as a float64 array in indexer order (inf = absent)."""
-        arr = np.full(self.size, math.inf, dtype=np.float64)
-        n = len(dist_map)
-        if not n:
-            return arr
-        if self._identity:
-            idx = np.fromiter(dist_map.keys(), dtype=np.int64, count=n)
-        else:
-            index_of = self.index_of
-            idx = np.fromiter(
-                (index_of[v] for v in dist_map), dtype=np.int64, count=n
-            )
-        arr[idx] = np.fromiter(dist_map.values(), dtype=np.float64, count=n)
-        return arr
 
 
 class PositionArrays:
@@ -272,9 +253,9 @@ class DistanceOracle:
     """Memoized point-to-point road-network distances.
 
     Runs one search per distinct source position and caches the
-    resulting vertex-distance map under a caller-supplied key (usually
-    the user/POI id), evicting least-recently-used entries beyond
-    ``cache_size`` (``None`` picks
+    resulting dense vertex-distance view under a caller-supplied key
+    (usually the user/POI id), evicting least-recently-used entries
+    beyond ``cache_size`` (``None`` picks
     :data:`repro.config.DEFAULT_DISTANCE_CACHE_SIZE`).
 
     The search itself runs on the oracle's own
@@ -293,15 +274,7 @@ class DistanceOracle:
             DEFAULT_DISTANCE_CACHE_SIZE if cache_size is None else cache_size
         )
         self.engine = CSREngine(road)
-        self._cache: "OrderedDict[Hashable, Dict[int, float]]" = OrderedDict()
-        # Dense companions to cached maps, for the vectorized kernels:
-        # key -> (dict the row was built from, float64 row in indexer
-        # order). The dict reference guards staleness — when the main
-        # LRU replaces an entry, the identity check fails and the row is
-        # rebuilt.
-        self._dense_cache: Dict[
-            Hashable, Tuple[Dict[int, float], np.ndarray]
-        ] = {}
+        self._cache: "OrderedDict[Hashable, DenseDistanceView]" = OrderedDict()
         self._indexer: Optional[VertexIndexer] = None
         self._road_version = road.version
         #: number of full searches actually executed (for tests/benchmarks)
@@ -322,68 +295,40 @@ class DistanceOracle:
         indexer = self._indexer
         if indexer is None or indexer.road_version != self.road.version:
             indexer = self._indexer = VertexIndexer(self.road)
-            self._dense_cache.clear()
         return indexer
 
-    def distances_from(
+    def _lookup(
         self, key: Hashable, pos: NetworkPosition
-    ) -> Dict[int, float]:
-        """Vertex-distance map from ``pos``, cached under ``key``."""
+    ) -> DenseDistanceView:
+        """The cached view for ``key``, or one engine search from ``pos``."""
         self._check_road_version()
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
             self.cache_hits += 1
             return cached
-        dist_map = self.engine.sssp(position_seeds(self.road, pos))
+        view = self.engine.sssp(position_seeds(self.road, pos))
         self.searches_run += 1
-        self._cache[key] = dist_map
+        self._cache[key] = view
         if len(self._cache) > self.cache_size:
-            evicted_key, _ = self._cache.popitem(last=False)
-            self._dense_cache.pop(evicted_key, None)
-        return dist_map
+            self._cache.popitem(last=False)
+        return view
+
+    def distances_from(
+        self, key: Hashable, pos: NetworkPosition
+    ) -> DenseDistanceView:
+        """Vertex-distance view from ``pos``, cached under ``key``."""
+        return self._lookup(key, pos)
 
     def dense_distances_from(
         self, key: Hashable, pos: NetworkPosition
     ) -> np.ndarray:
         """Dense (indexer-order) vertex distances from ``pos``.
 
-        Shares the dict cache and hit/miss accounting with
-        :meth:`distances_from` — a dense request for a cached source is
-        a cache hit, a miss runs exactly one engine search — and keeps a
-        dense side-row per cached entry. When the engine's map is a
-        dense-row view (the scipy CSR path), its row is reused directly
-        — no marshalling pass in either direction.
+        The ``row`` of the view :meth:`distances_from` returns: one cache
+        and one hit/miss count serve both.
         """
-        self._check_road_version()
-        indexer = self.vertex_indexer()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            dense_entry = self._dense_cache.get(key)
-            if dense_entry is not None and dense_entry[0] is cached:
-                return dense_entry[1]
-            row = getattr(cached, "row", None)
-            if row is None:
-                row = indexer.dense_distances(cached)
-            self._dense_cache[key] = (cached, row)
-            return row
-        seeds = position_seeds(self.road, pos)
-        dist_map = self.engine.sssp(seeds)
-        # The scipy CSR path hands back a dense-row view (internal order
-        # == indexer order, the invariant sssp_dense already relies on):
-        # the row doubles as the dense companion with no marshalling.
-        row = getattr(dist_map, "row", None)
-        if row is None:
-            row = indexer.dense_distances(dist_map)
-        self.searches_run += 1
-        self._cache[key] = dist_map
-        self._dense_cache[key] = (dist_map, row)
-        if len(self._cache) > self.cache_size:
-            evicted_key, _ = self._cache.popitem(last=False)
-            self._dense_cache.pop(evicted_key, None)
-        return row
+        return self._lookup(key, pos).row
 
     def distance(
         self,
@@ -409,83 +354,6 @@ class DistanceOracle:
     def forget(self, key: Hashable) -> None:
         """Drop the map cached under ``key`` (its source moved or left)."""
         self._cache.pop(key, None)
-        self._dense_cache.pop(key, None)
 
     def clear(self) -> None:
         self._cache.clear()
-        self._dense_cache.clear()
-
-
-def bidirectional_dijkstra(
-    road: RoadNetwork,
-    source: int,
-    target: int,
-) -> float:
-    """Point-to-point shortest distance via bidirectional search.
-
-    Expands two Dijkstra frontiers (from ``source`` and ``target``)
-    alternately, stopping once the sum of the two settled radii exceeds
-    the best meeting-point distance found — the classic optimality
-    condition. Returns ``math.inf`` when the vertices are disconnected.
-
-    Roughly halves the settled vertex count versus a unidirectional
-    search on road-like graphs; used where a single point-to-point
-    distance is needed without wanting the full SSSP map.
-    """
-    if not road.has_vertex(source):
-        raise UnknownEntityError(f"unknown road vertex {source}")
-    if not road.has_vertex(target):
-        raise UnknownEntityError(f"unknown road vertex {target}")
-    if source == target:
-        return 0.0
-
-    dist_f: Dict[int, float] = {source: 0.0}
-    dist_b: Dict[int, float] = {target: 0.0}
-    heap_f: List[Tuple[float, int]] = [(0.0, source)]
-    heap_b: List[Tuple[float, int]] = [(0.0, target)]
-    settled_f: set = set()
-    settled_b: set = set()
-    best = math.inf
-
-    def relax(
-        heap: List[Tuple[float, int]],
-        dist: Dict[int, float],
-        settled: set,
-        other_dist: Dict[int, float],
-    ) -> float:
-        """Settle one vertex on one side; returns its distance (or inf)."""
-        nonlocal best
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in settled or d > dist.get(node, math.inf):
-                continue
-            settled.add(node)
-            for nbr, length in road.neighbors(node).items():
-                nd = d + length
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-                if nbr in other_dist:
-                    meeting = nd + other_dist[nbr]
-                    if meeting < best:
-                        best = meeting
-            if node in other_dist:
-                meeting = d + other_dist[node]
-                if meeting < best:
-                    best = meeting
-            return d
-        return math.inf
-
-    radius_f = radius_b = 0.0
-    while heap_f or heap_b:
-        if radius_f + radius_b >= best:
-            break
-        if (heap_f and not heap_b) or (
-            heap_f and heap_b and heap_f[0][0] <= heap_b[0][0]
-        ):
-            radius_f = relax(heap_f, dist_f, settled_f, dist_b)
-        elif heap_b:
-            radius_b = relax(heap_b, dist_b, settled_b, dist_f)
-        else:
-            break
-    return best

@@ -4,8 +4,7 @@ The dict-walking Dijkstra functions of ``repro.roadnet.shortest_path``
 are the correctness oracle; the CSR engine must reproduce them to
 within floating-point noise (1e-9) on arbitrary road networks,
 arbitrary on-edge positions, truncation bounds, and disconnected
-pairs. Seeded CSR searches on the scipy path must reproduce them
-exactly.
+pairs. Seeded CSR searches must reproduce them exactly.
 """
 
 import math
@@ -14,16 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.roadnet.csr as csr_mod
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.roadnet.csr import CSRGraph
 from repro.roadnet.engines import CSREngine
-from repro.roadnet.shortest_path import (
-    bidirectional_dijkstra,
-    dijkstra,
-    multi_source_dijkstra,
-)
+from repro.roadnet.shortest_path import multi_source_dijkstra
 from tests.conftest import reference_point_to_point
 
 ATOL = 1e-9
@@ -110,7 +104,7 @@ class TestEngineAgreement:
     def test_csr_sssp_matches_dict_kernel(
         self, seed, bound, num_seeds, duplicate, zero, split
     ):
-        """The scipy path returns the dict kernel's distances exactly:
+        """The C search returns the reference Dijkstra's distances exactly:
         one C search from a virtual source adds the same weights in the
         same order as the heap, whatever the seeds look like."""
         rng = np.random.default_rng(seed)
@@ -127,36 +121,8 @@ class TestEngineAgreement:
             seeds.append((seeds[0][0], float(rng.random() * 3)))
         if zero:
             seeds[-1] = (seeds[-1][0], 0.0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 1)
-            graph = CSRGraph(road)
-            ours = graph.sssp(seeds, bound)
-        assert graph.kernel_runs == 0
+        graph = CSRGraph(road)
+        ours = graph.sssp(seeds, bound)
         assert graph.scipy_runs == int(any(d0 <= bound for _, d0 in seeds))
         assert dict(ours.items()) == multi_source_dijkstra(road, seeds, bound)
 
-
-class TestBidirectional:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 500))
-    def test_matches_dijkstra(self, seed):
-        rng = np.random.default_rng(seed)
-        road = generate_road_network(50, rng)
-        ids = list(road.vertices())
-        source = ids[int(rng.integers(len(ids)))]
-        reference = dijkstra(road, source)
-        for _ in range(5):
-            target = ids[int(rng.integers(len(ids)))]
-            got = bidirectional_dijkstra(road, source, target)
-            want = reference.get(target, math.inf)
-            if math.isinf(want):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(want, abs=ATOL)
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 500))
-    def test_disconnected_is_inf(self, seed):
-        rng = np.random.default_rng(seed)
-        road = two_component_road(rng)
-        assert math.isinf(bidirectional_dijkstra(road, 0, 12))

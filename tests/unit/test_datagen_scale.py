@@ -73,8 +73,8 @@ class TestGenerateGridNetwork:
 class TestPoiDistancesWithin:
     @pytest.fixture(scope="class", params=["csr"])
     def network(self, request):
-        # 300 vertices crosses SCIPY_MIN_VERTICES, so the csr engine
-        # exercises the dense-row scipy path, not the dict kernel.
+        # 300 road vertices keep the bounded sweeps well short of the
+        # whole graph, so the truncation is exercised.
         scale = ExperimentScale(
             road_vertices=300, num_pois=30, num_users=40, max_groups=100
         )

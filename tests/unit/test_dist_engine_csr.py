@@ -1,5 +1,5 @@
-"""Unit tests for the CSR snapshot, its Dijkstra kernels and the
-``dist_RN`` engine on top of them."""
+"""Unit tests for the CSR snapshot, its C Dijkstra and the ``dist_RN``
+engine on top of them."""
 
 import math
 import sys
@@ -11,7 +11,7 @@ import pytest
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.exceptions import InvalidParameterError, UnknownEntityError
-from repro.roadnet.csr import CSRGraph, HAVE_SCIPY
+from repro.roadnet.csr import CSRGraph, DenseDistanceView
 from repro.roadnet.engines import CSREngine
 from repro.roadnet.shortest_path import (
     DistanceOracle,
@@ -60,15 +60,14 @@ class TestCSRGraphShape:
 
 
 class TestKernelEquivalence:
-    """The flat-array kernel is a drop-in for multi_source_dijkstra."""
+    """The C search is a drop-in for multi_source_dijkstra, bit for bit."""
 
     def assert_sssp_matches(self, road, seeds, max_distance=math.inf):
         csr = CSRGraph(road)
         ours = csr.sssp(seeds, max_distance)
+        assert isinstance(ours, DenseDistanceView)
         reference = multi_source_dijkstra(road, seeds, max_distance)
-        assert set(ours) == set(reference)
-        for v, d in reference.items():
-            assert ours[v] == pytest.approx(d, abs=1e-9)
+        assert dict(ours.items()) == reference
 
     def test_full_sweep_grid(self, grid_road):
         self.assert_sssp_matches(grid_road, [(0, 0.0)])
@@ -97,45 +96,38 @@ class TestKernelEquivalence:
         road.add_edge(2, 3)
         assert set(CSRGraph(road).sssp([(0, 0.0)])) == {0, 1}
 
-    def test_targets_stop_early(self, grid_road):
-        csr = CSRGraph(grid_road)
-        full = csr.kernel([(csr.index_of[0], 0.0)])
-        target = csr.index_of[1]
-        partial = csr.kernel([(csr.index_of[0], 0.0)], targets={target})
-        assert partial[target] == pytest.approx(full[target])
-        # The far corner (distance 60) must not have been settled on the
-        # way to an adjacent target.
-        assert len(partial) < len(full)
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_scipy_path_matches_kernel(self, random_road):
         csr = CSRGraph(random_road)
         ids = list(random_road.vertices())
         seeds = [(ids[2], 0.75), (ids[11], 0.0)]
         for bound in (math.inf, 18.0):
-            via_scipy = csr._scipy_sssp(csr.internal_seeds(seeds), bound)
+            via_scipy = csr.sssp(seeds, bound)
             reference = multi_source_dijkstra(random_road, seeds, bound)
             assert dict(via_scipy.items()) == reference
         assert csr.scipy_runs == 2  # one C search per seeded call
 
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-    def test_scipy_engaged_above_threshold(self, monkeypatch):
-        import repro.roadnet.csr as csr_mod
-
-        road = build_grid_road()
+    @pytest.mark.parametrize("size", [1, 2, 16])
+    def test_every_size_is_one_c_search(self, size):
+        """The smallest graphs take the same C search as the largest:
+        one run per call, a dense row of every vertex, and a view."""
+        road = RoadNetwork()
+        for vid in range(size):
+            road.add_vertex(vid, float(vid), 0.0)
+        for vid in range(1, size):
+            road.add_edge(vid - 1, vid)
         csr = CSRGraph(road)
-        monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
-        csr.sssp([(0, 0.0)])
-        assert csr.scipy_runs > 0
+        view = csr.sssp([(0, 0.0)])
+        row = csr.sssp_dense([(0, 0.0)])
+        assert isinstance(view, DenseDistanceView)
+        assert row.shape == (size,)
+        assert np.array_equal(view.row, row)
+        assert csr.scipy_runs == 2
+        assert dict(view.items()) == multi_source_dijkstra(road, [(0, 0.0)])
 
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-    def test_concurrent_searches_match_serial(self, random_road, monkeypatch):
+    def test_concurrent_searches_match_serial(self, random_road):
         """Threads searching one graph get the rows a serial run gets:
         the virtual source row is written and searched under the
         graph's lock."""
-        import repro.roadnet.csr as csr_mod
-
-        monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
         workers, repeats = 4, 12
         csr = CSRGraph(random_road)
         ids = list(random_road.vertices())
@@ -213,8 +205,7 @@ class TestCSREngine:
         engine = CSREngine(grid_road)
         assert engine.stats() == {}  # nothing built yet
         engine.sssp([(0, 0.0)])
-        stats = engine.stats()
-        assert stats["kernel_runs"] + stats["scipy_runs"] >= 1
+        assert engine.stats() == {"scipy_runs": 1.0}
 
     def test_oracle_delegates_to_engine(self, grid_road):
         oracle = DistanceOracle(grid_road)
@@ -223,8 +214,8 @@ class TestCSREngine:
         pos = NetworkPosition(0, 1, 1.0)
         via_oracle = oracle.distances_from("k", pos)
         direct = engine.sssp(position_seeds(grid_road, pos))
-        assert via_oracle == pytest.approx(direct)
-        assert engine.stats()["kernel_runs"] >= 2
+        assert via_oracle == direct
+        assert engine.stats()["scipy_runs"] == 2
 
     def test_same_edge_reversed_orientation(self, grid_road):
         # Endpoint detours give min(2+7, 8+3) = 9; the direct walk is 5.
@@ -252,18 +243,12 @@ class TestCSREngine:
         assert math.isinf(engine.point_to_point(a, b))
         assert math.isinf(reference_point_to_point(road, a, b))
 
-    def test_empty_seeds_reach_nothing(self, grid_road, monkeypatch):
-        import repro.roadnet.csr as csr_mod
-
+    def test_empty_seeds_reach_nothing(self, grid_road):
         engine = CSREngine(grid_road)
-        graph = engine.graph()
-        assert graph.kernel([], targets={graph.index_of[0]}) == {}
         assert engine.sssp([]) == {}
-        if HAVE_SCIPY:
-            monkeypatch.setattr(csr_mod, "SCIPY_MIN_VERTICES", 4)
-            row = engine.sssp_dense([])
-            assert row.shape == (grid_road.num_vertices,)
-            assert np.isinf(row).all()
+        row = engine.sssp_dense([])
+        assert row.shape == (grid_road.num_vertices,)
+        assert np.isinf(row).all()
 
     def test_point_to_point_follows_mutation(self):
         road = build_grid_road()

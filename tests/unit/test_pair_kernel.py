@@ -29,8 +29,22 @@ from repro.obs.funnel import ExplainRecorder
 from repro.roadnet.shortest_path import (
     PositionArrays,
     VertexIndexer,
+    multi_source_dijkstra,
     position_distance_from_map,
+    position_seeds,
 )
+
+
+def dense_row(indexer, dist_map):
+    """``dist_map`` as a float64 row in indexer order (inf = absent)."""
+    return np.array(
+        [dist_map.get(vid, math.inf) for vid in indexer.ids], dtype=np.float64
+    )
+
+
+def reference_map(network, pos):
+    """The reference Dijkstra's vertex distances from ``pos``."""
+    return multi_source_dijkstra(network.road, position_seeds(network.road, pos))
 
 
 class TestVertexIndexer:
@@ -42,18 +56,20 @@ class TestVertexIndexer:
             assert indexer.index_of[vid] == i
 
     def test_dense_distances_roundtrip(self, small_uni):
+        """The oracle's dense row, read in indexer order, is the
+        reference map."""
         indexer = VertexIndexer(small_uni.road)
         user = small_uni.social.user(0)
-        dist_map = small_uni.distances.distances_from(("user", 0), user.home)
-        row = indexer.dense_distances(dist_map)
+        row = small_uni.distances.dense_distances_from(("user", 0), user.home)
         assert row.shape == (indexer.size,)
-        for i, vid in enumerate(indexer.ids):
-            expected = dist_map.get(vid, math.inf)
-            assert row[i] == expected  # bitwise, inf included
+        assert np.array_equal(
+            row, dense_row(indexer, reference_map(small_uni, user.home))
+        )  # bitwise, inf included
 
     def test_empty_map_is_all_inf(self, small_uni):
         indexer = VertexIndexer(small_uni.road)
-        row = indexer.dense_distances({})
+        row = small_uni.distances.engine.sssp_dense([])
+        assert row.shape == (indexer.size,)
         assert np.all(np.isinf(row))
 
 
@@ -65,7 +81,7 @@ class TestPositionArrays:
         arrays = PositionArrays(road, indexer, positions)
         user = small_uni.social.user(3)
         dist_map = small_uni.distances.distances_from(("user", 3), user.home)
-        dense = indexer.dense_distances(dist_map)
+        dense = dense_row(indexer, dist_map)
         row = arrays.distances_from_dense(road, dense, user.home)
         for i, pos in enumerate(positions):
             expected = position_distance_from_map(
@@ -84,7 +100,7 @@ class TestPositionArrays:
         dist_map = tiny_network.distances.distances_from(
             ("user", 0), user.home
         )
-        dense = indexer.dense_distances(dist_map)
+        dense = dense_row(indexer, dist_map)
         with_src = arrays.distances_from_dense(road, dense, user.home)
         expected = position_distance_from_map(
             road, dist_map, poi.position, user.home
@@ -98,8 +114,9 @@ class TestDenseOracle:
         oracle = small_uni.distances
         user = small_uni.social.user(7)
         row = oracle.dense_distances_from(("user", 7), user.home)
-        dist_map = oracle.distances_from(("user", 7), user.home)
-        expected = oracle.vertex_indexer().dense_distances(dist_map)
+        expected = dense_row(
+            oracle.vertex_indexer(), reference_map(small_uni, user.home)
+        )
         assert np.array_equal(row, expected)
 
     def test_shares_cache_with_dict_requests(self, small_uni):

@@ -6,6 +6,7 @@ import pytest
 from repro.datagen.distributions import Distribution, UniformSampler
 from repro.datagen.synthetic import (
     SATELLITE_FRACTION,
+    _delaunay_edges,
     generate_pois,
     generate_road_network,
     generate_social_network,
@@ -21,6 +22,32 @@ from repro.exceptions import InvalidParameterError
 @pytest.fixture(scope="module")
 def road():
     return generate_road_network(120, np.random.default_rng(1))
+
+
+class TestDelaunayEdges:
+    @pytest.mark.parametrize(
+        "points, chain",
+        [
+            ([[0.0, 0.0], [1.0, 1.0]], [(0, 1)]),
+            ([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]], [(1, 2), (2, 0)]),
+            (
+                [[3.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0]],
+                [(1, 3), (3, 2), (2, 0)],
+            ),
+        ],
+    )
+    def test_degenerate_layouts_fall_back_to_a_chain(self, points, chain):
+        assert _delaunay_edges(np.asarray(points)) == chain
+
+    def test_non_qhull_errors_propagate(self, monkeypatch):
+        import scipy.spatial
+
+        def broken(points):
+            raise ValueError("not a triangulation failure")
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", broken)
+        with pytest.raises(ValueError, match="not a triangulation failure"):
+            generate_road_network(10, np.random.default_rng(0))
 
 
 class TestRoadGenerator:
