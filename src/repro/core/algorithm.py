@@ -319,10 +319,20 @@ class GPSSNQueryProcessor:
         )
 
     def _pair_kernel(self) -> PairKernel:
-        """The vectorized refinement kernel, rebuilt on network changes."""
+        """The vectorized refinement kernel, kept across mutations.
+
+        A network change is followed (:meth:`PairKernel.follow`); the
+        kernel is rebuilt only when it cannot follow, e.g. after a road
+        change or a replaced road index. Each build counts in the
+        ``refine.kernel_builds`` counter.
+        """
         kernel = self._kernel
-        if kernel is None or kernel.version != self.network.version:
-            kernel = self._kernel = PairKernel(self.network)
+        if kernel is not None and kernel.version == self.network.version:
+            return kernel
+        regions = self.road_index.region_changes
+        if kernel is None or not kernel.follow(regions):
+            kernel = self._kernel = PairKernel(self.network, regions)
+            self.recorder.metrics.inc("refine.kernel_builds")
         return kernel
 
     def rebuild(self) -> None:

@@ -48,6 +48,7 @@ from typing import (
 
 import numpy as np
 
+from ..changes import ChangeLog, OwnedLRU
 from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
@@ -662,27 +663,57 @@ class PairKernel:
     :func:`best_region_for_seed` stays as the correctness reference:
     the exhaustive :class:`~repro.core.baseline.BaselineProcessor` runs
     on it and ``tests/unit/test_pair_kernel.py`` compares the two.
+
+    The kernel lives as long as the road graph and follows POI and user
+    mutations (:meth:`follow`) instead of being rebuilt:
+
+    * every POI owns one *slot* (a column of every per-POI array) for
+      life: an added POI appends a slot, a removed one retires its slot
+      (it leaves ``poi_index`` and ``live``, and no reader indexes it
+      again), and a POI re-added under the same id gets a new slot;
+    * a member row or feasibility array covers the slots that existed
+      when it was computed, and the first read after POIs were added
+      extends it over the new slots only;
+    * a moved or added user loses its member row, feasibility arrays
+      and interest vector, and its ``user_positions`` entry is
+      rewritten in place; a friend edit costs nothing;
+    * a ball is dropped when the road index logs its seed's region as
+      changed (``region_log``); a kernel built without a log cannot
+      follow.
+
+    Slot order changes no answer: seeds, balls and prefix scans order
+    by distance and region order, never by slot. Live-slot values are
+    bitwise those of a kernel built fresh on the mutated network.
     """
 
-    def __init__(self, network: SpatialSocialNetwork) -> None:
+    def __init__(
+        self,
+        network: SpatialSocialNetwork,
+        region_log: Optional[ChangeLog] = None,
+    ) -> None:
         self.network = network
         self.version = network.version
+        self._road_version = network.road.version
+        self._poi_cursor = network.poi_changes.end
+        self._user_cursor = network.social.user_changes.end
+        self._region_log = region_log
+        self._region_cursor = 0 if region_log is None else region_log.end
         self.indexer = network.distances.vertex_indexer()
+        #: slot -> POI id (a retired slot keeps the id it had)
         self.poi_ids: List[int] = network.poi_ids()
+        #: live POI id -> slot
         self.poi_index: Dict[int, int] = {
             pid: i for i, pid in enumerate(self.poi_ids)
         }
+        #: per slot: whether its POI is still in the network
+        self.live = np.ones(len(self.poi_ids), dtype=bool)
+        self.retired = 0
         pois = [network.poi(pid) for pid in self.poi_ids]
         self.positions = PositionArrays(
             network.road, self.indexer, [p.position for p in pois]
         )
-        d = network.num_keywords
-        keywords = np.zeros((len(pois), d), dtype=bool)
-        for i, poi in enumerate(pois):
-            for f in poi.keywords:
-                keywords[i, f] = True
-        self.keywords = keywords
-        self.keywords_f8 = keywords.astype(np.float64)
+        self.keywords = self._keyword_rows(pois)
+        self.keywords_f8 = self.keywords.astype(np.float64)
         # Per-member distance rows, per-(user, theta) seed feasibility
         # and per-(seed, radius) balls share one LRU policy, capped with
         # the same budget as the oracle's map cache (a row is ~n_poi
@@ -692,13 +723,18 @@ class PairKernel:
         # is asked for.
         self._cache_cap = network.distances.cache_size
         self._member_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._balls: "OrderedDict[Hashable, BallArrays]" = OrderedDict()
-        self._user_feasible: (
-            "OrderedDict[Tuple[int, float], np.ndarray]"
-        ) = OrderedDict()
+        self._balls = OwnedLRU()
+        self._user_feasible = OwnedLRU()
         self._user_positions: Optional[PositionArrays] = None
         self._user_index: Optional[Dict[int, int]] = None
         self._interest_vectors: Dict[int, np.ndarray] = {}
+
+    def _keyword_rows(self, pois: Sequence) -> np.ndarray:
+        keywords = np.zeros((len(pois), self.network.num_keywords), dtype=bool)
+        for i, poi in enumerate(pois):
+            for f in poi.keywords:
+                keywords[i, f] = True
+        return keywords
 
     def _lru_get(self, cache: OrderedDict, key: Hashable):
         value = cache.get(key)
@@ -711,25 +747,108 @@ class PairKernel:
         if len(cache) > self._cache_cap:
             cache.popitem(last=False)
 
+    # -- following mutations ------------------------------------------
+
+    def follow(self, region_log: ChangeLog) -> bool:
+        """Catch up with the network's mutations since the last call.
+
+        Reads only the ids the change logs name: the POIs added or
+        removed (``network.poi_changes``), the users added or moved
+        (``network.social.user_changes``) and the seeds whose regions
+        changed (``region_log``, the road index's log this kernel was
+        built with). Returns False, having changed nothing worth
+        keeping, when the kernel cannot follow and must be rebuilt: the
+        road graph changed, ``region_log`` is not the kernel's, a log no
+        longer holds the kernel's cursor, or retired slots would
+        outnumber live ones.
+        """
+        network = self.network
+        if (
+            network.road.version != self._road_version
+            or region_log is not self._region_log
+        ):
+            return False
+        poi_changes = network.poi_changes
+        user_changes = network.social.user_changes
+        pois = poi_changes.since(self._poi_cursor)
+        users = user_changes.since(self._user_cursor)
+        seeds = region_log.since(self._region_cursor)
+        if pois is None or users is None or seeds is None:
+            return False
+        self._poi_cursor = poi_changes.end
+        self._user_cursor = user_changes.end
+        self._region_cursor = region_log.end
+        self.version = network.version
+        for uid in set(users):
+            self._forget_user(uid)
+        added = []
+        for pid in dict.fromkeys(pois):
+            slot = self.poi_index.pop(pid, None)
+            if slot is not None:
+                self.live[slot] = False
+                self.retired += 1
+            if network.has_poi(pid):
+                added.append(network.poi(pid))
+        if self.retired > len(self.poi_index) + len(added):
+            return False
+        if added:
+            self._add_slots(added)
+        for seed in set(seeds):
+            self._balls.drop(seed)
+        return True
+
+    def _add_slots(self, pois: Sequence) -> None:
+        first = len(self.poi_ids)
+        for i, poi in enumerate(pois):
+            self.poi_ids.append(poi.poi_id)
+            self.poi_index[poi.poi_id] = first + i
+        self.live = np.concatenate((self.live, np.ones(len(pois), dtype=bool)))
+        self.positions.extend(
+            self.network.road, self.indexer, [p.position for p in pois]
+        )
+        keywords = self._keyword_rows(pois)
+        self.keywords = np.concatenate((self.keywords, keywords))
+        self.keywords_f8 = np.concatenate(
+            (self.keywords_f8, keywords.astype(np.float64))
+        )
+
+    def _forget_user(self, uid: int) -> None:
+        self._member_rows.pop(uid, None)
+        self._user_feasible.drop(uid)
+        self._interest_vectors.pop(uid, None)
+        positions = self._user_positions
+        if positions is None:
+            return
+        home = self.network.social.user(uid).home
+        i = self._user_index.get(uid)
+        if i is None:
+            self._user_index[uid] = len(positions)
+            positions.extend(self.network.road, self.indexer, [home])
+        else:
+            positions.replace(i, self.network.road, self.indexer, home)
+
     # -- cached per-entity arrays -------------------------------------
 
     def member_row(self, uid: int) -> np.ndarray:
-        """``dist_RN(u, o)`` for every POI ``o``, cached per user.
+        """``dist_RN(u, o)`` for every POI slot ``o``, cached per user.
 
         Bitwise-identical to per-POI ``position_distance_from_map``
         calls over the user's oracle map (same gather + IEEE min, same
-        same-edge correction), evaluated once for all POIs.
+        same-edge correction), evaluated once for all POIs. A cached
+        row shorter than the slot count is extended over the new slots.
         """
         row = self._lru_get(self._member_rows, uid)
-        if row is None:
+        if row is None or len(row) < len(self.poi_ids):
             network = self.network
             user = network.social.user(uid)
             dense = network.distances.dense_distances_from(
                 ("user", uid), user.home
             )
-            row = self.positions.distances_from_dense(
-                network.road, dense, user.home
+            start = 0 if row is None else len(row)
+            tail = self.positions.distances_from_dense(
+                network.road, dense, user.home, start
             )
+            row = tail if row is None else np.concatenate((row, tail))
             row.flags.writeable = False
             self._lru_put(self._member_rows, uid, row)
         return row
@@ -746,17 +865,22 @@ class PairKernel:
         return vec
 
     def user_poi_feasible(self, uid: int, theta: float) -> np.ndarray:
-        """Per-POI bool: does ``o``'s own keyword set theta-match ``uid``?
+        """Per-slot bool: does ``o``'s own keyword set theta-match ``uid``?
 
-        One matvec over the POI×topic matrix, cached per (user, theta);
-        group-level seed feasibility is the AND of its members' arrays.
+        One matvec over the POI×topic matrix, cached per (user, theta)
+        and extended over slots added since; group-level seed
+        feasibility is the AND of its members' arrays.
         """
         key = (uid, theta)
-        arr = self._lru_get(self._user_feasible, key)
-        if arr is None:
-            arr = (self.keywords_f8 @ self.interest_vector(uid)) >= theta
+        arr = self._user_feasible.hit(key)
+        if arr is None or len(arr) < len(self.poi_ids):
+            start = 0 if arr is None else len(arr)
+            tail = (
+                self.keywords_f8[start:] @ self.interest_vector(uid)
+            ) >= theta
+            arr = tail if arr is None else np.concatenate((arr, tail))
             arr.flags.writeable = False
-            self._lru_put(self._user_feasible, key, arr)
+            self._user_feasible.put(key, arr, self._cache_cap)
         return arr
 
     def user_positions(self) -> Tuple[PositionArrays, Dict[int, int]]:
@@ -777,14 +901,15 @@ class PairKernel:
         region_poi_ids: Sequence[int],
         cache_key: Optional[Hashable] = None,
     ) -> BallArrays:
-        """Ball arrays for a seed's region, cached under ``cache_key``."""
+        """Ball arrays for a seed's region, cached under ``cache_key``
+        (a tuple whose first item is the seed)."""
         if cache_key is not None:
-            cached = self._lru_get(self._balls, cache_key)
+            cached = self._balls.hit(cache_key)
             if cached is not None:
                 return cached
         arrays = BallArrays(self, seed_poi, region_poi_ids)
         if cache_key is not None:
-            self._lru_put(self._balls, cache_key, arrays)
+            self._balls.put(cache_key, arrays, self._cache_cap)
         return arrays
 
     def group_state(

@@ -361,9 +361,10 @@ class ContinuousQueryRegistry:
         if answer is None or not answer.found or user_id in answer.users:
             return None
         kernel = self.processor._pair_kernel()
+        # Over live slots only: a retired slot's value is a removed POI's.
         lb = float(np.maximum(
             kernel.member_row(sq.query.query_user), kernel.member_row(user_id)
-        ).min())
+        ).min(where=kernel.live, initial=math.inf))
         if lb > answer.max_distance:
             return lb - answer.max_distance
         return None

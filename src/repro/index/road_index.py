@@ -30,9 +30,19 @@ for POI insert/delete; the traversal operates on the immutable
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
+from ..changes import ChangeLog, OwnedLRU
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..geometry import MBR
 from ..network import SpatialSocialNetwork
@@ -156,12 +166,21 @@ class RoadIndex:
         self.counter = PageAccessCounter()
 
         self._augmented: Dict[int, AugmentedPOI] = {}
-        self._region_cache: "OrderedDict[tuple, List[int]]" = OrderedDict()
+        self._init_region_cache()
         #: live R*-tree retained for incremental insert/delete; ``None``
         #: when the index was attached from a snapshot (immutable).
         self._tree: Optional[RStarTree] = None
         self._dirty = False
         self._adopt_mirror(self._build(max_entries))
+
+    def _init_region_cache(self) -> None:
+        #: (seed, radius) -> region ids, see :meth:`region`
+        self._region_cache = OwnedLRU()
+        #: seeds answered by a bounded search since the last edit
+        self._far_seeds: Set[int] = set()
+        #: seeds whose regions an edit may have changed, for caches
+        #: derived from regions (the pair kernel's balls)
+        self.region_changes = ChangeLog()
 
     # -- construction ----------------------------------------------------------
 
@@ -324,7 +343,7 @@ class RoadIndex:
         index.num_bits = int(snapshot["num_bits"])
         index.samples_per_node = int(snapshot["samples_per_node"])
         index.counter = PageAccessCounter()
-        index._region_cache = OrderedDict()
+        index._init_region_cache()
         index._augmented = {}
         for pid_str, data in snapshot["augmented"].items():
             pid = int(pid_str)
@@ -471,7 +490,7 @@ class RoadIndex:
         tree.insert(
             MBR.from_point((poi.location.x, poi.location.y)), poi_id
         )
-        self._mutated()
+        self._mutated(region_dists)
 
     def delete_poi(self, poi_id: int, region_dists: Dict[int, float]) -> None:
         """Unindex a removed POI (exact maintenance).
@@ -525,7 +544,7 @@ class RoadIndex:
                 nbr.sub_vector = KeywordBitVector.from_keywords(
                     nbr.sub_keywords, self.num_bits
                 )
-        self._mutated()
+        self._mutated(chain(region_dists, (poi_id,)))
 
     def refresh_pivot_dists(self, poi_id: int) -> None:
         """Recompute one POI's road-pivot distances (e.g. after re-anchor)."""
@@ -533,9 +552,22 @@ class RoadIndex:
         ap.pivot_dists = self.pivots.distances(ap.poi.position)
         self._dirty = True
 
-    def _mutated(self) -> None:
-        """Mark the mirror stale after an insert or delete."""
-        self._region_cache.clear()
+    def _mutated(self, touched: Iterable[int]) -> None:
+        """Mark the mirror stale after an insert or delete, and drop the
+        cached regions the edit may have changed.
+
+        ``touched`` holds the edited POI and every seed whose
+        ``2*r_max`` region the edit walked: no other seed's stored
+        region changed. A region beyond ``2*r_max`` comes from a bounded
+        search that any nearby edit can change, so the seeds answered
+        that way since the last edit go too. Every dropped seed is
+        logged to ``region_changes``.
+        """
+        seeds = set(touched) | self._far_seeds
+        self._far_seeds = set()
+        for seed in seeds:
+            self._region_cache.drop(seed)
+            self.region_changes.record(seed)
         self._dirty = True
 
     def refreeze_if_dirty(self) -> bool:
@@ -551,7 +583,6 @@ class RoadIndex:
             return False
         tree = self._require_tree()
         self._adopt_mirror(self._freeze(tree.root))
-        self._region_cache.clear()
         self._dirty = False
         return True
 
@@ -584,7 +615,9 @@ class RoadIndex:
         under the LRU policy and ``network.distances.cache_size`` budget
         of the pair kernel's balls: ``radius`` is a client-supplied
         float, so an unbounded cache would grow with every distinct
-        value a long-running service is asked for.
+        value a long-running service is asked for. A POI insert or
+        delete drops only the entries it may have changed
+        (:meth:`_mutated`).
         """
         key = (poi_id, radius)
         cache = self._region_cache
@@ -600,9 +633,8 @@ class RoadIndex:
             ]
         else:
             result = sorted(self.network.poi_distances_within(poi_id, radius))
-        cache[key] = result
-        if len(cache) > self.network.distances.cache_size:
-            cache.popitem(last=False)
+            self._far_seeds.add(poi_id)
+        cache.put(key, result, self.network.distances.cache_size)
         return result
 
     def describe(self) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .changes import ChangeLog
 from .config import NETWORK_DISTANCE_CACHE_SIZE
 from .exceptions import (
     GraphConstructionError,
@@ -73,6 +74,9 @@ class SpatialSocialNetwork:
             for poi in pois:
                 self._pois[poi.poi_id] = poi
         self._poi_version = 0
+        #: ids of the POIs added or removed, for the caches that follow
+        #: POI churn (the pair kernel) instead of rebuilding on it.
+        self.poi_changes = ChangeLog()
         self._endpoint_pois: Optional[Tuple[int, Dict[int, List[int]]]] = None
         #: shared oracle for dist_RN lookups; keys are ("user", id) and
         #: ("poi", id) so users and POIs never collide.
@@ -123,6 +127,7 @@ class SpatialSocialNetwork:
                 )
         self._pois[poi.poi_id] = poi
         self._poi_version += 1
+        self.poi_changes.record(poi.poi_id)
         self.distances.forget(("poi", poi.poi_id))
 
     def remove_poi(self, poi_id: int) -> POI:
@@ -137,6 +142,7 @@ class SpatialSocialNetwork:
         except KeyError:
             raise UnknownEntityError(f"unknown POI {poi_id}") from None
         self._poi_version += 1
+        self.poi_changes.record(poi_id)
         self.distances.forget(("poi", poi_id))
         return poi
 
@@ -222,6 +228,9 @@ class SpatialSocialNetwork:
     @property
     def num_pois(self) -> int:
         return len(self._pois)
+
+    def has_poi(self, poi_id: int) -> bool:
+        return poi_id in self._pois
 
     def poi(self, poi_id: int) -> POI:
         try:

@@ -148,14 +148,16 @@ class VertexIndexer:
 
 
 class PositionArrays:
-    """Array image of a fixed sequence of network positions.
+    """Array image of a sequence of network positions.
 
     Mirrors :func:`position_distance_from_map` over the whole sequence
     at once: given a dense vertex-distance vector, the distance to every
     position is one fused gather/min expression. The same-edge
     correction (the scalar function's ``source_pos`` branch) stays
     scalar but only runs for the — typically zero or one — positions
-    sharing the source's edge.
+    sharing the source's edge. The sequence grows at its end
+    (:meth:`extend`) and an entry can be rewritten in place
+    (:meth:`replace`).
     """
 
     __slots__ = (
@@ -169,38 +171,76 @@ class PositionArrays:
         indexer: VertexIndexer,
         positions: Sequence[NetworkPosition],
     ) -> None:
+        self.positions: List[NetworkPosition] = list(positions)
+        (
+            self.u_idx, self.v_idx, self.offset, self.rem,
+            self.edge_min, self.edge_max,
+        ) = self._encode(road, indexer, self.positions)
+
+    @staticmethod
+    def _encode(
+        road: RoadNetwork,
+        indexer: VertexIndexer,
+        positions: Sequence[NetworkPosition],
+    ) -> Tuple[np.ndarray, ...]:
         n = len(positions)
-        self.positions: Tuple[NetworkPosition, ...] = tuple(positions)
-        self.u_idx = np.empty(n, dtype=np.int64)
-        self.v_idx = np.empty(n, dtype=np.int64)
-        self.offset = np.empty(n, dtype=np.float64)
-        self.rem = np.empty(n, dtype=np.float64)
-        self.edge_min = np.empty(n, dtype=np.int64)
-        self.edge_max = np.empty(n, dtype=np.int64)
+        u_idx = np.empty(n, dtype=np.int64)
+        v_idx = np.empty(n, dtype=np.int64)
+        offset = np.empty(n, dtype=np.float64)
+        rem = np.empty(n, dtype=np.float64)
+        edge_min = np.empty(n, dtype=np.int64)
+        edge_max = np.empty(n, dtype=np.int64)
         index_of = indexer.index_of
         for i, pos in enumerate(positions):
             length = road.edge_length(pos.u, pos.v)
-            self.u_idx[i] = index_of[pos.u]
-            self.v_idx[i] = index_of[pos.v]
-            self.offset[i] = pos.offset
-            self.rem[i] = length - pos.offset
-            if pos.u <= pos.v:
-                self.edge_min[i] = pos.u
-                self.edge_max[i] = pos.v
-            else:
-                self.edge_min[i] = pos.v
-                self.edge_max[i] = pos.u
+            u_idx[i] = index_of[pos.u]
+            v_idx[i] = index_of[pos.v]
+            offset[i] = pos.offset
+            rem[i] = length - pos.offset
+            edge_min[i] = min(pos.u, pos.v)
+            edge_max[i] = max(pos.u, pos.v)
+        return u_idx, v_idx, offset, rem, edge_min, edge_max
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    def extend(
+        self,
+        road: RoadNetwork,
+        indexer: VertexIndexer,
+        positions: Sequence[NetworkPosition],
+    ) -> None:
+        """Append ``positions`` after the current entries."""
+        tail = self._encode(road, indexer, positions)
+        self.positions.extend(positions)
+        for name, column in zip(self.__slots__[1:], tail):
+            setattr(
+                self, name, np.concatenate((getattr(self, name), column))
+            )
+
+    def replace(
+        self,
+        i: int,
+        road: RoadNetwork,
+        indexer: VertexIndexer,
+        position: NetworkPosition,
+    ) -> None:
+        """Rewrite entry ``i`` as ``position``."""
+        self.positions[i] = position
+        for name, column in zip(
+            self.__slots__[1:], self._encode(road, indexer, [position])
+        ):
+            getattr(self, name)[i] = column[0]
 
     def distances_from_dense(
         self,
         road: RoadNetwork,
         dense: np.ndarray,
         source_pos: Optional[NetworkPosition] = None,
+        start: int = 0,
     ) -> np.ndarray:
-        """Distance to every position given dense vertex distances.
+        """Distance to every position from ``start`` on, given dense
+        vertex distances.
 
         Bitwise-identical to calling :func:`position_distance_from_map`
         per position: the per-element expression is the same IEEE
@@ -208,18 +248,23 @@ class PositionArrays:
         correction applies :func:`direct_edge_distance` to exactly the
         positions the scalar branch would.
         """
-        best = np.minimum(
-            dense[self.u_idx] + self.offset, dense[self.v_idx] + self.rem
-        )
+        u_idx, v_idx, offset, rem = self.u_idx, self.v_idx, self.offset, self.rem
+        edge_min, edge_max = self.edge_min, self.edge_max
+        if start:
+            u_idx, v_idx, offset, rem = (
+                u_idx[start:], v_idx[start:], offset[start:], rem[start:]
+            )
+            edge_min, edge_max = edge_min[start:], edge_max[start:]
+        best = np.minimum(dense[u_idx] + offset, dense[v_idx] + rem)
         if source_pos is not None:
             a, b = source_pos.u, source_pos.v
             if a > b:
                 a, b = b, a
-            mask = (self.edge_min == a) & (self.edge_max == b)
+            mask = (edge_min == a) & (edge_max == b)
             if mask.any():
                 for i in np.flatnonzero(mask):
                     direct = direct_edge_distance(
-                        road, source_pos, self.positions[i]
+                        road, source_pos, self.positions[start + i]
                     )
                     if direct < best[i]:
                         best[i] = direct

@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
+from ..changes import ChangeLog
 from ..exceptions import GraphConstructionError, UnknownEntityError
 from ..roadnet.graph import NetworkPosition
 
@@ -61,6 +62,9 @@ class SocialNetwork:
         self._adj: Dict[int, Set[int]] = {}
         self._num_edges = 0
         self.version = 0
+        #: ids of the users added or replaced (a move replaces the
+        #: frozen record), for the caches that follow user changes.
+        self.user_changes = ChangeLog()
 
     # -- construction ------------------------------------------------------
 
@@ -70,6 +74,7 @@ class SocialNetwork:
         self._users[user.user_id] = user
         self._adj[user.user_id] = set()
         self.version += 1
+        self.user_changes.record(user.user_id)
 
     def add_friendship(self, a: int, b: int) -> None:
         """Add an undirected friendship edge between users ``a`` and ``b``."""
@@ -109,6 +114,7 @@ class SocialNetwork:
         previous = self._users[user.user_id]
         self._users[user.user_id] = user
         self.version += 1
+        self.user_changes.record(user.user_id)
         return previous
 
     # -- accessors ---------------------------------------------------------

@@ -200,6 +200,8 @@ class TestRegistryAbsorption:
             "gpssn_refine_prefix_scans": scans,
             "gpssn_refine_member_bound_skips": skips,
             "gpssn_refine_live_groups": live,
+            # The daemon's processor built its pair kernel once.
+            "gpssn_refine_kernel_builds": 1.0,
         }
         (traced,) = [s for s in spans if s["name"] == "refine.enumerate"]
         assert traced["attrs"] == attributes

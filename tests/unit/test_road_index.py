@@ -213,6 +213,65 @@ class TestRegionExactness:
         # from the new POI's search; a cold build reads d(q, new).
         _assert_regions_exact(index, network, tol=1e-9)
 
+    def test_edit_drops_only_touched_regions(self, live):
+        """An insert or delete drops the cached regions of the seeds it
+        touched (and of those answered beyond 2*r_max) and logs them;
+        every other cached region is returned as the same list."""
+        network, index = live
+        far = 2 * index.r_max + 3.0
+        far_seeds = network.poi_ids()[-3:]
+
+        def fill():
+            cached = {
+                (pid, r): index.region(pid, r)
+                for pid in network.poi_ids() for r in (1.0, 2 * index.r_max)
+            }
+            cached.update(
+                ((pid, far), index.region(pid, far)) for pid in far_seeds
+            )
+            return cached
+
+        def check(before, cursor):
+            touched = set(index.region_changes.since(cursor))
+            fresh = RoadIndex(
+                network, index.pivots, r_min=index.r_min, r_max=index.r_max
+            )
+            kept = 0
+            for (pid, r), cached in before.items():
+                if not network.has_poi(pid):
+                    continue
+                got = index.region(pid, r)
+                assert got == fresh.region(pid, r), (pid, r)
+                if pid not in touched:
+                    assert got is cached, (pid, r)
+                    kept += 1
+            assert kept > 0
+            return touched
+
+        donor = network.poi(network.poi_ids()[0])
+        position = NetworkPosition(
+            donor.position.u, donor.position.v,
+            max(donor.position.offset - 0.25, 0.0),
+        )
+        before, cursor = fill(), index.region_changes.end
+        network.add_poi(POI(
+            poi_id=1000,
+            location=network.road.position_coords(position),
+            position=position,
+            keywords=donor.keywords,
+        ))
+        index.insert_poi(1000)
+        touched = check(before, cursor)
+        # Seeds answered beyond 2*r_max come from a bounded search.
+        assert {1000, donor.poi_id, *far_seeds} <= touched
+
+        before, cursor = fill(), index.region_changes.end
+        removed = network.poi_ids()[5]
+        region_dists = network.poi_distances_within(removed, 2 * index.r_max)
+        network.remove_poi(removed)
+        index.delete_poi(removed, region_dists)
+        assert removed in check(before, cursor)
+
     def test_after_freeze_attach(self, tmp_path):
         from repro.experiments.harness import (
             ExperimentScale,
