@@ -26,10 +26,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from bisect import insort
-from itertools import chain, islice
 from math import comb
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -57,11 +55,10 @@ from .index_pruning import (
 from .pruning import matching_score_prunable, social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
 from .refinement import (
-    GROUP_BLOCK,
-    BlockGates,
     GroupSpace,
     PairKernel,
     enumerate_group_indices,
+    refine_pairs,
     sample_connected_groups,
 )
 from .road_gates import RoadGates
@@ -400,13 +397,12 @@ class GPSSNQueryProcessor:
         qspan,
         base_searches: int,
         base_hits: int,
-        query: Optional[GPSSNQuery] = None,
+        query: GPSSNQuery,
     ) -> None:
         """Collect I/O + oracle deltas, phase times, and feed the recorder.
 
-        ``query`` enables the total-possible-pairs denominator (the
-        Figure-7(d) normalization); the sampled entry point omits it, as
-        it always has.
+        ``query`` sizes the total-possible-pairs denominator (the
+        Figure-7(d) normalization).
         """
         stats.page_accesses = (
             self.road_index.counter.snapshot()
@@ -420,12 +416,11 @@ class GPSSNQueryProcessor:
         engine = oracle.engine
         for stat_name, value in engine.stats().items():
             metrics.set_gauge(f"dist_engine.{engine.name}.{stat_name}", value)
-        if query is not None:
-            m = self.network.social.num_users
-            n = self.network.num_pois
-            stats.pruning.total_possible_pairs = float(
-                comb(max(m - 1, 0), min(query.tau - 1, max(m - 1, 0))) * n
-            )
+        m = self.network.social.num_users
+        n = self.network.num_pois
+        stats.pruning.total_possible_pairs = float(
+            comb(max(m - 1, 0), min(query.tau - 1, max(m - 1, 0))) * n
+        )
         stats.phase_times = qspan.child_totals()
         self.recorder.record_query(stats)
 
@@ -523,76 +518,34 @@ class GPSSNQueryProcessor:
             stats.candidate_users = len(s_cand)
             stats.candidate_pois = len(r_cand)
 
-            with self.recorder.span("refine"):
-                ex = (
-                    self.recorder.explain
-                    if self.recorder.explain.active else None
-                )
-                uq_id = query.query_user
-                allowed = {au.user_id for au in s_cand} | {uq_id}
-                rng = np.random.default_rng(seed)
-                groups = sample_connected_groups(
-                    self.network, uq_id, query.tau, query.gamma, rng,
-                    num_samples, allowed=allowed, score_fn=scorer.score,
-                )
-
-                kernel = self._pair_kernel()
-                uq_row = kernel.member_row(uq_id)
-                seed_dist = {
-                    ap.poi_id: float(uq_row[kernel.poi_index[ap.poi_id]])
-                    for ap in r_cand
-                }
-                seeds = sorted(
-                    seed_dist, key=lambda pid: (seed_dist[pid], pid)
-                )
-
-                best_value = math.inf
-                best_pair = None
-                for group in groups:
-                    stats.groups_refined += 1
-                    state = kernel.group_state(group, query.theta)
-                    if ex is not None:
-                        ex.visit("refine.pairs", len(seeds))
-                    for seed_rank, poi_seed in enumerate(seeds):
-                        if seed_dist[poi_seed] >= best_value:
-                            if ex is not None:
-                                ex.prune(
-                                    "refine.pairs", "pair.distance",
-                                    len(seeds) - seed_rank,
-                                    seed_dist[poi_seed] - best_value,
-                                )
-                            break
-                        if ex is not None:
-                            ex.survive("refine.pairs")
-                        stats.pruning.candidate_pairs_examined += 1
-                        region_ids = self.road_index.region(
-                            poi_seed, query.radius
-                        )
-                        result = kernel.best_region(
-                            kernel.ball(
-                                poi_seed, region_ids,
-                                cache_key=(poi_seed, query.radius),
-                            ),
-                            state,
-                        )
-                        if result is None:
-                            continue
-                        pois, value = result
-                        if value < best_value:
-                            best_value = value
-                            best_pair = (frozenset(group), pois)
+            rec = self.recorder
+            ex = rec.explain if rec.explain.active else None
+            with rec.span("refine"):
+                with rec.span("refine.seed_filter"):
+                    seeds, seed_dist = self._seed_filter(
+                        query, r_cand, stats, ex
+                    )
+                with rec.span("refine.enumerate") as espan:
+                    # S_cand before Corollary 2: the sampler's draws
+                    # depend on the space it expands through.
+                    allowed = {au.user_id for au in s_cand}
+                    allowed.add(query.query_user)
+                    space = GroupSpace(
+                        self.network, query.query_user, query.tau,
+                        query.gamma, allowed, scorer,
+                    )
+                    groups = sample_connected_groups(
+                        space, query.tau, np.random.default_rng(seed),
+                        num_samples,
+                    )
+                    answers = self._enumerate(
+                        query, space, groups, seeds, seed_dist, stats, 1,
+                        ex, espan,
+                    )
 
             stats.cpu_time_sec = time.perf_counter() - started
-        self._finish_query(stats, qspan, base_searches, base_hits)
-        if best_pair is None:
-            return GPSSNAnswer.empty(), stats
-        return (
-            GPSSNAnswer(
-                users=best_pair[0], pois=best_pair[1],
-                max_distance=best_value,
-            ),
-            stats,
-        )
+        self._finish_query(stats, qspan, base_searches, base_hits, query)
+        return (answers[0] if answers else GPSSNAnswer.empty()), stats
 
     # ------------------------------------------------------------------
     # phase 1: dual index traversal (Algorithm 2 lines 1-28)
@@ -862,24 +815,17 @@ class GPSSNQueryProcessor:
             with rec.span("refine.seed_filter"):
                 seeds, seed_dist = self._seed_filter(query, r_cand, stats, ex)
             with rec.span("refine.enumerate") as espan:
-                best, scans, skips, live, space = self._enumerate(
-                    query, allowed, seeds, seed_dist, stats, max_groups,
-                    scorer, k, ex,
+                space = GroupSpace(
+                    self.network, query.query_user, query.tau, query.gamma,
+                    allowed, scorer,
                 )
-                espan.set(
-                    prefix_scans=scans, member_bound_skips=skips,
-                    live_groups=live, group_space=space,
+                groups = enumerate_group_indices(
+                    space, query.tau, limit=max_groups, explain=ex,
                 )
-            rec.metrics.inc("refine.prefix_scans", scans)
-            rec.metrics.inc("refine.member_bound_skips", skips)
-            rec.metrics.inc("refine.live_groups", live)
-            return [
-                GPSSNAnswer(
-                    users=frozenset(users), pois=frozenset(pois),
-                    max_distance=value,
+                return self._enumerate(
+                    query, space, groups, seeds, seed_dist, stats, k, ex,
+                    espan,
                 )
-                for value, users, pois in best
-            ]
 
     def _corollary2(
         self,
@@ -965,218 +911,38 @@ class GPSSNQueryProcessor:
     def _enumerate(
         self,
         query: GPSSNQuery,
-        allowed: Set[int],
+        space: GroupSpace,
+        groups: Iterable[Tuple[int, ...]],
         seeds: List[int],
-        seed_dist_arr: np.ndarray,
+        seed_dist: np.ndarray,
         stats: QueryStatistics,
-        max_groups: Optional[int],
-        scorer: MetricScorer,
         k: int,
         ex,
-    ) -> Tuple[
-        List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]],
-        int, int, int, int,
-    ]:
-        """Line 31: enumerate groups, evaluate seeds with early
-        termination.
-
-        Returns the running top-k distinct (S, R) pairs as sorted
-        ``(value, users, pois)`` key tuples, then the number of prefix
-        scans run, of scans the member gate skipped, of groups that
-        reached the pair loop, and of users in the group space. The k-th
-        value is the pruning threshold: any region of a seed farther
-        from u_q than it cannot enter the top-k, because the seed
-        belongs to its region (Lemma 5).
-
-        Groups arrive as local-index tuples of one :class:`GroupSpace`.
-        A block's dead groups (``g_min >= kth``) are only counted; a
-        frozenset and the pair loop are built for live groups alone.
-
-        A pair that passes the block gates still skips its prefix scan
-        when some member's own best region at the seed
-        (:meth:`PairKernel.member_bound`, Lemma 2 with Definition 5's
-        per-member theta condition) is already ``>= kth``: the group's
-        region theta-matches that member and is at least as far from it,
-        so the pair's value is ``>= kth`` too. Bounds are memoized per
-        (member, seed) for the query and computed lazily, for pairs that
-        reach this gate only. A skipped pair was already counted as
-        examined and could not have been accepted, so answers and every
-        count stay as without the gate.
-        """
-        best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-        seen_pairs: Set[Tuple[frozenset, frozenset]] = set()
-        n_seeds = len(seeds)
-        kth = math.inf
-
-        def accept(value: float, frozen_group: frozenset, pois: frozenset) -> None:
-            """O(log k + k) sorted insert; maintains ``kth`` in place."""
-            nonlocal kth
-            seen_pairs.add((frozen_group, pois))
-            insort(
-                best, (value, tuple(sorted(frozen_group)), tuple(sorted(pois)))
+        espan,
+    ) -> List[GPSSNAnswer]:
+        """Line 31 over ``groups``, tuples of ``space``'s local indices:
+        the top-k answers of :func:`refine_pairs`, with its work counts
+        on ``espan`` and the ``refine.*`` counters."""
+        best, scans, skips, live = refine_pairs(
+            self._pair_kernel(), self.road_index.region, space.users,
+            groups, seeds, seed_dist, query.theta, query.radius,
+            query.tau, k, stats, ex,
+        )
+        espan.set(
+            prefix_scans=scans, member_bound_skips=skips,
+            live_groups=live, group_space=len(space.users),
+        )
+        metrics = self.recorder.metrics
+        metrics.inc("refine.prefix_scans", scans)
+        metrics.inc("refine.member_bound_skips", skips)
+        metrics.inc("refine.live_groups", live)
+        return [
+            GPSSNAnswer(
+                users=frozenset(users), pois=frozenset(pois),
+                max_distance=value,
             )
-            if len(best) > k:
-                dropped = best.pop()
-                seen_pairs.discard(
-                    (frozenset(dropped[1]), frozenset(dropped[2]))
-                )
-            kth = best[-1][0] if len(best) >= k else math.inf
-
-        kernel = self._pair_kernel()
-        space = GroupSpace(
-            self.network, query.query_user, query.tau, query.gamma,
-            allowed, scorer,
-        )
-        users = space.users
-        groups = enumerate_group_indices(
-            space, query.tau, limit=max_groups, explain=ex,
-        )
-        radius = query.radius
-        theta = query.theta
-        region = self.road_index.region
-        counters = stats.pruning
-        # Every seed's ball is built once per query (and cached across
-        # queries under (seed, radius)); the stacked full-cover matrix
-        # drives the ball gate as one matmul per newly seen member.
-        # Groups are gated in blocks: one gather reduces every group's
-        # seed gates and Lemma-5 bounds, and a group whose best viable
-        # bound cannot beat kth skips the pair loop (and its GroupState)
-        # entirely.
-        balls = [
-            kernel.ball(s, region(s, radius), cache_key=(s, radius))
-            for s in seeds
+            for value, users, pois in best
         ]
-        seed_dense_arr = np.fromiter(
-            (b.seed_dense for b in balls), dtype=np.int64, count=n_seeds,
-        )
-        gates = (
-            BlockGates(
-                kernel, users, seed_dense_arr,
-                np.stack([b.full_cover_f8 for b in balls]), theta,
-            )
-            if n_seeds else None
-        )
-        # Per-member gate: (local index, seed index) -> the singleton
-        # optimum, computed lazily, only for pairs that pass the block
-        # gates.
-        bounds: Dict[Tuple[int, int], float] = {}
-        scans = skips = live_groups = 0
-
-        def member_gated(members: Tuple[int, ...], idx: int) -> bool:
-            """Some member's own best region at seed ``idx`` is already
-            ``>= kth``, hence so is the group's."""
-            ball = balls[idx]
-            for m in members:
-                bound = bounds.get((m, idx))
-                if bound is None:
-                    bound = bounds[m, idx] = kernel.member_bound(
-                        users[m], ball, theta
-                    )
-                if bound >= kth:
-                    return True
-            return False
-
-        def skip_dead(run: int) -> None:
-            """Account for ``run`` groups whose ``g_min >= kth``: the
-            pair loop would examine the first ``limit`` pairs of each and
-            accept none of them."""
-            counters.candidate_pairs_examined += limit * run
-            if ex is not None:
-                ex.survive("refine.pairs", limit * run)
-                if limit < n_seeds:
-                    margin = float(seed_dist_arr[limit]) - kth
-                    for _ in range(run):
-                        ex.prune(
-                            "refine.pairs", "pair.distance",
-                            n_seeds - limit, margin,
-                        )
-
-        # Lemma 5 / Eq. 6 against the sorted seed-distance array: seeds
-        # past `limit` all fail dist < kth, so the pair loop's break
-        # point is one searchsorted, redone whenever an accept moves kth.
-        limit = int(np.searchsorted(seed_dist_arr, kth, side="left"))
-        while True:
-            block = list(islice(groups, GROUP_BLOCK))
-            if not block:
-                break
-            stats.groups_refined += len(block)
-            if ex is not None:
-                ex.visit("refine.pairs", n_seeds * len(block))
-            if not n_seeds:
-                continue
-            # Seeds from `limit` on have dist(u_q, o) >= kth, so their
-            # bounds are >= kth: only the first `limit` decide g_min < kth
-            # and, as kth only falls, only they are read below.
-            index = np.fromiter(
-                chain.from_iterable(block), dtype=np.intp,
-                count=len(block) * query.tau,
-            ).reshape(len(block), query.tau)
-            lb_block, ok_block, ball_block, g_min = gates.reduce(
-                index, limit
-            )
-            # A group dead at the block's start stays dead; a live one is
-            # re-checked against the current kth. Between live groups
-            # kth, and so `limit`, cannot move.
-            done = 0
-            for j in np.flatnonzero(g_min < kth).tolist():
-                if g_min[j] >= kth:
-                    continue
-                skip_dead(j - done)
-                done = j + 1
-                live_groups += 1
-                members = block[j]
-                group = frozenset([users[m] for m in members])
-                # Per seed: the seed-alone gate, the exact pair value
-                # lower bound and the full-ball gate.
-                seed_ok = ok_block[j].tolist()
-                seed_lb = lb_block[j].tolist()
-                ball_ok = ball_block[j].tolist()
-                state = None
-                i = 0
-                while i < limit:
-                    if ex is not None:
-                        ex.survive("refine.pairs")
-                    counters.candidate_pairs_examined += 1
-                    idx = i
-                    i += 1
-                    lb = seed_lb[idx]
-                    if seed_ok[idx]:
-                        # Seed alone suffices: R = {o}, value known.
-                        if lb >= kth:
-                            continue
-                        pois = frozenset((seeds[idx],))
-                        value = lb
-                    else:
-                        # Infeasible ball, or value provably >= kth: the
-                        # scan cannot produce a top-k entrant.
-                        if not ball_ok[idx] or lb >= kth:
-                            continue
-                        if member_gated(members, idx):
-                            skips += 1
-                            continue
-                        scans += 1
-                        if state is None:
-                            state = kernel.group_state(group, theta)
-                        result = kernel.best_region(
-                            balls[idx], state, skip_gates=True
-                        )
-                        if result is None:
-                            continue
-                        pois, value = result
-                    if (group, pois) in seen_pairs or value >= kth:
-                        continue
-                    accept(value, group, pois)
-                    limit = int(
-                        np.searchsorted(seed_dist_arr, kth, side="left")
-                    )
-                if ex is not None and i < n_seeds:
-                    ex.prune(
-                        "refine.pairs", "pair.distance",
-                        n_seeds - i,
-                        float(seed_dist_arr[i]) - kth,
-                    )
-            skip_dead(len(block) - done)
-        return best, scans, skips, live_groups, len(users)
 
     def _corollary2_fixpoint(
         self,

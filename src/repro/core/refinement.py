@@ -10,7 +10,13 @@ and candidate POIs ``R_cand``; this module turns them into the final
   enumerated over a per-query :class:`GroupSpace` of dense indices;
 * :func:`best_region_for_seed` — for a group ``S`` and a seed POI
   ``o_i``, the subset of ``ball(o_i, r)`` minimizing
-  ``maxdist_RN(S, R)`` subject to the matching threshold.
+  ``maxdist_RN(S, R)`` subject to the matching threshold (the scalar
+  reference of :class:`PairKernel`);
+* :func:`refine_pairs` — the one gated (group, seed) pair loop, which
+  the indexed, sampled and scan answers share over their own groups
+  and seeds;
+* :func:`sample_connected_groups` — the paper's subset sampling, random
+  expansions through a :class:`GroupSpace`.
 
 Canonical candidate-region space
 --------------------------------
@@ -32,8 +38,11 @@ POIs ordered by ``max_{u in S} dist_RN(u, o)``.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import OrderedDict
+from itertools import chain, islice
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -53,7 +62,8 @@ from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
 from .metrics import DEFAULT_SCORER, MetricScorer
-from .scores import interest_score, match_score
+from .query import QueryStatistics
+from .scores import match_score
 
 
 #: Half-width of the band around ``gamma`` inside which :class:`GroupSpace`
@@ -1017,36 +1027,244 @@ class PairKernel:
         return chosen, value
 
 
-def sample_connected_groups(
-    network: SpatialSocialNetwork,
-    query_user: int,
+def refine_pairs(
+    kernel: PairKernel,
+    region: Callable[[int, float], Sequence[int]],
+    users: Sequence[int],
+    groups: Iterable[Tuple[int, ...]],
+    seeds: Sequence[int],
+    seed_dist_arr: np.ndarray,
+    theta: float,
+    radius: float,
     tau: int,
-    gamma: float,
+    k: int,
+    stats: QueryStatistics,
+    explain=None,
+) -> Tuple[List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]], int, int, int]:
+    """Line 31: evaluate (group, seed) pairs with early termination.
+
+    ``groups`` are ``tau``-tuples of local indices into ``users`` (one
+    :class:`GroupSpace`'s users); ``seeds`` are POI ids in ascending
+    ``(dist(u_q, o), id)`` order and ``seed_dist_arr`` their distances;
+    ``region(seed, radius)`` lists the POIs of a seed's ball. Every entry
+    point that refines differs only in where its groups and seeds come
+    from.
+
+    Returns the running top-k distinct (S, R) pairs as sorted
+    ``(value, users, pois)`` key tuples, then the number of prefix scans
+    run, of scans the member gate skipped and of groups that reached the
+    pair loop. The k-th value is the pruning threshold: any region of a
+    seed farther from u_q than it cannot enter the top-k, because the
+    seed belongs to its region (Lemma 5). A pair enters only with a
+    value strictly below the k-th, so of pairs tied at the cut the
+    first met stays.
+
+    A block's dead groups (``g_min >= kth``, :class:`BlockGates`) are
+    only counted; a frozenset and the pair loop are built for live
+    groups alone.
+
+    A pair that passes the block gates still skips its prefix scan when
+    some member's own best region at the seed
+    (:meth:`PairKernel.member_bound`, Lemma 2 with Definition 5's
+    per-member theta condition) is already ``>= kth``: the group's
+    region theta-matches that member and is at least as far from it, so
+    the pair's value is ``>= kth`` too. Bounds are memoized per (member,
+    seed) for the query and computed lazily, for pairs that reach this
+    gate only. A skipped pair was already counted as examined and could
+    not have been accepted, so answers and every count stay as without
+    the gate.
+    """
+    ex = explain
+    best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
+    seen_pairs: Set[Tuple[frozenset, frozenset]] = set()
+    n_seeds = len(seeds)
+    kth = math.inf
+
+    def accept(value: float, frozen_group: frozenset, pois: frozenset) -> None:
+        """O(log k + k) sorted insert; maintains ``kth`` in place."""
+        nonlocal kth
+        seen_pairs.add((frozen_group, pois))
+        insort(
+            best, (value, tuple(sorted(frozen_group)), tuple(sorted(pois)))
+        )
+        if len(best) > k:
+            dropped = best.pop()
+            seen_pairs.discard(
+                (frozenset(dropped[1]), frozenset(dropped[2]))
+            )
+        kth = best[-1][0] if len(best) >= k else math.inf
+
+    groups = iter(groups)
+    counters = stats.pruning
+    # Every seed's ball is built once per query (and cached across
+    # queries under (seed, radius)); the stacked full-cover matrix
+    # drives the ball gate as one matmul per newly seen member.
+    # Groups are gated in blocks: one gather reduces every group's
+    # seed gates and Lemma-5 bounds, and a group whose best viable
+    # bound cannot beat kth skips the pair loop (and its GroupState)
+    # entirely.
+    balls = [
+        kernel.ball(s, region(s, radius), cache_key=(s, radius))
+        for s in seeds
+    ]
+    seed_dense_arr = np.fromiter(
+        (b.seed_dense for b in balls), dtype=np.int64, count=n_seeds,
+    )
+    gates = (
+        BlockGates(
+            kernel, users, seed_dense_arr,
+            np.stack([b.full_cover_f8 for b in balls]), theta,
+        )
+        if n_seeds else None
+    )
+    # Per-member gate: (local index, seed index) -> the singleton
+    # optimum, computed lazily, only for pairs that pass the block
+    # gates.
+    bounds: Dict[Tuple[int, int], float] = {}
+    scans = skips = live_groups = 0
+
+    def member_gated(members: Tuple[int, ...], idx: int) -> bool:
+        """Some member's own best region at seed ``idx`` is already
+        ``>= kth``, hence so is the group's."""
+        ball = balls[idx]
+        for m in members:
+            bound = bounds.get((m, idx))
+            if bound is None:
+                bound = bounds[m, idx] = kernel.member_bound(
+                    users[m], ball, theta
+                )
+            if bound >= kth:
+                return True
+        return False
+
+    def skip_dead(run: int) -> None:
+        """Account for ``run`` groups whose ``g_min >= kth``: the
+        pair loop would examine the first ``limit`` pairs of each and
+        accept none of them."""
+        counters.candidate_pairs_examined += limit * run
+        if ex is not None:
+            ex.survive("refine.pairs", limit * run)
+            if limit < n_seeds:
+                margin = float(seed_dist_arr[limit]) - kth
+                for _ in range(run):
+                    ex.prune(
+                        "refine.pairs", "pair.distance",
+                        n_seeds - limit, margin,
+                    )
+
+    # Lemma 5 / Eq. 6 against the sorted seed-distance array: seeds
+    # past `limit` all fail dist < kth, so the pair loop's break
+    # point is one searchsorted, redone whenever an accept moves kth.
+    limit = int(np.searchsorted(seed_dist_arr, kth, side="left"))
+    while True:
+        block = list(islice(groups, GROUP_BLOCK))
+        if not block:
+            break
+        stats.groups_refined += len(block)
+        if ex is not None:
+            ex.visit("refine.pairs", n_seeds * len(block))
+        if not n_seeds:
+            continue
+        # Seeds from `limit` on have dist(u_q, o) >= kth, so their
+        # bounds are >= kth: only the first `limit` decide g_min < kth
+        # and, as kth only falls, only they are read below.
+        index = np.fromiter(
+            chain.from_iterable(block), dtype=np.intp,
+            count=len(block) * tau,
+        ).reshape(len(block), tau)
+        lb_block, ok_block, ball_block, g_min = gates.reduce(
+            index, limit
+        )
+        # A group dead at the block's start stays dead; a live one is
+        # re-checked against the current kth. Between live groups
+        # kth, and so `limit`, cannot move.
+        done = 0
+        for j in np.flatnonzero(g_min < kth).tolist():
+            if g_min[j] >= kth:
+                continue
+            skip_dead(j - done)
+            done = j + 1
+            live_groups += 1
+            members = block[j]
+            group = frozenset([users[m] for m in members])
+            # Per seed: the seed-alone gate, the exact pair value
+            # lower bound and the full-ball gate.
+            seed_ok = ok_block[j].tolist()
+            seed_lb = lb_block[j].tolist()
+            ball_ok = ball_block[j].tolist()
+            state = None
+            i = 0
+            while i < limit:
+                if ex is not None:
+                    ex.survive("refine.pairs")
+                counters.candidate_pairs_examined += 1
+                idx = i
+                i += 1
+                lb = seed_lb[idx]
+                if seed_ok[idx]:
+                    # Seed alone suffices: R = {o}, value known.
+                    if lb >= kth:
+                        continue
+                    pois = frozenset((seeds[idx],))
+                    value = lb
+                else:
+                    # Infeasible ball, or value provably >= kth: the
+                    # scan cannot produce a top-k entrant.
+                    if not ball_ok[idx] or lb >= kth:
+                        continue
+                    if member_gated(members, idx):
+                        skips += 1
+                        continue
+                    scans += 1
+                    if state is None:
+                        state = kernel.group_state(group, theta)
+                    result = kernel.best_region(
+                        balls[idx], state, skip_gates=True
+                    )
+                    if result is None:
+                        continue
+                    pois, value = result
+                if (group, pois) in seen_pairs or value >= kth:
+                    continue
+                accept(value, group, pois)
+                limit = int(
+                    np.searchsorted(seed_dist_arr, kth, side="left")
+                )
+            if ex is not None and i < n_seeds:
+                ex.prune(
+                    "refine.pairs", "pair.distance",
+                    n_seeds - i,
+                    float(seed_dist_arr[i]) - kth,
+                )
+        skip_dead(len(block) - done)
+    return best, scans, skips, live_groups
+
+
+def sample_connected_groups(
+    space: GroupSpace,
+    tau: int,
     rng,
     num_samples: int,
-    allowed: Optional[Set[int]] = None,
-    score_fn=None,
     max_attempts_factor: int = 25,
-) -> List[FrozenSet[int]]:
+) -> List[Tuple[int, ...]]:
     """Random connected expansions from the query vertex.
 
     The paper's future-work refinement strategy: "apply subset sampling
     by randomly expanding the subgraph starting from the query vertex
     u_q". Each attempt grows a group greedily — start at ``u_q``, keep a
     frontier of neighbouring candidates, and repeatedly absorb a random
-    frontier member that is pairwise-compatible (score >= gamma) with
-    everyone already in the group — until the group reaches ``tau`` or
-    the frontier runs dry.
+    frontier member that is pairwise-compatible (its bit is set in the
+    AND of the members' ``compat`` masks, as in
+    :func:`enumerate_group_indices`) — until the group reaches ``tau``
+    or the frontier runs dry. The ``tau``-th member is never expanded:
+    it may lie ``tau - 1`` hops out, beyond the space's inner users.
 
     Args:
-        network: the spatial-social network.
-        query_user: the issuer ``u_q``.
+        space: the users the expansion may reach (the issuer is
+            ``space.root``).
         tau: group size.
-        gamma: pairwise interest threshold.
         rng: a ``numpy.random.Generator``.
         num_samples: number of *distinct* groups to aim for.
-        allowed: optional candidate whitelist (``S_cand``).
-        score_fn: pairwise score (defaults to Eq. 1's dot product).
         max_attempts_factor: give up after
             ``max_attempts_factor * num_samples`` *failed* expansions —
             dead ends (the frontier dried up below ``tau``) and
@@ -1056,57 +1274,40 @@ def sample_connected_groups(
 
     Returns:
         Up to ``num_samples`` distinct valid groups (fewer when the
-        neighbourhood is too sparse). Deterministic for a given ``rng``
-        state.
+        neighbourhood is too sparse) as sorted tuples of local indices,
+        in ascending order. Deterministic for a given ``rng`` state.
     """
-    social = network.social
-    if not social.has_user(query_user):
-        raise UnknownEntityError(f"unknown query user {query_user}")
-    if score_fn is None:
-        score_fn = interest_score
+    root = space.root
     if tau == 1:
-        return [frozenset((query_user,))]
-
-    def permitted(uid: int) -> bool:
-        return allowed is None or uid in allowed or uid == query_user
-
-    interests: Dict[int, np.ndarray] = {}
-
-    def vector(uid: int) -> np.ndarray:
-        if uid not in interests:
-            interests[uid] = social.user(uid).interests
-        return interests[uid]
-
-    found: Set[FrozenSet[int]] = set()
+        return [(root,)]
+    compat = space.compat
+    start = space.expand(root)
+    found: Set[Tuple[int, ...]] = set()
     failed_attempts = 0
     max_attempts = max_attempts_factor * max(num_samples, 1)
     while len(found) < num_samples and failed_attempts < max_attempts:
-        group = [query_user]
-        member_set = {query_user}
-        frontier = [
-            nbr for nbr in sorted(social.friends(query_user)) if permitted(nbr)
-        ]
+        group = [root]
+        members = 1 << root
+        mask = compat[root]
+        frontier = list(start)
         while len(group) < tau and frontier:
-            idx = int(rng.integers(len(frontier)))
-            candidate = frontier.pop(idx)
-            if candidate in member_set:
-                continue
-            if any(
-                score_fn(vector(candidate), vector(member)) < gamma
-                for member in group
-            ):
+            candidate = frontier.pop(int(rng.integers(len(frontier))))
+            if members >> candidate & 1 or not mask >> candidate & 1:
                 continue
             group.append(candidate)
-            member_set.add(candidate)
-            for nbr in sorted(social.friends(candidate)):
-                if nbr not in member_set and permitted(nbr):
-                    frontier.append(nbr)
+            members |= 1 << candidate
+            if len(group) < tau:
+                nbrs = space.neighbours[candidate]
+                if nbrs is None:
+                    nbrs = space.expand(candidate)
+                mask &= compat[candidate]
+                frontier.extend([j for j in nbrs if not members >> j & 1])
         if len(group) == tau:
-            candidate_group = frozenset(group)
-            if candidate_group in found:
+            key = tuple(sorted(group))
+            if key in found:
                 failed_attempts += 1  # duplicate: no progress made
             else:
-                found.add(candidate_group)
+                found.add(key)
         else:
             failed_attempts += 1  # dead end: frontier dried up below tau
-    return sorted(found, key=sorted)
+    return sorted(found)

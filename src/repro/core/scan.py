@@ -31,14 +31,14 @@ from ..index.pivots import (
 )
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
-from ..roadnet.shortest_path import position_distance_from_map
 from .metrics import MetricScorer
 from .pruning import social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, QueryStatistics
 from .refinement import (
-    best_region_for_seed,
-    enumerate_connected_groups,
-    group_distance_maps,
+    GroupSpace,
+    PairKernel,
+    enumerate_group_indices,
+    refine_pairs,
 )
 from .scores import match_score
 
@@ -85,6 +85,9 @@ class ScanProcessor:
             self._poi_sup[poi.poi_id] = frozenset().union(
                 *(network.poi(p).keywords for p in region)
             )
+        # Like _poi_sup, fixed at construction: the scan does not follow
+        # network mutations.
+        self.kernel = PairKernel(network)
 
     def answer(
         self,
@@ -164,55 +167,28 @@ class ScanProcessor:
         stats.candidate_users = len(candidates)
         stats.candidate_pois = len(seeds)
 
-        # --- refinement (identical to the indexed processor) -------------
-        uq_map = network.distances.distances_from(
-            ("user", query.query_user), uq.home
+        # --- refinement: the indexed processor's pair loop ---------------
+        # Over every group of the scanned candidates (no Corollary 2),
+        # with regions scanned from the network instead of read from
+        # the road index.
+        kernel = self.kernel
+        uq_row = kernel.member_row(query.query_user)
+        kept = sorted(
+            (float(uq_row[kernel.poi_index[pid]]), pid) for pid in seeds
         )
-        seed_dist = {
-            pid: position_distance_from_map(
-                network.road, uq_map, network.poi(pid).position, uq.home
-            )
-            for pid in seeds
-        }
-        ordered_seeds = sorted(
-            seed_dist, key=lambda pid: (seed_dist[pid], pid)
-        )
-
-        best_value = math.inf
-        best_pair = None
-        for group in enumerate_connected_groups(
+        space = GroupSpace(
             network, query.query_user, query.tau, query.gamma,
-            allowed=set(candidates), limit=max_groups,
-            scorer=scorer, explain=ex,
-        ):
-            stats.groups_refined += 1
-            dist_maps = group_distance_maps(network, group)
-            interests = [network.social.user(u).interests for u in group]
-            if ex is not None:
-                ex.visit("refine.pairs", len(ordered_seeds))
-            for seed_rank, seed in enumerate(ordered_seeds):
-                if seed_dist[seed] >= best_value:
-                    if ex is not None:
-                        ex.prune(
-                            "refine.pairs", "pair.distance",
-                            len(ordered_seeds) - seed_rank,
-                            seed_dist[seed] - best_value,
-                        )
-                    break
-                if ex is not None:
-                    ex.survive("refine.pairs")
-                stats.pruning.candidate_pairs_examined += 1
-                region_ids = network.pois_within(seed, query.radius)
-                result = best_region_for_seed(
-                    network, interests, dist_maps, seed, region_ids,
-                    query.theta,
-                )
-                if result is None:
-                    continue
-                pois, value = result
-                if value < best_value:
-                    best_value = value
-                    best_pair = (frozenset(group), pois)
+            set(candidates), scorer,
+        )
+        groups = enumerate_group_indices(
+            space, query.tau, limit=max_groups, explain=ex
+        )
+        best, _scans, _skips, _live = refine_pairs(
+            kernel, network.pois_within, space.users, groups,
+            [pid for _, pid in kept],
+            np.array([d for d, _ in kept], dtype=np.float64),
+            query.theta, query.radius, query.tau, 1, stats, ex,
+        )
 
         stats.cpu_time_sec = time.perf_counter() - started
         m = network.social.num_users
@@ -221,12 +197,10 @@ class ScanProcessor:
             comb(max(m - 1, 0), min(query.tau - 1, max(m - 1, 0))) * n
         )
         rec.record_query(stats)
-        if best_pair is None:
+        if not best:
             return GPSSNAnswer.empty(), stats
-        return (
-            GPSSNAnswer(
-                users=best_pair[0], pois=best_pair[1],
-                max_distance=best_value,
-            ),
-            stats,
+        value, users, pois = best[0]
+        answer = GPSSNAnswer(
+            users=frozenset(users), pois=frozenset(pois), max_distance=value
         )
+        return answer, stats

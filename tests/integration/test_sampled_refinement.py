@@ -1,5 +1,8 @@
 """Subset-sampling refinement: validity, approximation, determinism."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,34 @@ from repro import (
     GPSSNQuery,
     GPSSNQueryProcessor,
     uni_dataset,
+    zipf_dataset,
 )
-from repro.core.refinement import sample_connected_groups
+from repro.core.metrics import InterestMetric, MetricScorer
+from repro.core.query import PruningCounters
+from repro.core.refinement import (
+    GroupSpace,
+    best_region_for_seed,
+    group_distance_maps,
+    sample_connected_groups,
+)
 from repro.core.scores import interest_score
 from repro.exceptions import InvalidParameterError
+from repro.roadnet.shortest_path import position_distance_from_map
+
+
+def sample(
+    network, query_user, tau, gamma, rng, num_samples, allowed=None,
+    scorer=None, max_attempts_factor=25,
+):
+    """:func:`sample_connected_groups` over the issuer's group space,
+    mapped back to user-id frozensets."""
+    space = GroupSpace(network, query_user, tau, gamma, allowed, scorer)
+    return [
+        frozenset(space.users[i] for i in group)
+        for group in sample_connected_groups(
+            space, tau, rng, num_samples, max_attempts_factor
+        )
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +56,7 @@ class TestSampling:
     def test_sampled_groups_are_valid(self, setup):
         network, _, _ = setup
         rng = np.random.default_rng(1)
-        groups = sample_connected_groups(
+        groups = sample(
             network, 0, tau=3, gamma=0.2, rng=rng, num_samples=10
         )
         for group in groups:
@@ -47,7 +74,7 @@ class TestSampling:
     def test_groups_distinct(self, setup):
         network, _, _ = setup
         rng = np.random.default_rng(1)
-        groups = sample_connected_groups(
+        groups = sample(
             network, 0, tau=3, gamma=0.0, rng=rng, num_samples=15
         )
         assert len(groups) == len(set(groups))
@@ -55,18 +82,14 @@ class TestSampling:
     def test_tau_one(self, setup):
         network, _, _ = setup
         rng = np.random.default_rng(1)
-        assert sample_connected_groups(
+        assert sample(
             network, 5, tau=1, gamma=0.0, rng=rng, num_samples=3
         ) == [frozenset({5})]
 
     def test_deterministic_for_fixed_rng(self, setup):
         network, _, _ = setup
-        a = sample_connected_groups(
-            network, 0, 3, 0.2, np.random.default_rng(7), 8
-        )
-        b = sample_connected_groups(
-            network, 0, 3, 0.2, np.random.default_rng(7), 8
-        )
+        a = sample(network, 0, 3, 0.2, np.random.default_rng(7), 8)
+        b = sample(network, 0, 3, 0.2, np.random.default_rng(7), 8)
         assert a == b
 
     def test_successes_do_not_consume_attempt_budget(self, setup):
@@ -81,14 +104,14 @@ class TestSampling:
         """
         network, _, _ = setup
         num_samples = 12
-        groups = sample_connected_groups(
+        groups = sample(
             network, 0, tau=3, gamma=0.0,
             rng=np.random.default_rng(3),
             num_samples=num_samples,
             max_attempts_factor=1,
         )
         # Sanity: the neighbourhood really is rich enough.
-        plenty = sample_connected_groups(
+        plenty = sample(
             network, 0, tau=3, gamma=0.0,
             rng=np.random.default_rng(3),
             num_samples=num_samples,
@@ -100,7 +123,7 @@ class TestSampling:
     def test_terminates_when_fewer_groups_exist(self, tiny_network):
         """The failure budget still bounds the loop: user 4's only
         tau=2 group is {4, 5}; asking for more must return just it."""
-        groups = sample_connected_groups(
+        groups = sample(
             tiny_network, 4, tau=2, gamma=0.0,
             rng=np.random.default_rng(0),
             num_samples=5,
@@ -109,7 +132,96 @@ class TestSampling:
         assert groups == [frozenset({4, 5})]
 
 
+    def test_group_lists_pinned(self, setup):
+        """The sampled group lists over a fixed grid, digested: every
+        draw of the expansion is fixed by ids alone."""
+        network = setup[0]
+        networks = (network, zipf_dataset(
+            num_road_vertices=90, num_pois=28, num_users=48, seed=12
+        ))
+        lists = []
+        for net in networks:
+            allowed = {u for u in net.social.user_ids() if u % 4 != 3}
+            for uq in range(0, 48, 8):
+                for tau in (2, 3, 4, 5):
+                    for gamma in (0.0, 0.2, 0.35):
+                        for metric in ("dot", "cosine"):
+                            scorer = MetricScorer(InterestMetric(metric))
+                            for rng_seed in (0, 1):
+                                for n in (5, 40):
+                                    groups = sample(
+                                        net, uq, tau, gamma,
+                                        np.random.default_rng(rng_seed), n,
+                                        allowed, scorer,
+                                    )
+                                    lists.append(
+                                        [tuple(sorted(g)) for g in groups]
+                                    )
+        digest = hashlib.sha256(repr(lists).encode()).hexdigest()
+        assert digest == (
+            "fb9d8cebf4ba910a87214e3dfd07524fe9cfa917dbaf49891ac5128cfeced0d1"
+        )
+
+
+def scalar_sampled_answer(network, processor, query, num_samples, seed):
+    """The sampled answer by the scalar reference: the same sampled
+    groups, seeds in ``(dist, id)`` order, :func:`best_region_for_seed`
+    per pair, and the first strictly smaller value wins."""
+    scorer = MetricScorer(query.metric)
+    s_cand, r_cand, _ = processor._traverse(query, PruningCounters(), scorer)
+    uq = query.query_user
+    allowed = {au.user_id for au in s_cand} | {uq}
+    groups = sample(
+        network, uq, query.tau, query.gamma,
+        np.random.default_rng(seed), num_samples, allowed, scorer,
+    )
+    home = network.social.user(uq).home
+    uq_map = network.distances.distances_from(("user", uq), home)
+    dist = {
+        ap.poi_id: position_distance_from_map(
+            network.road, uq_map, ap.poi.position, home
+        )
+        for ap in r_cand
+    }
+    seeds = sorted(dist, key=lambda pid: (dist[pid], pid))
+    best_value, best = math.inf, None
+    for group in groups:
+        maps = group_distance_maps(network, group)
+        interests = [network.social.user(u).interests for u in sorted(group)]
+        for seed_poi in seeds:
+            if dist[seed_poi] >= best_value:
+                break
+            result = best_region_for_seed(
+                network, interests, maps, seed_poi,
+                processor.road_index.region(seed_poi, query.radius),
+                query.theta,
+            )
+            if result is not None and result[1] < best_value:
+                best_value = result[1]
+                best = (sorted(group), sorted(result[0]), repr(best_value))
+    return best
+
+
 class TestAnswerSampled:
+    @pytest.mark.parametrize("tau", [2, 3, 4])
+    def test_matches_scalar_reference(self, setup, tau):
+        network, processor, _ = setup
+        for uq in network.social.user_ids():
+            query = GPSSNQuery(
+                query_user=uq, tau=tau, gamma=0.2, theta=0.3, radius=2.5
+            )
+            answer, _ = processor.answer_sampled(
+                query, num_samples=20, seed=4
+            )
+            got = (
+                (sorted(answer.users), sorted(answer.pois),
+                 repr(answer.max_distance))
+                if answer.found else None
+            )
+            assert got == scalar_sampled_answer(
+                network, processor, query, 20, 4
+            ), uq
+
     def test_sampled_answer_is_valid_and_at_least_optimum(self, setup):
         network, processor, baseline = setup
         query = GPSSNQuery(query_user=0, tau=3, gamma=0.2, theta=0.3, radius=2.5)
