@@ -27,7 +27,7 @@ import heapq
 import math
 import time
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,20 +39,15 @@ from ..exceptions import (
 from ..index.pivots import (
     RoadPivotIndex,
     SocialPivotIndex,
-    pivot_lower_bound,
     select_pivots_road,
     select_pivots_social,
 )
 from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
-from ..index.social_index import AugmentedUser, SocialIndex, SocialIndexNode
+from ..index.social_index import AugmentedUser, SocialIndex
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
-from .metrics import MetricScorer
-from .index_pruning import (
-    lb_dist_sn_social_node,
-    social_node_distance_prunable,
-)
-from .pruning import matching_score_prunable, social_distance_prunable
+from .metrics import MetricScorer, at_least
+from .pruning import matching_score_prunable
 from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
 from .refinement import (
     GroupSpace,
@@ -62,8 +57,7 @@ from .refinement import (
     sample_connected_groups,
 )
 from .road_gates import RoadGates
-
-SCandidate = Union[SocialIndexNode, AugmentedUser]
+from .social_gates import HOPS, SocialColumns, SocialGates
 
 
 class PruningToggles:
@@ -90,29 +84,33 @@ class PruningToggles:
 
 
 def _s_side_bounds(
-    s_cand: Sequence[SCandidate],
-) -> Tuple[List[float], List[Sequence[float]]]:
+    columns: SocialColumns, s_cand: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
     """The S_cand side of Eqs. 16 and 18 for one I_S level.
 
-    ``s_cand`` is never empty: u_q and its index path always survive.
+    ``s_cand`` holds entry keys (see :meth:`GPSSNQueryProcessor.
+    _prune_social_level`) and is never empty: u_q and its index path
+    always survive.
 
     Returns the per-pivot ``max_{u in S} dist_RN(u, rp_k)`` upper
-    bounds and one interest floor per entry. A node's floor is its
-    per-topic lower bound (``e_S.lb_w``, Eq. 9), which under-estimates
-    the matching score of every user beneath it; a user's is the exact
-    interest vector. Gating per entry (instead of on one global
-    elementwise min) keeps Eq. 18 tight once S_cand reaches user level.
+    bounds and one interest floor per entry, as matrix rows. A node's
+    floor is its per-topic lower bound (``e_S.lb_w``, Eq. 9), which
+    under-estimates the matching score of every user beneath it; a
+    user's is the exact interest vector. Gating per entry (instead of
+    on one global elementwise min) keeps Eq. 18 tight once S_cand
+    reaches user level. Both gates are order-free over the entries, so
+    nodes and users are gathered apart.
     """
-    rows: List[Sequence[float]] = []
-    floors: List[Sequence[float]] = []
-    for entry in s_cand:
-        if isinstance(entry, SocialIndexNode):
-            rows.append(entry.ub_road_pivot)
-            floors.append(entry.interest_mbr.low)
-        else:
-            rows.append(entry.road_pivot_dists)
-            floors.append(entry.user.interests)
-    return [max(0.0, *col) for col in zip(*rows)], floors
+    keys = np.asarray(s_cand, dtype=np.intp)
+    pages = keys[keys >= 0]
+    slots = ~keys[keys < 0]
+    rows = np.concatenate(
+        (columns.node_road_ub[pages], columns.user_road[slots])
+    )
+    floors = np.concatenate(
+        (columns.node_low[pages], columns.user_interests[slots])
+    )
+    return rows.max(axis=0, initial=0.0), floors
 
 
 class _RoadSweep:
@@ -593,37 +591,45 @@ class GPSSNQueryProcessor:
             self.road_index.columns, uq.interests,
             self.road_pivots.distances(uq.home), query.theta, query.radius,
         )
+        columns = self.social_index.columns
+        # Lemmas 3, 4, 8 and 9 for every I_S entry at once: the descent
+        # below only looks decisions up.
+        social_gates = SocialGates(
+            columns, scorer, uq.interests,
+            self.social_pivots.distances(query.query_user),
+            query.query_user, query.tau, query.gamma,
+            self.toggles.social_distance, self.toggles.interest,
+        )
         # Top-k queries must keep every candidate whose region could be
         # among the k best; the best-so-far bound delta only witnesses
         # the single best pair, so delta-based pruning is suspended.
         use_delta = self.toggles.road_distance and allow_delta_pruning
         # lines 1-3: S_cand at the I_S root; delta at +inf and the I_R
         # heap seeded with the root
-        s_cand: List[SCandidate] = [self.social_index.root]
+        s_cand = [self.social_index.root.page_id]
         road = _RoadSweep(
             self.road_index, gates, counters, ex, query.theta,
             self.toggles.matching, use_delta,
         )
-        uq_path = self.social_index.path_ids(query.query_user)
 
         # lines 4-26: level-synchronised descent of I_S and I_R
         for _level in range(self.social_index.height):
             with rec.span("traverse.social_pruning"):
                 s_cand = self._prune_social_level(
-                    s_cand, query, uq, uq_path, scorer, counters, ex
+                    s_cand, query, social_gates, counters, ex
                 )
             # lines 11-26: one level of I_R under the refreshed S_cand
             # bounds — Lemmas 1/6 (matching), 5/7 (distance), Eq. 18 gate
             with rec.span("traverse.road_sweep"):
-                gates.level(*_s_side_bounds(s_cand))
+                gates.level(*_s_side_bounds(columns, s_cand))
                 road.sweep(next_level=True)
 
         # lines 27-28: I_R may be deeper than I_S; drain it best-first
+        # under the last level's S_cand, whose bounds the gates hold
         with rec.span("traverse.road_drain"):
-            gates.level(*_s_side_bounds(s_cand))
             road.sweep(next_level=False)
 
-        users = [e for e in s_cand if isinstance(e, AugmentedUser)]
+        users = [columns.aus[~key] for key in s_cand if key < 0]
         r_cand = road.r_cand
         if use_delta and users and r_cand:
             with rec.span("traverse.witness_filter"):
@@ -638,96 +644,83 @@ class GPSSNQueryProcessor:
 
     def _prune_social_level(
         self,
-        s_cand: List[SCandidate],
+        s_cand: List[int],
         query: GPSSNQuery,
-        uq,
-        uq_path: Set[int],
-        scorer: MetricScorer,
+        gates: SocialGates,
         counters: PruningCounters,
         ex,
-    ) -> List[SCandidate]:
+    ) -> List[int]:
         """Lines 4-10: one I_S level, Lemmas 3-4 (objects) and 8-9 (nodes).
 
-        ``uq_path`` holds the ``id()`` of every node above u_q, whose
-        subtree is never pruned.
+        ``s_cand`` holds entry keys: a node's page id, or ``~slot`` for a
+        user already at object level. ``gates`` hold every entry's rule
+        (u_q and the nodes above it are always kept), so opening a node
+        only looks its members' rules up, in member order.
         """
-        uq_social_pivot = self.social_pivots.distances(query.query_user)
-        next_s: List[SCandidate] = []
-        for entry in s_cand:
-            if isinstance(entry, AugmentedUser):
-                next_s.append(entry)  # already at object level
+        columns = gates.columns
+        nodes, leaf_slots = columns.nodes, columns.leaf_slots
+        users = gates.users
+        user_rules, node_rules = users.rules, gates.node_rules
+        visit = self.social_index.visit
+        next_s: List[int] = []
+        for key in s_cand:
+            if key < 0:
+                next_s.append(key)  # already at object level
                 continue
-            self.social_index.visit(entry)
-            if entry.is_leaf:
-                for au in entry.users:
-                    if au.user_id == query.query_user:
-                        next_s.append(au)  # u_q is never pruned
+            node = nodes[key]
+            visit(node)
+            if node.is_leaf:
+                for slot in leaf_slots[key]:
+                    rule = user_rules[slot]
+                    if not rule:
+                        next_s.append(~slot)
                         continue
-                    # Lemma 4: pivot-based hop lower bound (checked
-                    # first — it is the cheaper predicate)
-                    lb_hops = pivot_lower_bound(
-                        au.social_pivot_dists, uq_social_pivot
-                    )
-                    if self.toggles.social_distance and social_distance_prunable(
-                        lb_hops, query.tau
-                    ):
-                        counters.social_object_pruned += 1
+                    counters.social_object_pruned += 1
+                    if rule == HOPS:
+                        # Lemma 4: pivot-based hop lower bound (checked
+                        # first — it is the cheaper predicate)
                         counters.social_pruned_by_distance += 1
                         if ex is not None:
                             ex.prune(
                                 "traverse.social", "obj.social_hops",
-                                margin=lb_hops - query.tau,
+                                margin=users.hops[slot] - query.tau,
                             )
-                        continue
-                    # Lemma 3: object-level interest pruning (under
-                    # the query's interest metric)
-                    if self.toggles.interest:
-                        sc = scorer.score(uq.interests, au.user.interests)
-                        if sc < query.gamma:
-                            counters.social_object_pruned += 1
-                            counters.social_pruned_by_interest += 1
-                            if ex is not None:
-                                ex.prune(
-                                    "traverse.social",
-                                    "obj.social_interest",
-                                    margin=query.gamma - sc,
-                                )
-                            continue
-                    next_s.append(au)
+                    else:
+                        # Lemma 3: object-level interest pruning (under
+                        # the query's interest metric)
+                        counters.social_pruned_by_interest += 1
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.social", "obj.social_interest",
+                                margin=query.gamma - users.score(slot),
+                            )
             else:
-                for child in entry.children:
-                    if id(child) in uq_path:
-                        next_s.append(child)  # u_q's subtree survives
+                for child in node.children:
+                    page = child.page_id
+                    rule = node_rules[page]
+                    if not rule:
+                        next_s.append(page)
                         continue
-                    # Lemma 9: hop-distance pruning (cheaper, first)
-                    lb_hops = lb_dist_sn_social_node(uq_social_pivot, child)
-                    if self.toggles.social_distance and social_node_distance_prunable(
-                        lb_hops, query.tau
-                    ):
-                        counters.social_index_pruned += child.num_users
+                    counters.social_index_pruned += child.num_users
+                    if rule == HOPS:
+                        # Lemma 9: hop-distance pruning (Eq. 19)
                         counters.social_pruned_by_distance += child.num_users
                         if ex is not None:
                             ex.prune(
                                 "traverse.social", "idx.social_hops",
-                                child.num_users, lb_hops - query.tau,
+                                child.num_users,
+                                gates.node_hops[page] - query.tau,
                             )
-                        continue
-                    # Lemma 8: interest-region pruning (metric-aware
-                    # upper bound over the node's interest MBR)
-                    if self.toggles.interest:
-                        ub_int = scorer.ub_over_box(
-                            child.interest_mbr, uq.interests
-                        )
-                        if ub_int < query.gamma:
-                            counters.social_index_pruned += child.num_users
-                            counters.social_pruned_by_interest += child.num_users
-                            if ex is not None:
-                                ex.prune(
-                                    "traverse.social", "idx.social_interest",
-                                    child.num_users, query.gamma - ub_int,
-                                )
-                            continue
-                    next_s.append(child)
+                    else:
+                        # Lemma 8: interest-region pruning (metric-aware
+                        # upper bound over the node's interest MBR)
+                        counters.social_pruned_by_interest += child.num_users
+                        if ex is not None:
+                            ex.prune(
+                                "traverse.social", "idx.social_interest",
+                                child.num_users,
+                                query.gamma - gates.node_bound(page),
+                            )
         return next_s
 
     def _witness_filter(
@@ -968,11 +961,14 @@ class GPSSNQueryProcessor:
             if size < query.tau:
                 return current
             # Vectorized pairwise scores: entry (i, j) of W @ W.T is
-            # Interest_Score(u_i, u_j); hostile counts are row sums of
-            # the sub-threshold mask (diagonal excluded).
-            matrix = np.stack([au.user.interests for au in current])
-            scores = scorer.pairwise_matrix(matrix)
-            hostile_mask = scores < query.gamma
+            # Interest_Score(u_i, u_j), decided by the exact score near
+            # gamma; hostile counts are row sums of the sub-threshold
+            # mask (diagonal excluded).
+            interests = [au.user.interests for au in current]
+            hostile_mask = ~at_least(
+                scorer.pairwise_matrix(np.stack(interests)), query.gamma,
+                lambda i, j: scorer.score(interests[i], interests[j]),
+            )
             np.fill_diagonal(hostile_mask, False)
             hostile = hostile_mask.sum(axis=1)
             threshold = size - query.tau + 1

@@ -34,7 +34,7 @@ elementwise, hence ``supp(low) ⊆ supp(x) ⊆ supp(high)``):
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Optional, Sequence
+from typing import Callable, FrozenSet, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,32 @@ class InterestMetric(enum.Enum):
     COSINE = "cosine"    # Eq. 4's normalized form
     JACCARD = "jaccard"  # on binarized topic supports
     HAMMING = "hamming"  # similarity = 1 - hamming_distance / d
+
+
+#: Half-width of the band around ``gamma`` inside which :func:`at_least`
+#: decides a vectorized score by the exact scalar one. A matrix-product
+#: entry and :meth:`MetricScorer.score` are two summation orders of the
+#: same ``d`` non-negative products, each in ``[0, 1]``, so they differ
+#: by at most about ``2 d**2 2**-53``: below ``1e-9`` for any
+#: ``d <= 2000``. Outside the band the two sides of ``gamma`` therefore
+#: agree, and inside it the exact score decides.
+PAIR_TOL = 1e-9
+
+
+def at_least(
+    values: np.ndarray, gamma: float, exact: Callable[..., float]
+) -> np.ndarray:
+    """``values >= gamma`` elementwise, with the scalar predicate's answer.
+
+    ``values`` are vectorized scores or bounds, which for DOT and COSINE
+    may differ from the scalar ones in the last bits. Every entry within
+    :data:`PAIR_TOL` of ``gamma``, or NaN, is decided by ``exact(*index)
+    >= gamma`` instead, so each decision equals the per-entry predicate.
+    """
+    ok = values >= gamma
+    for idx in zip(*np.nonzero(~(np.abs(values - gamma) > PAIR_TOL))):
+        ok[idx] = exact(*idx) >= gamma
+    return ok
 
 
 def support(weights: np.ndarray, threshold: float) -> FrozenSet[int]:

@@ -61,19 +61,10 @@ from ..changes import ChangeLog, OwnedLRU
 from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
-from .metrics import DEFAULT_SCORER, MetricScorer
+from .metrics import DEFAULT_SCORER, MetricScorer, at_least
 from .query import QueryStatistics
 from .scores import match_score
 
-
-#: Half-width of the band around ``gamma`` inside which :class:`GroupSpace`
-#: re-scores a :meth:`~repro.core.metrics.MetricScorer.pairwise_matrix`
-#: entry with the exact ``scorer.score``. A matrix entry and ``score``
-#: are two summation orders of the same ``d`` non-negative products, each
-#: in ``[0, 1]``, so they differ by at most about ``2 d**2 2**-53``: below
-#: ``1e-9`` for any ``d <= 2000``. Outside the band the two sides of
-#: ``gamma`` therefore agree, and inside it the exact score decides.
-PAIR_TOL = 1e-9
 
 #: Most score-matrix entries :class:`GroupSpace` holds at once: its
 #: compat rows are scored in blocks of ``max(1, COMPAT_CELLS // |space|)``
@@ -103,7 +94,8 @@ class GroupSpace:
       scored in blocks (breadth-first order, at most
       :data:`COMPAT_CELLS` entries per block), each one
       ``scorer.pairwise_matrix`` of the block's rows against the whole
-      space, with every entry within :data:`PAIR_TOL` of ``gamma``
+      space, with every entry within
+      :data:`~repro.core.metrics.PAIR_TOL` of ``gamma``
       re-scored by ``scorer.score``, so each bit equals
       ``score(w_a, w_b) >= gamma`` exactly. For ``tau == 2`` the only
       inner user is the issuer: one row, linear in the space.
@@ -187,10 +179,10 @@ class GroupSpace:
             self._interests = [social.user(uid).interests for uid in self.users]
             self._matrix = np.stack(self._interests)
         scorer, gamma, interests = self._scorer, self._gamma, self._interests
-        scores = scorer.pairwise_matrix(self._matrix, rows)
-        ok = scores >= gamma
-        for r, j in zip(*np.nonzero(np.abs(scores - gamma) <= PAIR_TOL)):
-            ok[r, j] = scorer.score(interests[j], interests[rows[r]]) >= gamma
+        ok = at_least(
+            scorer.pairwise_matrix(self._matrix, rows), gamma,
+            lambda r, j: scorer.score(interests[j], interests[rows[r]]),
+        )
         packed = np.packbits(ok, axis=1, bitorder="little")
         for i, row in zip(rows, packed):
             self.compat[i] = int.from_bytes(row.tobytes(), "little")
@@ -905,6 +897,11 @@ class PairKernel:
             )
         return self._user_positions, self._user_index
 
+    def cached_ball(self, cache_key: Hashable) -> Optional[BallArrays]:
+        """The ball cached under ``cache_key``, or ``None``: lets a
+        caller skip building a region the cache already holds."""
+        return self._balls.hit(cache_key)
+
     def ball(
         self,
         seed_poi: int,
@@ -1046,7 +1043,8 @@ def refine_pairs(
     ``groups`` are ``tau``-tuples of local indices into ``users`` (one
     :class:`GroupSpace`'s users); ``seeds`` are POI ids in ascending
     ``(dist(u_q, o), id)`` order and ``seed_dist_arr`` their distances;
-    ``region(seed, radius)`` lists the POIs of a seed's ball. Every entry
+    ``region(seed, radius)`` lists the POIs of a seed's ball; it is
+    called only for seeds whose ball the kernel has not cached. Every entry
     point that refines differs only in where its groups and seeds come
     from.
 
@@ -1103,10 +1101,12 @@ def refine_pairs(
     # seed gates and Lemma-5 bounds, and a group whose best viable
     # bound cannot beat kth skips the pair loop (and its GroupState)
     # entirely.
-    balls = [
-        kernel.ball(s, region(s, radius), cache_key=(s, radius))
-        for s in seeds
-    ]
+    balls = []
+    for s in seeds:
+        ball = kernel.cached_ball((s, radius))
+        if ball is None:
+            ball = kernel.ball(s, region(s, radius), cache_key=(s, radius))
+        balls.append(ball)
     seed_dense_arr = np.fromiter(
         (b.seed_dense for b in balls), dtype=np.int64, count=n_seeds,
     )

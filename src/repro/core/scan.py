@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,14 +25,12 @@ from ..exceptions import UnknownEntityError
 from ..index.pivots import (
     RoadPivotIndex,
     SocialPivotIndex,
-    pivot_lower_bound,
     select_pivots_road,
     select_pivots_social,
 )
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
 from .metrics import MetricScorer
-from .pruning import social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, QueryStatistics
 from .refinement import (
     GroupSpace,
@@ -41,6 +39,7 @@ from .refinement import (
     refine_pairs,
 )
 from .scores import match_score
+from .social_gates import HOPS, UserGates
 
 #: Packed objects per simulated page for sequential scans.
 OBJECTS_PER_PAGE = 32
@@ -73,20 +72,26 @@ class ScanProcessor:
         self.social_pivots = social_pivots or select_pivots_social(
             network.social, num_social_pivots, rng
         )
-        # Per-entity pivot distances, computed once (the offline part a
-        # scan-based deployment would also have).
-        self._user_social_dists: Dict[int, List[float]] = {
-            uid: self.social_pivots.distances(uid)
-            for uid in network.social.user_ids()
-        }
+        # Per-user pivot hops and interests as matrices, computed once
+        # (the offline part a scan-based deployment would also have).
+        users = list(network.social.users())
+        self._user_ids = [user.user_id for user in users]
+        self._user_row = {uid: i for i, uid in enumerate(self._user_ids)}
+        self._user_hops = np.array(
+            [self.social_pivots.distances(uid) for uid in self._user_ids],
+            dtype=np.float64,
+        ).reshape(len(users), self.social_pivots.num_pivots)
+        self._user_interests = np.array(
+            [user.interests for user in users], dtype=np.float64
+        ).reshape(len(users), network.num_keywords)
         self._poi_sup: Dict[int, frozenset] = {}
         for poi in network.pois():
             region = network.pois_within(poi.poi_id, 2.0 * 4.0)
             self._poi_sup[poi.poi_id] = frozenset().union(
                 *(network.poi(p).keywords for p in region)
             )
-        # Like _poi_sup, fixed at construction: the scan does not follow
-        # network mutations.
+        # Like _poi_sup and the user matrices, fixed at construction:
+        # the scan does not follow network mutations.
         self.kernel = PairKernel(network)
 
     def answer(
@@ -106,39 +111,37 @@ class ScanProcessor:
         rec = self.recorder
         ex = rec.explain if rec.explain.active else None
         uq = network.social.user(query.query_user)
-        uq_social = self._user_social_dists[query.query_user]
 
         # --- user scan: Lemmas 3 and 4 over every user -----------------
+        # One vector gate over the user matrices; the loop only reads
+        # each user's rule.
         if ex is not None:
             ex.visit("scan.users", network.social.num_users)
+        uq_index = self._user_row[query.query_user]
+        gates = UserGates(
+            scorer, uq.interests, self._user_hops[uq_index], self._user_hops,
+            self._user_interests, uq_index, query.tau, query.gamma,
+        )
         candidates = []
-        for user in network.social.users():
-            if user.user_id == query.query_user:
-                candidates.append(user.user_id)
+        for row, (uid, rule) in enumerate(zip(self._user_ids, gates.rules)):
+            if not rule:
+                candidates.append(uid)
                 continue
-            lb_hops = pivot_lower_bound(
-                self._user_social_dists[user.user_id], uq_social
-            )
-            if social_distance_prunable(lb_hops, query.tau):
-                stats.pruning.social_object_pruned += 1
+            stats.pruning.social_object_pruned += 1
+            if rule == HOPS:
                 stats.pruning.social_pruned_by_distance += 1
                 if ex is not None:
                     ex.prune(
                         "scan.users", "obj.social_hops",
-                        margin=lb_hops - query.tau,
+                        margin=gates.hops[row] - query.tau,
                     )
-                continue
-            sc = scorer.score(uq.interests, user.interests)
-            if sc < query.gamma:
-                stats.pruning.social_object_pruned += 1
+            else:
                 stats.pruning.social_pruned_by_interest += 1
                 if ex is not None:
                     ex.prune(
                         "scan.users", "obj.social_interest",
-                        margin=query.gamma - sc,
+                        margin=query.gamma - gates.score(row),
                     )
-                continue
-            candidates.append(user.user_id)
         if ex is not None:
             ex.survive("scan.users", len(candidates))
 

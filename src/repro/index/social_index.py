@@ -14,14 +14,20 @@ I_S is a tree over the users of the social network:
   - lower/upper bounds of road distances of the users' homes to the
     ``h`` road pivots (Eqs. 13-14).
 
-Like I_R, the structure is immutable after construction and page-
-numbered for the I/O simulation.
+Nodes are page-numbered (breadth first) for the I/O simulation. The
+partition tree is fixed at construction: the dynamic ops neither add
+nor remove users, so maintenance only widens the aggregates in place
+(:meth:`SocialIndex.widen_user`) and re-tightens them on
+:meth:`SocialIndex.compact`. The index also keeps a columnar image of
+its users and nodes current (:attr:`SocialIndex.columns`, a
+:class:`~repro.core.social_gates.SocialColumns`), from which the query
+processor evaluates Lemmas 3, 4, 8 and 9 for every entry at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..geometry import MBR
@@ -30,6 +36,9 @@ from ..socialnet.graph import User
 from ..socialnet.partition import partition_graph
 from .pagecounter import PageAccessCounter
 from .pivots import RoadPivotIndex, SocialPivotIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.social_gates import SocialColumns
 
 #: Default leaf capacity (users per leaf partition).
 DEFAULT_LEAF_SIZE = 16
@@ -58,7 +67,7 @@ class AugmentedUser:
 
 
 class SocialIndexNode:
-    """An immutable I_S node with the Eq. 9-14 aggregate bounds."""
+    """An I_S node with the Eq. 9-14 aggregate bounds."""
 
     __slots__ = (
         "is_leaf", "children", "users", "interest_mbr",
@@ -139,6 +148,7 @@ class SocialIndex:
         #: ``dynamic.bound_slack`` gauge); reset by :meth:`compact`.
         self.bound_slack = 0
         self._index_paths()
+        self.columns = _derive_columns(self)
 
     # -- construction ----------------------------------------------------------
 
@@ -286,6 +296,7 @@ class SocialIndex:
         index.num_pages = index._assign_page_ids()
         index.bound_slack = 0
         index._index_paths()
+        index.columns = _derive_columns(index)
         return index
 
     # -- incremental maintenance (widen-on-update, Section 4.1 bounds) -----------
@@ -315,15 +326,6 @@ class SocialIndex:
                 for child in node.children:
                     self._parent[id(child)] = node
                 stack.extend(node.children)
-
-    def path_ids(self, user_id: int) -> Set[int]:
-        """``id()`` of every node on ``user_id``'s leaf-to-root path."""
-        ids: Set[int] = set()
-        node = self._leaf_of.get(user_id)
-        while node is not None:
-            ids.add(id(node))
-            node = self._parent.get(id(node))
-        return ids
 
     @staticmethod
     def _widen_interval(
@@ -364,12 +366,15 @@ class SocialIndex:
         Call after mutating the user's :class:`AugmentedUser` fields
         (pivot distances, interest vector). Bounds only widen; the
         return value is the slack added (also accumulated on
-        :attr:`bound_slack`).
+        :attr:`bound_slack`). The user's row and the rows of the nodes
+        on its path are rewritten in :attr:`columns`.
         """
         au = self._augmented[user_id]
         leaf = self._leaf_of.get(user_id)
         if leaf is None:
             raise IndexStateError(f"user {user_id} not in social index")
+        columns = self.columns
+        columns.write_user(columns.slot_of[user_id])
         point = tuple(float(v) for v in au.user.interests)
         added = 0
         node: Optional[SocialIndexNode] = leaf
@@ -401,6 +406,7 @@ class SocialIndex:
                 au.road_pivot_dists,
                 old_road,
             )
+            columns.write_node(node.page_id)
             node = self._parent.get(id(node))
         self.bound_slack += added
         return added
@@ -447,8 +453,8 @@ class SocialIndex:
 
         A bottom-up in-place rebuild of the Eq. 9-14 bounds from the
         members' current values — the structure (partition tree, page
-        ids) is untouched. Returns the number of bound entries that
-        actually tightened.
+        ids) is untouched — and of every node row of :attr:`columns`.
+        Returns the number of bound entries that actually tightened.
         """
         l = self.social_pivots.num_pivots
         h = self.road_pivots.num_pivots
@@ -534,6 +540,7 @@ class SocialIndex:
             node.interest_mbr = mbr
 
         recompute(self.root)
+        self.columns.write_nodes()
         self.bound_slack = 0
         return tightened
 
@@ -588,3 +595,10 @@ class SocialIndex:
             f"SocialIndex(users={self.root.num_users}, height={self.height}, "
             f"pages={self.num_pages})"
         )
+
+
+def _derive_columns(index: SocialIndex) -> "SocialColumns":
+    # Imported here: repro.core imports this module.
+    from ..core.social_gates import SocialColumns
+
+    return SocialColumns(index)

@@ -60,6 +60,31 @@ class TestCostProfile:
         expected_pages = -(-(network.social.num_users + network.num_pois) // 32)
         assert scan_stats.page_accesses == expected_pages
 
+    def test_repeated_query_searches_no_cached_region(self, setup, monkeypatch):
+        """A seed whose ball the pair kernel caches costs no region
+        search on the next query (``pois_within`` is a full search)."""
+        network, indexed, _, _ = setup
+        scan = ScanProcessor(
+            network,
+            road_pivots=indexed.road_pivots,
+            social_pivots=indexed.social_pivots,
+        )
+        searched = []
+        pois_within = network.pois_within
+
+        def counting(poi_id, radius):
+            searched.append(poi_id)
+            return pois_within(poi_id, radius)
+
+        monkeypatch.setattr(network, "pois_within", counting)
+        query = GPSSNQuery(query_user=5, tau=3, gamma=0.2, theta=0.3, radius=2.5)
+        first, _ = scan.answer(query)
+        assert searched  # the first query built its seeds' regions
+        searched.clear()
+        again, _ = scan.answer(query)
+        assert searched == []
+        assert again == first
+
     def test_scan_applies_same_object_pruning(self, setup):
         network, indexed, scan, _ = setup
         query = GPSSNQuery(query_user=2, tau=3, gamma=0.4, theta=0.4, radius=2.0)

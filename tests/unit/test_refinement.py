@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import refinement
-from repro.core.metrics import InterestMetric, MetricScorer
+from repro.core.metrics import PAIR_TOL, InterestMetric, MetricScorer
 from repro.core.refinement import (
-    PAIR_TOL,
     GroupSpace,
     best_region_for_seed,
     enumerate_connected_groups,
