@@ -18,10 +18,12 @@ from repro.experiments.harness import (
 
 
 def test_scan_vs_index(benchmark):
+    # Each arm gets its own copy of the network, so neither finds the
+    # other's distance oracle warm; both use the same pivots.
     network = build_dataset("UNI", BENCH_SCALE, seed=BENCH_SEED)
     indexed = make_processor(network, seed=BENCH_SEED)
     scan = ScanProcessor(
-        network,
+        build_dataset("UNI", BENCH_SCALE, seed=BENCH_SEED),
         road_pivots=indexed.road_pivots,
         social_pivots=indexed.social_pivots,
     )

@@ -43,7 +43,7 @@ from ..index.pivots import (
     select_pivots_social,
 )
 from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
-from ..index.social_index import AugmentedUser, SocialIndex
+from ..index.social_index import AugmentedUser, SocialColumns, SocialIndex
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
 from .metrics import MetricScorer, at_least
@@ -56,8 +56,8 @@ from .refinement import (
     refine_pairs,
     sample_connected_groups,
 )
-from .road_gates import RoadGates
-from .social_gates import HOPS, SocialColumns, SocialGates
+from .road_gates import RoadGates, exact_match
+from .social_gates import HOPS, SocialGates
 
 
 class PruningToggles:
@@ -877,8 +877,8 @@ class GPSSNQueryProcessor:
         uq_row = kernel.member_row(uq_id)
         poi_index = kernel.poi_index
         columns = self.road_index.columns
-        exact_ms = columns.exact_match(
-            self.network.social.user(uq_id).interests,
+        exact_ms = exact_match(
+            columns, self.network.social.user(uq_id).interests,
             [columns.slot_of[ap.poi_id] for ap in r_cand],
         )
         kept: List[Tuple[float, int]] = []

@@ -13,6 +13,14 @@ nodes, discarding entire subtrees:
 * Lemma 9 — social-distance pruning of social-index nodes via the
   pivot-gap lower bound (Eq. 19).
 
+Each predicate takes the bound values it tests (a node's pivot
+intervals, hashed ``sup_K`` vector or interest MBR), not a node: the
+indexes keep those bounds as rows of their columns
+(:class:`~repro.index.road_index.RoadColumns`,
+:class:`~repro.index.social_index.SocialColumns`), and these scalar
+forms are the per-entry references the whole-index gates are checked
+against.
+
 A note on bound direction: upper bounds may only *over*-estimate, lower
 bounds only *under*-estimate. The hashed bit vectors over-approximate
 keyword sets, so they appear only in the Lemma-6 *upper* bound; the
@@ -22,12 +30,12 @@ Eq. 18 *lower* bound evaluates the sample objects' exact keyword subsets.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from ..index.road_index import AugmentedPOI, RoadIndexNode
-from ..index.social_index import SocialIndexNode
+from ..geometry import MBR
+from ..index.bitvector import KeywordBitVector
 from .scores import match_score, match_score_bitvector
 from .pruning import PruningRegion
 
@@ -37,22 +45,21 @@ from .pruning import PruningRegion
 
 
 def ub_match_score_road_node(
-    interests: np.ndarray, node: RoadIndexNode
+    interests: np.ndarray, sup_vector: KeywordBitVector
 ) -> float:
-    """Eq. 15: matching-score upper bound from the node's keyword superset."""
-    return match_score_bitvector(interests, node.sup_vector)
+    """Eq. 15: matching-score upper bound from a hashed keyword superset.
+
+    ``sup_vector`` is a node's ``sup_K`` vector, the OR of its POIs'
+    (Lemma 6), or a POI's own (Lemma 1's upper bound).
+    """
+    return match_score_bitvector(interests, sup_vector)
 
 
 def road_node_matching_prunable(
-    interests: np.ndarray, node: RoadIndexNode, theta: float
+    interests: np.ndarray, sup_vector: KeywordBitVector, theta: float
 ) -> bool:
     """Lemma 6: prune node ``e_R`` when ``ub_Match_Score(u, e_R) < theta``."""
-    return ub_match_score_road_node(interests, node) < theta
-
-
-def ub_match_score_poi(interests: np.ndarray, poi: AugmentedPOI) -> float:
-    """Object-level Eq. 15 analogue: the POI's own superset vector."""
-    return match_score_bitvector(interests, poi.sup_vector)
+    return ub_match_score_road_node(interests, sup_vector) < theta
 
 
 def ub_maxdist_road_node(
@@ -128,20 +135,21 @@ def road_node_pair_prunable(
 
 def lb_match_score_road_node(
     user_interest_vectors: Sequence[np.ndarray],
-    node: RoadIndexNode,
+    sample_sub_keywords: Sequence[AbstractSet[int]],
 ) -> float:
-    """Eq. 18: matching-score *lower* bound from the node's sample objects.
+    """Eq. 18: matching-score *lower* bound from a node's sample objects.
 
     ``max_{sample o_i} min_{u_j in S} Match_Score(u_j, o_i.sub_K)`` —
-    evaluated on the samples' exact keyword subsets (a hashed vector
-    would not give a valid lower bound).
+    evaluated on the samples' exact keyword subsets
+    ``sample_sub_keywords`` (a hashed vector would not give a valid
+    lower bound).
     """
-    if not node.samples or not user_interest_vectors:
+    if not sample_sub_keywords or not user_interest_vectors:
         return 0.0
     best = 0.0
-    for sample in node.samples:
+    for sub_keywords in sample_sub_keywords:
         worst_user = min(
-            match_score(w, sample.sub_keywords) for w in user_interest_vectors
+            match_score(w, sub_keywords) for w in user_interest_vectors
         )
         if worst_user > best:
             best = worst_user
@@ -154,15 +162,16 @@ def lb_match_score_road_node(
 
 
 def social_node_interest_prunable(
-    region: PruningRegion, node: SocialIndexNode
+    region: PruningRegion, interest_mbr: MBR
 ) -> bool:
     """Lemma 8: prune ``e_S`` when its interest MBR lies in ``PR(u_q)``."""
-    return region.contains_mbr(node.interest_mbr)
+    return region.contains_mbr(interest_mbr)
 
 
 def lb_dist_sn_social_node(
     uq_pivot_dists: Sequence[float],
-    node: SocialIndexNode,
+    node_lb_pivot_dists: Sequence[float],
+    node_ub_pivot_dists: Sequence[float],
 ) -> float:
     """Eq. 19: pivot-gap lower bound of ``dist_SN(u_q, e_S)``.
 
@@ -173,7 +182,9 @@ def lb_dist_sn_social_node(
     in different components, giving an infinite bound.
     """
     best = 0.0
-    for d_q, lb, ub in zip(uq_pivot_dists, node.lb_social_pivot, node.ub_social_pivot):
+    for d_q, lb, ub in zip(
+        uq_pivot_dists, node_lb_pivot_dists, node_ub_pivot_dists
+    ):
         q_inf = math.isinf(d_q)
         if q_inf:
             if not math.isinf(ub):

@@ -11,12 +11,13 @@ decide every road-index entry by four bounds:
 * Eq. 18 — whether ``o.sub_K`` may theta-match every ``S_cand`` entry.
 
 None of them reads ``delta``: the first two depend on the query only,
-the last two on the query and the I_S level. :class:`RoadColumns` is a
-columnar image of a :class:`~repro.index.road_index.RoadIndex` mirror,
-and :class:`RoadGates` evaluates each bound for every entry of the
-index at once, per query or per level. The traversal loop then only
-looks values up, by POI slot or node page id, and still applies
-``delta`` entry by entry in its usual order.
+the last two on the query and the I_S level. The index keeps every
+bound of its entries in one place,
+:class:`~repro.index.road_index.RoadColumns`, and :class:`RoadGates`
+evaluates each bound for every entry of the index at once, per query or
+per level. The traversal loop then only looks values up, by POI slot or
+node page id, and still applies ``delta`` entry by entry in its usual
+order.
 
 The values are bitwise those of the per-entry predicates in
 :mod:`repro.core.index_pruning` and of
@@ -34,25 +35,11 @@ The values are bitwise those of the per-entry predicates in
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..index.bitvector import KeywordBitVector
-    from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
-
-
-def _hashed_rows(vectors: Sequence["KeywordBitVector"], d: int) -> np.ndarray:
-    """``(len(vectors), d)`` mask of ``might_contain`` per topic."""
-    rows: Dict[int, List[bool]] = {}
-    out = []
-    for vec in vectors:
-        row = rows.get(vec.bits)
-        if row is None:
-            row = rows[vec.bits] = [vec.might_contain(f) for f in range(d)]
-        out.append(row)
-    return np.array(out, dtype=bool).reshape(len(out), d)
+from ..index.road_index import RoadColumns
 
 
 def _match_scores(mask: np.ndarray, interests: np.ndarray) -> np.ndarray:
@@ -73,97 +60,12 @@ def _lb_maxdist(
     return gap.max(axis=1, initial=0.0)
 
 
-class RoadColumns:
-    """Columnar image of a road index's frozen mirror.
-
-    POIs get dense slots in page order (then leaf order), nodes are
-    addressed by page id. Derived whenever the mirror is derived; no
-    field is persisted.
-
-    Attributes:
-        aps: slot -> :class:`AugmentedPOI`; ``slot_of`` inverts it by id.
-        nodes: page id -> :class:`RoadIndexNode`.
-        leaf_slots: page id -> the leaf's POI slots (empty for inner).
-        poi_pivots: ``P x h`` pivot distances; ``poi_finite`` its mask.
-        node_lb / node_ub: ``N x h`` pivot intervals (Eqs. 7-8);
-            ``node_finite`` masks pivots with both ends finite.
-        sup_mask: ``(P + N) x d`` topic membership of the hashed
-            ``sup_vector`` (POI rows first, then nodes by page).
-        exact_mask: ``P x d`` topic membership of the exact ``sup_K``.
-        sub_id: per slot, the id of its distinct ``sub_K`` set.
-        sub_groups: ``(set ids, sorted topic columns)`` per set size.
-    """
-
-    __slots__ = (
-        "aps", "slot_of", "nodes", "leaf_slots",
-        "poi_pivots", "poi_finite", "node_lb", "node_ub", "node_finite",
-        "sup_mask", "exact_mask", "sub_id", "num_sub", "sub_groups",
-    )
-
-    def __init__(self, index: "RoadIndex") -> None:
-        d = index.network.num_keywords
-        h = index.pivots.num_pivots
-        nodes: List["RoadIndexNode"] = [index.root] * index.num_pages
-        stack = [index.root]
-        while stack:
-            node = stack.pop()
-            nodes[node.page_id] = node
-            stack.extend(node.children)
-        aps: List["AugmentedPOI"] = []
-        leaf_slots: List[List[int]] = []
-        for node in nodes:
-            first = len(aps)
-            aps.extend(node.pois)
-            leaf_slots.append(list(range(first, len(aps))))
-        self.aps = aps
-        self.slot_of = {ap.poi_id: slot for slot, ap in enumerate(aps)}
-        self.nodes = nodes
-        self.leaf_slots = leaf_slots
-
-        def matrix(rows) -> np.ndarray:
-            return np.array(rows, dtype=np.float64).reshape(len(rows), h)
-
-        self.poi_pivots = matrix([ap.pivot_dists for ap in aps])
-        self.poi_finite = np.isfinite(self.poi_pivots)
-        self.node_lb = matrix([n.lb_pivot_dists for n in nodes])
-        self.node_ub = matrix([n.ub_pivot_dists for n in nodes])
-        self.node_finite = np.isfinite(self.node_lb) & np.isfinite(self.node_ub)
-        self.sup_mask = _hashed_rows(
-            [ap.sup_vector for ap in aps] + [n.sup_vector for n in nodes], d
-        )
-        self.exact_mask = np.array(
-            [[f in ap.sup_keywords for f in range(d)] for ap in aps],
-            dtype=bool,
-        ).reshape(len(aps), d)
-
-        # Eq. 18 reads a POI's sub_K only through its topics in [0, d),
-        # in ascending order: POIs sharing that tuple share the gate.
-        set_ids: Dict[Tuple[int, ...], int] = {}
-        sub_id = []
-        for ap in aps:
-            topics = tuple(sorted(f for f in ap.sub_keywords if 0 <= f < d))
-            sub_id.append(set_ids.setdefault(topics, len(set_ids)))
-        self.sub_id = np.array(sub_id, dtype=np.intp)
-        self.num_sub = len(set_ids)
-        by_size: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        for topics, sid in set_ids.items():
-            by_size.setdefault(len(topics), []).append((sid, topics))
-        self.sub_groups = [
-            (
-                np.array([sid for sid, _ in group], dtype=np.intp),
-                np.array([t for _, t in group], dtype=np.intp).reshape(
-                    len(group), size
-                ),
-            )
-            for size, group in sorted(by_size.items())
-        ]
-
-    def exact_match(
-        self, interests: np.ndarray, slots: Sequence[int]
-    ) -> List[float]:
-        """Exact Lemma-1 ``Match_Score(u, o.sup_K)`` for each slot."""
-        idx = np.asarray(slots, dtype=np.intp)
-        return _match_scores(self.exact_mask[idx], interests).tolist()
+def exact_match(
+    columns: RoadColumns, interests: np.ndarray, slots: Sequence[int]
+) -> List[float]:
+    """Exact Lemma-1 ``Match_Score(u, o.sup_K)`` for each slot."""
+    idx = np.asarray(slots, dtype=np.intp)
+    return _match_scores(columns.exact_mask[idx], interests).tolist()
 
 
 class RoadGates:

@@ -8,11 +8,11 @@ entry by four bounds, none of which reads the I_S level:
 * Lemma 9 — Eq. 19, the pivot-gap hop bound of a node;
 * Lemma 8 — the metric's upper bound over a node's interest MBR.
 
-:class:`SocialColumns` is a columnar image of a
-:class:`~repro.index.social_index.SocialIndex` that the index keeps
-current as it is maintained, and :class:`SocialGates` evaluates the
-four bounds for every entry of the index at once, per query. The
-traversal then only looks decisions up, by user slot or node page id.
+The index keeps its user values and node bounds in one place,
+:class:`~repro.index.social_index.SocialColumns`, current as it is
+maintained, and :class:`SocialGates` evaluates the four bounds for
+every entry of the index at once, per query. The traversal then only
+looks decisions up, by user slot or node page id.
 :class:`UserGates` is the user half alone, which the scan processor
 runs over its own matrices.
 
@@ -32,18 +32,13 @@ Every decision equals the per-entry predicate, which
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..geometry import MBR
+from ..index.social_index import SocialColumns
 from .metrics import InterestMetric, MetricScorer, at_least
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..index.social_index import (
-        AugmentedUser,
-        SocialIndex,
-        SocialIndexNode,
-    )
 
 #: Rule codes of :attr:`UserGates.rules` and :attr:`SocialGates.node_rules`:
 #: kept, pruned by hops (Lemma 4 / 9), pruned by interest (Lemma 3 / 8).
@@ -210,107 +205,6 @@ class UserGates:
         return self.scorer.score(self.anchor, self.interests[row])
 
 
-class SocialColumns:
-    """Columnar image of a social index, kept current by the index.
-
-    Users get dense slots in page order (then leaf order), nodes are
-    addressed by page id. Tree membership never changes under the
-    dynamic ops, so slots are stable: :meth:`write_user` and
-    :meth:`write_node` rewrite one row in place after the index widens
-    it, and :meth:`write_nodes` every node row after a compaction.
-
-    Attributes:
-        aus: slot -> :class:`AugmentedUser`; ``slot_of`` inverts it by id.
-        nodes: page id -> :class:`SocialIndexNode`.
-        leaf_slots: page id -> the leaf's user slots (empty for inner).
-        user_leaf / parent: a slot's leaf page and a page's parent
-            page (``-1`` at the root).
-        user_social / user_road / user_interests: ``U x l`` social-pivot
-            hops, ``U x h`` road-pivot distances, ``U x d`` interests.
-        node_social_lb / node_social_ub: ``N x l`` hop intervals
-            (Eqs. 11-12); node_road_ub: ``N x h`` (Eq. 14);
-            node_low / node_high: ``N x d`` interest MBRs (Eqs. 9-10).
-    """
-
-    __slots__ = (
-        "aus", "slot_of", "nodes", "leaf_slots", "user_leaf", "parent",
-        "user_social", "user_road", "user_interests",
-        "node_social_lb", "node_social_ub", "node_road_ub",
-        "node_low", "node_high",
-    )
-
-    def __init__(self, index: "SocialIndex") -> None:
-        nodes: List["SocialIndexNode"] = [index.root] * index.num_pages
-        parent = [-1] * index.num_pages
-        stack = [index.root]
-        while stack:
-            node = stack.pop()
-            nodes[node.page_id] = node
-            for child in node.children:
-                parent[child.page_id] = node.page_id
-            stack.extend(node.children)
-        aus: List["AugmentedUser"] = []
-        leaf_slots: List[List[int]] = []
-        user_leaf: List[int] = []
-        for node in nodes:
-            first = len(aus)
-            aus.extend(node.users)
-            leaf_slots.append(list(range(first, len(aus))))
-            user_leaf.extend([node.page_id] * len(node.users))
-        self.aus = aus
-        self.slot_of = {au.user_id: slot for slot, au in enumerate(aus)}
-        self.nodes = nodes
-        self.leaf_slots = leaf_slots
-        self.user_leaf = user_leaf
-        self.parent = parent
-        l = index.social_pivots.num_pivots
-        h = index.road_pivots.num_pivots
-        d = index.network.num_keywords
-        users, pages = len(aus), len(nodes)
-        # Hop rows are reduced across their few pivots, which runs
-        # fastest down columns.
-        self.user_social = np.empty((users, l), order="F")
-        self.user_road = np.empty((users, h))
-        self.user_interests = np.empty((users, d))
-        self.node_social_lb = np.empty((pages, l), order="F")
-        self.node_social_ub = np.empty((pages, l), order="F")
-        self.node_road_ub = np.empty((pages, h))
-        self.node_low = np.empty((pages, d))
-        self.node_high = np.empty((pages, d))
-        for slot in range(users):
-            self.write_user(slot)
-        self.write_nodes()
-
-    def write_user(self, slot: int) -> None:
-        """Re-read one user's row from its :class:`AugmentedUser`."""
-        au = self.aus[slot]
-        self.user_social[slot] = au.social_pivot_dists
-        self.user_road[slot] = au.road_pivot_dists
-        self.user_interests[slot] = au.user.interests
-
-    def write_node(self, page: int) -> None:
-        """Re-read one node's row from its aggregates."""
-        node = self.nodes[page]
-        self.node_social_lb[page] = node.lb_social_pivot
-        self.node_social_ub[page] = node.ub_social_pivot
-        self.node_road_ub[page] = node.ub_road_pivot
-        self.node_low[page] = node.interest_mbr.low
-        self.node_high[page] = node.interest_mbr.high
-
-    def write_nodes(self) -> None:
-        for page in range(len(self.nodes)):
-            self.write_node(page)
-
-    def path_pages(self, slot: int) -> List[int]:
-        """Page ids from ``slot``'s leaf up to the root."""
-        pages = []
-        page = self.user_leaf[slot]
-        while page >= 0:
-            pages.append(page)
-            page = self.parent[page]
-        return pages
-
-
 class SocialGates:
     """One query's I_S decisions for every entry of the index.
 
@@ -365,6 +259,7 @@ class SocialGates:
     def node_bound(self, page: int) -> float:
         """The exact Lemma-8 bound of node ``page`` (scalar
         ``scorer.ub_over_box``)."""
+        cols = self.columns
         return self.scorer.ub_over_box(
-            self.columns.nodes[page].interest_mbr, self.anchor
+            MBR(cols.node_low[page], cols.node_high[page]), self.anchor
         )

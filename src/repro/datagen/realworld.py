@@ -199,14 +199,22 @@ def _simulated_dataset(
         )[:district_size]
         district_pool[k] = [p.poi_id for p in nearest]
 
+    # A user's district POIs carrying the favorite depend on the
+    # favorite alone: filter each district once.
+    local_favored_pool: Dict[int, List[int]] = {}
+    for k, local_pool in district_pool.items():
+        favored = set(by_keyword[k])
+        local_favored_pool[k] = [
+            p for p in local_pool if p in favored
+        ] or local_pool
+
     social = SocialNetwork()
     lo, hi = checkins_per_user
     for uid in range(num_users):
         count = int(rng.integers(lo, hi + 1))
         favorite = favorites[uid]
         favored_pool = by_keyword[favorite]
-        local_pool = district_pool[favorite]
-        local_favored = [p for p in local_pool if p in set(favored_pool)] or local_pool
+        local_favored = local_favored_pool[favorite]
         checkins = []
         for _ in range(count):
             roll = rng.random()

@@ -303,11 +303,13 @@ def generate_social_network(
                 social.add_friendship(a, b)
         idx += clique_size
 
+    peers_of = {
+        topic: [p for p in members if p not in satellite_set]
+        for topic, members in community.items()
+    }
     for uid in main_users:
         degree = sampler.integers(*SOCIAL_DEGREE_RANGE)
-        peers = [
-            p for p in community[int(topics[uid])] if p not in satellite_set
-        ]
+        peers = peers_of[int(topics[uid])]
         for _ in range(degree):
             if rng.random() < HOMOPHILY and len(peers) > 1:
                 other = peers[int(rng.integers(len(peers)))]

@@ -5,10 +5,13 @@
   backbone of the road index;
 * :class:`~repro.index.road_index.RoadIndex` — the paper's I_R: POIs in
   an R\\*-tree whose entries carry keyword supersets/subsets (as hashed
-  bit vectors), pivot-distance bounds, and per-node sample objects;
+  bit vectors) and pivot-distance bounds;
 * :class:`~repro.index.social_index.SocialIndex` — the paper's I_S: a
   partition tree over the social graph whose entries carry interest-space
   MBRs and pivot-distance bounds;
+* :mod:`~repro.index.paging` — both indexes' nodes carry structure
+  only; their bounds are columns by page id, derived by segmented
+  reductions over the member rows;
 * :mod:`~repro.index.pivots` — Algorithm 1 pivot selection with the
   swap-based local search and the cost model;
 * :class:`~repro.index.pagecounter.PageAccessCounter` — the simulated

@@ -14,13 +14,13 @@ the pre-computed material the pruning lemmas need:
   without a distance search;
 * road-pivot distances ``dist_RN(o_i, rp_k)``.
 
-**Non-leaf nodes** (:class:`RoadIndexNode`) carry
+**Nodes** (:class:`RoadIndexNode`) carry structure only: children or
+POIs, a page id and a POI count. Their bounds live in one place, the
+index's :class:`RoadColumns`, which derives them from the POI rows:
 
-* the MBR of their POIs;
-* ``sup_K`` as the union (bit-OR) of children (Eq. in §4.1);
-* ``sub_K`` from one sample object;
-* lower/upper pivot-distance bounds (Eqs. 7-8);
-* a few sample POIs for the ``lb_Match_Score`` of Eq. 18.
+* ``sup_K`` as the union (bit-OR) of the members' hashed vectors
+  (Eq. in §4.1);
+* lower/upper pivot-distance bounds (Eqs. 7-8).
 
 The R\\*-tree is STR-packed at construction and kept as the scaffold
 for POI insert/delete; the traversal operates on the immutable
@@ -31,16 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..changes import ChangeLog, OwnedLRU
 from ..exceptions import IndexStateError, InvalidParameterError
@@ -49,16 +42,15 @@ from ..network import SpatialSocialNetwork
 from ..roadnet.poi import POI, union_keywords
 from .bitvector import KeywordBitVector
 from .pagecounter import PageAccessCounter
+from .paging import TreeColumns
 from .pivots import RoadPivotIndex
 from .rstar import RStarNode, RStarTree
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.road_gates import RoadColumns
-
 #: Default width of the hashed keyword bit vectors.
 DEFAULT_NUM_BITS = 32
-#: Sample objects retained per non-leaf node for Eq. 18.
-DEFAULT_SAMPLES_PER_NODE = 2
+#: Written to every snapshot document, whose arena format carries the
+#: field; nothing reads it back.
+SNAPSHOT_SAMPLES_PER_NODE = 2
 
 
 class AugmentedPOI:
@@ -99,41 +91,27 @@ class AugmentedPOI:
 
 
 class RoadIndexNode:
-    """An immutable I_R node (leaf or inner) with pruning metadata."""
+    """An immutable I_R node (leaf or inner): structure only.
 
-    __slots__ = (
-        "is_leaf", "mbr", "children", "pois",
-        "sup_vector", "sub_vector", "sup_keywords",
-        "lb_pivot_dists", "ub_pivot_dists", "samples",
-        "page_id", "num_pois",
-    )
+    Its bounds are rows of the index's :class:`RoadColumns`, by
+    ``page_id``.
+    """
+
+    __slots__ = ("is_leaf", "children", "pois", "page_id", "num_pois")
 
     def __init__(
         self,
-        is_leaf: bool,
-        mbr: MBR,
-        children: Sequence["RoadIndexNode"],
-        pois: Sequence[AugmentedPOI],
-        sup_vector: KeywordBitVector,
-        sub_vector: KeywordBitVector,
-        sup_keywords: frozenset,
-        lb_pivot_dists: Sequence[float],
-        ub_pivot_dists: Sequence[float],
-        samples: Sequence[AugmentedPOI],
-        num_pois: int,
+        children: Sequence["RoadIndexNode"] = (),
+        pois: Sequence[AugmentedPOI] = (),
     ) -> None:
-        self.is_leaf = is_leaf
-        self.mbr = mbr
+        self.is_leaf = not children
         self.children = list(children)
         self.pois = list(pois)
-        self.sup_vector = sup_vector
-        self.sub_vector = sub_vector
-        self.sup_keywords = sup_keywords
-        self.lb_pivot_dists = list(lb_pivot_dists)
-        self.ub_pivot_dists = list(ub_pivot_dists)
-        self.samples = list(samples)
         self.page_id = -1
-        self.num_pois = num_pois
+        self.num_pois = (
+            len(self.pois) if self.is_leaf
+            else sum(c.num_pois for c in self.children)
+        )
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "inner"
@@ -151,7 +129,6 @@ class RoadIndex:
         r_max: float = 4.0,
         max_entries: int = 16,
         num_bits: int = DEFAULT_NUM_BITS,
-        samples_per_node: int = DEFAULT_SAMPLES_PER_NODE,
     ) -> None:
         if r_min <= 0 or r_max < r_min:
             raise InvalidParameterError(
@@ -162,7 +139,6 @@ class RoadIndex:
         self.r_min = r_min
         self.r_max = r_max
         self.num_bits = num_bits
-        self.samples_per_node = samples_per_node
         self.counter = PageAccessCounter()
 
         self._augmented: Dict[int, AugmentedPOI] = {}
@@ -219,63 +195,30 @@ class RoadIndex:
         ])
         tree.check_invariants()
         self._tree = tree
-        return self._freeze(tree.root)
+        return self._mirror(_skeleton(tree.root))
 
-    def _freeze(self, node: RStarNode) -> RoadIndexNode:
-        """Convert the R\\* scaffold into the immutable augmented mirror."""
-        h = self.pivots.num_pivots
-        if node.is_leaf:
-            members = [self._augmented[e.payload] for e in node.entries]
-            sup_vec = KeywordBitVector(self.num_bits)
-            sup_k: set = set()
-            for ap in members:
-                sup_vec.union_update(ap.sup_vector)
-                sup_k |= ap.sup_keywords
-            sample = members[: self.samples_per_node]
-            sub_vec = sample[0].sub_vector if sample else KeywordBitVector(self.num_bits)
-            lb = [min(ap.pivot_dists[k] for ap in members) for k in range(h)]
-            ub = [max(ap.pivot_dists[k] for ap in members) for k in range(h)]
-            assert node.mbr is not None
+    def _mirror(self, skeleton: dict) -> RoadIndexNode:
+        """The immutable mirror of a tree skeleton (:meth:`snapshot`'s
+        ``tree`` form): structure only, for both build and attach."""
+        if "pois" in skeleton:
             return RoadIndexNode(
-                is_leaf=True, mbr=node.mbr, children=(), pois=members,
-                sup_vector=sup_vec, sub_vector=sub_vec,
-                sup_keywords=frozenset(sup_k),
-                lb_pivot_dists=lb, ub_pivot_dists=ub,
-                samples=sample, num_pois=len(members),
+                pois=[self._augmented[pid] for pid in skeleton["pois"]]
             )
-        children = [self._freeze(c) for c in node.children]
-        sup_vec = KeywordBitVector(self.num_bits)
-        sup_k = set()
-        for child in children:
-            sup_vec.union_update(child.sup_vector)
-            sup_k |= child.sup_keywords
-        lb = [min(c.lb_pivot_dists[k] for c in children) for k in range(h)]
-        ub = [max(c.ub_pivot_dists[k] for c in children) for k in range(h)]
-        samples: List[AugmentedPOI] = []
-        for child in children:
-            samples.extend(child.samples)
-        samples = samples[: self.samples_per_node]
-        sub_vec = samples[0].sub_vector if samples else KeywordBitVector(self.num_bits)
-        assert node.mbr is not None
         return RoadIndexNode(
-            is_leaf=False, mbr=node.mbr, children=children, pois=(),
-            sup_vector=sup_vec, sub_vector=sub_vec,
-            sup_keywords=frozenset(sup_k),
-            lb_pivot_dists=lb, ub_pivot_dists=ub,
-            samples=samples, num_pois=sum(c.num_pois for c in children),
+            children=[self._mirror(c) for c in skeleton["children"]]
         )
 
     def _adopt_mirror(self, root: RoadIndexNode) -> None:
         """Install a freshly derived mirror: height, page ids, columns.
 
-        ``columns`` is the mirror's columnar image read by the road
+        ``columns`` holds every bound of the mirror, read by the road
         gates; like the mirror, it goes stale on a mutation until
         :meth:`refreeze_if_dirty`, which every query runs first.
         """
         self.root = root
         self.height = self._measure_height(root)
         self.num_pages = self._assign_page_ids()
-        self.columns = _derive_columns(self)
+        self.columns = RoadColumns(self)
 
     def _measure_height(self, node: RoadIndexNode) -> int:
         height = 1
@@ -313,7 +256,7 @@ class RoadIndex:
             "r_min": self.r_min,
             "r_max": self.r_max,
             "num_bits": self.num_bits,
-            "samples_per_node": self.samples_per_node,
+            "samples_per_node": SNAPSHOT_SAMPLES_PER_NODE,
             "augmented": {
                 str(pid): {
                     "sup": sorted(ap.sup_keywords),
@@ -341,7 +284,6 @@ class RoadIndex:
         index.r_min = float(snapshot["r_min"])
         index.r_max = float(snapshot["r_max"])
         index.num_bits = int(snapshot["num_bits"])
-        index.samples_per_node = int(snapshot["samples_per_node"])
         index.counter = PageAccessCounter()
         index._init_region_cache()
         index._augmented = {}
@@ -357,73 +299,9 @@ class RoadIndex:
                 region_dists=data["region_dists"],
             )
 
-        def rebuild(skeleton: dict) -> RoadIndexNode:
-            h = pivots.num_pivots
-            if "pois" in skeleton:
-                members = [index._augmented[pid] for pid in skeleton["pois"]]
-                sup_vec = KeywordBitVector(index.num_bits)
-                sup_k: set = set()
-                for ap in members:
-                    sup_vec.union_update(ap.sup_vector)
-                    sup_k |= ap.sup_keywords
-                sample = members[: index.samples_per_node]
-                sub_vec = (
-                    sample[0].sub_vector if sample
-                    else KeywordBitVector(index.num_bits)
-                )
-                mbr = MBR.union_of(
-                    MBR.from_point((ap.poi.location.x, ap.poi.location.y))
-                    for ap in members
-                )
-                return RoadIndexNode(
-                    is_leaf=True, mbr=mbr, children=(), pois=members,
-                    sup_vector=sup_vec, sub_vector=sub_vec,
-                    sup_keywords=frozenset(sup_k),
-                    lb_pivot_dists=[
-                        min(ap.pivot_dists[k] for ap in members)
-                        for k in range(h)
-                    ],
-                    ub_pivot_dists=[
-                        max(ap.pivot_dists[k] for ap in members)
-                        for k in range(h)
-                    ],
-                    samples=sample, num_pois=len(members),
-                )
-            children = [rebuild(c) for c in skeleton["children"]]
-            sup_vec = KeywordBitVector(index.num_bits)
-            sup_k = set()
-            for child in children:
-                sup_vec.union_update(child.sup_vector)
-                sup_k |= child.sup_keywords
-            samples: List[AugmentedPOI] = []
-            for child in children:
-                samples.extend(child.samples)
-            samples = samples[: index.samples_per_node]
-            sub_vec = (
-                samples[0].sub_vector if samples
-                else KeywordBitVector(index.num_bits)
-            )
-            return RoadIndexNode(
-                is_leaf=False,
-                mbr=MBR.union_of(c.mbr for c in children),
-                children=children, pois=(),
-                sup_vector=sup_vec, sub_vector=sub_vec,
-                sup_keywords=frozenset(sup_k),
-                lb_pivot_dists=[
-                    min(c.lb_pivot_dists[k] for c in children)
-                    for k in range(h)
-                ],
-                ub_pivot_dists=[
-                    max(c.ub_pivot_dists[k] for c in children)
-                    for k in range(h)
-                ],
-                samples=samples,
-                num_pois=sum(c.num_pois for c in children),
-            )
-
         index._tree = None
         index._dirty = False
-        index._adopt_mirror(rebuild(snapshot["tree"]))
+        index._adopt_mirror(index._mirror(snapshot["tree"]))
         return index
 
     # -- incremental maintenance (POI churn) -------------------------------------
@@ -575,14 +453,14 @@ class RoadIndex:
 
         The live R*-tree absorbs insert/delete immediately, but queries
         traverse the immutable :class:`RoadIndexNode` mirror; this
-        regenerates it (node MBRs, keyword aggregates, pivot-bound
-        intervals — all exact), its ``columns`` and page ids. Returns
+        regenerates it, its page ids and its ``columns`` (keyword
+        aggregates and pivot-bound intervals, all exact). Returns
         whether a refreeze happened.
         """
         if not self._dirty:
             return False
         tree = self._require_tree()
-        self._adopt_mirror(self._freeze(tree.root))
+        self._adopt_mirror(self._mirror(_skeleton(tree.root)))
         self._dirty = False
         return True
 
@@ -672,9 +550,94 @@ class RoadIndex:
         )
 
 
-def _derive_columns(index: RoadIndex) -> "RoadColumns":
-    # Imported at use: the gate module sits in repro.core, which imports
-    # this module.
-    from ..core.road_gates import RoadColumns
+def _skeleton(node: RStarNode) -> dict:
+    """The :meth:`RoadIndex.snapshot` ``tree`` form of an R*-tree node."""
+    if node.is_leaf:
+        return {"pois": [e.payload for e in node.entries]}
+    return {"children": [_skeleton(c) for c in node.children]}
 
-    return RoadColumns(index)
+
+def _hashed_rows(vectors: Sequence[KeywordBitVector], d: int) -> np.ndarray:
+    """``(len(vectors), d)`` mask of ``might_contain`` per topic."""
+    rows: Dict[int, List[bool]] = {}
+    out = []
+    for vec in vectors:
+        row = rows.get(vec.bits)
+        if row is None:
+            row = rows[vec.bits] = [vec.might_contain(f) for f in range(d)]
+        out.append(row)
+    return np.array(out, dtype=bool).reshape(len(out), d)
+
+
+class RoadColumns(TreeColumns):
+    """The road index's bounds as columns: the one copy of the node
+    bounds, derived with the mirror from the POI rows.
+
+    POIs get dense slots in page order (then leaf order), nodes are
+    addressed by page id. A node's pivot intervals are the min and max
+    of its POIs' pivot rows, and its hashed ``sup_K`` row the OR of
+    their rows: ``might_contain`` tests one bit, so the OR of the
+    members' masks is the mask of the OR'd vectors. No field is
+    persisted.
+
+    Attributes:
+        aps: slot -> :class:`AugmentedPOI`; ``slot_of`` inverts it by id.
+        poi_pivots: ``P x h`` pivot distances; ``poi_finite`` its mask.
+        node_lb / node_ub: ``N x h`` pivot intervals (Eqs. 7-8);
+            ``node_finite`` masks pivots with both ends finite.
+        sup_mask: ``(P + N) x d`` topic membership of the hashed
+            ``sup_K`` vectors (POI rows first, then nodes by page).
+        exact_mask: ``P x d`` topic membership of the exact ``sup_K``.
+        sub_id: per slot, the id of its distinct ``sub_K`` set.
+        sub_groups: ``(set ids, sorted topic columns)`` per set size.
+    """
+
+    __slots__ = (
+        "aps", "slot_of",
+        "poi_pivots", "poi_finite", "node_lb", "node_ub", "node_finite",
+        "sup_mask", "exact_mask", "sub_id", "num_sub", "sub_groups",
+    )
+
+    def __init__(self, index: RoadIndex) -> None:
+        d = index.network.num_keywords
+        h = index.pivots.num_pivots
+        aps = self._lay_out(index.root, index.num_pages, lambda n: n.pois)
+        self.aps = aps
+        self.slot_of = {ap.poi_id: slot for slot, ap in enumerate(aps)}
+        self.poi_pivots = np.array(
+            [ap.pivot_dists for ap in aps], dtype=np.float64
+        ).reshape(len(aps), h)
+        self.poi_finite = np.isfinite(self.poi_pivots)
+        self.node_lb = self.reduce(np.minimum, self.poi_pivots)
+        self.node_ub = self.reduce(np.maximum, self.poi_pivots)
+        self.node_finite = np.isfinite(self.node_lb) & np.isfinite(self.node_ub)
+        poi_sup = _hashed_rows([ap.sup_vector for ap in aps], d)
+        self.sup_mask = np.concatenate(
+            (poi_sup, self.reduce(np.logical_or, poi_sup))
+        )
+        self.exact_mask = np.array(
+            [[f in ap.sup_keywords for f in range(d)] for ap in aps],
+            dtype=bool,
+        ).reshape(len(aps), d)
+
+        # Eq. 18 reads a POI's sub_K only through its topics in [0, d),
+        # in ascending order: POIs sharing that tuple share the gate.
+        set_ids: Dict[Tuple[int, ...], int] = {}
+        sub_id = []
+        for ap in aps:
+            topics = tuple(sorted(f for f in ap.sub_keywords if 0 <= f < d))
+            sub_id.append(set_ids.setdefault(topics, len(set_ids)))
+        self.sub_id = np.array(sub_id, dtype=np.intp)
+        self.num_sub = len(set_ids)
+        by_size: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        for topics, sid in set_ids.items():
+            by_size.setdefault(len(topics), []).append((sid, topics))
+        self.sub_groups = [
+            (
+                np.array([sid for sid, _ in group], dtype=np.intp),
+                np.array([t for _, t in group], dtype=np.intp).reshape(
+                    len(group), size
+                ),
+            )
+            for size, group in sorted(by_size.items())
+        ]

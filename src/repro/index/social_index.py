@@ -14,31 +14,32 @@ I_S is a tree over the users of the social network:
   - lower/upper bounds of road distances of the users' homes to the
     ``h`` road pivots (Eqs. 13-14).
 
-Nodes are page-numbered (breadth first) for the I/O simulation. The
-partition tree is fixed at construction: the dynamic ops neither add
-nor remove users, so maintenance only widens the aggregates in place
+Nodes are page-numbered (breadth first) for the I/O simulation and
+carry structure only: children or users, a page id and a user count.
+Every aggregate lives in one place, the index's
+:class:`SocialColumns` (:attr:`SocialIndex.columns`), as rows by user
+slot and node page, from which the query processor evaluates Lemmas 3,
+4, 8 and 9 for every entry at once. The partition tree is fixed at
+construction: the dynamic ops neither add nor remove users, so
+maintenance only widens the node rows in place
 (:meth:`SocialIndex.widen_user`) and re-tightens them on
-:meth:`SocialIndex.compact`. The index also keeps a columnar image of
-its users and nodes current (:attr:`SocialIndex.columns`, a
-:class:`~repro.core.social_gates.SocialColumns`), from which the query
-processor evaluates Lemmas 3, 4, 8 and 9 for every entry at once.
+:meth:`SocialIndex.compact`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import IndexStateError, InvalidParameterError
-from ..geometry import MBR
 from ..network import SpatialSocialNetwork
 from ..socialnet.graph import User
 from ..socialnet.partition import partition_graph
 from .pagecounter import PageAccessCounter
+from .paging import TreeColumns
 from .pivots import RoadPivotIndex, SocialPivotIndex
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.social_gates import SocialColumns
 
 #: Default leaf capacity (users per leaf partition).
 DEFAULT_LEAF_SIZE = 16
@@ -67,46 +68,31 @@ class AugmentedUser:
 
 
 class SocialIndexNode:
-    """An I_S node with the Eq. 9-14 aggregate bounds."""
+    """An I_S node (leaf or inner): structure only.
 
-    __slots__ = (
-        "is_leaf", "children", "users", "interest_mbr",
-        "lb_social_pivot", "ub_social_pivot",
-        "lb_road_pivot", "ub_road_pivot",
-        "page_id", "num_users",
-    )
+    Its Eq. 9-14 bounds are rows of the index's :class:`SocialColumns`,
+    by ``page_id``.
+    """
+
+    __slots__ = ("is_leaf", "children", "users", "page_id", "num_users")
 
     def __init__(
         self,
-        is_leaf: bool,
-        children: Sequence["SocialIndexNode"],
-        users: Sequence[AugmentedUser],
-        interest_mbr: MBR,
-        lb_social_pivot: Sequence[float],
-        ub_social_pivot: Sequence[float],
-        lb_road_pivot: Sequence[float],
-        ub_road_pivot: Sequence[float],
-        num_users: int,
+        children: Sequence["SocialIndexNode"] = (),
+        users: Sequence[AugmentedUser] = (),
     ) -> None:
-        self.is_leaf = is_leaf
+        self.is_leaf = not children
         self.children = list(children)
         self.users = list(users)
-        self.interest_mbr = interest_mbr
-        self.lb_social_pivot = list(lb_social_pivot)
-        self.ub_social_pivot = list(ub_social_pivot)
-        self.lb_road_pivot = list(lb_road_pivot)
-        self.ub_road_pivot = list(ub_road_pivot)
         self.page_id = -1
-        self.num_users = num_users
+        self.num_users = (
+            len(self.users) if self.is_leaf
+            else sum(c.num_users for c in self.children)
+        )
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "inner"
         return f"SocialIndexNode({kind}, users={self.num_users})"
-
-
-def _finite_bounds(values: Sequence[float]) -> Sequence[float]:
-    """Replace an empty sequence by a single +inf guard (defensive)."""
-    return values if values else (math.inf,)
 
 
 class SocialIndex:
@@ -141,77 +127,42 @@ class SocialIndex:
             )
             for user in network.social.users()
         }
-        self.root = self._build(sorted(self._augmented))
+        self._adopt(self._partition(sorted(self._augmented)))
+
+    # -- construction ----------------------------------------------------------
+
+    def _partition(self, user_ids: Sequence[int]) -> dict:
+        """The partition tree over ``user_ids``, in :meth:`snapshot`'s
+        ``tree`` form."""
+        if len(user_ids) <= self.leaf_size:
+            return {"users": list(user_ids)}
+        # Partition into about `fanout` socially cohesive parts.
+        part_size = max(self.leaf_size, math.ceil(len(user_ids) / self.fanout))
+        parts = partition_graph(self.network.social, user_ids, part_size)
+        if len(parts) <= 1:
+            return {"users": list(user_ids)}
+        return {"children": [self._partition(part) for part in parts]}
+
+    def _mirror(self, skeleton: dict) -> SocialIndexNode:
+        """The nodes of a tree skeleton: structure only, for both build
+        and attach."""
+        if "users" in skeleton:
+            return SocialIndexNode(
+                users=[self._augmented[uid] for uid in skeleton["users"]]
+            )
+        return SocialIndexNode(
+            children=[self._mirror(c) for c in skeleton["children"]]
+        )
+
+    def _adopt(self, skeleton: dict) -> None:
+        """Install the tree: nodes, height, page ids and exact columns."""
+        self.root = self._mirror(skeleton)
         self.height = self._measure_height(self.root)
         self.num_pages = self._assign_page_ids()
         #: bound entries made potentially loose by widen-on-update (the
         #: ``dynamic.bound_slack`` gauge); reset by :meth:`compact`.
         self.bound_slack = 0
-        self._index_paths()
-        self.columns = _derive_columns(self)
-
-    # -- construction ----------------------------------------------------------
-
-    def _build(self, user_ids: Sequence[int]) -> SocialIndexNode:
-        if len(user_ids) <= self.leaf_size:
-            return self._make_leaf(user_ids)
-        # Partition into about `fanout` socially cohesive parts.
-        part_size = max(self.leaf_size, math.ceil(len(user_ids) / self.fanout))
-        parts = partition_graph(self.network.social, user_ids, part_size)
-        if len(parts) <= 1:
-            return self._make_leaf(user_ids)
-        children = [self._build(part) for part in parts]
-        return self._aggregate(children)
-
-    def _make_leaf(self, user_ids: Sequence[int]) -> SocialIndexNode:
-        members = [self._augmented[uid] for uid in user_ids]
-        d = self.network.num_keywords
-        lows = [min(float(m.user.interests[f]) for m in members) for f in range(d)]
-        highs = [max(float(m.user.interests[f]) for m in members) for f in range(d)]
-        l = self.social_pivots.num_pivots
-        h = self.road_pivots.num_pivots
-        return SocialIndexNode(
-            is_leaf=True,
-            children=(),
-            users=members,
-            interest_mbr=MBR(lows, highs),
-            lb_social_pivot=[
-                min(m.social_pivot_dists[k] for m in members) for k in range(l)
-            ],
-            ub_social_pivot=[
-                max(m.social_pivot_dists[k] for m in members) for k in range(l)
-            ],
-            lb_road_pivot=[
-                min(m.road_pivot_dists[k] for m in members) for k in range(h)
-            ],
-            ub_road_pivot=[
-                max(m.road_pivot_dists[k] for m in members) for k in range(h)
-            ],
-            num_users=len(members),
-        )
-
-    def _aggregate(self, children: Sequence[SocialIndexNode]) -> SocialIndexNode:
-        l = self.social_pivots.num_pivots
-        h = self.road_pivots.num_pivots
-        return SocialIndexNode(
-            is_leaf=False,
-            children=children,
-            users=(),
-            interest_mbr=MBR.union_of(c.interest_mbr for c in children),
-            lb_social_pivot=[
-                min(c.lb_social_pivot[k] for c in children) for k in range(l)
-            ],
-            ub_social_pivot=[
-                max(c.ub_social_pivot[k] for c in children) for k in range(l)
-            ],
-            lb_road_pivot=[
-                min(c.lb_road_pivot[k] for c in children) for k in range(h)
-            ],
-            ub_road_pivot=[
-                max(c.ub_road_pivot[k] for c in children) for k in range(h)
-            ],
-            num_users=sum(c.num_users for c in children),
-        )
+        self.columns = SocialColumns(self)
 
     def _measure_height(self, node: SocialIndexNode) -> int:
         height = 1
@@ -285,25 +236,14 @@ class SocialIndex:
                 road_pivot_dists=data["road"],
             )
 
-        def rebuild(skeleton: dict) -> SocialIndexNode:
-            if "users" in skeleton:
-                return index._make_leaf(skeleton["users"])
-            children = [rebuild(c) for c in skeleton["children"]]
-            return index._aggregate(children)
-
-        index.root = rebuild(snapshot["tree"])
-        index.height = index._measure_height(index.root)
-        index.num_pages = index._assign_page_ids()
-        index.bound_slack = 0
-        index._index_paths()
-        index.columns = _derive_columns(index)
+        index._adopt(snapshot["tree"])
         return index
 
     # -- incremental maintenance (widen-on-update, Section 4.1 bounds) -----------
     #
     # Tree *membership* never changes under the dynamic ops (users are
     # neither added nor removed), so the partition structure stays put
-    # and only the per-node aggregates drift. The maintenance contract
+    # and only the node rows of `columns` drift. The maintenance contract
     # is admissibility: every Eq. 9-14 bound must keep *containing* its
     # members' true values. Widening preserves containment trivially;
     # tightening is deferred to :meth:`compact` because the true new
@@ -311,48 +251,6 @@ class SocialIndex:
     # The price of deferral is slack — bounds looser than necessary
     # prune less (never wrongly) — and `bound_slack` counts the bound
     # entries whose supporting extremum may have retreated.
-
-    def _index_paths(self) -> None:
-        """Build leaf-of-user and child->parent maps for bottom-up widening."""
-        self._leaf_of: Dict[int, SocialIndexNode] = {}
-        self._parent: Dict[int, SocialIndexNode] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for au in node.users:
-                    self._leaf_of[au.user_id] = node
-            else:
-                for child in node.children:
-                    self._parent[id(child)] = node
-                stack.extend(node.children)
-
-    @staticmethod
-    def _widen_interval(
-        lbs: List[float],
-        ubs: List[float],
-        values: Sequence[float],
-        old_values: Optional[Sequence[float]],
-    ) -> int:
-        """Widen one node's [lb, ub] pivot intervals to cover ``values``.
-
-        Returns the number of bound entries left potentially slack: the
-        member's old value sat exactly on a bound (it may have been the
-        supporting extremum) and its new value retreated inward, so the
-        bound can no longer be certified tight without a rescan.
-        """
-        slack = 0
-        for k, val in enumerate(values):
-            old = None if old_values is None else old_values[k]
-            if val < lbs[k]:
-                lbs[k] = val
-            elif old is not None and old == lbs[k] and val > lbs[k]:
-                slack += 1
-            if val > ubs[k]:
-                ubs[k] = val
-            elif old is not None and old == ubs[k] and val < ubs[k]:
-                slack += 1
-        return slack
 
     def widen_user(
         self,
@@ -364,183 +262,81 @@ class SocialIndex:
         """Re-cover ``user_id``'s current values on its leaf-to-root path.
 
         Call after mutating the user's :class:`AugmentedUser` fields
-        (pivot distances, interest vector). Bounds only widen; the
+        (pivot distances, interest vector): the user's row of
+        :attr:`columns` is rewritten from them and the rows of the
+        nodes on its path widen to cover it. Bounds only widen; the
         return value is the slack added (also accumulated on
-        :attr:`bound_slack`). The user's row and the rows of the nodes
-        on its path are rewritten in :attr:`columns`.
+        :attr:`bound_slack`): per node, a bound the user's old value sat
+        on and its new value retreated from, which can no longer be
+        certified tight without a rescan. An interest point outside a
+        node's MBR widens the box and adds no interest slack.
         """
-        au = self._augmented[user_id]
-        leaf = self._leaf_of.get(user_id)
-        if leaf is None:
+        cols = self.columns
+        slot = cols.slot_of.get(user_id)
+        if slot is None:
             raise IndexStateError(f"user {user_id} not in social index")
-        columns = self.columns
-        columns.write_user(columns.slot_of[user_id])
-        point = tuple(float(v) for v in au.user.interests)
+        au = self._augmented[user_id]
+        cols.user_social[slot] = au.social_pivot_dists
+        cols.user_road[slot] = au.road_pivot_dists
+        cols.user_interests[slot] = au.user.interests
+        pages = cols.path_pages(slot)
         added = 0
-        node: Optional[SocialIndexNode] = leaf
-        while node is not None:
-            if not node.interest_mbr.contains_point(point):
-                node.interest_mbr = node.interest_mbr.union(
-                    MBR.from_point(point)
-                )
-            elif old_interests is not None:
-                added += sum(
-                    1
-                    for lo, hi, old, new in zip(
-                        node.interest_mbr.low,
-                        node.interest_mbr.high,
-                        old_interests,
-                        point,
-                    )
-                    if (old == lo and new > lo) or (old == hi and new < hi)
-                )
-            added += self._widen_interval(
-                node.lb_social_pivot,
-                node.ub_social_pivot,
-                au.social_pivot_dists,
-                old_social,
+
+        point = cols.user_interests[slot]
+        low, high = cols.node_low[pages], cols.node_high[pages]
+        if old_interests is not None:
+            old = np.asarray(old_interests, dtype=np.float64)
+            inside = ((low <= point) & (point <= high)).all(axis=1)
+            retreated = ((old == low) & (point > low)) | (
+                (old == high) & (point < high)
             )
-            added += self._widen_interval(
-                node.lb_road_pivot,
-                node.ub_road_pivot,
-                au.road_pivot_dists,
-                old_road,
-            )
-            columns.write_node(node.page_id)
-            node = self._parent.get(id(node))
+            added += int(retreated[inside].sum())
+        cols.node_low[pages] = np.minimum(low, point)
+        cols.node_high[pages] = np.maximum(high, point)
+
+        for lb_name, ub_name, row, old in (
+            ("node_social_lb", "node_social_ub", cols.user_social[slot],
+             old_social),
+            ("node_road_lb", "node_road_ub", cols.user_road[slot], old_road),
+        ):
+            lbs = getattr(cols, lb_name)
+            ubs = getattr(cols, ub_name)
+            lb, ub = lbs[pages], ubs[pages]
+            if old is not None:
+                old = np.asarray(old, dtype=np.float64)
+                added += int(((old == lb) & (row > lb)).sum())
+                added += int(((old == ub) & (row < ub)).sum())
+            lbs[pages] = np.minimum(lb, row)
+            ubs[pages] = np.maximum(ub, row)
         self.bound_slack += added
         return added
 
     def check_containment(self) -> None:
         """Assert the admissibility invariant (tests and compaction).
 
-        Every node's intervals must contain all its members' values and
-        its interest MBR must contain all members' interest points.
+        Every node row of :attr:`columns` must cover the exact bound of
+        its members: its intervals contain all its members' pivot
+        distances and its interest MBR all their interest points.
         """
-        def walk(node: SocialIndexNode) -> List[AugmentedUser]:
-            if node.is_leaf:
-                members = list(node.users)
-            else:
-                members = []
-                for child in node.children:
-                    members.extend(walk(child))
-            for au in members:
-                point = tuple(float(v) for v in au.user.interests)
-                if not node.interest_mbr.contains_point(point):
-                    raise IndexStateError(
-                        f"interest MBR lost user {au.user_id}"
-                    )
-                for k, val in enumerate(au.social_pivot_dists):
-                    if not (
-                        node.lb_social_pivot[k] <= val <= node.ub_social_pivot[k]
-                    ):
-                        raise IndexStateError(
-                            f"social pivot bound {k} lost user {au.user_id}"
-                        )
-                for k, val in enumerate(au.road_pivot_dists):
-                    if not (
-                        node.lb_road_pivot[k] <= val <= node.ub_road_pivot[k]
-                    ):
-                        raise IndexStateError(
-                            f"road pivot bound {k} lost user {au.user_id}"
-                        )
-            return members
-
-        walk(self.root)
+        for name, stored, ufunc, exact in self.columns.exact_bounds():
+            lost = ufunc(stored, exact) != stored
+            if lost.any():
+                page, col = np.argwhere(lost)[0]
+                raise IndexStateError(
+                    f"{name}[{col}] of page {page} lost a member"
+                )
 
     def compact(self) -> int:
-        """Recompute every aggregate exactly and reset the slack gauge.
+        """Recompute every node row exactly and reset the slack gauge.
 
-        A bottom-up in-place rebuild of the Eq. 9-14 bounds from the
-        members' current values — the structure (partition tree, page
-        ids) is untouched — and of every node row of :attr:`columns`.
-        Returns the number of bound entries that actually tightened.
+        One bottom-up reduction of the Eq. 9-14 bounds from the members'
+        current rows; the structure (partition tree, page ids) is
+        untouched. Returns the number of bound entries that changed.
         """
-        l = self.social_pivots.num_pivots
-        h = self.road_pivots.num_pivots
-        d = self.network.num_keywords
         tightened = 0
-
-        def count_changes(node, lbs, ubs, lb_r, ub_r, mbr) -> int:
-            changed = sum(
-                1
-                for old, new in zip(
-                    node.lb_social_pivot + node.ub_social_pivot
-                    + node.lb_road_pivot + node.ub_road_pivot,
-                    lbs + ubs + lb_r + ub_r,
-                )
-                if old != new
-            )
-            changed += sum(
-                1
-                for old, new in zip(
-                    node.interest_mbr.low + node.interest_mbr.high,
-                    mbr.low + mbr.high,
-                )
-                if old != new
-            )
-            return changed
-
-        def recompute(node: SocialIndexNode) -> None:
-            nonlocal tightened
-            if node.is_leaf:
-                members = node.users
-                lbs = [
-                    min(m.social_pivot_dists[k] for m in members)
-                    for k in range(l)
-                ]
-                ubs = [
-                    max(m.social_pivot_dists[k] for m in members)
-                    for k in range(l)
-                ]
-                lb_r = [
-                    min(m.road_pivot_dists[k] for m in members)
-                    for k in range(h)
-                ]
-                ub_r = [
-                    max(m.road_pivot_dists[k] for m in members)
-                    for k in range(h)
-                ]
-                mbr = MBR(
-                    [
-                        min(float(m.user.interests[f]) for m in members)
-                        for f in range(d)
-                    ],
-                    [
-                        max(float(m.user.interests[f]) for m in members)
-                        for f in range(d)
-                    ],
-                )
-            else:
-                for child in node.children:
-                    recompute(child)
-                children = node.children
-                lbs = [
-                    min(c.lb_social_pivot[k] for c in children)
-                    for k in range(l)
-                ]
-                ubs = [
-                    max(c.ub_social_pivot[k] for c in children)
-                    for k in range(l)
-                ]
-                lb_r = [
-                    min(c.lb_road_pivot[k] for c in children)
-                    for k in range(h)
-                ]
-                ub_r = [
-                    max(c.ub_road_pivot[k] for c in children)
-                    for k in range(h)
-                ]
-                mbr = MBR.union_of(c.interest_mbr for c in children)
-            tightened += count_changes(node, lbs, ubs, lb_r, ub_r, mbr)
-            node.lb_social_pivot = lbs
-            node.ub_social_pivot = ubs
-            node.lb_road_pivot = lb_r
-            node.ub_road_pivot = ub_r
-            node.interest_mbr = mbr
-
-        recompute(self.root)
-        self.columns.write_nodes()
+        for _name, stored, _ufunc, exact in self.columns.exact_bounds():
+            tightened += int(np.count_nonzero(stored != exact))
+            stored[...] = exact
         self.bound_slack = 0
         return tightened
 
@@ -565,15 +361,15 @@ class SocialIndex:
         leaves = inner = 0
         leaf_fill = []
         mbr_widths = []
+        cols = self.columns
         for node in self.iter_nodes():
             if node.is_leaf:
                 leaves += 1
                 leaf_fill.append(len(node.users))
-                box = node.interest_mbr
-                mbr_widths.append(
-                    sum(h - l for l, h in zip(box.low, box.high))
-                    / box.dimensions
-                )
+                widths = (
+                    cols.node_high[node.page_id] - cols.node_low[node.page_id]
+                ).tolist()
+                mbr_widths.append(sum(widths) / len(widths))
             else:
                 inner += 1
         return {
@@ -597,8 +393,87 @@ class SocialIndex:
         )
 
 
-def _derive_columns(index: SocialIndex) -> "SocialColumns":
-    # Imported here: repro.core imports this module.
-    from ..core.social_gates import SocialColumns
+#: Each node bound of Eqs. 9-14 as (node rows, member rows, reduction).
+NODE_BOUNDS: Tuple[Tuple[str, str, np.ufunc], ...] = (
+    ("node_low", "user_interests", np.minimum),  # Eq. 9
+    ("node_high", "user_interests", np.maximum),  # Eq. 10
+    ("node_social_lb", "user_social", np.minimum),  # Eq. 11
+    ("node_social_ub", "user_social", np.maximum),  # Eq. 12
+    ("node_road_lb", "user_road", np.minimum),  # Eq. 13
+    ("node_road_ub", "user_road", np.maximum),  # Eq. 14
+)
 
-    return SocialColumns(index)
+
+class SocialColumns(TreeColumns):
+    """The social index's bounds as columns: the one copy of the user
+    values and node bounds, kept current by the index.
+
+    Users get dense slots in page order (then leaf order), nodes are
+    addressed by page id. Tree membership never changes under the
+    dynamic ops, so slots are stable: :meth:`SocialIndex.widen_user`
+    rewrites a user's row and widens its path's node rows in place, and
+    :meth:`SocialIndex.compact` recomputes every node row.
+
+    Attributes:
+        aus: slot -> :class:`AugmentedUser`; ``slot_of`` inverts it by id.
+        user_leaf: a slot's leaf page.
+        user_social / user_road / user_interests: ``U x l`` social-pivot
+            hops, ``U x h`` road-pivot distances, ``U x d`` interests.
+        node_social_lb / node_social_ub: ``N x l`` hop intervals
+            (Eqs. 11-12); node_road_lb / node_road_ub: ``N x h``
+            (Eqs. 13-14); node_low / node_high: ``N x d`` interest MBRs
+            (Eqs. 9-10).
+    """
+
+    __slots__ = (
+        "aus", "slot_of", "user_leaf",
+        "user_social", "user_road", "user_interests",
+        "node_social_lb", "node_social_ub", "node_road_lb", "node_road_ub",
+        "node_low", "node_high",
+    )
+
+    def __init__(self, index: SocialIndex) -> None:
+        aus = self._lay_out(index.root, index.num_pages, lambda n: n.users)
+        self.aus = aus
+        self.slot_of = {au.user_id: slot for slot, au in enumerate(aus)}
+        self.user_leaf = [
+            page for page, slots in enumerate(self.leaf_slots) for _ in slots
+        ]
+
+        def rows(values, width: int) -> np.ndarray:
+            return np.array(values, dtype=np.float64).reshape(len(aus), width)
+
+        self.user_social = rows(
+            [au.social_pivot_dists for au in aus],
+            index.social_pivots.num_pivots,
+        )
+        self.user_road = rows(
+            [au.road_pivot_dists for au in aus], index.road_pivots.num_pivots
+        )
+        self.user_interests = rows(
+            [au.user.interests for au in aus], index.network.num_keywords
+        )
+        for name, rows_name, ufunc in NODE_BOUNDS:
+            setattr(self, name, self.reduce(ufunc, getattr(self, rows_name)))
+        # Hop rows are reduced across their few pivots, which runs
+        # fastest down columns.
+        for name in ("user_social", "node_social_lb", "node_social_ub"):
+            setattr(self, name, np.asfortranarray(getattr(self, name)))
+
+    def exact_bounds(self) -> Iterator[Tuple[str, np.ndarray, np.ufunc, np.ndarray]]:
+        """Per node bound: its name, its stored rows, its reduction and
+        the exact rows reduced from the members' current rows."""
+        for name, rows_name, ufunc in NODE_BOUNDS:
+            yield (
+                name, getattr(self, name), ufunc,
+                self.reduce(ufunc, getattr(self, rows_name)),
+            )
+
+    def path_pages(self, slot: int) -> List[int]:
+        """Page ids from ``slot``'s leaf up to the root."""
+        pages = []
+        page = self.user_leaf[slot]
+        while page >= 0:
+            pages.append(page)
+            page = self.parent[page]
+        return pages

@@ -25,6 +25,8 @@ from repro import (
 )
 from repro.core.refinement import exact_maxdist
 from repro.core.scores import interest_score, match_score
+from repro.geometry import MBR
+from repro.index.bitvector import KeywordBitVector
 from repro.roadnet.shortest_path import (
     multi_source_dijkstra,
     position_distance_from_map,
@@ -82,6 +84,46 @@ def assert_valid_answer(network, query, answer):
         ) >= query.theta - 1e-9
     assert answer.max_distance == pytest.approx(
         exact_maxdist(network, users, pois), abs=1e-6
+    )
+
+
+def subtree(node, members: str) -> list:
+    """Every entry of ``members`` (``"pois"`` or ``"users"``) under an
+    index node."""
+    if node.is_leaf:
+        return list(getattr(node, members))
+    return [m for child in node.children for m in subtree(child, members)]
+
+
+def _intervals(rows):
+    """Per column, the (min, max) over ``rows``."""
+    columns = list(zip(*rows))
+    return [min(c) for c in columns], [max(c) for c in columns]
+
+
+def road_node_bounds(node, num_bits: int):
+    """A road node's bounds derived from its POIs: the Eqs. 7-8 pivot
+    interval ``(lb, ub)`` by min and max and the hashed ``sup_K`` by OR."""
+    pois = subtree(node, "pois")
+    lb, ub = _intervals([ap.pivot_dists for ap in pois])
+    bits = 0
+    for ap in pois:
+        bits |= ap.sup_vector.bits
+    return lb, ub, KeywordBitVector(num_bits, bits)
+
+
+def social_node_bounds(node):
+    """A social node's Eqs. 9-14 bounds derived from its users by min
+    and max: the interest MBR, the hop interval and the road interval
+    (each interval a ``(lb, ub)`` pair)."""
+    users = subtree(node, "users")
+    low, high = _intervals(
+        [[float(v) for v in au.user.interests] for au in users]
+    )
+    return (
+        MBR(low, high),
+        _intervals([au.social_pivot_dists for au in users]),
+        _intervals([au.road_pivot_dists for au in users]),
     )
 
 

@@ -3,13 +3,16 @@
 For randomized small networks and random queries, every lower bound must
 under-estimate and every upper bound must over-estimate its exact
 quantity. These are the invariants that make the pruning lemmas *safe*;
-a violation here would silently produce wrong answers at scale.
+a violation here would silently produce wrong answers at scale. Node
+bounds are derived from each subtree's members by min, max and OR, as
+the index's columns hold them.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import road_node_bounds, social_node_bounds, subtree
 from repro import GPSSNQueryProcessor, uni_dataset
 from repro.core.index_pruning import (
     lb_dist_sn_social_node,
@@ -33,23 +36,15 @@ poi_ids = st.integers(0, _NETWORK.num_pois - 1)
 
 
 def leaf_pois(node):
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            yield from n.pois
-        else:
-            stack.extend(n.children)
+    return subtree(node, "pois")
 
 
 def leaf_users(node):
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            yield from n.users
-        else:
-            stack.extend(n.children)
+    return subtree(node, "users")
+
+
+def road_bounds(node):
+    return road_node_bounds(node, _PROCESSOR.road_index.num_bits)
 
 
 @settings(max_examples=25, deadline=None)
@@ -81,9 +76,7 @@ def test_eq17_lb_sound_for_all_nodes(uid):
     user = _NETWORK.social.user(uid)
     uq_dists = rp.distances(user.home)
     for node in _PROCESSOR.road_index.iter_nodes():
-        lb = lb_maxdist_road_node(
-            uq_dists, node.lb_pivot_dists, node.ub_pivot_dists
-        )
+        lb = lb_maxdist_road_node(uq_dists, *road_bounds(node)[:2])
         for ap in leaf_pois(node):
             assert lb <= _NETWORK.user_poi_distance(uid, ap.poi_id) + 1e-9
 
@@ -98,7 +91,7 @@ def test_eq16_ub_sound(uid_a, uid_b, radius):
         for k in range(rp.num_pivots)
     ]
     for node in _PROCESSOR.road_index.iter_nodes():
-        ub = ub_maxdist_road_node(s_ubs, node.ub_pivot_dists, radius)
+        ub = ub_maxdist_road_node(s_ubs, road_bounds(node)[1], radius)
         for ap in leaf_pois(node):
             exact = max(
                 _NETWORK.user_poi_distance(u, ap.poi_id) for u in users
@@ -111,7 +104,7 @@ def test_eq16_ub_sound(uid_a, uid_b, radius):
 def test_eq15_ub_match_sound(uid):
     user = _NETWORK.social.user(uid)
     for node in _PROCESSOR.road_index.iter_nodes():
-        ub = ub_match_score_road_node(user.interests, node)
+        ub = ub_match_score_road_node(user.interests, road_bounds(node)[2])
         for ap in leaf_pois(node):
             assert ub >= match_score(user.interests, ap.sup_keywords) - 1e-9
 
@@ -123,7 +116,7 @@ def test_eq19_lb_hops_sound(uid):
     uq_dists = sp.distances(uid)
     true_hops = _NETWORK.social.hop_distances_from(uid)
     for node in _PROCESSOR.social_index.iter_nodes():
-        lb = lb_dist_sn_social_node(uq_dists, node)
+        lb = lb_dist_sn_social_node(uq_dists, *social_node_bounds(node)[1])
         for au in leaf_users(node):
             exact = true_hops.get(au.user_id, math.inf)
             assert lb <= exact + 1e-9

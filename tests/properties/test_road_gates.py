@@ -5,8 +5,9 @@ The processor decides every I_R entry of Algorithm 2 (Lemmas 1 and
 per query and I_S level (``repro.core.road_gates.RoadGates``). Every
 column must be bitwise equal to the Section-4.2 predicates of
 ``repro.core.index_pruning`` (and ``match_score`` per floor for Eq. 18)
-called entry by entry — on a road network with two components (inf
-pivot distances) and on ties. At query level, the answers, every
+called entry by entry, on node bounds this test derives from each
+subtree's POIs by min, max and OR — on a road network with two
+components (inf pivot distances) and on ties. At query level, the answers, every
 ``PruningCounters`` field, page accesses, ``traverse.witness_checks``
 and the EXPLAIN funnel must reproduce ``refinement_golden.json`` (see
 ``refinement_golden.py``): with each pruning rule off, for top-k
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import refinement_golden as golden
+from conftest import road_node_bounds, social_node_bounds
 from repro import (
     GPSSNQueryProcessor,
     NetworkPosition,
@@ -30,7 +32,6 @@ from repro import (
 )
 from repro.core.index_pruning import (
     lb_maxdist_road_node,
-    ub_match_score_poi,
     ub_match_score_road_node,
     ub_maxdist_road_node,
 )
@@ -79,22 +80,25 @@ def _assert_gates_bitwise(processor, query, s_ubs, floors):
         columns, interests, uq_pivots, query.theta, query.radius
     )
     gates.level(s_ubs, floors)
-    aps, nodes = columns.aps, columns.nodes
+    aps = columns.aps
+    nodes = [
+        road_node_bounds(node, processor.road_index.num_bits)
+        for node in columns.nodes
+    ]
     theta, radius = query.theta, query.radius
     reference = {
-        "poi_match": [ub_match_score_poi(interests, ap) for ap in aps],
+        "poi_match": [
+            ub_match_score_road_node(interests, ap.sup_vector) for ap in aps
+        ],
         "node_match": [
-            ub_match_score_road_node(interests, node) for node in nodes
+            ub_match_score_road_node(interests, sup) for _, _, sup in nodes
         ],
         "poi_lb": [
             lb_maxdist_road_node(uq_pivots, ap.pivot_dists, ap.pivot_dists)
             for ap in aps
         ],
         "node_lb": [
-            lb_maxdist_road_node(
-                uq_pivots, node.lb_pivot_dists, node.ub_pivot_dists
-            )
-            for node in nodes
+            lb_maxdist_road_node(uq_pivots, lb, ub) for lb, ub, _ in nodes
         ],
         "poi_ub": [
             ub_maxdist_road_node(s_ubs, ap.pivot_dists, radius)
@@ -133,6 +137,7 @@ def test_gates_bitwise_equal_per_entry(request, network_name):
     users = sorted(network.social.user_ids())
     rng = np.random.default_rng(3)
     h = processor.road_pivots.num_pivots
+    root_floor = social_node_bounds(social_index.root)[0].low
     witnesses = []
     for uid in users[::3]:
         for theta in (0.1, 0.3, 0.6):
@@ -145,7 +150,7 @@ def test_gates_bitwise_equal_per_entry(request, network_name):
             ]
             s_ubs = [float(rng.uniform(0.0, 50.0)) for _ in range(h)]
             for level_floors in (
-                floors, floors + [social_index.root.interest_mbr.low], [],
+                floors, floors + [root_floor], [],
             ):
                 witnesses.append(
                     _assert_gates_bitwise(

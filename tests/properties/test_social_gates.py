@@ -5,16 +5,19 @@ and 9) from columns evaluated once per query
 (``repro.core.social_gates.SocialGates``). Every decision must equal
 the scalar predicate called entry by entry — ``pivot_lower_bound``,
 ``lb_dist_sn_social_node``, ``scorer.score`` and ``scorer.ub_over_box``
-— for all four interest metrics, on a social graph with two components
-(inf pivot hops) and with ``gamma`` set to exact scores (ties). The
-columns the index maintains must equal columns derived fresh from it,
-after a stream of user mutations and after a compaction. Corollary 2
-shares the gates' tie band.
+on node bounds this test derives from each subtree's users by min and
+max — for all four interest metrics, on a social graph with two
+components (inf pivot hops) and with ``gamma`` set to exact scores
+(ties). Through a stream of user mutations the columns the index
+maintains must keep the user rows of an index re-attached from its
+snapshot and cover that index's exact node rows, and equal them after a
+compaction. Corollary 2 shares the gates' tie band.
 """
 
 import numpy as np
 import pytest
 
+from conftest import social_node_bounds
 from repro import (
     GPSSNQueryProcessor,
     NetworkPosition,
@@ -32,7 +35,6 @@ from repro.core.social_gates import (
     HOPS,
     INTEREST,
     KEEP,
-    SocialColumns,
     SocialGates,
     box_upper_bounds,
     interest_scores,
@@ -40,7 +42,7 @@ from repro.core.social_gates import (
 from repro.dynamic import DynamicIndexMaintainer
 from repro.dynamic.ops import synthesize_mutations
 from repro.index.pivots import pivot_lower_bound
-from repro.index.social_index import AugmentedUser
+from repro.index.social_index import NODE_BOUNDS, AugmentedUser, SocialIndex
 
 METRICS = list(InterestMetric)
 NUM_KEYWORDS = 8
@@ -125,15 +127,14 @@ def _expected(processor, scorer, uq_id, tau, gamma, distance, interest):
     path = set(columns.path_pages(columns.slot_of[uq_id]))
     nodes = []
     for node in columns.nodes:
-        hops = lb_dist_sn_social_node(uq_hops, node)
+        mbr, (lb, ub), _ = social_node_bounds(node)
+        hops = lb_dist_sn_social_node(uq_hops, lb, ub)
         rule = KEEP
         if node.page_id in path:
             pass
         elif distance and hops >= tau:
             rule = HOPS
-        elif interest and scorer.ub_over_box(
-            node.interest_mbr, uq.interests
-        ) < gamma:
+        elif interest and scorer.ub_over_box(mbr, uq.interests) < gamma:
             rule = INTEREST
         nodes.append((hops, rule))
     return users, nodes
@@ -147,7 +148,7 @@ def _gammas(processor, scorer, uq_id):
         scorer.score(uq.interests, columns.aus[slot].user.interests)
         for slot in range(0, len(columns.aus), 5)
     ] + [
-        scorer.ub_over_box(node.interest_mbr, uq.interests)
+        scorer.ub_over_box(social_node_bounds(node)[0], uq.interests)
         for node in columns.nodes[1::3]
     ]
     return sorted(set(exact)) + [0.0, 0.15, 0.4, 0.9]
@@ -212,8 +213,10 @@ def test_vector_values_track_scalar_values(split_processor, metric):
         bounds = box_upper_bounds(
             scorer, anchor, columns.node_low, columns.node_high
         )
-        want_bounds = [scorer.ub_over_box(node.interest_mbr, anchor)
-                       for node in columns.nodes]
+        want_bounds = [
+            scorer.ub_over_box(social_node_bounds(node)[0], anchor)
+            for node in columns.nodes
+        ]
         for values, reference in ((got, want), (bounds, want_bounds)):
             if exact_metric:
                 assert [repr(float(v)) for v in values] == [
@@ -223,16 +226,28 @@ def test_vector_values_track_scalar_values(split_processor, metric):
                 assert np.all(np.abs(values - reference) <= PAIR_TOL)
 
 
-def _assert_columns_fresh(index):
-    fresh = SocialColumns(index)
+USER_ROWS = ("user_social", "user_road", "user_interests")
+
+
+def _assert_columns_fresh(processor, exact):
+    """User rows equal, and node rows cover (``exact``: equal), those
+    of an index re-attached from the maintained one's snapshot: the
+    same tree and values with every node row reduced exactly."""
+    index = processor.social_index
+    fresh = SocialIndex.from_snapshot(
+        processor.network, processor.social_pivots, processor.road_pivots,
+        index.snapshot(),
+    ).columns
     maintained = index.columns
-    for name in (
-        "user_social", "user_road", "user_interests", "node_social_lb",
-        "node_social_ub", "node_road_ub", "node_low", "node_high",
-    ):
+    for name in USER_ROWS:
         assert np.array_equal(
             getattr(maintained, name), getattr(fresh, name)
         ), name
+    for name, _rows, ufunc in NODE_BOUNDS:
+        kept, want = getattr(maintained, name), getattr(fresh, name)
+        assert np.array_equal(ufunc(kept, want), kept), name
+        if exact:
+            assert np.array_equal(kept, want), name
     assert maintained.leaf_slots == fresh.leaf_slots
     assert maintained.slot_of == fresh.slot_of
 
@@ -256,10 +271,10 @@ def test_maintained_columns_equal_fresh_columns():
     for start in range(0, len(stream), 10):
         maintainer.apply_all(stream[start:start + 10])
         maintainer.flush()
-        _assert_columns_fresh(index)
+        _assert_columns_fresh(processor, exact=False)
     assert index.bound_slack > 0  # widening left bounds loose
     index.compact()
-    _assert_columns_fresh(index)
+    _assert_columns_fresh(processor, exact=True)
 
 
 def test_corollary2_keeps_user_at_exact_gamma():

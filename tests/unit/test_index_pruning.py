@@ -3,7 +3,9 @@
 Every bound is checked against exact quantities computed by brute force
 on a small indexed network: upper bounds must over-estimate, lower
 bounds must under-estimate, and every pruned node must contain no object
-that could appear in an answer.
+that could appear in an answer. Each node's bounds are derived here from
+its subtree's members by min, max and OR, and must equal the rows the
+index keeps in its columns.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import road_node_bounds, social_node_bounds, subtree
 from repro.core.index_pruning import (
     lb_dist_sn_social_node,
     lb_match_score_road_node,
@@ -41,13 +44,38 @@ def indexed(small_uni):
     return small_uni, road_index, social_index, road_pivots, social_pivots
 
 
+def _road_bounds(road_index, node):
+    """Derived node bounds, checked against the index's columns."""
+    lb, ub, sup = road_node_bounds(node, road_index.num_bits)
+    columns = road_index.columns
+    assert columns.node_lb[node.page_id].tolist() == lb
+    assert columns.node_ub[node.page_id].tolist() == ub
+    row = columns.sup_mask[len(columns.aps) + node.page_id]
+    assert row.tolist() == [
+        sup.might_contain(f) for f in range(columns.sup_mask.shape[1])
+    ]
+    return lb, ub, sup
+
+
+def _social_bounds(social_index, node):
+    """Derived node bounds, checked against the index's columns."""
+    mbr, (lb, ub), _road = social_node_bounds(node)
+    columns = social_index.columns
+    assert columns.node_low[node.page_id].tolist() == list(mbr.low)
+    assert columns.node_high[node.page_id].tolist() == list(mbr.high)
+    assert columns.node_social_lb[node.page_id].tolist() == lb
+    assert columns.node_social_ub[node.page_id].tolist() == ub
+    return mbr, lb, ub
+
+
 class TestLemma6:
     def test_ub_match_score_bounds_all_descendants(self, indexed):
         network, road_index, _, _, _ = indexed
         user = network.social.user(0)
         for node in road_index.iter_nodes():
-            ub = ub_match_score_road_node(user.interests, node)
-            for ap in _leaf_pois(node):
+            _, _, sup = _road_bounds(road_index, node)
+            ub = ub_match_score_road_node(user.interests, sup)
+            for ap in subtree(node, "pois"):
                 exact = match_score(user.interests, ap.sup_keywords)
                 assert ub >= exact - 1e-9
 
@@ -56,8 +84,9 @@ class TestLemma6:
         user = network.social.user(1)
         theta = 0.6
         for node in road_index.iter_nodes():
-            if road_node_matching_prunable(user.interests, node, theta):
-                for ap in _leaf_pois(node):
+            _, _, sup = _road_bounds(road_index, node)
+            if road_node_matching_prunable(user.interests, sup, theta):
+                for ap in subtree(node, "pois"):
                     assert match_score(user.interests, ap.sup_keywords) < theta
 
 
@@ -68,9 +97,9 @@ class TestEq16Eq17:
         uq_dists = road_pivots.distances(uq.home)
         for node in road_index.iter_nodes():
             lb = lb_maxdist_road_node(
-                uq_dists, node.lb_pivot_dists, node.ub_pivot_dists
+                uq_dists, *_road_bounds(road_index, node)[:2]
             )
-            for ap in _leaf_pois(node):
+            for ap in subtree(node, "pois"):
                 exact = network.user_poi_distance(2, ap.poi_id)
                 assert lb <= exact + 1e-9
 
@@ -83,8 +112,9 @@ class TestEq16Eq17:
         ]
         radius = 2.0
         for node in road_index.iter_nodes():
-            ub = ub_maxdist_road_node(s_ubs, node.ub_pivot_dists, radius)
-            for ap in _leaf_pois(node):
+            node_ub = _road_bounds(road_index, node)[1]
+            ub = ub_maxdist_road_node(s_ubs, node_ub, radius)
+            for ap in subtree(node, "pois"):
                 exact = max(
                     network.user_poi_distance(u.user_id, ap.poi_id)
                     for u in users
@@ -102,19 +132,21 @@ class TestEq18:
         network, road_index, _, _, _ = indexed
         users = [network.social.user(uid).interests for uid in [0, 1]]
         for node in road_index.iter_nodes():
-            lb = lb_match_score_road_node(users, node)
+            samples = [ap.sub_keywords for ap in subtree(node, "pois")[:2]]
+            lb = lb_match_score_road_node(users, samples)
             # The bound promises: some sample object's r_min-region already
             # achieves `lb` for the worst user. Verify against the samples.
-            if node.samples:
-                best = max(
-                    min(match_score(w, s.sub_keywords) for w in users)
-                    for s in node.samples
-                )
-                assert lb == pytest.approx(best)
+            best = max(
+                min(match_score(w, sub) for w in users) for sub in samples
+            )
+            assert lb == pytest.approx(best)
 
     def test_empty_inputs(self, indexed):
-        _, road_index, _, _, _ = indexed
-        assert lb_match_score_road_node([], road_index.root) == 0.0
+        network, road_index, _, _, _ = indexed
+        samples = [ap.sub_keywords for ap in subtree(road_index.root, "pois")]
+        assert lb_match_score_road_node([], samples) == 0.0
+        user = network.social.user(0).interests
+        assert lb_match_score_road_node([user], []) == 0.0
 
 
 class TestLemma8:
@@ -124,8 +156,9 @@ class TestLemma8:
         gamma = 0.4
         region = PruningRegion(uq.interests, gamma)
         for node in social_index.iter_nodes():
-            if social_node_interest_prunable(region, node):
-                for au in _leaf_users(node):
+            mbr, _, _ = _social_bounds(social_index, node)
+            if social_node_interest_prunable(region, mbr):
+                for au in subtree(node, "users"):
                     score = float(np.dot(uq.interests, au.user.interests))
                     assert score < gamma + 1e-9
 
@@ -137,8 +170,9 @@ class TestEq19Lemma9:
         uq_dists = social_pivots.distances(uq_id)
         true_hops = network.social.hop_distances_from(uq_id)
         for node in social_index.iter_nodes():
-            lb = lb_dist_sn_social_node(uq_dists, node)
-            for au in _leaf_users(node):
+            _, node_lb, node_ub = _social_bounds(social_index, node)
+            lb = lb_dist_sn_social_node(uq_dists, node_lb, node_ub)
+            for au in subtree(node, "users"):
                 exact = true_hops.get(au.user_id, math.inf)
                 assert lb <= exact + 1e-9
 
@@ -149,28 +183,10 @@ class TestEq19Lemma9:
         uq_dists = social_pivots.distances(uq_id)
         true_hops = network.social.hop_distances_from(uq_id)
         for node in social_index.iter_nodes():
-            lb = lb_dist_sn_social_node(uq_dists, node)
+            _, node_lb, node_ub = _social_bounds(social_index, node)
+            lb = lb_dist_sn_social_node(uq_dists, node_lb, node_ub)
             if social_node_distance_prunable(lb, tau):
-                for au in _leaf_users(node):
+                for au in subtree(node, "users"):
                     exact = true_hops.get(au.user_id, math.inf)
                     assert exact >= tau
 
-
-def _leaf_pois(node):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            yield from current.pois
-        else:
-            stack.extend(current.children)
-
-
-def _leaf_users(node):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            yield from current.users
-        else:
-            stack.extend(current.children)

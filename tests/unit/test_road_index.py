@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import road_node_bounds
 from repro import POI, NetworkPosition, uni_dataset
 from repro.exceptions import IndexStateError, InvalidParameterError
 from repro.index.pivots import select_pivots_road
@@ -72,49 +73,80 @@ class TestAugmentedPOIs:
 
 
 class TestNodeAggregates:
+    """Node bounds live in the index's columns, by page id; each must
+    equal the min, max or OR over the subtree's POIs."""
+
     def test_leaf_pivot_bounds_envelope_members(self, road_index):
+        columns = road_index.columns
         for node in road_index.iter_nodes():
             if node.is_leaf:
-                for k in range(road_index.pivots.num_pivots):
-                    dists = [ap.pivot_dists[k] for ap in node.pois]
-                    assert node.lb_pivot_dists[k] == pytest.approx(min(dists))
-                    assert node.ub_pivot_dists[k] == pytest.approx(max(dists))
+                lb, ub, _ = road_node_bounds(node, road_index.num_bits)
+                assert columns.node_lb[node.page_id].tolist() == lb
+                assert columns.node_ub[node.page_id].tolist() == ub
 
     def test_inner_bounds_envelope_children(self, road_index):
+        columns = road_index.columns
         for node in road_index.iter_nodes():
             if not node.is_leaf:
-                for k in range(road_index.pivots.num_pivots):
-                    assert node.lb_pivot_dists[k] <= min(
-                        c.lb_pivot_dists[k] for c in node.children
-                    ) + 1e-9
-                    assert node.ub_pivot_dists[k] >= max(
-                        c.ub_pivot_dists[k] for c in node.children
-                    ) - 1e-9
-
-    def test_sup_keywords_union_of_children(self, road_index):
-        for node in road_index.iter_nodes():
-            if not node.is_leaf:
-                union = frozenset().union(
-                    *(c.sup_keywords for c in node.children)
+                pages = [c.page_id for c in node.children]
+                assert np.array_equal(
+                    columns.node_lb[node.page_id],
+                    columns.node_lb[pages].min(axis=0),
                 )
-                assert node.sup_keywords == union
+                assert np.array_equal(
+                    columns.node_ub[node.page_id],
+                    columns.node_ub[pages].max(axis=0),
+                )
+                lb, ub, _ = road_node_bounds(node, road_index.num_bits)
+                assert columns.node_lb[node.page_id].tolist() == lb
+                assert columns.node_ub[node.page_id].tolist() == ub
 
-    def test_node_mbr_contains_pois(self, road_index):
+    def test_sup_keywords_union_of_children(self, road_index, small_uni):
+        columns = road_index.columns
+        node_rows = columns.sup_mask[len(columns.aps):]
         for node in road_index.iter_nodes():
-            if node.is_leaf:
-                for ap in node.pois:
-                    assert node.mbr.contains_point(
-                        (ap.poi.location.x, ap.poi.location.y)
-                    )
+            _, _, sup = road_node_bounds(node, road_index.num_bits)
+            assert node_rows[node.page_id].tolist() == [
+                sup.might_contain(f) for f in range(small_uni.num_keywords)
+            ]
+            if not node.is_leaf:
+                pages = [c.page_id for c in node.children]
+                assert np.array_equal(
+                    node_rows[node.page_id], node_rows[pages].any(axis=0)
+                )
 
-    def test_samples_present(self, road_index):
+    def test_nodes_carry_structure_only(self, road_index):
         for node in road_index.iter_nodes():
-            assert node.samples
+            assert set(type(node).__slots__) == {
+                "is_leaf", "children", "pois", "page_id", "num_pois",
+            }
 
     def test_num_pois_adds_up(self, road_index):
         for node in road_index.iter_nodes():
             if not node.is_leaf:
                 assert node.num_pois == sum(c.num_pois for c in node.children)
+
+    def test_columns_follow_poi_churn(self):
+        network = uni_dataset(
+            num_road_vertices=60, num_pois=20, num_users=10, seed=4
+        )
+        rng = np.random.default_rng(3)
+        pivots = select_pivots_road(network.distances.engine, 3, rng)
+        index = RoadIndex(network, pivots, max_entries=4)
+        for pid in sorted(network.poi_ids())[:6]:
+            region = network.poi_distances_within(pid, 2.0 * index.r_max)
+            network.remove_poi(pid)
+            index.delete_poi(pid, region)
+        assert index.refreeze_if_dirty()
+        assert index.height > 2
+        for node in index.iter_nodes():
+            lb, ub, sup = road_node_bounds(node, index.num_bits)
+            assert index.columns.node_lb[node.page_id].tolist() == lb
+            assert index.columns.node_ub[node.page_id].tolist() == ub
+            row = index.columns.sup_mask[len(index.columns.aps) + node.page_id]
+            assert row.tolist() == [
+                sup.might_contain(f) for f in range(network.num_keywords)
+            ]
 
 
 class TestRegion:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import social_node_bounds
 from repro.exceptions import InvalidParameterError
 from repro.index.pivots import select_pivots_road, select_pivots_social
 from repro.index.social_index import SocialIndex
@@ -51,65 +52,100 @@ class TestConstruction:
         assert len(ids) == len(set(ids)) == social_index.num_pages
 
 
+def _assert_rows_equal_derived(index):
+    """Every node's column rows equal the min and max over its users."""
+    columns = index.columns
+    for node in index.iter_nodes():
+        mbr, (s_lb, s_ub), (r_lb, r_ub) = social_node_bounds(node)
+        page = node.page_id
+        assert columns.node_low[page].tolist() == list(mbr.low)
+        assert columns.node_high[page].tolist() == list(mbr.high)
+        assert columns.node_social_lb[page].tolist() == s_lb
+        assert columns.node_social_ub[page].tolist() == s_ub
+        assert columns.node_road_lb[page].tolist() == r_lb
+        assert columns.node_road_ub[page].tolist() == r_ub
+
+
 class TestInterestBounds:
+    """Node bounds live in the index's columns, by page id."""
+
     def test_interest_mbr_contains_all_users(self, social_index):
         """Eqs. 9-10: node bounds must envelope every user beneath."""
-        def recurse(node):
-            if node.is_leaf:
-                for au in node.users:
-                    assert node.interest_mbr.contains_point(
-                        tuple(float(v) for v in au.user.interests)
-                    )
-            else:
-                for child in node.children:
-                    assert node.interest_mbr.contains(child.interest_mbr)
-                    recurse(child)
-
-        recurse(social_index.root)
+        columns = social_index.columns
+        for slot, au in enumerate(columns.aus):
+            point = np.asarray(au.user.interests, dtype=float)
+            for page in columns.path_pages(slot):
+                assert (columns.node_low[page] <= point).all()
+                assert (point <= columns.node_high[page]).all()
 
     def test_leaf_bounds_are_tight(self, social_index):
+        columns = social_index.columns
         for node in social_index.iter_nodes():
             if node.is_leaf:
                 matrix = np.stack([au.user.interests for au in node.users])
-                assert list(node.interest_mbr.low) == pytest.approx(
-                    list(matrix.min(axis=0))
+                assert np.array_equal(
+                    columns.node_low[node.page_id], matrix.min(axis=0)
                 )
-                assert list(node.interest_mbr.high) == pytest.approx(
-                    list(matrix.max(axis=0))
+                assert np.array_equal(
+                    columns.node_high[node.page_id], matrix.max(axis=0)
                 )
 
 
 class TestPivotBounds:
     def test_social_pivot_bounds_envelope_users(self, social_index):
         """Eqs. 11-12."""
-        l = social_index.social_pivots.num_pivots
+        columns = social_index.columns
         for node in social_index.iter_nodes():
-            if node.is_leaf:
-                for k in range(l):
-                    dists = [au.social_pivot_dists[k] for au in node.users]
-                    assert node.lb_social_pivot[k] == min(dists)
-                    assert node.ub_social_pivot[k] == max(dists)
+            _, (lb, ub), _ = social_node_bounds(node)
+            assert columns.node_social_lb[node.page_id].tolist() == lb
+            assert columns.node_social_ub[node.page_id].tolist() == ub
 
     def test_road_pivot_bounds_envelope_users(self, social_index):
         """Eqs. 13-14."""
-        h = social_index.road_pivots.num_pivots
+        columns = social_index.columns
         for node in social_index.iter_nodes():
-            if node.is_leaf:
-                for k in range(h):
-                    dists = [au.road_pivot_dists[k] for au in node.users]
-                    assert node.lb_road_pivot[k] == pytest.approx(min(dists))
-                    assert node.ub_road_pivot[k] == pytest.approx(max(dists))
+            _, _, (lb, ub) = social_node_bounds(node)
+            assert columns.node_road_lb[node.page_id].tolist() == lb
+            assert columns.node_road_ub[node.page_id].tolist() == ub
 
     def test_inner_bounds_envelope_children(self, social_index):
+        columns = social_index.columns
         for node in social_index.iter_nodes():
             if not node.is_leaf:
-                for k in range(social_index.social_pivots.num_pivots):
-                    assert node.lb_social_pivot[k] <= min(
-                        c.lb_social_pivot[k] for c in node.children
-                    )
-                    assert node.ub_social_pivot[k] >= max(
-                        c.ub_social_pivot[k] for c in node.children
-                    )
+                pages = [c.page_id for c in node.children]
+                assert np.array_equal(
+                    columns.node_social_lb[node.page_id],
+                    columns.node_social_lb[pages].min(axis=0),
+                )
+                assert np.array_equal(
+                    columns.node_social_ub[node.page_id],
+                    columns.node_social_ub[pages].max(axis=0),
+                )
+
+    def test_mixed_depth_tree(self, small_uni):
+        """Leaves at two depths: one depth's pages mix leaves and inner
+        nodes, and each still reduces its own members."""
+        rng = np.random.default_rng(3)
+        rp = select_pivots_road(small_uni.distances.engine, 3, rng)
+        sp = select_pivots_social(small_uni.social, 3, rng)
+        index = SocialIndex(small_uni, sp, rp, leaf_size=2, fanout=3)
+        depths = {}
+        stack = [(index.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            depths.setdefault(depth, set()).add(node.is_leaf)
+            stack.extend((c, depth + 1) for c in node.children)
+        assert any(kinds == {True, False} for kinds in depths.values())
+        _assert_rows_equal_derived(index)
+        # A re-attached index derives the same rows.
+        again = SocialIndex.from_snapshot(small_uni, sp, rp, index.snapshot())
+        _assert_rows_equal_derived(again)
+
+    def test_nodes_carry_structure_only(self, social_index):
+        for node in social_index.iter_nodes():
+            assert set(type(node).__slots__) == {
+                "is_leaf", "children", "users", "page_id", "num_users",
+            }
 
 
 class TestAccess:
