@@ -4,8 +4,8 @@ A structure whose records change one at a time (users, POIs, a seed's
 region) names each changed id in a :class:`ChangeLog`. A cache derived
 from it keeps a cursor into the log and, instead of rebuilding, drops
 only the entries of the ids logged since its cursor. :class:`OwnedLRU`
-is the cache side: an LRU map whose keys name an owner id first, so
-every entry of one owner is dropped without a scan.
+is the cache side: an :class:`LRU` map whose keys name an owner id
+first, so every entry of one owner is dropped without a scan.
 """
 
 from __future__ import annotations
@@ -53,33 +53,46 @@ class ChangeLog:
         return self._entries[cursor - self._base:]
 
 
-class OwnedLRU(OrderedDict):
-    """An LRU map over tuple keys whose first item is the owner's id.
+class LRU(OrderedDict):
+    """A least-recently-used map.
 
     Entries are read through :meth:`hit` and written through
     :meth:`put`, which evicts the least recently used entry beyond the
-    given capacity; :meth:`drop` removes every entry of one owner.
+    given capacity.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._owned: Dict[Hashable, Set[tuple]] = {}
-
-    def hit(self, key: tuple):
+    def hit(self, key: Hashable):
+        """The value under ``key`` (now the most recent), or ``None``."""
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
         return value
 
-    def put(self, key: tuple, value, capacity: float) -> None:
+    def put(self, key: Hashable, value, capacity: float) -> Optional[Hashable]:
+        """Store ``value``; return the evicted key, if any."""
         self[key] = value
-        self._owned.setdefault(key[0], set()).add(key)
         if len(self) > capacity:
-            old, _ = self.popitem(last=False)
+            return self.popitem(last=False)[0]
+        return None
+
+
+class OwnedLRU(LRU):
+    """An :class:`LRU` over tuple keys whose first item is the owner's
+    id; :meth:`drop` removes every entry of one owner."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._owned: Dict[Hashable, Set[tuple]] = {}
+
+    def put(self, key: tuple, value, capacity: float) -> Optional[tuple]:
+        self._owned.setdefault(key[0], set()).add(key)
+        old = super().put(key, value, capacity)
+        if old is not None:
             keys = self._owned[old[0]]
             keys.discard(old)
             if not keys:
                 del self._owned[old[0]]
+        return old
 
     def drop(self, owner: Hashable) -> None:
         for key in self._owned.pop(owner, ()):

@@ -42,8 +42,8 @@ from ..index.pivots import (
     select_pivots_road,
     select_pivots_social,
 )
-from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
-from ..index.social_index import AugmentedUser, SocialColumns, SocialIndex
+from ..index.road_index import AugmentedPOI, RoadIndex
+from ..index.social_index import SocialColumns, SocialIndex
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
 from .metrics import MetricScorer, at_least
@@ -144,9 +144,8 @@ class _RoadSweep:
         self.theta = theta
         self.matching = matching
         self.use_delta = use_delta
-        self.heap: List[Tuple[float, int, RoadIndexNode]] = [
-            (0.0, 0, index.root)
-        ]
+        # (key, tick, page), seeded with the root page
+        self.heap: List[Tuple[float, int, int]] = [(0.0, 0, 0)]
         self.delta = math.inf
         self.tick = 0  # heap tiebreaker
         self.r_cand: List[AugmentedPOI] = []
@@ -157,7 +156,7 @@ class _RoadSweep:
         """Pop the heap best-first until it empties or its smallest key
         exceeds ``delta`` (line 14).
 
-        With ``next_level`` an inner node's surviving children go to the
+        With ``next_level`` an inner page's surviving children go to the
         next level's heap (lines 25-26); otherwise back into this one
         (the drain of lines 27-28).
         """
@@ -166,7 +165,8 @@ class _RoadSweep:
         )
         theta, matching, use_delta = self.theta, self.matching, self.use_delta
         columns = gates.columns
-        leaf_slots, aps = columns.leaf_slots, columns.aps
+        children, leaf_slots = columns.children, columns.leaf_slots
+        size, aps = columns.size, columns.aps
         poi_match, node_match = gates.poi_match, gates.node_match
         poi_lb, node_lb = gates.poi_lb, gates.node_lb
         poi_ub, poi_witness = gates.poi_ub, gates.poi_witness
@@ -176,9 +176,9 @@ class _RoadSweep:
         out = [] if next_level else heap
         checks = 0
         while heap:
-            key, _t, node = heapq.heappop(heap)
+            key, _t, page = heapq.heappop(heap)
             if use_delta and key > delta:  # line 14: dominated
-                dominated = sum(h[2].num_pois for h in heap) + node.num_pois
+                dominated = sum(size[h[2]] for h in heap) + size[page]
                 counters.road_index_pruned += dominated
                 counters.road_pruned_by_distance += dominated
                 if ex is not None:
@@ -188,9 +188,10 @@ class _RoadSweep:
                     )
                 heap.clear()
                 break
-            index.visit(node)
-            if node.is_leaf:
-                for slot in leaf_slots[node.page_id]:
+            index.visit(page)
+            kids = children[page]
+            if not kids:
+                for slot in leaf_slots[page]:
                     # line 17: matching score pruning w.r.t. u_q (Lemma 1)
                     if matching:
                         ub_ms = poi_match[slot]
@@ -224,29 +225,28 @@ class _RoadSweep:
                         if ub < delta:
                             delta = ub
             else:
-                for child in node.children:
-                    page = child.page_id
+                for child in kids:
                     # line 23: matching score pruning (Lemma 6)
                     if matching:
-                        ub_ms = node_match[page]
+                        ub_ms = node_match[child]
                         if matching_score_prunable(ub_ms, theta):
-                            counters.road_index_pruned += child.num_pois
-                            counters.road_pruned_by_matching += child.num_pois
+                            counters.road_index_pruned += size[child]
+                            counters.road_pruned_by_matching += size[child]
                             if ex is not None:
                                 ex.prune(
                                     "traverse.road", "idx.road_matching",
-                                    child.num_pois, theta - ub_ms,
+                                    size[child], theta - ub_ms,
                                 )
                             continue
                     # line 24: distance pruning (Lemma 7 via Eq. 17, delta)
-                    lb = node_lb[page]
+                    lb = node_lb[child]
                     if use_delta and lb > delta:
-                        counters.road_index_pruned += child.num_pois
-                        counters.road_pruned_by_distance += child.num_pois
+                        counters.road_index_pruned += size[child]
+                        counters.road_pruned_by_distance += size[child]
                         if ex is not None:
                             ex.prune(
                                 "traverse.road", "idx.road_distance",
-                                child.num_pois, lb - delta,
+                                size[child], lb - delta,
                             )
                         continue
                     # line 25: defer to the next level's heap
@@ -526,7 +526,7 @@ class GPSSNQueryProcessor:
                 with rec.span("refine.enumerate") as espan:
                     # S_cand before Corollary 2: the sampler's draws
                     # depend on the space it expands through.
-                    allowed = {au.user_id for au in s_cand}
+                    allowed = set(s_cand)
                     allowed.add(query.query_user)
                     space = GroupSpace(
                         self.network, query.query_user, query.tau,
@@ -555,9 +555,10 @@ class GPSSNQueryProcessor:
         counters: PruningCounters,
         scorer: Optional[MetricScorer] = None,
         allow_delta_pruning: bool = True,
-    ) -> Tuple[List[AugmentedUser], List[AugmentedPOI], float]:
-        # Lines 1-28 read the frozen I_R mirror and its columns; POI
-        # churn since the last refreeze leaves both stale.
+    ) -> Tuple[List[int], List[AugmentedPOI], float]:
+        """Lines 1-28: S_cand as user ids, R_cand and the final delta."""
+        # The descent reads the I_R columns; POI churn since the last
+        # refreeze leaves them stale.
         self.road_index.refreeze_if_dirty()
         with self.recorder.span("traverse") as tspan:
             users, r_cand, delta = self._traverse_impl(
@@ -574,7 +575,7 @@ class GPSSNQueryProcessor:
         counters: PruningCounters,
         scorer: Optional[MetricScorer] = None,
         allow_delta_pruning: bool = True,
-    ) -> Tuple[List[AugmentedUser], List[AugmentedPOI], float]:
+    ) -> Tuple[List[int], List[AugmentedPOI], float]:
         scorer = scorer or MetricScorer(query.metric)
         rec = self.recorder
         # The funnel hooks sit inside the hot loops, so they are guarded
@@ -604,9 +605,9 @@ class GPSSNQueryProcessor:
         # among the k best; the best-so-far bound delta only witnesses
         # the single best pair, so delta-based pruning is suspended.
         use_delta = self.toggles.road_distance and allow_delta_pruning
-        # lines 1-3: S_cand at the I_S root; delta at +inf and the I_R
-        # heap seeded with the root
-        s_cand = [self.social_index.root.page_id]
+        # lines 1-3: S_cand at the I_S root (page 0); delta at +inf and
+        # the I_R heap seeded with its root
+        s_cand = [0]
         road = _RoadSweep(
             self.road_index, gates, counters, ex, query.theta,
             self.toggles.matching, use_delta,
@@ -629,7 +630,7 @@ class GPSSNQueryProcessor:
         with rec.span("traverse.road_drain"):
             road.sweep(next_level=False)
 
-        users = [columns.aus[~key] for key in s_cand if key < 0]
+        users = [columns.user_ids[~key] for key in s_cand if key < 0]
         r_cand = road.r_cand
         if use_delta and users and r_cand:
             with rec.span("traverse.witness_filter"):
@@ -658,7 +659,9 @@ class GPSSNQueryProcessor:
         only looks its members' rules up, in member order.
         """
         columns = gates.columns
-        nodes, leaf_slots = columns.nodes, columns.leaf_slots
+        children, leaf_slots, size = (
+            columns.children, columns.leaf_slots, columns.size
+        )
         users = gates.users
         user_rules, node_rules = users.rules, gates.node_rules
         visit = self.social_index.visit
@@ -667,9 +670,9 @@ class GPSSNQueryProcessor:
             if key < 0:
                 next_s.append(key)  # already at object level
                 continue
-            node = nodes[key]
-            visit(node)
-            if node.is_leaf:
+            visit(key)
+            kids = children[key]
+            if not kids:
                 for slot in leaf_slots[key]:
                     rule = user_rules[slot]
                     if not rule:
@@ -695,30 +698,29 @@ class GPSSNQueryProcessor:
                                 margin=query.gamma - users.score(slot),
                             )
             else:
-                for child in node.children:
-                    page = child.page_id
+                for page in kids:
                     rule = node_rules[page]
                     if not rule:
                         next_s.append(page)
                         continue
-                    counters.social_index_pruned += child.num_users
+                    counters.social_index_pruned += size[page]
                     if rule == HOPS:
                         # Lemma 9: hop-distance pruning (Eq. 19)
-                        counters.social_pruned_by_distance += child.num_users
+                        counters.social_pruned_by_distance += size[page]
                         if ex is not None:
                             ex.prune(
                                 "traverse.social", "idx.social_hops",
-                                child.num_users,
+                                size[page],
                                 gates.node_hops[page] - query.tau,
                             )
                     else:
                         # Lemma 8: interest-region pruning (metric-aware
                         # upper bound over the node's interest MBR)
-                        counters.social_pruned_by_interest += child.num_users
+                        counters.social_pruned_by_interest += size[page]
                         if ex is not None:
                             ex.prune(
                                 "traverse.social", "idx.social_interest",
-                                child.num_users,
+                                size[page],
                                 query.gamma - gates.node_bound(page),
                             )
         return next_s
@@ -726,7 +728,7 @@ class GPSSNQueryProcessor:
     def _witness_filter(
         self,
         query: GPSSNQuery,
-        users: List[AugmentedUser],
+        users: List[int],
         road: "_RoadSweep",
         counters: PruningCounters,
         ex,
@@ -757,7 +759,7 @@ class GPSSNQueryProcessor:
                 network.road, dense_w, witness.poi.position
             )
             user_idx = np.fromiter(
-                (user_index[au.user_id] for au in users),
+                (user_index[uid] for uid in users),
                 dtype=np.int64, count=len(users),
             )
             exact_user_max = float(user_row[user_idx].max())
@@ -791,7 +793,7 @@ class GPSSNQueryProcessor:
     def _refine(
         self,
         query: GPSSNQuery,
-        s_cand: List[AugmentedUser],
+        s_cand: List[int],
         r_cand: List[AugmentedPOI],
         stats: QueryStatistics,
         max_groups: Optional[int],
@@ -823,7 +825,7 @@ class GPSSNQueryProcessor:
     def _corollary2(
         self,
         query: GPSSNQuery,
-        s_cand: List[AugmentedUser],
+        s_cand: List[int],
         stats: QueryStatistics,
         scorer: MetricScorer,
         ex,
@@ -839,10 +841,10 @@ class GPSSNQueryProcessor:
         reachable = self.network.social.hop_distances_from(
             uq_id, max_hops=query.tau - 1
         )
-        survivors: List[AugmentedUser] = []
-        for au in s_cand:
-            if au.user_id == uq_id or au.user_id in reachable:
-                survivors.append(au)
+        survivors: List[int] = []
+        for uid in s_cand:
+            if uid == uq_id or uid in reachable:
+                survivors.append(uid)
             else:
                 stats.pruning.social_object_pruned += 1
                 stats.pruning.social_pruned_by_distance += 1
@@ -853,7 +855,7 @@ class GPSSNQueryProcessor:
         )
         if ex is not None:
             ex.survive("refine.users", len(survivors))
-        return {au.user_id for au in survivors} | {uq_id}
+        return set(survivors) | {uq_id}
 
     def _seed_filter(
         self,
@@ -940,11 +942,11 @@ class GPSSNQueryProcessor:
     def _corollary2_fixpoint(
         self,
         query: GPSSNQuery,
-        candidates: List[AugmentedUser],
+        candidates: List[int],
         stats: QueryStatistics,
         scorer: Optional[MetricScorer] = None,
         explain=None,
-    ) -> List[AugmentedUser]:
+    ) -> List[int]:
         """Corollary 2 applied until no more users fall out.
 
         A user incompatible (interest score below gamma) with at least
@@ -955,6 +957,7 @@ class GPSSNQueryProcessor:
         if not self.toggles.interest:
             return list(candidates)
         scorer = scorer or MetricScorer(query.metric)
+        user = self.network.social.user
         current = list(candidates)
         while True:
             size = len(current)
@@ -964,7 +967,7 @@ class GPSSNQueryProcessor:
             # Interest_Score(u_i, u_j), decided by the exact score near
             # gamma; hostile counts are row sums of the sub-threshold
             # mask (diagonal excluded).
-            interests = [au.user.interests for au in current]
+            interests = [user(uid).interests for uid in current]
             hostile_mask = ~at_least(
                 scorer.pairwise_matrix(np.stack(interests)), query.gamma,
                 lambda i, j: scorer.score(interests[i], interests[j]),
@@ -974,7 +977,7 @@ class GPSSNQueryProcessor:
             threshold = size - query.tau + 1
             removed_idx = [
                 i for i in range(size)
-                if current[i].user_id != query.query_user
+                if current[i] != query.query_user
                 and hostile[i] >= threshold
             ]
             if not removed_idx:
@@ -991,5 +994,5 @@ class GPSSNQueryProcessor:
                         margin=float(hostile[i] - threshold),
                     )
             current = [
-                au for i, au in enumerate(current) if i not in removed_set
+                uid for i, uid in enumerate(current) if i not in removed_set
             ]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import OrderedDict
 from itertools import chain, islice
 from typing import (
     Callable,
@@ -57,7 +56,7 @@ from typing import (
 
 import numpy as np
 
-from ..changes import ChangeLog, OwnedLRU
+from ..changes import LRU, ChangeLog, OwnedLRU
 from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
@@ -724,7 +723,7 @@ class PairKernel:
         # would grow with every distinct value a long-running service
         # is asked for.
         self._cache_cap = network.distances.cache_size
-        self._member_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._member_rows = LRU()  # uid -> distance row
         self._balls = OwnedLRU()
         self._user_feasible = OwnedLRU()
         self._user_positions: Optional[PositionArrays] = None
@@ -737,17 +736,6 @@ class PairKernel:
             for f in poi.keywords:
                 keywords[i, f] = True
         return keywords
-
-    def _lru_get(self, cache: OrderedDict, key: Hashable):
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-        return value
-
-    def _lru_put(self, cache: OrderedDict, key: Hashable, value) -> None:
-        cache[key] = value
-        if len(cache) > self._cache_cap:
-            cache.popitem(last=False)
 
     # -- following mutations ------------------------------------------
 
@@ -839,7 +827,7 @@ class PairKernel:
         same-edge correction), evaluated once for all POIs. A cached
         row shorter than the slot count is extended over the new slots.
         """
-        row = self._lru_get(self._member_rows, uid)
+        row = self._member_rows.hit(uid)
         if row is None or len(row) < len(self.poi_ids):
             network = self.network
             user = network.social.user(uid)
@@ -852,7 +840,7 @@ class PairKernel:
             )
             row = tail if row is None else np.concatenate((row, tail))
             row.flags.writeable = False
-            self._lru_put(self._member_rows, uid, row)
+            self._member_rows.put(uid, row, self._cache_cap)
         return row
 
     def interest_vector(self, uid: int) -> np.ndarray:

@@ -10,8 +10,8 @@ rebuild. Division of labour per structure:
 * **Road index** — maintained exactly. R*-tree insert/delete is exact,
   and one truncated Dijkstra per POI mutation updates the symmetric
   ``2*r_max`` neighbourhood's region ids, region distances and sup/sub
-  material; the frozen traversal mirror is re-derived lazily in
-  :meth:`flush`.
+  material; the index's columns are re-laid from the R*-tree lazily
+  in :meth:`flush`.
 * **Social pivot maps** — maintained exactly (a stale hop map could
   over-prune through ``pivot_lower_bound``, the inadmissible
   direction); a per-pivot BFS-level test skips the recompute for most
@@ -68,8 +68,7 @@ class DynamicIndexMaintainer:
         """Apply one mutation to the network and maintain the indexes.
 
         The processor can answer again after :meth:`flush` (which
-        re-derives the road index's frozen mirror if POI churn touched
-        it); callers streaming many mutations should batch
+        re-lays the road index's columns if POI churn touched them); callers streaming many mutations should batch
         ``apply × N`` + one ``flush`` per re-answer point.
         """
         op = mutation.op
@@ -102,16 +101,12 @@ class DynamicIndexMaintainer:
     def _apply_move_user(self, mutation: Mutation) -> None:
         self.network.apply(mutation)
         uid = mutation.user
-        social_index = self.processor.social_index
-        au = social_index.augmented(uid)
-        old_road = list(au.road_pivot_dists)
-        au.user = self.network.social.user(uid)
+        home = self.network.social.user(uid).home
         # Hop distances are move-invariant; only the home-to-road-pivot
         # row changes, recomputed exactly from the pivot Dijkstra maps.
-        au.road_pivot_dists = list(
-            self.processor.road_pivots.distances(au.user.home)
+        self.processor.social_index.widen_user(
+            uid, road=self.processor.road_pivots.distances(home)
         )
-        social_index.widen_user(uid, old_road=old_road)
 
     def _apply_friend_edge(self, mutation: Mutation, removing: bool) -> None:
         social_pivots = self.processor.social_pivots
@@ -124,16 +119,12 @@ class DynamicIndexMaintainer:
             return
         changed = social_pivots.recompute(stale)
         social_index = self.processor.social_index
+        # ``changed`` holds exactly the users whose hop row differs.
         for uid in self.network.social.user_ids():
-            if uid not in changed:
-                continue
-            au = social_index.augmented(uid)
-            fresh = social_pivots.distances(uid)
-            if fresh == au.social_pivot_dists:
-                continue
-            old_social = list(au.social_pivot_dists)
-            au.social_pivot_dists = fresh
-            social_index.widen_user(uid, old_social=old_social)
+            if uid in changed:
+                social_index.widen_user(
+                    uid, social=social_pivots.distances(uid)
+                )
 
     def apply_all(self, mutations: Iterable[Mutation]) -> int:
         count = 0

@@ -9,9 +9,10 @@
 * :class:`~repro.index.social_index.SocialIndex` — the paper's I_S: a
   partition tree over the social graph whose entries carry interest-space
   MBRs and pivot-distance bounds;
-* :mod:`~repro.index.paging` — both indexes' nodes carry structure
-  only; their bounds are columns by page id, derived by segmented
-  reductions over the member rows;
+* :mod:`~repro.index.paging` — each index tree is held only as
+  columns by page id: its shape (child pages, leaf slots, member
+  counts) and its bounds, derived by segmented reductions over the
+  member rows; no node objects exist;
 * :mod:`~repro.index.pivots` — Algorithm 1 pivot selection with the
   swap-based local search and the cost model;
 * :class:`~repro.index.pagecounter.PageAccessCounter` — the simulated
@@ -26,16 +27,14 @@ from .pivots import (
     select_pivots_road,
     select_pivots_social,
 )
-from .road_index import RoadIndex, RoadIndexNode
+from .road_index import RoadIndex
 from .rstar import RStarTree
-from .social_index import SocialIndex, SocialIndexNode
+from .social_index import SocialIndex
 
 __all__ = [
     "RStarTree",
     "RoadIndex",
-    "RoadIndexNode",
     "SocialIndex",
-    "SocialIndexNode",
     "RoadPivotIndex",
     "SocialPivotIndex",
     "select_pivots_road",

@@ -14,24 +14,24 @@ the pre-computed material the pruning lemmas need:
   without a distance search;
 * road-pivot distances ``dist_RN(o_i, rp_k)``.
 
-**Nodes** (:class:`RoadIndexNode`) carry structure only: children or
-POIs, a page id and a POI count. Their bounds live in one place, the
-index's :class:`RoadColumns`, which derives them from the POI rows:
+**The tree** lives in one place, the index's :class:`RoadColumns`:
+its shape as per-page lists (child pages, leaf slots, POI counts) and
+every node bound as a row by page id, derived from the POI rows:
 
 * ``sup_K`` as the union (bit-OR) of the members' hashed vectors
   (Eq. in §4.1);
 * lower/upper pivot-distance bounds (Eqs. 7-8).
 
-The R\\*-tree is STR-packed at construction and kept as the scaffold
-for POI insert/delete; the traversal operates on the immutable
-:class:`RoadIndexNode` mirror derived from it.
+No node objects exist. The R\\*-tree is STR-packed at construction and
+kept as the scaffold for POI insert/delete; the columns are laid out
+from its skeleton, and re-laid after POI churn before the next query.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -90,34 +90,6 @@ class AugmentedPOI:
         return self.poi.poi_id
 
 
-class RoadIndexNode:
-    """An immutable I_R node (leaf or inner): structure only.
-
-    Its bounds are rows of the index's :class:`RoadColumns`, by
-    ``page_id``.
-    """
-
-    __slots__ = ("is_leaf", "children", "pois", "page_id", "num_pois")
-
-    def __init__(
-        self,
-        children: Sequence["RoadIndexNode"] = (),
-        pois: Sequence[AugmentedPOI] = (),
-    ) -> None:
-        self.is_leaf = not children
-        self.children = list(children)
-        self.pois = list(pois)
-        self.page_id = -1
-        self.num_pois = (
-            len(self.pois) if self.is_leaf
-            else sum(c.num_pois for c in self.children)
-        )
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "inner"
-        return f"RoadIndexNode({kind}, pois={self.num_pois})"
-
-
 class RoadIndex:
     """The complete I_R index over a spatial-social network's POIs."""
 
@@ -147,7 +119,10 @@ class RoadIndex:
         #: when the index was attached from a snapshot (immutable).
         self._tree: Optional[RStarTree] = None
         self._dirty = False
-        self._adopt_mirror(self._build(max_entries))
+        #: the tree's shape and every node bound, read by the traversal
+        #: and the road gates; stale after a mutation until
+        #: :meth:`refreeze_if_dirty`, which every query runs first
+        self.columns = RoadColumns(self, self._build(max_entries))
 
     def _init_region_cache(self) -> None:
         #: (seed, radius) -> region ids, see :meth:`region`
@@ -160,7 +135,7 @@ class RoadIndex:
 
     # -- construction ----------------------------------------------------------
 
-    def _build(self, max_entries: int) -> RoadIndexNode:
+    def _build(self, max_entries: int) -> dict:
         network = self.network
         pois = network.pois()
         if not pois:
@@ -195,47 +170,15 @@ class RoadIndex:
         ])
         tree.check_invariants()
         self._tree = tree
-        return self._mirror(_skeleton(tree.root))
+        return _skeleton(tree.root)
 
-    def _mirror(self, skeleton: dict) -> RoadIndexNode:
-        """The immutable mirror of a tree skeleton (:meth:`snapshot`'s
-        ``tree`` form): structure only, for both build and attach."""
-        if "pois" in skeleton:
-            return RoadIndexNode(
-                pois=[self._augmented[pid] for pid in skeleton["pois"]]
-            )
-        return RoadIndexNode(
-            children=[self._mirror(c) for c in skeleton["children"]]
-        )
+    @property
+    def height(self) -> int:
+        return self.columns.height
 
-    def _adopt_mirror(self, root: RoadIndexNode) -> None:
-        """Install a freshly derived mirror: height, page ids, columns.
-
-        ``columns`` holds every bound of the mirror, read by the road
-        gates; like the mirror, it goes stale on a mutation until
-        :meth:`refreeze_if_dirty`, which every query runs first.
-        """
-        self.root = root
-        self.height = self._measure_height(root)
-        self.num_pages = self._assign_page_ids()
-        self.columns = RoadColumns(self)
-
-    def _measure_height(self, node: RoadIndexNode) -> int:
-        height = 1
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
-
-    def _assign_page_ids(self) -> int:
-        next_id = 0
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            node.page_id = next_id
-            next_id += 1
-            queue.extend(node.children)
-        return next_id
+    @property
+    def num_pages(self) -> int:
+        return self.columns.num_pages
 
     # -- snapshots (skip the expensive precompute on reload) ---------------------
 
@@ -246,11 +189,7 @@ class RoadIndex:
         sweep, which dominates construction cost at scale; only the
         pivot SSSP maps are recomputed on load.
         """
-        def node_skeleton(node: RoadIndexNode):
-            if node.is_leaf:
-                return {"pois": [ap.poi_id for ap in node.pois]}
-            return {"children": [node_skeleton(c) for c in node.children]}
-
+        columns = self.columns
         return {
             "pivots": list(self.pivots.pivots),
             "r_min": self.r_min,
@@ -267,7 +206,9 @@ class RoadIndex:
                 }
                 for pid, ap in self._augmented.items()
             },
-            "tree": node_skeleton(self.root),
+            "tree": columns.skeleton(
+                "pois", [ap.poi_id for ap in columns.aps]
+            ),
         }
 
     @classmethod
@@ -301,7 +242,7 @@ class RoadIndex:
 
         index._tree = None
         index._dirty = False
-        index._adopt_mirror(index._mirror(snapshot["tree"]))
+        index.columns = RoadColumns(index, snapshot["tree"])
         return index
 
     # -- incremental maintenance (POI churn) -------------------------------------
@@ -310,8 +251,8 @@ class RoadIndex:
     # material is maintained *exactly* here (region membership, sup/sub
     # keyword unions, pivot distances), so the road index carries no
     # slack: one truncated Dijkstra per inserted/removed POI updates the
-    # symmetric neighbourhood, and the frozen traversal mirror is
-    # re-derived before the next query traverses (`refreeze_if_dirty`).
+    # symmetric neighbourhood, and the columns are re-laid from the
+    # R*-tree before the next query traverses (`refreeze_if_dirty`).
     # Widen-on-update slack accounting lives in the social index, per
     # the dynamic-layer design.
 
@@ -431,7 +372,7 @@ class RoadIndex:
         self._dirty = True
 
     def _mutated(self, touched: Iterable[int]) -> None:
-        """Mark the mirror stale after an insert or delete, and drop the
+        """Mark the columns stale after an insert or delete, and drop the
         cached regions the edit may have changed.
 
         ``touched`` holds the edited POI and every seed whose
@@ -449,18 +390,17 @@ class RoadIndex:
         self._dirty = True
 
     def refreeze_if_dirty(self) -> bool:
-        """Re-derive the frozen traversal mirror after mutations.
+        """Re-lay the columns from the R*-tree after mutations.
 
         The live R*-tree absorbs insert/delete immediately, but queries
-        traverse the immutable :class:`RoadIndexNode` mirror; this
-        regenerates it, its page ids and its ``columns`` (keyword
-        aggregates and pivot-bound intervals, all exact). Returns
-        whether a refreeze happened.
+        read :attr:`columns`; this regenerates them (page numbering,
+        keyword aggregates and pivot-bound intervals, all exact).
+        Returns whether a refreeze happened.
         """
         if not self._dirty:
             return False
         tree = self._require_tree()
-        self._adopt_mirror(self._mirror(_skeleton(tree.root)))
+        self.columns = RoadColumns(self, _skeleton(tree.root))
         self._dirty = False
         return True
 
@@ -472,16 +412,9 @@ class RoadIndex:
         except KeyError:
             raise IndexStateError(f"POI {poi_id} not in road index") from None
 
-    def visit(self, node: RoadIndexNode) -> None:
-        """Record a page access for the traversal touching ``node``."""
-        self.counter.record(("road", node.page_id))
-
-    def iter_nodes(self) -> Iterator[RoadIndexNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
+    def visit(self, page: int) -> None:
+        """Record a page access for the traversal touching ``page``."""
+        self.counter.record(("road", page))
 
     def region(self, poi_id: int, radius: float) -> List[int]:
         """POI ids within network distance ``radius`` of ``poi_id``.
@@ -499,9 +432,8 @@ class RoadIndex:
         """
         key = (poi_id, radius)
         cache = self._region_cache
-        cached = cache.get(key)
+        cached = cache.hit(key)
         if cached is not None:
-            cache.move_to_end(key)
             return cached
         if radius <= 2.0 * self.r_max:
             ap = self.augmented(poi_id)
@@ -517,24 +449,16 @@ class RoadIndex:
 
     def describe(self) -> dict:
         """Structural statistics (for dashboards, logs, and tests)."""
-        leaves = inner = 0
-        leaf_fill = []
-        sup_sizes = []
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                leaves += 1
-                leaf_fill.append(len(node.pois))
-            else:
-                inner += 1
-        for ap in self._augmented.values():
-            sup_sizes.append(len(ap.sup_keywords))
+        columns = self.columns
+        leaves = sum(1 for kids in columns.children if not kids)
+        sup_sizes = [len(ap.sup_keywords) for ap in self._augmented.values()]
         return {
-            "num_pois": self.root.num_pois,
+            "num_pois": columns.size[0],
             "height": self.height,
             "num_pages": self.num_pages,
             "leaf_nodes": leaves,
-            "inner_nodes": inner,
-            "avg_leaf_fill": sum(leaf_fill) / leaves if leaves else 0.0,
+            "inner_nodes": self.num_pages - leaves,
+            "avg_leaf_fill": columns.size[0] / leaves if leaves else 0.0,
             "num_pivots": self.pivots.num_pivots,
             "avg_sup_keywords": (
                 sum(sup_sizes) / len(sup_sizes) if sup_sizes else 0.0
@@ -545,7 +469,7 @@ class RoadIndex:
 
     def __repr__(self) -> str:
         return (
-            f"RoadIndex(pois={self.root.num_pois}, height={self.height}, "
+            f"RoadIndex(pois={self.columns.size[0]}, height={self.height}, "
             f"pages={self.num_pages})"
         )
 
@@ -570,8 +494,9 @@ def _hashed_rows(vectors: Sequence[KeywordBitVector], d: int) -> np.ndarray:
 
 
 class RoadColumns(TreeColumns):
-    """The road index's bounds as columns: the one copy of the node
-    bounds, derived with the mirror from the POI rows.
+    """The road index's tree as columns: its shape (see
+    :class:`TreeColumns`) and the one copy of the node bounds, derived
+    from the POI rows.
 
     POIs get dense slots in page order (then leaf order), nodes are
     addressed by page id. A node's pivot intervals are the min and max
@@ -598,10 +523,10 @@ class RoadColumns(TreeColumns):
         "sup_mask", "exact_mask", "sub_id", "num_sub", "sub_groups",
     )
 
-    def __init__(self, index: RoadIndex) -> None:
+    def __init__(self, index: RoadIndex, skeleton: dict) -> None:
         d = index.network.num_keywords
         h = index.pivots.num_pivots
-        aps = self._lay_out(index.root, index.num_pages, lambda n: n.pois)
+        aps = [index._augmented[pid] for pid in self._lay_out(skeleton, "pois")]
         self.aps = aps
         self.slot_of = {ap.poi_id: slot for slot, ap in enumerate(aps)}
         self.poi_pivots = np.array(

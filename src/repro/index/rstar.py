@@ -18,7 +18,7 @@ Entries are ``(mbr, payload)`` pairs; payloads are opaque to the tree.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..geometry import MBR
@@ -40,7 +40,7 @@ class RStarEntry:
 class RStarNode:
     """A tree node holding either entries (leaf) or child nodes."""
 
-    __slots__ = ("is_leaf", "entries", "children", "mbr", "parent", "page_id")
+    __slots__ = ("is_leaf", "entries", "children", "mbr", "parent")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
@@ -48,8 +48,6 @@ class RStarNode:
         self.children: List["RStarNode"] = []
         self.mbr: Optional[MBR] = None
         self.parent: Optional["RStarNode"] = None
-        #: assigned after bulk construction; used by the I/O simulation
-        self.page_id: int = -1
 
     def members(self) -> Sequence[Any]:
         return self.entries if self.is_leaf else self.children
@@ -336,18 +334,6 @@ class RStarTree:
             if not node.is_leaf:
                 stack.extend(node.children)
 
-    def assign_page_ids(self) -> int:
-        """Number nodes breadth-first for the I/O simulation; returns count."""
-        next_id = 0
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            node.page_id = next_id
-            next_id += 1
-            if not node.is_leaf:
-                queue.extend(node.children)
-        return next_id
-
     def node_level(self, node: RStarNode) -> int:
         """Leaf level is 0; the root is ``height - 1``."""
         level = 0
@@ -392,19 +378,6 @@ class RStarTree:
             )
 
     # -- insertion machinery ---------------------------------------------------
-
-    def _node_at_level(self, level: int) -> Callable[[RStarNode], bool]:
-        target_depth = self._height - 1 - level
-
-        def predicate(node: RStarNode) -> bool:
-            depth = 0
-            probe = node
-            while probe.parent is not None:
-                probe = probe.parent
-                depth += 1
-            return depth == target_depth
-
-        return predicate
 
     def _choose_subtree(self, mbr: MBR, level: int) -> RStarNode:
         """Descend from the root to the node at ``level`` that should

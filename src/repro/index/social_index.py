@@ -14,28 +14,27 @@ I_S is a tree over the users of the social network:
   - lower/upper bounds of road distances of the users' homes to the
     ``h`` road pivots (Eqs. 13-14).
 
-Nodes are page-numbered (breadth first) for the I/O simulation and
-carry structure only: children or users, a page id and a user count.
-Every aggregate lives in one place, the index's
-:class:`SocialColumns` (:attr:`SocialIndex.columns`), as rows by user
-slot and node page, from which the query processor evaluates Lemmas 3,
-4, 8 and 9 for every entry at once. The partition tree is fixed at
-construction: the dynamic ops neither add nor remove users, so
-maintenance only widens the node rows in place
-(:meth:`SocialIndex.widen_user`) and re-tightens them on
+The tree lives in one place, the index's :class:`SocialColumns`
+(:attr:`SocialIndex.columns`): its shape as per-page lists (pages
+numbered breadth first for the I/O simulation), each user's pivot
+distances and interests as a row by slot, and every aggregate as a row
+by page, from which the query processor evaluates Lemmas 3, 4, 8 and 9
+for every entry at once. No node objects exist. The partition tree is
+fixed at construction: the dynamic ops neither add nor remove users, so
+maintenance only rewrites a user's row and widens the node rows above
+it in place (:meth:`SocialIndex.widen_user`), and re-tightens them on
 :meth:`SocialIndex.compact`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import IndexStateError, InvalidParameterError
 from ..network import SpatialSocialNetwork
-from ..socialnet.graph import User
 from ..socialnet.partition import partition_graph
 from .pagecounter import PageAccessCounter
 from .paging import TreeColumns
@@ -45,54 +44,6 @@ from .pivots import RoadPivotIndex, SocialPivotIndex
 DEFAULT_LEAF_SIZE = 16
 #: Default fanout of non-leaf nodes.
 DEFAULT_FANOUT = 8
-
-
-class AugmentedUser:
-    """A user plus pre-computed pivot distances."""
-
-    __slots__ = ("user", "social_pivot_dists", "road_pivot_dists")
-
-    def __init__(
-        self,
-        user: User,
-        social_pivot_dists: Sequence[float],
-        road_pivot_dists: Sequence[float],
-    ) -> None:
-        self.user = user
-        self.social_pivot_dists = list(social_pivot_dists)
-        self.road_pivot_dists = list(road_pivot_dists)
-
-    @property
-    def user_id(self) -> int:
-        return self.user.user_id
-
-
-class SocialIndexNode:
-    """An I_S node (leaf or inner): structure only.
-
-    Its Eq. 9-14 bounds are rows of the index's :class:`SocialColumns`,
-    by ``page_id``.
-    """
-
-    __slots__ = ("is_leaf", "children", "users", "page_id", "num_users")
-
-    def __init__(
-        self,
-        children: Sequence["SocialIndexNode"] = (),
-        users: Sequence[AugmentedUser] = (),
-    ) -> None:
-        self.is_leaf = not children
-        self.children = list(children)
-        self.users = list(users)
-        self.page_id = -1
-        self.num_users = (
-            len(self.users) if self.is_leaf
-            else sum(c.num_users for c in self.children)
-        )
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "inner"
-        return f"SocialIndexNode({kind}, users={self.num_users})"
 
 
 class SocialIndex:
@@ -119,15 +70,12 @@ class SocialIndex:
         self.fanout = fanout
         self.counter = PageAccessCounter()
 
-        self._augmented = {
-            user.user_id: AugmentedUser(
-                user=user,
-                social_pivot_dists=social_pivots.distances(user.user_id),
-                road_pivot_dists=road_pivots.distances(user.home),
-            )
-            for user in network.social.users()
-        }
-        self._adopt(self._partition(sorted(self._augmented)))
+        users = list(network.social.users())
+        self._adopt(
+            self._partition(sorted(user.user_id for user in users)),
+            {u.user_id: social_pivots.distances(u.user_id) for u in users},
+            {u.user_id: road_pivots.distances(u.home) for u in users},
+        )
 
     # -- construction ----------------------------------------------------------
 
@@ -143,53 +91,32 @@ class SocialIndex:
             return {"users": list(user_ids)}
         return {"children": [self._partition(part) for part in parts]}
 
-    def _mirror(self, skeleton: dict) -> SocialIndexNode:
-        """The nodes of a tree skeleton: structure only, for both build
-        and attach."""
-        if "users" in skeleton:
-            return SocialIndexNode(
-                users=[self._augmented[uid] for uid in skeleton["users"]]
-            )
-        return SocialIndexNode(
-            children=[self._mirror(c) for c in skeleton["children"]]
-        )
-
-    def _adopt(self, skeleton: dict) -> None:
-        """Install the tree: nodes, height, page ids and exact columns."""
-        self.root = self._mirror(skeleton)
-        self.height = self._measure_height(self.root)
-        self.num_pages = self._assign_page_ids()
+    def _adopt(
+        self,
+        skeleton: dict,
+        social: Dict[int, Sequence[float]],
+        road: Dict[int, Sequence[float]],
+    ) -> None:
+        """Lay the tree out as exact :attr:`columns` from its skeleton
+        and each user's social- and road-pivot distances."""
         #: bound entries made potentially loose by widen-on-update (the
         #: ``dynamic.bound_slack`` gauge); reset by :meth:`compact`.
         self.bound_slack = 0
-        self.columns = SocialColumns(self)
+        self.columns = SocialColumns(self, skeleton, social, road)
 
-    def _measure_height(self, node: SocialIndexNode) -> int:
-        height = 1
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
+    @property
+    def height(self) -> int:
+        return self.columns.height
 
-    def _assign_page_ids(self) -> int:
-        next_id = 0
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            node.page_id = next_id
-            next_id += 1
-            queue.extend(node.children)
-        return next_id
+    @property
+    def num_pages(self) -> int:
+        return self.columns.num_pages
 
     # -- snapshots ----------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Serializable image of the index (structure + pivot distances)."""
-        def node_skeleton(node: SocialIndexNode):
-            if node.is_leaf:
-                return {"users": [au.user_id for au in node.users]}
-            return {"children": [node_skeleton(c) for c in node.children]}
-
+        columns = self.columns
         return {
             "social_pivots": list(self.social_pivots.pivots),
             "road_pivots": list(self.road_pivots.pivots),
@@ -199,13 +126,15 @@ class SocialIndex:
                 str(uid): {
                     "social": [
                         None if math.isinf(d) else d
-                        for d in au.social_pivot_dists
+                        for d in social.tolist()
                     ],
-                    "road": list(au.road_pivot_dists),
+                    "road": road.tolist(),
                 }
-                for uid, au in self._augmented.items()
+                for uid, social, road in zip(
+                    columns.user_ids, columns.user_social, columns.user_road
+                )
             },
-            "tree": node_skeleton(self.root),
+            "tree": columns.skeleton("users", columns.user_ids),
         }
 
     @classmethod
@@ -224,19 +153,15 @@ class SocialIndex:
         index.leaf_size = int(snapshot["leaf_size"])
         index.fanout = int(snapshot["fanout"])
         index.counter = PageAccessCounter()
-        index._augmented = {}
-        for uid_str, data in snapshot["augmented"].items():
-            uid = int(uid_str)
-            index._augmented[uid] = AugmentedUser(
-                user=network.social.user(uid),
-                social_pivot_dists=[
-                    math.inf if d is None else float(d)
-                    for d in data["social"]
-                ],
-                road_pivot_dists=data["road"],
-            )
-
-        index._adopt(snapshot["tree"])
+        rows = {int(uid): data for uid, data in snapshot["augmented"].items()}
+        index._adopt(
+            snapshot["tree"],
+            {
+                uid: [math.inf if d is None else float(d) for d in data["social"]]
+                for uid, data in rows.items()
+            },
+            {uid: data["road"] for uid, data in rows.items()},
+        )
         return index
 
     # -- incremental maintenance (widen-on-update, Section 4.1 bounds) -----------
@@ -255,57 +180,37 @@ class SocialIndex:
     def widen_user(
         self,
         user_id: int,
-        old_social: Optional[Sequence[float]] = None,
-        old_road: Optional[Sequence[float]] = None,
-        old_interests: Optional[Sequence[float]] = None,
+        social: Optional[Sequence[float]] = None,
+        road: Optional[Sequence[float]] = None,
     ) -> int:
-        """Re-cover ``user_id``'s current values on its leaf-to-root path.
+        """Write ``user_id``'s new social- and/or road-pivot row and
+        re-cover it on the user's leaf-to-root path.
 
-        Call after mutating the user's :class:`AugmentedUser` fields
-        (pivot distances, interest vector): the user's row of
-        :attr:`columns` is rewritten from them and the rows of the
-        nodes on its path widen to cover it. Bounds only widen; the
-        return value is the slack added (also accumulated on
-        :attr:`bound_slack`): per node, a bound the user's old value sat
-        on and its new value retreated from, which can no longer be
-        certified tight without a rescan. An interest point outside a
-        node's MBR widens the box and adds no interest slack.
+        The rows of the nodes on the path widen to cover the new row.
+        Bounds only widen; the return value is the slack added (also
+        accumulated on :attr:`bound_slack`): per node, a bound the
+        user's old value sat on and its new value retreated from, which
+        can no longer be certified tight without a rescan.
         """
         cols = self.columns
         slot = cols.slot_of.get(user_id)
         if slot is None:
             raise IndexStateError(f"user {user_id} not in social index")
-        au = self._augmented[user_id]
-        cols.user_social[slot] = au.social_pivot_dists
-        cols.user_road[slot] = au.road_pivot_dists
-        cols.user_interests[slot] = au.user.interests
         pages = cols.path_pages(slot)
         added = 0
-
-        point = cols.user_interests[slot]
-        low, high = cols.node_low[pages], cols.node_high[pages]
-        if old_interests is not None:
-            old = np.asarray(old_interests, dtype=np.float64)
-            inside = ((low <= point) & (point <= high)).all(axis=1)
-            retreated = ((old == low) & (point > low)) | (
-                (old == high) & (point < high)
-            )
-            added += int(retreated[inside].sum())
-        cols.node_low[pages] = np.minimum(low, point)
-        cols.node_high[pages] = np.maximum(high, point)
-
-        for lb_name, ub_name, row, old in (
-            ("node_social_lb", "node_social_ub", cols.user_social[slot],
-             old_social),
-            ("node_road_lb", "node_road_ub", cols.user_road[slot], old_road),
+        for new, rows, lbs, ubs in (
+            (social, cols.user_social, cols.node_social_lb,
+             cols.node_social_ub),
+            (road, cols.user_road, cols.node_road_lb, cols.node_road_ub),
         ):
-            lbs = getattr(cols, lb_name)
-            ubs = getattr(cols, ub_name)
+            if new is None:
+                continue
+            old = rows[slot].copy()
+            rows[slot] = new
+            row = rows[slot]
             lb, ub = lbs[pages], ubs[pages]
-            if old is not None:
-                old = np.asarray(old, dtype=np.float64)
-                added += int(((old == lb) & (row > lb)).sum())
-                added += int(((old == ub) & (row < ub)).sum())
+            added += int(((old == lb) & (row > lb)).sum())
+            added += int(((old == ub) & (row < ub)).sum())
             lbs[pages] = np.minimum(lb, row)
             ubs[pages] = np.maximum(ub, row)
         self.bound_slack += added
@@ -342,43 +247,29 @@ class SocialIndex:
 
     # -- access -----------------------------------------------------------------
 
-    def augmented(self, user_id: int) -> AugmentedUser:
-        return self._augmented[user_id]
-
-    def visit(self, node: SocialIndexNode) -> None:
-        """Record a page access for the traversal touching ``node``."""
-        self.counter.record(("social", node.page_id))
-
-    def iter_nodes(self) -> Iterator[SocialIndexNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
+    def visit(self, page: int) -> None:
+        """Record a page access for the traversal touching ``page``."""
+        self.counter.record(("social", page))
 
     def describe(self) -> dict:
         """Structural statistics (for dashboards, logs, and tests)."""
-        leaves = inner = 0
-        leaf_fill = []
-        mbr_widths = []
         cols = self.columns
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                leaves += 1
-                leaf_fill.append(len(node.users))
-                widths = (
-                    cols.node_high[node.page_id] - cols.node_low[node.page_id]
-                ).tolist()
+        mbr_widths = []
+        stack = [0]  # depth first, last child first: the order of the sum
+        while stack:
+            page = stack.pop()
+            stack.extend(cols.children[page])
+            if not cols.children[page]:
+                widths = (cols.node_high[page] - cols.node_low[page]).tolist()
                 mbr_widths.append(sum(widths) / len(widths))
-            else:
-                inner += 1
+        leaves = len(mbr_widths)
         return {
-            "num_users": self.root.num_users,
+            "num_users": cols.size[0],
             "height": self.height,
             "num_pages": self.num_pages,
             "leaf_nodes": leaves,
-            "inner_nodes": inner,
-            "avg_leaf_fill": sum(leaf_fill) / leaves if leaves else 0.0,
+            "inner_nodes": self.num_pages - leaves,
+            "avg_leaf_fill": cols.size[0] / leaves if leaves else 0.0,
             "avg_leaf_interest_width": (
                 sum(mbr_widths) / len(mbr_widths) if mbr_widths else 0.0
             ),
@@ -388,7 +279,7 @@ class SocialIndex:
 
     def __repr__(self) -> str:
         return (
-            f"SocialIndex(users={self.root.num_users}, height={self.height}, "
+            f"SocialIndex(users={self.columns.size[0]}, height={self.height}, "
             f"pages={self.num_pages})"
         )
 
@@ -405,8 +296,9 @@ NODE_BOUNDS: Tuple[Tuple[str, str, np.ufunc], ...] = (
 
 
 class SocialColumns(TreeColumns):
-    """The social index's bounds as columns: the one copy of the user
-    values and node bounds, kept current by the index.
+    """The social index's tree as columns: its shape (see
+    :class:`TreeColumns`) and the one copy of the user values and node
+    bounds, kept current by the index.
 
     Users get dense slots in page order (then leaf order), nodes are
     addressed by page id. Tree membership never changes under the
@@ -415,7 +307,7 @@ class SocialColumns(TreeColumns):
     :meth:`SocialIndex.compact` recomputes every node row.
 
     Attributes:
-        aus: slot -> :class:`AugmentedUser`; ``slot_of`` inverts it by id.
+        user_ids: slot -> user id; ``slot_of`` inverts it.
         user_leaf: a slot's leaf page.
         user_social / user_road / user_interests: ``U x l`` social-pivot
             hops, ``U x h`` road-pivot distances, ``U x d`` interests.
@@ -426,32 +318,39 @@ class SocialColumns(TreeColumns):
     """
 
     __slots__ = (
-        "aus", "slot_of", "user_leaf",
+        "user_ids", "slot_of", "user_leaf",
         "user_social", "user_road", "user_interests",
         "node_social_lb", "node_social_ub", "node_road_lb", "node_road_ub",
         "node_low", "node_high",
     )
 
-    def __init__(self, index: SocialIndex) -> None:
-        aus = self._lay_out(index.root, index.num_pages, lambda n: n.users)
-        self.aus = aus
-        self.slot_of = {au.user_id: slot for slot, au in enumerate(aus)}
+    def __init__(
+        self,
+        index: SocialIndex,
+        skeleton: dict,
+        social: Dict[int, Sequence[float]],
+        road: Dict[int, Sequence[float]],
+    ) -> None:
+        ids = self._lay_out(skeleton, "users")
+        self.user_ids = ids
+        self.slot_of = {uid: slot for slot, uid in enumerate(ids)}
         self.user_leaf = [
             page for page, slots in enumerate(self.leaf_slots) for _ in slots
         ]
 
         def rows(values, width: int) -> np.ndarray:
-            return np.array(values, dtype=np.float64).reshape(len(aus), width)
+            return np.array(values, dtype=np.float64).reshape(len(ids), width)
 
+        users = index.network.social
         self.user_social = rows(
-            [au.social_pivot_dists for au in aus],
-            index.social_pivots.num_pivots,
+            [social[uid] for uid in ids], index.social_pivots.num_pivots
         )
         self.user_road = rows(
-            [au.road_pivot_dists for au in aus], index.road_pivots.num_pivots
+            [road[uid] for uid in ids], index.road_pivots.num_pivots
         )
         self.user_interests = rows(
-            [au.user.interests for au in aus], index.network.num_keywords
+            [users.user(uid).interests for uid in ids],
+            index.network.num_keywords,
         )
         for name, rows_name, ufunc in NODE_BOUNDS:
             setattr(self, name, self.reduce(ufunc, getattr(self, rows_name)))

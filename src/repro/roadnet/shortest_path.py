@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
 from typing import (
     Dict,
     Hashable,
@@ -34,6 +33,7 @@ from typing import (
 
 import numpy as np
 
+from ..changes import LRU
 from ..config import DEFAULT_DISTANCE_CACHE_SIZE
 from ..exceptions import UnknownEntityError
 from .csr import DenseDistanceView
@@ -319,7 +319,7 @@ class DistanceOracle:
             DEFAULT_DISTANCE_CACHE_SIZE if cache_size is None else cache_size
         )
         self.engine = CSREngine(road)
-        self._cache: "OrderedDict[Hashable, DenseDistanceView]" = OrderedDict()
+        self._cache = LRU()  # key -> DenseDistanceView
         self._indexer: Optional[VertexIndexer] = None
         self._road_version = road.version
         #: number of full searches actually executed (for tests/benchmarks)
@@ -347,16 +347,13 @@ class DistanceOracle:
     ) -> DenseDistanceView:
         """The cached view for ``key``, or one engine search from ``pos``."""
         self._check_road_version()
-        cached = self._cache.get(key)
+        cached = self._cache.hit(key)
         if cached is not None:
-            self._cache.move_to_end(key)
             self.cache_hits += 1
             return cached
         view = self.engine.sssp(position_seeds(self.road, pos))
         self.searches_run += 1
-        self._cache[key] = view
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
+        self._cache.put(key, view, self.cache_size)
         return view
 
     def distances_from(

@@ -87,12 +87,25 @@ def assert_valid_answer(network, query, answer):
     )
 
 
-def subtree(node, members: str) -> list:
-    """Every entry of ``members`` (``"pois"`` or ``"users"``) under an
-    index node."""
-    if node.is_leaf:
-        return list(getattr(node, members))
-    return [m for child in node.children for m in subtree(child, members)]
+def subtree(columns, page: int) -> list:
+    """The member slots under ``page`` of an index's columns, in slot
+    order, walked through the child pages."""
+    kids = columns.children[page]
+    if not kids:
+        return list(columns.leaf_slots[page])
+    return [slot for child in kids for slot in subtree(columns, child)]
+
+
+def subtree_pois(road_index, page: int) -> list:
+    """The :class:`AugmentedPOI` entries under a road index page."""
+    columns = road_index.columns
+    return [columns.aps[slot] for slot in subtree(columns, page)]
+
+
+def subtree_users(social_index, page: int) -> list:
+    """The user ids under a social index page."""
+    columns = social_index.columns
+    return [columns.user_ids[slot] for slot in subtree(columns, page)]
 
 
 def _intervals(rows):
@@ -101,29 +114,33 @@ def _intervals(rows):
     return [min(c) for c in columns], [max(c) for c in columns]
 
 
-def road_node_bounds(node, num_bits: int):
-    """A road node's bounds derived from its POIs: the Eqs. 7-8 pivot
+def road_node_bounds(road_index, page: int):
+    """A road page's bounds derived from its POIs: the Eqs. 7-8 pivot
     interval ``(lb, ub)`` by min and max and the hashed ``sup_K`` by OR."""
-    pois = subtree(node, "pois")
+    pois = subtree_pois(road_index, page)
     lb, ub = _intervals([ap.pivot_dists for ap in pois])
     bits = 0
     for ap in pois:
         bits |= ap.sup_vector.bits
-    return lb, ub, KeywordBitVector(num_bits, bits)
+    return lb, ub, KeywordBitVector(road_index.num_bits, bits)
 
 
-def social_node_bounds(node):
-    """A social node's Eqs. 9-14 bounds derived from its users by min
-    and max: the interest MBR, the hop interval and the road interval
-    (each interval a ``(lb, ub)`` pair)."""
-    users = subtree(node, "users")
-    low, high = _intervals(
-        [[float(v) for v in au.user.interests] for au in users]
-    )
+def social_node_bounds(social_index, page: int):
+    """A social page's Eqs. 9-14 bounds derived from its users by min
+    and max: the interest MBR (from the network's users), the hop
+    interval and the road interval (from the users' column rows; each
+    interval a ``(lb, ub)`` pair)."""
+    columns = social_index.columns
+    users = social_index.network.social
+    slots = subtree(columns, page)
+    low, high = _intervals([
+        [float(v) for v in users.user(columns.user_ids[slot]).interests]
+        for slot in slots
+    ])
     return (
         MBR(low, high),
-        _intervals([au.social_pivot_dists for au in users]),
-        _intervals([au.road_pivot_dists for au in users]),
+        _intervals([columns.user_social[slot].tolist() for slot in slots]),
+        _intervals([columns.user_road[slot].tolist() for slot in slots]),
     )
 
 

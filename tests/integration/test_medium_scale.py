@@ -12,8 +12,8 @@ def test_thousand_user_network():
         num_road_vertices=800, num_pois=300, num_users=1000, seed=23
     )
     processor = GPSSNQueryProcessor(network, seed=23)
-    assert processor.road_index.root.num_pois == 300
-    assert processor.social_index.root.num_users == 1000
+    assert processor.road_index.columns.size[0] == 300
+    assert processor.social_index.columns.size[0] == 1000
 
     issuers = sample_query_users(network, 3, seed=5)
     found = 0

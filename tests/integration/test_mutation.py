@@ -102,7 +102,7 @@ class TestStalenessGuard:
         # The new POI can only improve or preserve the objective.
         if baseline_answer.found and answer.found:
             assert answer.max_distance <= baseline_answer.max_distance + 1e-9
-        assert processor.road_index.root.num_pois == network.num_pois
+        assert processor.road_index.columns.size[0] == network.num_pois
 
     def test_rebuild_after_user_addition(self, setup):
         network, processor = setup

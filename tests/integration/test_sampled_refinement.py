@@ -170,7 +170,7 @@ def scalar_sampled_answer(network, processor, query, num_samples, seed):
     scorer = MetricScorer(query.metric)
     s_cand, r_cand, _ = processor._traverse(query, PruningCounters(), scorer)
     uq = query.query_user
-    allowed = {au.user_id for au in s_cand} | {uq}
+    allowed = set(s_cand) | {uq}
     groups = sample(
         network, uq, query.tau, query.gamma,
         np.random.default_rng(seed), num_samples, allowed, scorer,

@@ -12,7 +12,12 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import road_node_bounds, social_node_bounds, subtree
+from conftest import (
+    road_node_bounds,
+    social_node_bounds,
+    subtree_pois,
+    subtree_users,
+)
 from repro import GPSSNQueryProcessor, uni_dataset
 from repro.core.index_pruning import (
     lb_dist_sn_social_node,
@@ -35,16 +40,12 @@ user_ids = st.integers(0, _NETWORK.social.num_users - 1)
 poi_ids = st.integers(0, _NETWORK.num_pois - 1)
 
 
-def leaf_pois(node):
-    return subtree(node, "pois")
+def leaf_pois(page):
+    return subtree_pois(_PROCESSOR.road_index, page)
 
 
-def leaf_users(node):
-    return subtree(node, "users")
-
-
-def road_bounds(node):
-    return road_node_bounds(node, _PROCESSOR.road_index.num_bits)
+def road_bounds(page):
+    return road_node_bounds(_PROCESSOR.road_index, page)
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,9 +76,9 @@ def test_eq17_lb_sound_for_all_nodes(uid):
     rp = _PROCESSOR.road_pivots
     user = _NETWORK.social.user(uid)
     uq_dists = rp.distances(user.home)
-    for node in _PROCESSOR.road_index.iter_nodes():
-        lb = lb_maxdist_road_node(uq_dists, *road_bounds(node)[:2])
-        for ap in leaf_pois(node):
+    for page in range(_PROCESSOR.road_index.num_pages):
+        lb = lb_maxdist_road_node(uq_dists, *road_bounds(page)[:2])
+        for ap in leaf_pois(page):
             assert lb <= _NETWORK.user_poi_distance(uid, ap.poi_id) + 1e-9
 
 
@@ -90,9 +91,9 @@ def test_eq16_ub_sound(uid_a, uid_b, radius):
         max(rp.distances(_NETWORK.social.user(u).home)[k] for u in users)
         for k in range(rp.num_pivots)
     ]
-    for node in _PROCESSOR.road_index.iter_nodes():
-        ub = ub_maxdist_road_node(s_ubs, road_bounds(node)[1], radius)
-        for ap in leaf_pois(node):
+    for page in range(_PROCESSOR.road_index.num_pages):
+        ub = ub_maxdist_road_node(s_ubs, road_bounds(page)[1], radius)
+        for ap in leaf_pois(page):
             exact = max(
                 _NETWORK.user_poi_distance(u, ap.poi_id) for u in users
             )
@@ -103,9 +104,9 @@ def test_eq16_ub_sound(uid_a, uid_b, radius):
 @given(uid=user_ids)
 def test_eq15_ub_match_sound(uid):
     user = _NETWORK.social.user(uid)
-    for node in _PROCESSOR.road_index.iter_nodes():
-        ub = ub_match_score_road_node(user.interests, road_bounds(node)[2])
-        for ap in leaf_pois(node):
+    for page in range(_PROCESSOR.road_index.num_pages):
+        ub = ub_match_score_road_node(user.interests, road_bounds(page)[2])
+        for ap in leaf_pois(page):
             assert ub >= match_score(user.interests, ap.sup_keywords) - 1e-9
 
 
@@ -115,10 +116,13 @@ def test_eq19_lb_hops_sound(uid):
     sp = _PROCESSOR.social_pivots
     uq_dists = sp.distances(uid)
     true_hops = _NETWORK.social.hop_distances_from(uid)
-    for node in _PROCESSOR.social_index.iter_nodes():
-        lb = lb_dist_sn_social_node(uq_dists, *social_node_bounds(node)[1])
-        for au in leaf_users(node):
-            exact = true_hops.get(au.user_id, math.inf)
+    social_index = _PROCESSOR.social_index
+    for page in range(social_index.num_pages):
+        lb = lb_dist_sn_social_node(
+            uq_dists, *social_node_bounds(social_index, page)[1]
+        )
+        for member in subtree_users(social_index, page):
+            exact = true_hops.get(member, math.inf)
             assert lb <= exact + 1e-9
 
 

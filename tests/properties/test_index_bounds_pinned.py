@@ -58,7 +58,7 @@ def _record(processor) -> dict:
     record.update(
         {name: _digest(getattr(social, name)) for name in SOCIAL_ARRAYS}
     )
-    record["social.user_ids"] = [au.user_id for au in social.aus]
+    record["social.user_ids"] = list(social.user_ids)
     record["bound_slack"] = processor.social_index.bound_slack
     return record
 

@@ -62,5 +62,5 @@ def test_candidate_users_superset_of_answer_users(uq, gamma):
     _PROCESSOR.road_index.counter.reset()
     _PROCESSOR.social_index.counter.reset()
     users, pois, _ = _PROCESSOR._traverse(query, stats.pruning)
-    kept_users = {au.user_id for au in users}
+    kept_users = set(users)
     assert exact.users <= kept_users

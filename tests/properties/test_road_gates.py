@@ -82,8 +82,8 @@ def _assert_gates_bitwise(processor, query, s_ubs, floors):
     gates.level(s_ubs, floors)
     aps = columns.aps
     nodes = [
-        road_node_bounds(node, processor.road_index.num_bits)
-        for node in columns.nodes
+        road_node_bounds(processor.road_index, page)
+        for page in range(processor.road_index.num_pages)
     ]
     theta, radius = query.theta, query.radius
     reference = {
@@ -137,7 +137,7 @@ def test_gates_bitwise_equal_per_entry(request, network_name):
     users = sorted(network.social.user_ids())
     rng = np.random.default_rng(3)
     h = processor.road_pivots.num_pivots
-    root_floor = social_node_bounds(social_index.root)[0].low
+    root_floor = social_node_bounds(social_index, 0)[0].low
     witnesses = []
     for uid in users[::3]:
         for theta in (0.1, 0.3, 0.6):
@@ -145,9 +145,7 @@ def test_gates_bitwise_equal_per_entry(request, network_name):
                 query_user=uid, tau=2, theta=theta, radius=2.0
             )
             picked = rng.choice(users, size=2, replace=False)
-            floors = [
-                social_index.augmented(int(u)).user.interests for u in picked
-            ]
+            floors = [network.social.user(int(u)).interests for u in picked]
             s_ubs = [float(rng.uniform(0.0, 50.0)) for _ in range(h)]
             for level_floors in (
                 floors, floors + [root_floor], [],

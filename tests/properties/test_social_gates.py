@@ -42,7 +42,7 @@ from repro.core.social_gates import (
 from repro.dynamic import DynamicIndexMaintainer
 from repro.dynamic.ops import synthesize_mutations
 from repro.index.pivots import pivot_lower_bound
-from repro.index.social_index import NODE_BOUNDS, AugmentedUser, SocialIndex
+from repro.index.social_index import NODE_BOUNDS, SocialIndex
 
 METRICS = list(InterestMetric)
 NUM_KEYWORDS = 8
@@ -114,23 +114,24 @@ def _expected(processor, scorer, uq_id, tau, gamma, distance, interest):
     uq = processor.network.social.user(uq_id)
     uq_hops = processor.social_pivots.distances(uq_id)
     users = []
-    for au in columns.aus:
-        hops = pivot_lower_bound(au.social_pivot_dists, uq_hops)
+    for slot, uid in enumerate(columns.user_ids):
+        hops = pivot_lower_bound(columns.user_social[slot].tolist(), uq_hops)
+        interests = processor.network.social.user(uid).interests
         rule = KEEP
-        if au.user_id == uq_id:
+        if uid == uq_id:
             pass
         elif distance and hops >= tau:
             rule = HOPS
-        elif interest and scorer.score(uq.interests, au.user.interests) < gamma:
+        elif interest and scorer.score(uq.interests, interests) < gamma:
             rule = INTEREST
         users.append((hops, rule))
     path = set(columns.path_pages(columns.slot_of[uq_id]))
     nodes = []
-    for node in columns.nodes:
-        mbr, (lb, ub), _ = social_node_bounds(node)
+    for page in range(index.num_pages):
+        mbr, (lb, ub), _ = social_node_bounds(index, page)
         hops = lb_dist_sn_social_node(uq_hops, lb, ub)
         rule = KEEP
-        if node.page_id in path:
+        if page in path:
             pass
         elif distance and hops >= tau:
             rule = HOPS
@@ -142,14 +143,15 @@ def _expected(processor, scorer, uq_id, tau, gamma, distance, interest):
 
 def _gammas(processor, scorer, uq_id):
     """Exact scores and bounds of u_q (ties) and a few plain values."""
-    columns = processor.social_index.columns
-    uq = processor.network.social.user(uq_id)
+    index = processor.social_index
+    social = processor.network.social
+    uq = social.user(uq_id)
     exact = [
-        scorer.score(uq.interests, columns.aus[slot].user.interests)
-        for slot in range(0, len(columns.aus), 5)
+        scorer.score(uq.interests, social.user(uid).interests)
+        for uid in index.columns.user_ids[::5]
     ] + [
-        scorer.ub_over_box(social_node_bounds(node)[0], uq.interests)
-        for node in columns.nodes[1::3]
+        scorer.ub_over_box(social_node_bounds(index, page)[0], uq.interests)
+        for page in range(1, index.num_pages, 3)
     ]
     return sorted(set(exact)) + [0.0, 0.15, 0.4, 0.9]
 
@@ -202,20 +204,22 @@ def test_split_network_has_infinite_pivot_hops(split_processor):
 def test_vector_values_track_scalar_values(split_processor, metric):
     """Set metrics are bitwise equal; DOT and COSINE stay inside the
     tie band of the scalar value."""
-    columns = split_processor.social_index.columns
+    index = split_processor.social_index
+    columns = index.columns
+    social = split_processor.network.social
     scorer = MetricScorer(metric)
     exact_metric = metric in (InterestMetric.JACCARD, InterestMetric.HAMMING)
-    for au in columns.aus[::6]:
-        anchor = au.user.interests
+    for uid in columns.user_ids[::6]:
+        anchor = social.user(uid).interests
         got = interest_scores(scorer, anchor, columns.user_interests)
-        want = [scorer.score(anchor, other.user.interests)
-                for other in columns.aus]
+        want = [scorer.score(anchor, social.user(other).interests)
+                for other in columns.user_ids]
         bounds = box_upper_bounds(
             scorer, anchor, columns.node_low, columns.node_high
         )
         want_bounds = [
-            scorer.ub_over_box(social_node_bounds(node)[0], anchor)
-            for node in columns.nodes
+            scorer.ub_over_box(social_node_bounds(index, page)[0], anchor)
+            for page in range(index.num_pages)
         ]
         for values, reference in ((got, want), (bounds, want_bounds)):
             if exact_metric:
@@ -294,14 +298,13 @@ def test_corollary2_keeps_user_at_exact_gamma():
         network, num_road_pivots=2, num_social_pivots=2, seed=5
     )
     home = network.social.user(0).home
-    candidates = [
-        AugmentedUser(User(0, a, home), [0.0], [0.0]),
-        AugmentedUser(User(1, b, home), [1.0], [0.0]),
-    ]
+    # Corollary 2 reads the candidates' interests from the network.
+    network.social.replace_user(User(0, a, home))
+    network.social.replace_user(User(1, b, home))
     query = GPSSNQuery(query_user=0, tau=2, gamma=gamma, theta=0.1, radius=1.0)
     kept = processor._corollary2_fixpoint(
-        query, candidates, QueryStatistics(), scorer
+        query, [0, 1], QueryStatistics(), scorer
     )
     # The scalar reference: the only other candidate is compatible.
     assert scorer.score(a, b) >= gamma
-    assert [au.user_id for au in kept] == [0, 1]
+    assert kept == [0, 1]

@@ -6,18 +6,11 @@ material after POI churn, exact pivot maps after friendship flips,
 and widen-then-compact social bounds.
 """
 
-import numpy as np
 import pytest
 
 from repro import GPSSNQueryProcessor, uni_dataset
 from repro.dynamic import DynamicIndexMaintainer, synthesize_mutations
-from repro.index.pivots import (
-    SocialPivotIndex,
-    select_pivots_road,
-    select_pivots_social,
-)
-from repro.index.social_index import SocialIndex
-from repro.socialnet.graph import User
+from repro.index.pivots import SocialPivotIndex
 
 
 @pytest.fixture()
@@ -104,9 +97,9 @@ class TestSocialPivotExactness:
         assert calls
         for changed, moved in calls:
             assert changed == moved
-        social = processor.social_index
+        columns = processor.social_index.columns
         for uid in network.social.user_ids():
-            stored = social.augmented(uid).social_pivot_dists
+            stored = columns.user_social[columns.slot_of[uid]].tolist()
             assert stored == pivots.distances(uid), uid
 
     def test_same_level_edge_flip_refreshes_nothing(self, setup):
@@ -141,39 +134,6 @@ class TestSocialIndexCompaction:
         social.check_containment()  # admissibility invariant intact
         assert social.bound_slack == 0
         assert social.compact() == 0  # exact bounds are a fixpoint
-
-    def test_interest_slack_rule(self):
-        """``widen_user`` with ``old_interests``: a point moved to a
-        leaf-mate's (inside every box on its path) counts each bound it
-        sat on and retreated from; a halved point leaves its leaf's box,
-        which widens and counts no interest slack. The values were
-        recorded when the bounds lived on the tree nodes."""
-        network = uni_dataset(
-            num_road_vertices=100, num_pois=30, num_users=40, seed=2
-        )
-        rng = np.random.default_rng(3)
-        social = SocialIndex(
-            network,
-            select_pivots_social(network.social, 3, rng),
-            select_pivots_road(network.distances.engine, 3, rng),
-            leaf_size=4,
-        )
-        slack = []
-        for leaf in [n for n in social.iter_nodes() if n.is_leaf][:4]:
-            a, b = leaf.users[0], leaf.users[1]
-            old = [float(v) for v in a.user.interests]
-            a.user = User(
-                a.user_id, np.asarray(b.user.interests, dtype=float),
-                a.user.home,
-            )
-            slack.append(social.widen_user(a.user_id, old_interests=old))
-            old = [float(v) for v in b.user.interests]
-            b.user = User(b.user_id, np.asarray(old) * 0.5, b.user.home)
-            slack.append(social.widen_user(b.user_id, old_interests=old))
-        assert slack == [6, 0, 10, 0, 4, 0, 7, 0]
-        assert social.bound_slack == sum(slack)
-        social.check_containment()
-        assert social.compact() == 27
 
     def test_flush_compacts_at_threshold(self, setup):
         network, processor = setup

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import road_node_bounds, social_node_bounds, subtree
+from conftest import (
+    road_node_bounds,
+    social_node_bounds,
+    subtree_pois,
+    subtree_users,
+)
 from repro.core.index_pruning import (
     lb_dist_sn_social_node,
     lb_match_score_road_node,
@@ -44,27 +49,27 @@ def indexed(small_uni):
     return small_uni, road_index, social_index, road_pivots, social_pivots
 
 
-def _road_bounds(road_index, node):
-    """Derived node bounds, checked against the index's columns."""
-    lb, ub, sup = road_node_bounds(node, road_index.num_bits)
+def _road_bounds(road_index, page):
+    """Derived page bounds, checked against the index's columns."""
+    lb, ub, sup = road_node_bounds(road_index, page)
     columns = road_index.columns
-    assert columns.node_lb[node.page_id].tolist() == lb
-    assert columns.node_ub[node.page_id].tolist() == ub
-    row = columns.sup_mask[len(columns.aps) + node.page_id]
+    assert columns.node_lb[page].tolist() == lb
+    assert columns.node_ub[page].tolist() == ub
+    row = columns.sup_mask[len(columns.aps) + page]
     assert row.tolist() == [
         sup.might_contain(f) for f in range(columns.sup_mask.shape[1])
     ]
     return lb, ub, sup
 
 
-def _social_bounds(social_index, node):
-    """Derived node bounds, checked against the index's columns."""
-    mbr, (lb, ub), _road = social_node_bounds(node)
+def _social_bounds(social_index, page):
+    """Derived page bounds, checked against the index's columns."""
+    mbr, (lb, ub), _road = social_node_bounds(social_index, page)
     columns = social_index.columns
-    assert columns.node_low[node.page_id].tolist() == list(mbr.low)
-    assert columns.node_high[node.page_id].tolist() == list(mbr.high)
-    assert columns.node_social_lb[node.page_id].tolist() == lb
-    assert columns.node_social_ub[node.page_id].tolist() == ub
+    assert columns.node_low[page].tolist() == list(mbr.low)
+    assert columns.node_high[page].tolist() == list(mbr.high)
+    assert columns.node_social_lb[page].tolist() == lb
+    assert columns.node_social_ub[page].tolist() == ub
     return mbr, lb, ub
 
 
@@ -72,10 +77,10 @@ class TestLemma6:
     def test_ub_match_score_bounds_all_descendants(self, indexed):
         network, road_index, _, _, _ = indexed
         user = network.social.user(0)
-        for node in road_index.iter_nodes():
-            _, _, sup = _road_bounds(road_index, node)
+        for page in range(road_index.num_pages):
+            _, _, sup = _road_bounds(road_index, page)
             ub = ub_match_score_road_node(user.interests, sup)
-            for ap in subtree(node, "pois"):
+            for ap in subtree_pois(road_index, page):
                 exact = match_score(user.interests, ap.sup_keywords)
                 assert ub >= exact - 1e-9
 
@@ -83,10 +88,10 @@ class TestLemma6:
         network, road_index, _, _, _ = indexed
         user = network.social.user(1)
         theta = 0.6
-        for node in road_index.iter_nodes():
-            _, _, sup = _road_bounds(road_index, node)
+        for page in range(road_index.num_pages):
+            _, _, sup = _road_bounds(road_index, page)
             if road_node_matching_prunable(user.interests, sup, theta):
-                for ap in subtree(node, "pois"):
+                for ap in subtree_pois(road_index, page):
                     assert match_score(user.interests, ap.sup_keywords) < theta
 
 
@@ -95,11 +100,11 @@ class TestEq16Eq17:
         network, road_index, _, road_pivots, _ = indexed
         uq = network.social.user(2)
         uq_dists = road_pivots.distances(uq.home)
-        for node in road_index.iter_nodes():
+        for page in range(road_index.num_pages):
             lb = lb_maxdist_road_node(
-                uq_dists, *_road_bounds(road_index, node)[:2]
+                uq_dists, *_road_bounds(road_index, page)[:2]
             )
-            for ap in subtree(node, "pois"):
+            for ap in subtree_pois(road_index, page):
                 exact = network.user_poi_distance(2, ap.poi_id)
                 assert lb <= exact + 1e-9
 
@@ -111,10 +116,10 @@ class TestEq16Eq17:
             for k in range(road_pivots.num_pivots)
         ]
         radius = 2.0
-        for node in road_index.iter_nodes():
-            node_ub = _road_bounds(road_index, node)[1]
+        for page in range(road_index.num_pages):
+            node_ub = _road_bounds(road_index, page)[1]
             ub = ub_maxdist_road_node(s_ubs, node_ub, radius)
-            for ap in subtree(node, "pois"):
+            for ap in subtree_pois(road_index, page):
                 exact = max(
                     network.user_poi_distance(u.user_id, ap.poi_id)
                     for u in users
@@ -131,8 +136,8 @@ class TestEq18:
     def test_lb_match_under_estimates_feasible_regions(self, indexed):
         network, road_index, _, _, _ = indexed
         users = [network.social.user(uid).interests for uid in [0, 1]]
-        for node in road_index.iter_nodes():
-            samples = [ap.sub_keywords for ap in subtree(node, "pois")[:2]]
+        for page in range(road_index.num_pages):
+            samples = [ap.sub_keywords for ap in subtree_pois(road_index, page)[:2]]
             lb = lb_match_score_road_node(users, samples)
             # The bound promises: some sample object's r_min-region already
             # achieves `lb` for the worst user. Verify against the samples.
@@ -143,7 +148,7 @@ class TestEq18:
 
     def test_empty_inputs(self, indexed):
         network, road_index, _, _, _ = indexed
-        samples = [ap.sub_keywords for ap in subtree(road_index.root, "pois")]
+        samples = [ap.sub_keywords for ap in subtree_pois(road_index, 0)]
         assert lb_match_score_road_node([], samples) == 0.0
         user = network.social.user(0).interests
         assert lb_match_score_road_node([user], []) == 0.0
@@ -155,11 +160,12 @@ class TestLemma8:
         uq = network.social.user(3)
         gamma = 0.4
         region = PruningRegion(uq.interests, gamma)
-        for node in social_index.iter_nodes():
-            mbr, _, _ = _social_bounds(social_index, node)
+        for page in range(social_index.num_pages):
+            mbr, _, _ = _social_bounds(social_index, page)
             if social_node_interest_prunable(region, mbr):
-                for au in subtree(node, "users"):
-                    score = float(np.dot(uq.interests, au.user.interests))
+                for uid in subtree_users(social_index, page):
+                    interests = network.social.user(uid).interests
+                    score = float(np.dot(uq.interests, interests))
                     assert score < gamma + 1e-9
 
 
@@ -169,11 +175,11 @@ class TestEq19Lemma9:
         uq_id = 4
         uq_dists = social_pivots.distances(uq_id)
         true_hops = network.social.hop_distances_from(uq_id)
-        for node in social_index.iter_nodes():
-            _, node_lb, node_ub = _social_bounds(social_index, node)
+        for page in range(social_index.num_pages):
+            _, node_lb, node_ub = _social_bounds(social_index, page)
             lb = lb_dist_sn_social_node(uq_dists, node_lb, node_ub)
-            for au in subtree(node, "users"):
-                exact = true_hops.get(au.user_id, math.inf)
+            for uid in subtree_users(social_index, page):
+                exact = true_hops.get(uid, math.inf)
                 assert lb <= exact + 1e-9
 
     def test_pruned_node_users_all_beyond_tau(self, indexed):
@@ -182,11 +188,11 @@ class TestEq19Lemma9:
         tau = 3
         uq_dists = social_pivots.distances(uq_id)
         true_hops = network.social.hop_distances_from(uq_id)
-        for node in social_index.iter_nodes():
-            _, node_lb, node_ub = _social_bounds(social_index, node)
+        for page in range(social_index.num_pages):
+            _, node_lb, node_ub = _social_bounds(social_index, page)
             lb = lb_dist_sn_social_node(uq_dists, node_lb, node_ub)
             if social_node_distance_prunable(lb, tau):
-                for au in subtree(node, "users"):
-                    exact = true_hops.get(au.user_id, math.inf)
+                for uid in subtree_users(social_index, page):
+                    exact = true_hops.get(uid, math.inf)
                     assert exact >= tau
 

@@ -27,12 +27,13 @@ class TestConstruction:
             RoadIndex(small_uni, pivots, r_min=4.0, r_max=1.0)
 
     def test_counts(self, road_index, small_uni):
-        assert road_index.root.num_pois == small_uni.num_pois
+        assert road_index.columns.size[0] == small_uni.num_pois
         assert road_index.height >= 1
         assert road_index.num_pages >= 1
 
     def test_page_ids_unique(self, road_index):
-        ids = [n.page_id for n in road_index.iter_nodes()]
+        columns = road_index.columns
+        ids = [0] + [c for kids in columns.children for c in kids]
         assert len(ids) == len(set(ids)) == road_index.num_pages
 
     def test_unknown_poi_raises(self, road_index):
@@ -78,53 +79,57 @@ class TestNodeAggregates:
 
     def test_leaf_pivot_bounds_envelope_members(self, road_index):
         columns = road_index.columns
-        for node in road_index.iter_nodes():
-            if node.is_leaf:
-                lb, ub, _ = road_node_bounds(node, road_index.num_bits)
-                assert columns.node_lb[node.page_id].tolist() == lb
-                assert columns.node_ub[node.page_id].tolist() == ub
+        for page, kids in enumerate(columns.children):
+            if not kids:
+                lb, ub, _ = road_node_bounds(road_index, page)
+                assert columns.node_lb[page].tolist() == lb
+                assert columns.node_ub[page].tolist() == ub
 
     def test_inner_bounds_envelope_children(self, road_index):
         columns = road_index.columns
-        for node in road_index.iter_nodes():
-            if not node.is_leaf:
-                pages = [c.page_id for c in node.children]
+        for page, kids in enumerate(columns.children):
+            if kids:
+                pages = list(kids)
                 assert np.array_equal(
-                    columns.node_lb[node.page_id],
+                    columns.node_lb[page],
                     columns.node_lb[pages].min(axis=0),
                 )
                 assert np.array_equal(
-                    columns.node_ub[node.page_id],
+                    columns.node_ub[page],
                     columns.node_ub[pages].max(axis=0),
                 )
-                lb, ub, _ = road_node_bounds(node, road_index.num_bits)
-                assert columns.node_lb[node.page_id].tolist() == lb
-                assert columns.node_ub[node.page_id].tolist() == ub
+                lb, ub, _ = road_node_bounds(road_index, page)
+                assert columns.node_lb[page].tolist() == lb
+                assert columns.node_ub[page].tolist() == ub
 
     def test_sup_keywords_union_of_children(self, road_index, small_uni):
         columns = road_index.columns
         node_rows = columns.sup_mask[len(columns.aps):]
-        for node in road_index.iter_nodes():
-            _, _, sup = road_node_bounds(node, road_index.num_bits)
-            assert node_rows[node.page_id].tolist() == [
+        for page, kids in enumerate(columns.children):
+            _, _, sup = road_node_bounds(road_index, page)
+            assert node_rows[page].tolist() == [
                 sup.might_contain(f) for f in range(small_uni.num_keywords)
             ]
-            if not node.is_leaf:
-                pages = [c.page_id for c in node.children]
+            if kids:
+                pages = list(kids)
                 assert np.array_equal(
-                    node_rows[node.page_id], node_rows[pages].any(axis=0)
+                    node_rows[page], node_rows[pages].any(axis=0)
                 )
 
     def test_nodes_carry_structure_only(self, road_index):
-        for node in road_index.iter_nodes():
-            assert set(type(node).__slots__) == {
-                "is_leaf", "children", "pois", "page_id", "num_pois",
-            }
+        """The tree's shape is plain per-page lists; no node objects."""
+        columns = road_index.columns
+        assert not hasattr(road_index, "root")
+        for name in ("children", "leaf_slots", "size", "parent"):
+            assert len(getattr(columns, name)) == road_index.num_pages
+        assert all(isinstance(kids, range) for kids in columns.children)
+        assert all(isinstance(n, int) for n in columns.size + columns.parent)
 
     def test_num_pois_adds_up(self, road_index):
-        for node in road_index.iter_nodes():
-            if not node.is_leaf:
-                assert node.num_pois == sum(c.num_pois for c in node.children)
+        columns = road_index.columns
+        for page, kids in enumerate(columns.children):
+            if kids:
+                assert columns.size[page] == sum(columns.size[c] for c in kids)
 
     def test_columns_follow_poi_churn(self):
         network = uni_dataset(
@@ -139,11 +144,11 @@ class TestNodeAggregates:
             index.delete_poi(pid, region)
         assert index.refreeze_if_dirty()
         assert index.height > 2
-        for node in index.iter_nodes():
-            lb, ub, sup = road_node_bounds(node, index.num_bits)
-            assert index.columns.node_lb[node.page_id].tolist() == lb
-            assert index.columns.node_ub[node.page_id].tolist() == ub
-            row = index.columns.sup_mask[len(index.columns.aps) + node.page_id]
+        for page in range(index.num_pages):
+            lb, ub, sup = road_node_bounds(index, page)
+            assert index.columns.node_lb[page].tolist() == lb
+            assert index.columns.node_ub[page].tolist() == ub
+            row = index.columns.sup_mask[len(index.columns.aps) + page]
             assert row.tolist() == [
                 sup.might_contain(f) for f in range(network.num_keywords)
             ]
@@ -337,8 +342,8 @@ class TestRegionExactness:
 class TestVisitCounting:
     def test_visits_counted_once_per_query(self, road_index):
         road_index.counter.reset()
-        road_index.visit(road_index.root)
-        road_index.visit(road_index.root)
+        road_index.visit(0)
+        road_index.visit(0)
         assert road_index.counter.snapshot() == 1
         road_index.counter.reset()
         assert road_index.counter.snapshot() == 0

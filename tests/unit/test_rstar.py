@@ -87,12 +87,6 @@ class TestSearch:
 
 
 class TestStructure:
-    def test_page_ids_unique_and_dense(self):
-        tree = build_tree([(i % 9, i // 9) for i in range(81)], max_entries=4)
-        count = tree.assign_page_ids()
-        ids = [n.page_id for n in tree.iter_nodes()]
-        assert sorted(ids) == list(range(count))
-
     def test_node_level(self):
         tree = build_tree([(i, i) for i in range(50)], max_entries=4)
         assert tree.node_level(tree.root) == tree.height - 1
